@@ -28,8 +28,8 @@ spectrum
     Eigenvalue branch of the linearized operator across the critical
     period, closed form vs numeric, as CSV.
 crosscheck
-    Derivative/duality/transform identities on the configured instance;
-    failures exit with code 3.
+    Derivative/duality/transform identities on the configured instance
+    (solves follow ``solver.formulation``); failures exit with code 3.
 duality-crosscheck
     Both dual control costs against psi1 at a solved equilibrium, plus
     the pointwise conjugate consistency of F*; failures exit with 3.
@@ -132,32 +132,38 @@ def cmd_report(cfg, out_dir):
     return payload, {"report.json": payload}
 
 
+def _solve_congestion(model, grid, s):
+    """Run the stationary route that ``solver.formulation`` names.
+
+    ``auto`` picks the potential route iff alpha > 1, else the flux
+    route. Returns (route, result).
+    """
+    route = s["formulation"]
+    if route == "auto":
+        route = "potential" if model.alpha > 1.0 else "bb"
+    if route == "potential":
+        return route, solve_potential_a_gt_1(model, grid, tol=s["tol"], max_iter=s["max_iter"])
+    if route == "stream2d":
+        return route, solve_bb_2d_stream(model, grid, tol=s["tol"], max_iter=s["max_iter"])
+    return route, solve_bb(
+        model,
+        grid,
+        tol=s["tol"],
+        max_iter=s["max_iter"],
+        barrier_stages=s["barrier_stages"],
+        w_reg=s["w_reg"],
+    )
+
+
 def cmd_solve_stationary(cfg, out_dir):
     model = build_model(cfg)
     if not isinstance(model, CongestionHamiltonian):
         raise ConfigError("solve-stationary needs model.kind = 'congestion'")
     grid = build_space_grid(cfg)
-    s = solver_settings(cfg)
-    route = s["formulation"]
-    if route == "auto":
-        route = "potential" if model.alpha > 1.0 else "bb"
-    if route == "potential":
-        res = solve_potential_a_gt_1(model, grid, tol=s["tol"], max_iter=s["max_iter"])
-    elif route == "stream2d":
-        res = solve_bb_2d_stream(model, grid, tol=s["tol"], max_iter=s["max_iter"])
-    else:
-        res = solve_bb(
-            model,
-            grid,
-            tol=s["tol"],
-            max_iter=s["max_iter"],
-            barrier_stages=s["barrier_stages"],
-            w_reg=s["w_reg"],
-        )
+    route, res = _solve_congestion(model, grid, solver_settings(cfg))
     save_field(out_dir / "m.field", DensityField(grid, res.state.m))
     save_field(out_dir / "u.field", ScalarField(grid, res.state.u))
-    if res.w is not None:
-        save_field(out_dir / "w.field", VectorField(grid, res.w))
+    save_field(out_dir / "w.field", VectorField(grid, res.w))
     payload = {
         "route": route,
         "hbar": res.state.Hbar,
@@ -417,14 +423,7 @@ def _check_congestion(cfg, checks, rng):
         )
     needs_solve = {"duality", "hbar"} & set(checks)
     if needs_solve:
-        res = solve_bb(
-            model,
-            grid,
-            tol=s["tol"],
-            max_iter=s["max_iter"],
-            barrier_stages=s["barrier_stages"],
-            w_reg=s["w_reg"],
-        )
+        _, res = _solve_congestion(model, grid, s)
         if "duality" in checks:
             results.append(
                 {

@@ -15,25 +15,33 @@ div w = 0, with the flux transform
     grad u + Q = m^{-beta} |w|^{gamma'-2} w,   beta = (gamma'-1)(1-alpha).
 
 The multiplier of the mass constraint is -Hbar, recovered as minus the
-mean of the m-derivative field and cross-checked against psi2_hat at the
-reconstructed (m, u); a discrepancy above ``HBAR_CROSSCHECK_TOL`` fails
-the run. At the minimum, -phi_bb equals psi1_hat.
+mean of the m-derivative field. At the minimum, -phi_bb equals psi1_hat.
 
 In d = 2 the divergence constraint can be eliminated with a stream
 function: w = perp(grad v + R), perp(a) = (-a2, a1), with R a constant
-2-vector (the harmonic part). ``solve_bb_2d_stream`` minimizes over
-(m, v, R); note w . Q = (grad v + R) . (Q2, -Q1), so the drift term
-stays linear and the R coordinate must be kept in the objective.
+2-vector (the harmonic part). ``solve_bb_2d_stream`` minimizes
+``phi_stream``, which is ``phi_bb`` composed with perp, over (m, v, R).
 
 For 1 < alpha <= gamma the problem is handled on the (m, u) side by
 minimizing ``j_functional`` (= -psi1_hat, convex there); see
 ``solve_potential_a_gt_1``.
 
-The descent engine is projected Barzilai-Borwein with a monotone Armijo
-backtracking safeguard, so the recorded objective trace is strictly
-non-increasing. Iterates are re-centered onto the constraint manifold
-every step (exact up to roundoff: the mass projection subtracts a mean,
-the flux projection is the spectral Leray projector).
+All three routes run on one engine, ``_descend``: projected
+Barzilai-Borwein with a monotone Armijo backtracking safeguard, so the
+recorded objective trace is strictly non-increasing. It owns the density
+block (unit-mass recentering, the m > m_min guard, the mean-zero
+gradient projection, optional log-barrier rounds); a route supplies its
+start point, objective, the projector of its own block (Leray for w,
+identity for the stream and potential coordinates) and its recovery of
+(u, w, Hbar). A descent whose best projected-gradient norm has not
+improved for ``STALL_WINDOW`` iterations raises :class:`SolverError`
+with that floor; it is never accepted as converged.
+
+Every certified route ends in ``_certify``: PDE residuals, the duality
+gap against psi1_hat, and the crosscheck of Hbar against psi2_hat at the
+reconstructed state, which fails the run above ``HBAR_CROSSCHECK_TOL``.
+Only the regularized gamma = 1 flux solve is uncertified (see
+``solve_bb``).
 
 The stream and potential routes optimize a scalar potential whose
 Hessian block is a weighted Laplacian, which would give the joint
@@ -75,6 +83,10 @@ __all__ = [
 ]
 
 HBAR_CROSSCHECK_TOL = 1e-6
+# Iterations without a new best projected-gradient norm after which the
+# descent counts as stalled. Certified solves set a new best at least
+# every 25 iterations; stalled ones go hundreds without one.
+STALL_WINDOW = 100
 
 
 def _half_inverse_divgrad(grid: TorusGrid, f: np.ndarray) -> np.ndarray:
@@ -156,33 +168,21 @@ def phi_stream(
     R: np.ndarray,
     model: CongestionHamiltonian,
 ) -> FunctionalReport:
-    """Stream-function form of phi_bb on d = 2 (w = perp(grad v + R))."""
+    """Stream-function form of phi_bb on d = 2 (w = perp(grad v + R)).
+
+    Evaluates phi_bb at w = perp(s), s = grad v + R. perp is an isometry
+    with adjoint -perp, so the s-gradient is -perp(dw): its negative
+    divergence is the v-gradient and its mean the R-gradient.
+    """
     if grid.dim != 2 or model.dim != 2:
         raise ModelError("the stream reduction needs d = 2")
-    if model.alpha >= 1.0:
-        raise ModelError("the stream reduction requires alpha < 1")
-    a = model.alpha
-    gp = model.gamma_prime
-    beta = model.beta
-    Rcol = np.asarray(R, dtype=float).reshape(2, 1, 1)
-    s = spectral.gradient(grid, v) + Rcol
-    smag = np.sqrt(np.sum(s * s, axis=0))
-    # perp(s) . Q = s . (Q2, -Q1), so the -w.Q drift term stays linear in s.
-    rotQ = np.array([model.Q[1], -model.Q[0]]).reshape(2, 1, 1)
-    value = float(
-        np.mean(
-            -np.sum(s * rotQ, axis=0) / (1.0 - a)
-            + smag**gp * m ** (-beta) / ((1.0 - a) * gp)
-            + model.coupling.F(grid, m)
-        )
-    )
-    dm = -(smag**gp) * m ** (-beta - 1.0) / model.gamma + model.coupling.f(grid, m)
-    gs = (-rotQ + CongestionHamiltonian._pow(smag, gp - 2.0) * s * m ** (-beta)) / (
-        1.0 - a
-    )
-    dv = -spectral.divergence(grid, gs)
+    s = spectral.gradient(grid, v) + np.asarray(R, dtype=float).reshape(2, 1, 1)
+    rep = phi_bb(grid, m, perp(s), model)
+    gs = -perp(rep.dw)
     dR = np.array([float(np.mean(gs[0])), float(np.mean(gs[1]))])
-    return FunctionalReport(value=value, dm=dm, du=dv, extras={"dR": dR})
+    return FunctionalReport(
+        value=rep.value, dm=rep.dm, du=-spectral.divergence(grid, gs), extras={"dR": dR}
+    )
 
 
 @dataclass
@@ -190,7 +190,7 @@ class StationaryResult:
     """Solution of a stationary congestion problem plus diagnostics."""
 
     state: StationaryState
-    w: np.ndarray | None
+    w: np.ndarray
     value: float
     phi_trace: tuple[float, ...]
     grad_inf: float
@@ -227,15 +227,24 @@ def _bb_loop(
 
     x = recenter(x0.copy())
     val, grad = value_and_grad(x)
-    pg = project(x, grad)
+    pg = project(grad)
     trace = [val]
     step = 1.0 / max(1.0, np.sqrt(dot(pg, pg)))
     prev_x = prev_pg = None
+    best, best_it = np.inf, 0
     it = 0
     for it in range(1, max_iter + 1):
         gnorm = float(np.max(np.abs(pg)))
         if gnorm <= tol:
             return x, val, tuple(trace), gnorm, it - 1
+        if gnorm < best:
+            best, best_it = gnorm, it
+        elif it - best_it >= STALL_WINDOW:
+            raise SolverError(
+                f"descent stalled at iteration {it}: the projected gradient "
+                f"sup-norm has not improved on its floor {best:.3e} for "
+                f"{STALL_WINDOW} iterations (tol {tol:.1e})"
+            )
         if prev_x is not None:
             s = x - prev_x
             y = pg - prev_pg
@@ -274,12 +283,114 @@ def _bb_loop(
             )
         prev_x, prev_pg = x, pg
         x, val, grad = x_new, val_new, grad_new
-        pg = project(x, grad)
+        pg = project(grad)
         trace.append(val)
     raise SolverError(
         f"no convergence in {max_iter} iterations "
         f"(projected gradient sup-norm {float(np.max(np.abs(pg))):.3e})"
     )
+
+
+def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_stages=()):
+    """Minimize ``objective`` over unit-mass m > m_min and a route block y.
+
+    ``objective(m, y)`` returns (value, dm, dy); ``project_y`` projects
+    both iterates and gradients of y onto the route's constraint space.
+    ``m0 = None`` starts from the uniform density. Each ``barrier_stages``
+    entry mu runs a round on objective - mu mean(log m) to tolerance
+    max(tol, mu / 100) before the final round on the plain objective.
+    Returns m, y and the round's value, phi_trace, grad_inf and
+    iterations, keyed as in :class:`StationaryResult`.
+    """
+    K = grid.num_nodes
+
+    def unpack(x):
+        return x[:K].reshape(grid.shape), x[K:].reshape(y0.shape)
+
+    def pack(mv, yv):
+        return np.concatenate([mv.ravel(), yv.ravel()])
+
+    def recenter(x):
+        mv, yv = unpack(x)
+        return pack(mv + (1.0 - mv.mean()), project_y(yv))
+
+    def feasible(x):
+        return float(x[:K].min()) > model.m_min
+
+    def project(g):
+        gm, gy = unpack(g)
+        return pack(gm - gm.mean(), project_y(gy))
+
+    def value_and_grad(x, mu):
+        mv, yv = unpack(x)
+        val, dm, dy = objective(mv, yv)
+        if mu > 0.0:
+            val -= mu * float(np.mean(np.log(mv)))
+            dm = dm - mu / mv
+        return val, pack(dm, dy)
+
+    m0 = np.ones(grid.shape) if m0 is None else np.asarray(m0, dtype=float)
+    x = pack(m0, y0)
+    for mu in (*barrier_stages, 0.0):
+        x, *run = _bb_loop(
+            x,
+            lambda xv, mu=mu: value_and_grad(xv, mu),
+            project,
+            recenter,
+            feasible,
+            grid.cell_volume,
+            tol=max(tol, 1e-2 * mu),
+            max_iter=max_iter,
+        )
+    m, y = unpack(x)
+    return m, y, dict(zip(("value", "phi_trace", "grad_inf", "iterations"), run))
+
+
+def _certify(model, grid, m, u, w, hbar, run, extras) -> StationaryResult:
+    """Certificates of a recovered (m, u, w, Hbar), the same for every route.
+
+    Raises :class:`SolverError` when the multiplier Hbar and psi2_hat at
+    (m, u) differ by more than ``HBAR_CROSSCHECK_TOL``. The residuals are
+    those of the PDE system: the Hamilton-Jacobi equation, and the
+    divergence of the flux transform of (m, u).
+    """
+    state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
+    hbar_psi2 = psi2_hat(state, model).value
+    hbar_gap = abs(hbar - hbar_psi2)
+    if hbar_gap > HBAR_CROSSCHECK_TOL:
+        raise SolverError(
+            f"ergodic constant crosscheck failed: multiplier {hbar:.10f} vs "
+            f"psi2_hat {hbar_psi2:.10f} (gap {hbar_gap:.3e})"
+        )
+    psi1_val = psi1_hat(state, model).value
+    hv = model.eval(grid, spectral.gradient(grid, u), m)
+    w_rt = w_from_u(model, grid, m, u)
+    return StationaryResult(
+        state=state,
+        w=w,
+        **run,
+        duality_gap=run["value"] + psi1_val,
+        hbar_crosscheck_gap=hbar_gap,
+        residual_hjb_inf=float(np.max(np.abs(hv.H - hbar))),
+        residual_fp_inf=float(np.max(np.abs(spectral.divergence(grid, w_rt)))),
+        diagnostics={
+            "mass_error": abs(float(np.mean(m)) - 1.0),
+            "div_w_inf": float(np.max(np.abs(spectral.divergence(grid, w)))),
+            "min_m": float(m.min()),
+            "hbar_from_multiplier": hbar,
+            "hbar_from_psi2_hat": hbar_psi2,
+            "psi1_hat_value": psi1_val,
+            "flux_roundtrip_inf": float(np.max(np.abs(w_rt - w))),
+            **extras,
+        },
+    )
+
+
+def _recover_from_flux(model, grid, m, w, curl_tol):
+    """(u, Hbar, transform diagnostics) at an optimal flux pair (m, w)."""
+    hbar = -float(np.mean(phi_bb(grid, m, w, model).dm))
+    u, transform_report = u_from_w(model, grid, m, w, curl_tol=curl_tol)
+    return u, hbar, {f"transform_{k}": v for k, v in transform_report.items()}
 
 
 def _require_bb_model(model: CongestionHamiltonian, w_reg: float):
@@ -310,257 +421,85 @@ def solve_bb(
     Optional ``barrier_stages`` prepend log-barrier continuation rounds
     (useful when the minimizer grazes the positivity floor); the final
     round always runs on the plain objective, so the returned trace is
-    the plain-phi trace.
+    the plain-phi trace. ``w_reg > 0`` adds (w_reg/2) mean |w|^2.
 
-    ``gamma == 1`` is rejected unless ``w_reg > 0``, in which case the
-    solve switches to the regularized route (see
-    :func:`_solve_bb_gamma1` for what is and is not reported there).
+    ``gamma == 1`` is rejected unless ``w_reg > 0``. At gamma = 1 the
+    dual flux exponent blows up and the power term of phi_bb degenerates
+    to the hard constraint |w| <= m^{1-alpha} (its pointwise limit is
+    zero inside that set), so the quadratic energy stands in for it,
+    which keeps the problem strictly convex. That solve reports the
+    regularized system honestly: ``residual_hjb_inf`` is the sup-norm of
+    f(x, m) + Hbar (the density optimality of the regularized problem,
+    which has no kinetic term), ``residual_fp_inf`` is the divergence of
+    w, ``duality_gap`` is None, and the ergodic-constant crosscheck is
+    skipped because psi2_hat evaluates the unregularized Hamiltonian.
+    The diagnostics carry the regularization weight and a route tag so
+    downstream code can tell this run apart from a certified solve.
     """
     _require_bb_model(model, w_reg)
     d = grid.dim
     if model.dim != d:
         raise ModelError(f"model drift has {model.dim} components, grid is d = {d}")
-    if model.gamma == 1.0:
-        return _solve_bb_gamma1(model, grid, m0, w0, tol, max_iter, barrier_stages, w_reg)
-    K = grid.num_nodes
-    m = np.ones(grid.shape) if m0 is None else np.array(m0, dtype=float)
-    if w0 is None:
-        w = np.zeros((d,) + grid.shape)
-        for i in range(d):
-            w[i] = model.Q[i]
-    else:
-        w = np.array(w0, dtype=float)
-
-    def pack(mv, wv):
-        return np.concatenate([mv.ravel(), wv.ravel()])
-
-    def unpack(x):
-        return x[:K].reshape(grid.shape), x[K:].reshape((d,) + grid.shape)
-
-    def recenter(x):
-        mv, wv = unpack(x)
-        mv = mv + (1.0 - mv.mean())
-        wv = spectral.project_div_free(grid, wv)
-        return pack(mv, wv)
-
-    def feasible(x):
-        mv, _ = unpack(x)
-        return float(mv.min()) > model.m_min
-
-    def project(x, g):
-        gm, gw = unpack(g)
-        gm = gm - gm.mean()
-        gw = spectral.project_div_free(grid, gw)
-        return pack(gm, gw)
-
-    def make_objective(mu):
-        def value_and_grad(x):
-            mv, wv = unpack(x)
-            rep = phi_bb(grid, mv, wv, model)
-            val, dm, dw = rep.value, rep.dm, rep.dw
-            if w_reg > 0.0:
-                val += 0.5 * w_reg * float(np.mean(np.sum(wv * wv, axis=0)))
-                dw = dw + w_reg * wv
-            if mu > 0.0:
-                val -= mu * float(np.mean(np.log(mv)))
-                dm = dm - mu / mv
-            return val, pack(dm, dw)
-
-        return value_and_grad
-
-    x = pack(m, w)
-    for mu in barrier_stages:
-        x, _, _, _, _ = _bb_loop(
-            x,
-            make_objective(mu),
-            project,
-            recenter,
-            feasible,
-            grid.cell_volume,
-            tol=max(tol, 1e-2 * mu),
-            max_iter=max_iter,
-        )
-    x, val, trace, gnorm, iters = _bb_loop(
-        x,
-        make_objective(0.0),
-        project,
-        recenter,
-        feasible,
-        grid.cell_volume,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    m, w = unpack(x)
-    return _finalize_bb(model, grid, m, w, val, trace, gnorm, iters, curl_tol)
-
-
-def _solve_bb_gamma1(model, grid, m0, w0, tol, max_iter, barrier_stages, w_reg):
-    """Regularized minimization for the degenerate exponent gamma = 1.
-
-    At gamma = 1 the dual flux exponent blows up and the power term of
-    the transformed objective degenerates to the hard constraint
-    |w| <= m^{1-alpha} (its pointwise limit is zero inside that set), so
-    the plain objective is no longer differentiable in w. The quadratic
-    energy (w_reg/2) mean |w|^2 stands in for the degenerate term, which
-    keeps the problem strictly convex, and the solve reports the
-    regularized system honestly: ``residual_hjb_inf`` is the sup-norm of
-    f(x, m) + Hbar (the density optimality of the regularized problem,
-    which has no kinetic term), ``residual_fp_inf`` is the divergence of
-    w, ``duality_gap`` is None, and the ergodic-constant crosscheck
-    against the mH-form functional is skipped because that functional
-    evaluates the unregularized Hamiltonian. The diagnostics carry the
-    regularization weight and a route tag so downstream code can tell
-    this run apart from a certified gamma > 1 solve.
-    """
-    d = grid.dim
-    K = grid.num_nodes
     a = model.alpha
-    Qarr = np.zeros((d,) + grid.shape)
-    for i in range(d):
-        Qarr[i] = model.Q[i]
-    m = np.ones(grid.shape) if m0 is None else np.array(m0, dtype=float)
-    w = np.zeros((d,) + grid.shape) if w0 is None else np.array(w0, dtype=float)
+    gamma1 = model.gamma == 1.0
+    Qarr = np.array(model.Q).reshape((d,) + (1,) * d)
 
-    def pack(mv, wv):
-        return np.concatenate([mv.ravel(), wv.ravel()])
-
-    def unpack(x):
-        return x[:K].reshape(grid.shape), x[K:].reshape((d,) + grid.shape)
-
-    def recenter(x):
-        mv, wv = unpack(x)
-        mv = mv + (1.0 - mv.mean())
-        wv = spectral.project_div_free(grid, wv)
-        return pack(mv, wv)
-
-    def feasible(x):
-        mv, _ = unpack(x)
-        return float(mv.min()) > model.m_min
-
-    def project(x, g):
-        gm, gw = unpack(g)
-        gm = gm - gm.mean()
-        gw = spectral.project_div_free(grid, gw)
-        return pack(gm, gw)
-
-    def make_objective(mu):
-        def value_and_grad(x):
-            mv, wv = unpack(x)
-            val = float(
-                np.mean(
-                    -np.sum(wv * Qarr, axis=0) / (1.0 - a)
-                    + model.coupling.F(grid, mv)
-                )
+    def objective(m, w):
+        if gamma1:
+            value = float(
+                np.mean(-np.sum(w * Qarr, axis=0) / (1.0 - a) + model.coupling.F(grid, m))
             )
-            dm = model.coupling.f(grid, mv)
-            val += 0.5 * w_reg * float(np.mean(np.sum(wv * wv, axis=0)))
-            dw = -Qarr / (1.0 - a) + w_reg * wv
-            if mu > 0.0:
-                val -= mu * float(np.mean(np.log(mv)))
-                dm = dm - mu / mv
-            return val, pack(dm, dw)
+            dm, dw = model.coupling.f(grid, m), -Qarr / (1.0 - a)
+        else:
+            rep = phi_bb(grid, m, w, model)
+            value, dm, dw = rep.value, rep.dm, rep.dw
+        if w_reg > 0.0:
+            value += 0.5 * w_reg * float(np.mean(np.sum(w * w, axis=0)))
+            dw = dw + w_reg * w
+        return value, dm, dw
 
-        return value_and_grad
-
-    x = pack(m, w)
-    for mu in barrier_stages:
-        x, _, _, _, _ = _bb_loop(
-            x,
-            make_objective(mu),
-            project,
-            recenter,
-            feasible,
-            grid.cell_volume,
-            tol=max(tol, 1e-2 * mu),
-            max_iter=max_iter,
-        )
-    x, val, trace, gnorm, iters = _bb_loop(
-        x,
-        make_objective(0.0),
-        project,
-        recenter,
-        feasible,
-        grid.cell_volume,
-        tol=tol,
-        max_iter=max_iter,
+    if w0 is None:
+        w0 = np.broadcast_to(0.0 if gamma1 else Qarr, (d,) + grid.shape)
+    m, w, run = _descend(
+        model,
+        grid,
+        m0,
+        np.array(w0, dtype=float),
+        objective,
+        lambda wv: spectral.project_div_free(grid, wv),
+        tol,
+        max_iter,
+        barrier_stages,
     )
-    m, w = unpack(x)
-    dm = model.coupling.f(grid, m)
+    if not gamma1:
+        u, hbar, extras = _recover_from_flux(model, grid, m, w, curl_tol)
+        return _certify(model, grid, m, u, w, hbar, run, extras)
+    _, dm, dw = objective(m, w)
     hbar = -float(np.mean(dm))
-    dw = -Qarr / (1.0 - a) + w_reg * w
     # At the optimum dw has no divergence-free component, so it is the
     # gradient of a potential; integrate it back and undo the 1/(1-a)
     # scaling of the transform to land on the value-function gauge.
     pot = spectral.solve_poisson(grid, spectral.divergence(grid, dw))
-    u = (1.0 - a) * pot
-    w_opt = float(np.max(np.abs(dw - spectral.gradient(grid, pot))))
-    state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
-    diagnostics = {
-        "mass_error": abs(float(np.mean(m)) - 1.0),
-        "div_w_inf": float(np.max(np.abs(spectral.divergence(grid, w)))),
-        "min_m": float(m.min()),
-        "hbar_from_multiplier": hbar,
-        "route": "bb-gamma1-regularized",
-        "regularization_w_reg": w_reg,
-        "w_optimality_inf": w_opt,
-        "hbar_crosscheck": "skipped: the crosscheck functional evaluates "
-        "the unregularized Hamiltonian",
-    }
+    div_w = float(np.max(np.abs(spectral.divergence(grid, w))))
     return StationaryResult(
-        state=state,
+        state=StationaryState(grid, m, (1.0 - a) * pot, eps=0.0, Hbar=hbar),
         w=w,
-        value=val,
-        phi_trace=trace,
-        grad_inf=gnorm,
-        iterations=iters,
+        **run,
         duality_gap=None,
         hbar_crosscheck_gap=0.0,
         residual_hjb_inf=float(np.max(np.abs(dm + hbar))),
-        residual_fp_inf=float(np.max(np.abs(spectral.divergence(grid, w)))),
-        diagnostics=diagnostics,
-    )
-
-
-def _finalize_bb(model, grid, m, w, val, trace, gnorm, iters, curl_tol):
-    rep = phi_bb(grid, m, w, model)
-    hbar = -float(np.mean(rep.dm))
-    u, transform_report = u_from_w(model, grid, m, w, curl_tol=curl_tol)
-    state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
-    hbar_psi2 = psi2_hat(state, model).value
-    hbar_gap = abs(hbar - hbar_psi2)
-    psi1_val = psi1_hat(state, model).value
-    duality_gap = val + psi1_val
-    hv = model.eval(grid, spectral.gradient(grid, u), m)
-    res_hjb = float(np.max(np.abs(hv.H - hbar)))
-    w_rt = w_from_u(model, grid, m, u)
-    res_fp = float(np.max(np.abs(spectral.divergence(grid, w_rt))))
-    if hbar_gap > HBAR_CROSSCHECK_TOL:
-        raise SolverError(
-            f"ergodic constant crosscheck failed: multiplier {hbar:.10f} vs "
-            f"psi2_hat {hbar_psi2:.10f} (gap {hbar_gap:.3e})"
-        )
-    diagnostics = {
-        "mass_error": abs(float(np.mean(m)) - 1.0),
-        "div_w_inf": float(np.max(np.abs(spectral.divergence(grid, w)))),
-        "min_m": float(m.min()),
-        "hbar_from_multiplier": hbar,
-        "hbar_from_psi2_hat": hbar_psi2,
-        "psi1_hat_value": psi1_val,
-        "flux_roundtrip_inf": float(np.max(np.abs(w_rt - w))),
-        **{f"transform_{k}": v for k, v in transform_report.items()},
-    }
-    return StationaryResult(
-        state=state,
-        w=w,
-        value=val,
-        phi_trace=trace,
-        grad_inf=gnorm,
-        iterations=iters,
-        duality_gap=duality_gap,
-        hbar_crosscheck_gap=hbar_gap,
-        residual_hjb_inf=res_hjb,
-        residual_fp_inf=res_fp,
-        diagnostics=diagnostics,
+        residual_fp_inf=div_w,
+        diagnostics={
+            "mass_error": abs(float(np.mean(m)) - 1.0),
+            "div_w_inf": div_w,
+            "min_m": float(m.min()),
+            "hbar_from_multiplier": hbar,
+            "route": "bb-gamma1-regularized",
+            "regularization_w_reg": w_reg,
+            "w_optimality_inf": float(np.max(np.abs(dw - spectral.gradient(grid, pot)))),
+            "hbar_crosscheck": "skipped: the crosscheck functional evaluates "
+            "the unregularized Hamiltonian",
+        },
     )
 
 
@@ -584,60 +523,27 @@ def solve_bb_2d_stream(
     if w_reg > 0.0:
         raise ModelError("w_reg is only supported by solve_bb")
     K = grid.num_nodes
-    # The two harmonic coordinates are stored scaled by sqrt(K): in the
-    # volume-weighted BB metric a raw constant coordinate would carry
-    # curvature K times that of the field blocks.
+    # The block is y = (phi, sqrt(K) R): in the volume-weighted BB metric
+    # a raw constant coordinate would carry curvature K times that of the
+    # field blocks.
     r_scale = np.sqrt(K)
 
-    def unpack(x):
-        return (
-            x[:K].reshape(grid.shape),
-            x[K : 2 * K].reshape(grid.shape),
-            x[2 * K :] / r_scale,
-        )
+    def stream(y):
+        return _half_inverse_divgrad(grid, y[:K].reshape(grid.shape)), y[K:] / r_scale
 
-    def pack(mv, phiv, Rv):
-        return np.concatenate([mv.ravel(), phiv.ravel(), np.asarray(Rv) * r_scale])
-
-    def recenter(x):
-        mv, phiv, Rv = unpack(x)
-        return pack(mv + (1.0 - mv.mean()), phiv, Rv)
-
-    def feasible(x):
-        mv, _, _ = unpack(x)
-        return float(mv.min()) > model.m_min
-
-    def project(x, g):
-        gm = g[:K] - g[:K].mean()
-        return np.concatenate([gm, g[K:]])
-
-    def value_and_grad(x):
-        mv, phiv, Rv = unpack(x)
-        vv = _half_inverse_divgrad(grid, phiv)
-        rep = phi_stream(grid, mv, vv, Rv, model)
+    def objective(m, y):
+        rep = phi_stream(grid, m, *stream(y), model)
         dphi = _half_inverse_divgrad(grid, rep.du)
         # Chain rule for the scaled coordinates: dPhi/d(sR) = dR / s.
-        return rep.value, np.concatenate(
-            [rep.dm.ravel(), dphi.ravel(), np.asarray(rep.extras["dR"]) / r_scale]
-        )
+        return rep.value, rep.dm, np.concatenate([dphi.ravel(), rep.extras["dR"] / r_scale])
 
-    x0 = pack(np.ones(grid.shape), np.zeros(grid.shape), np.array([model.Q[1], -model.Q[0]]))
-    x, val, trace, gnorm, iters = _bb_loop(
-        x0,
-        value_and_grad,
-        project,
-        recenter,
-        feasible,
-        grid.cell_volume,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    m, phi, R = unpack(x)
-    v = _half_inverse_divgrad(grid, phi)
-    w = perp(spectral.gradient(grid, v) + np.asarray(R).reshape(2, 1, 1))
-    result = _finalize_bb(model, grid, m, w, val, trace, gnorm, iters, curl_tol)
-    result.diagnostics["stream_R"] = tuple(float(r) for r in R)
-    return result
+    y0 = np.concatenate([np.zeros(K), np.array([model.Q[1], -model.Q[0]]) * r_scale])
+    m, y, run = _descend(model, grid, None, y0, objective, lambda yv: yv, tol, max_iter)
+    v, R = stream(y)
+    w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))
+    u, hbar, extras = _recover_from_flux(model, grid, m, w, curl_tol)
+    extras["stream_R"] = tuple(float(r) for r in R)
+    return _certify(model, grid, m, u, w, hbar, run, extras)
 
 
 def solve_potential_a_gt_1(
@@ -661,8 +567,6 @@ def solve_potential_a_gt_1(
             f"solve_potential_a_gt_1 requires 1 < alpha <= gamma, got alpha = "
             f"{model.alpha}, gamma = {model.gamma}"
         )
-    K = grid.num_nodes
-    m = np.ones(grid.shape) if m0 is None else np.array(m0, dtype=float)
     if u0 is None:
         phi0 = np.zeros(grid.shape)
     else:
@@ -670,67 +574,13 @@ def solve_potential_a_gt_1(
         sym = -grid.divgrad_symbol
         phi0 = np.fft.ifftn(np.sqrt(sym) * np.fft.fftn(np.array(u0, dtype=float))).real
 
-    def unpack(x):
-        return x[:K].reshape(grid.shape), x[K:].reshape(grid.shape)
+    def objective(m, phi):
+        rep = j_functional(grid, m, _half_inverse_divgrad(grid, phi), model)
+        return rep.value, rep.dm, _half_inverse_divgrad(grid, rep.du)
 
-    def pack(mv, phiv):
-        return np.concatenate([mv.ravel(), phiv.ravel()])
-
-    def recenter(x):
-        mv, phiv = unpack(x)
-        return pack(mv + (1.0 - mv.mean()), phiv)
-
-    def feasible(x):
-        mv, _ = unpack(x)
-        return float(mv.min()) > model.m_min
-
-    def project(x, g):
-        gm, gphi = unpack(g)
-        return pack(gm - gm.mean(), gphi)
-
-    def value_and_grad(x):
-        mv, phiv = unpack(x)
-        uv = _half_inverse_divgrad(grid, phiv)
-        rep = j_functional(grid, mv, uv, model)
-        return rep.value, pack(rep.dm, _half_inverse_divgrad(grid, rep.du))
-
-    x, val, trace, gnorm, iters = _bb_loop(
-        pack(m, phi0),
-        value_and_grad,
-        project,
-        recenter,
-        feasible,
-        grid.cell_volume,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    m, phi = unpack(x)
+    m, phi, run = _descend(model, grid, m0, phi0, objective, lambda yv: yv, tol, max_iter)
     u = _half_inverse_divgrad(grid, phi)
-    rep = j_functional(grid, m, u, model)
-    hbar = -float(np.mean(rep.dm))
-    state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
-    hv = model.eval(grid, spectral.gradient(grid, u), m)
-    res_hjb = float(np.max(np.abs(hv.H - hbar)))
-    res_fp = float(np.max(np.abs((model.alpha - 1.0) * rep.du)))
-    psi1_val = psi1_hat(state, model).value
-    hbar_psi2 = psi2_hat(state, model).value
-    return StationaryResult(
-        state=state,
-        w=w_from_u(model, grid, m, u),
-        value=val,
-        phi_trace=trace,
-        grad_inf=gnorm,
-        iterations=iters,
-        duality_gap=val + psi1_val,
-        hbar_crosscheck_gap=abs(hbar - hbar_psi2),
-        residual_hjb_inf=res_hjb,
-        residual_fp_inf=res_fp,
-        diagnostics={
-            "mass_error": abs(float(np.mean(m)) - 1.0),
-            "min_m": float(m.min()),
-            "hbar_from_multiplier": hbar,
-            "hbar_from_psi2_hat": hbar_psi2,
-            "j_value": val,
-            "psi1_hat_value": psi1_val,
-        },
+    hbar = -float(np.mean(j_functional(grid, m, u, model).dm))
+    return _certify(
+        model, grid, m, u, w_from_u(model, grid, m, u), hbar, run, {"j_value": run["value"]}
     )

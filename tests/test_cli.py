@@ -99,6 +99,18 @@ def test_solve_stationary_routes(tmp_path):
     assert payload["residual_hjb_inf"] <= 1e-6
 
 
+def test_crosscheck_follows_the_configured_route(tmp_path):
+    # alpha > 1 has only the potential route; crosscheck must pick it as
+    # solve-stationary does, not fall back to the flux route.
+    cfg_dict = dict(CONG_CFG, output_dir=str(tmp_path / "x"))
+    cfg_dict["model"] = dict(CONG_CFG["model"], alpha=1.5)
+    cfg = write_cfg(tmp_path, "x.json", cfg_dict)
+    assert run(["solve-stationary", cfg]) == 0
+    assert run(["crosscheck", cfg]) == 0
+    payload = json.loads((tmp_path / "x" / "crosscheck.json").read_text())
+    assert payload["all_pass"] is True
+
+
 def test_solve_mfg_and_compare(tmp_path):
     out = tmp_path / "mfg"
     cfg = write_cfg(tmp_path, "m.json", dict(SEP_CFG, output_dir=str(out)))

@@ -1,5 +1,8 @@
 """Stationary congestion solvers: transforms, flux/stream/potential routes."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from mfgkit import (
     Coupling,
     CurlError,
     ModelError,
+    SolverError,
     SpatialTerm,
     StationaryState,
     TorusGrid,
@@ -20,6 +24,7 @@ from mfgkit import (
     solve_potential_a_gt_1,
     spectral,
 )
+from mfgkit import stationary
 from mfgkit.stationary import perp, u_from_w, w_from_u
 
 
@@ -223,3 +228,47 @@ def test_potential_route_guards():
 def test_solver_rejects_dimension_mismatch(congestion_2d_model):
     with pytest.raises(ModelError, match="components"):
         solve_bb(congestion_2d_model, TorusGrid((16,)))
+
+
+def test_stalled_descent_raises_with_its_floor():
+    # A 1-D flux instance whose projected gradient floors above the default
+    # tolerance: the descent must stop with the floor, not run to max_iter.
+    coupling = Coupling(
+        poly=(0.0, 1.0),
+        terms=(
+            SpatialTerm(-0.2959591592377108, (3,), "cos"),
+            SpatialTerm(0.08418390576841389, (-1,), "sin"),
+            SpatialTerm(0.17852980242626992, (1,), "cos"),
+        ),
+    )
+    model = CongestionHamiltonian(
+        Q=(1.2628775710271438,),
+        alpha=0.5199462894505393,
+        gamma=2.4003855392394886,
+        coupling=coupling,
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(SolverError, match="stalled at iteration .* floor"):
+        solve_bb(model, TorusGrid((64,)))
+    assert time.perf_counter() - t0 < 10.0
+
+
+@pytest.mark.parametrize("solver", [solve_bb, solve_bb_2d_stream, solve_potential_a_gt_1])
+def test_every_route_enforces_the_hbar_crosscheck(
+    solver, congestion_1d_model, congestion_2d_model, monkeypatch
+):
+    model, g = congestion_1d_model, TorusGrid((32,))
+    if solver is solve_bb_2d_stream:
+        model, g = congestion_2d_model, TorusGrid((16, 16))
+    elif solver is solve_potential_a_gt_1:
+        model = dataclasses.replace(model, alpha=1.5)
+    assert solver(model, g).hbar_crosscheck_gap <= 1e-6
+    honest = stationary.psi2_hat
+
+    def shifted(state, mdl):
+        rep = honest(state, mdl)
+        return dataclasses.replace(rep, value=rep.value + 1e-3)
+
+    monkeypatch.setattr(stationary, "psi2_hat", shifted)
+    with pytest.raises(SolverError, match="crosscheck failed"):
+        solver(model, g)
