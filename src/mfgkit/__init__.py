@@ -91,11 +91,8 @@ from .bifurcation import (
     BifurcationBranch,
     BranchPoint,
     KernelReport,
-    ModeBlock,
     PeriodicState,
     analytic_kernel_fields,
-    apply_A_modewise,
-    assemble_A,
     continue_branch,
     critical_period,
     crossing_number,
@@ -104,7 +101,6 @@ from .bifurcation import (
     eval_g,
     kernel_at,
     map_to_original,
-    mode_blocks,
     periodic_grid,
     sigma_branch,
     sigma_from_operator,
@@ -169,15 +165,11 @@ __all__ = [
     "BifurcationBranch",
     "BranchPoint",
     "KernelReport",
-    "ModeBlock",
     "periodic_grid",
     "critical_period",
     "default_periodic_coupling",
     "eval_G",
     "eval_g",
-    "assemble_A",
-    "apply_A_modewise",
-    "mode_blocks",
     "kernel_at",
     "analytic_kernel_fields",
     "crossing_number",

@@ -17,19 +17,25 @@ against Hbar); on the discrete grid this identity is exact because the
 Laplacians inside G are realized as div(grad(.)).
 
 Linearizing at the trivial branch and scaling the rows by T gives the
-symmetric operator (assembled by :func:`assemble_A`)
+symmetric operator
 
     A(T)[v, mu, l] = ( mu_t + T lam (mu + v),
                       -v_t + T lam v - T f'(1) mu + T c l,
                        T c <mu> ),     lam = -Laplacian,
 
 acting on zero-mean v (the discrete v-space also drops one pure grid
-artifact, see :func:`_v_basis`); the multiplier coordinate is scaled by
+artifact, see :func:`_kept`); the multiplier coordinate is scaled by
 c = 4 pi^2 (the first nonzero Laplacian eigenvalue) so that the
 (mean-mu, l) sub-block has O(1) entries and a spectral gap bound on the
-fifth singular value is meaningful. Per spatial mode lam and temporal
-frequency omega = 2 pi n the 2x2 block has characteristic polynomial
-h(T, s) = -s^2 + s T (lam - f'(1)) + T^2 lam (lam + f'(1)) + omega^2
+fifth singular value is meaningful. A(T) is a Fourier multiplier: per
+spatial mode lam and temporal frequency omega = 2 pi n it is the
+Hermitian 2x2 block of :func:`_symbol_blocks`, and kernel counts, the
+eigenvalue crossing and the spectrum all come from batched
+eigendecompositions of those blocks. The block has characteristic
+polynomial
+
+    h(T, s) = -s^2 + s T (lam - f'(1)) + T^2 lam (lam + f'(1)) + omega^2
+
 (up to sign), so the eigenvalue branch through zero at the critical
 period T_bar = 1 / sqrt(-4 pi^2 - f'(1)) is the quadratic root
 implemented in closed form by :func:`sigma_h_root`. Kernel dimension at
@@ -71,10 +77,6 @@ __all__ = [
     "eval_G",
     "eval_g",
     "periodic_grid",
-    "assemble_A",
-    "ModeBlock",
-    "mode_blocks",
-    "apply_A_modewise",
     "KernelReport",
     "kernel_at",
     "analytic_kernel_fields",
@@ -164,13 +166,9 @@ class PeriodicState:
             raise PositivityError("1 + M must stay positive")
 
 
-def eval_G(state: PeriodicState, coupling: Coupling):
-    """Residual triple (G1, G2, G3) of the rescaled periodic system."""
-    if coupling.terms:
-        raise ModelError("the periodic-branch machinery needs an x-independent coupling")
-    st = state.grid
+def _residual(st: SpaceTimeGrid, coupling: Coupling, U, M, Hbar: float, T: float):
+    """(G1, G2) of the rescaled periodic system on raw fields."""
     sp = st.space
-    U, M, T = state.U, state.M, state.T
     gradU = spectral.gradient(sp, U)
     G1 = (
         spectral.time_derivative_periodic(st, M) / T
@@ -184,10 +182,17 @@ def eval_G(state: PeriodicState, coupling: Coupling):
         - spectral.div_grad(sp, U)
         + 0.5 * np.sum(gradU * gradU, axis=0)
         - (coupling._poly_val(1.0 + M) - f1)
-        + state.Hbar
+        + Hbar
     )
-    G3 = float(M.mean())
-    return G1, G2, G3
+    return G1, G2
+
+
+def eval_G(state: PeriodicState, coupling: Coupling):
+    """Residual triple (G1, G2, G3) of the rescaled periodic system."""
+    if coupling.terms:
+        raise ModelError("the periodic-branch machinery needs an x-independent coupling")
+    G1, G2 = _residual(state.grid, coupling, state.U, state.M, state.Hbar, state.T)
+    return G1, G2, float(state.M.mean())
 
 
 def eval_g(state: PeriodicState, coupling: Coupling) -> float:
@@ -242,165 +247,57 @@ def _flat_operators(st: SpaceTimeGrid):
     return Dt, DG, Dx
 
 
-def _apply_A(st: SpaceTimeGrid, T: float, fprime1: float, v, mu, ell, ell_scale):
-    """One application of the T-scaled symmetric linearized operator."""
-    sp = st.space
-    lam_mu = -spectral.laplacian(sp, mu)
-    lam_v = -spectral.laplacian(sp, v)
-    r_v = spectral.time_derivative_periodic(st, mu) + T * (lam_mu + lam_v)
-    r_mu = (
-        -spectral.time_derivative_periodic(st, v)
-        + T * lam_v
-        - T * fprime1 * mu
-        + T * ell_scale * ell
-    )
-    r_ell = T * ell_scale * float(mu.mean())
-    return r_v, r_mu, r_ell
+def _symbol_blocks(st: SpaceTimeGrid, T: float, fprime1: float) -> np.ndarray:
+    """A(T) as one 2x2 Hermitian block per space-time Fourier mode.
 
+    Returns shape (n_t, *space, 2, 2), modes in FFT order. With lam the
+    Laplacian eigenvalue (``-space.laplacian_symbol``, Nyquist kept) and
+    i omega the d/dt symbol (``time_derivative_symbol``, Nyquist zeroed),
+    the block acting on the Fourier coefficients (v, mu) is
 
-@dataclass(frozen=True)
-class ModeBlock:
-    """Coefficients of the linearized mode ODEs for one spatial mode.
+        [[T lam,            i omega + T lam],
+         [-i omega + T lam, -T f'(1)       ]].
 
-    For the spatial mode with Laplacian eigenvalue ``lam = 4 pi^2 |k|^2``
-    the T-scaled linearization acts on the time profiles (mu_k, v_k) as
-
-        r_v  =  mu_k' + T lam (mu_k + v_k),
-        r_mu = -v_k'  + T lam v_k - T f'(1) mu_k,
-
-    so the zero-residual set is the first-order system
-    [mu_k; v_k]' = C [mu_k; v_k] with C = :attr:`coefficients`. The k = 0
-    mode additionally couples to the multiplier coordinate; that coupling
-    lives in :func:`apply_A_modewise`, not in the block.
-    """
-
-    k: tuple[int, ...]
-    lam: float
-    T: float
-    fprime1: float
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The 2x2 matrix C in [mu; v]' = C [mu; v]."""
-        Tl = self.T * self.lam
-        return np.array([[-Tl, -Tl], [-self.T * self.fprime1, Tl]])
-
-    def apply(self, dt_mu, dt_v, mu, v):
-        """Residual rows (r_v, r_mu) on given time profiles."""
-        Tl = self.T * self.lam
-        r_v = dt_mu + Tl * (mu + v)
-        r_mu = -dt_v + Tl * v - self.T * self.fprime1 * mu
-        return r_v, r_mu
-
-
-def mode_blocks(st: SpaceTimeGrid, T: float, fprime1: float) -> list[ModeBlock]:
-    """One :class:`ModeBlock` per spatial Fourier mode, in ndindex order."""
-    sp = st.space
-    mesh = np.meshgrid(*sp.wavenumbers, indexing="ij")
-    out = []
-    for idx in np.ndindex(sp.shape):
-        kvec = tuple(int(kk[idx]) for kk in mesh)
-        lam = 4.0 * np.pi**2 * float(sum(k * k for k in kvec))
-        out.append(ModeBlock(k=kvec, lam=lam, T=T, fprime1=fprime1))
-    return out
-
-
-def apply_A_modewise(
-    st: SpaceTimeGrid,
-    T: float,
-    fprime1: float,
-    v,
-    mu,
-    ell: float,
-    ell_scale: float = ELL_SCALE,
-):
-    """Apply A(T) through the per-mode blocks (spatial FFT diagonalization).
-
-    Same operator as the grid realization behind :func:`assemble_A`; the
-    two agree on arbitrary vectors to roundoff, which is the discrete
-    form of the statement that A(T) is block-diagonal over spatial
-    Fourier modes.
+    The coefficients c of f = sum c e^{2 pi i (n t + k.x)} are orthonormal
+    coordinates for mean(v1 v2) + mean(mu1 mu2) + l1 l2, so the block
+    eigenvalues over all modes are the eigenvalues of A(T). The constant
+    v is outside the domain; at the zero mode its slot carries the
+    multiplier l instead, which gives the (l, mean-mu) block
+    [[0, T c], [T c, -T f'(1)]].
     """
     sp = st.space
-    axes = tuple(range(1, 1 + sp.dim))
-    dt_v = spectral.time_derivative_periodic(st, v)
-    dt_mu = spectral.time_derivative_periodic(st, mu)
-    vh = np.fft.fftn(v, axes=axes)
-    muh = np.fft.fftn(mu, axes=axes)
-    dtvh = np.fft.fftn(dt_v, axes=axes)
-    dtmuh = np.fft.fftn(dt_mu, axes=axes)
-    rvh = np.empty_like(vh)
-    rmuh = np.empty_like(muh)
-    for block, idx in zip(mode_blocks(st, T, fprime1), np.ndindex(sp.shape)):
-        sl = (slice(None),) + idx
-        r1, r2 = block.apply(dtmuh[sl], dtvh[sl], muh[sl], vh[sl])
-        rvh[sl] = r1
-        rmuh[sl] = r2
-    # The k = 0 coefficient of fftn is num_nodes times the spatial mean,
-    # so the constant multiplier field enters there with that weight.
-    zero = (slice(None),) + (0,) * sp.dim
-    rmuh[zero] += T * ell_scale * ell * sp.num_nodes
-    r_ell = T * ell_scale * float(np.mean(muh[zero]).real) / sp.num_nodes
-    r_v = np.fft.ifftn(rvh, axes=axes).real
-    r_mu = np.fft.ifftn(rmuh, axes=axes).real
-    return r_v, r_mu, r_ell
+    lam = -sp.laplacian_symbol
+    dt = st.time_derivative_symbol.reshape((-1,) + (1,) * sp.dim)
+    blocks = np.empty((st.n_t,) + sp.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = T * lam
+    blocks[..., 0, 1] = dt + T * lam
+    blocks[..., 1, 0] = -dt + T * lam
+    blocks[..., 1, 1] = -T * fprime1
+    Tc = T * ELL_SCALE
+    blocks[(0,) * (1 + sp.dim)] = [[0.0, Tc], [Tc, -T * fprime1]]
+    return blocks
 
 
-@lru_cache(maxsize=8)
-def _v_basis(st: SpaceTimeGrid) -> np.ndarray:
-    """Euclidean-orthonormal basis (K x (K-2)) of the admissible v-space.
+def _kept(st: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
+    """Mask of the per-block eigen- or singular values that belong to A(T).
 
-    Two directions are excluded. The constant is the stated domain
-    restriction. The temporal-Nyquist sawtooth times the spatial
-    constant is a pure grid artifact: the antisymmetric d/dt realization
-    drops the unpaired Nyquist mode and the direction is spatially
-    constant, so every operator row annihilates it exactly and keeping
-    it would hand the discrete operator a kernel direction the continuum
-    problem does not have (at every T, not just critical ones).
+    It drops the v slot of the temporal-Nyquist, spatially constant mode.
+    That sawtooth is a pure grid artifact: the d/dt symbol drops the
+    unpaired Nyquist frequency and lam is zero there, so its row and
+    column vanish at every T, and keeping it would hand the discrete
+    operator a kernel direction the continuum problem does not have.
+    Being an exact zero, it is the value of least magnitude in its block.
     """
-    K = st.n_t * st.space.num_nodes
-    ones = np.ones(K) / np.sqrt(K)
-    saw = np.repeat((-1.0) ** np.arange(st.n_t), st.space.num_nodes)
-    saw /= np.linalg.norm(saw)
-    Q, _ = np.linalg.qr(np.column_stack([ones, saw, np.eye(K)]))
-    return Q[:, 2:K]
+    keep = np.ones(values.shape, dtype=bool)
+    nyquist = (st.n_t // 2,) + (0,) * st.space.dim
+    keep[nyquist + (int(np.argmin(np.abs(values[nyquist]))),)] = False
+    return keep
 
 
-def assemble_A(
-    st: SpaceTimeGrid, T: float, fprime1: float, ell_scale: float = ELL_SCALE
-) -> np.ndarray:
-    """Dense symmetric matrix of A(T) in orthonormal restricted coordinates.
-
-    Coordinates: K - 2 admissible v-components (see :func:`_v_basis`),
-    K mu-components, 1 multiplier component, orthonormal for the inner
-    product <z1, z2> = mean(v1 v2) + mean(mu1 mu2) + l1 l2.
-    """
-    K = st.n_t * st.space.num_nodes
-    Bv = _v_basis(st)
-    nv = Bv.shape[1]
-    dim = nv + K + 1
-    sqK = np.sqrt(K)
-    shape = st.field_shape
-    out = np.empty((dim, dim))
-    cols = []
-    for a in range(nv):
-        cols.append((Bv[:, a].reshape(shape) * sqK, np.zeros(shape), 0.0))
-    for k in range(K):
-        mu = np.zeros(K)
-        mu[k] = sqK
-        cols.append((np.zeros(shape), mu.reshape(shape), 0.0))
-    cols.append((np.zeros(shape), np.zeros(shape), 1.0))
-    images = [
-        _apply_A(st, T, fprime1, v, mu, ell, ell_scale) for (v, mu, ell) in cols
-    ]
-    # Inner products against the same basis: exploit that the basis is
-    # orthonormal, so coordinates are plain projections.
-    for b, (rv, rmu, rell) in enumerate(images):
-        rv_flat = rv.reshape(K)
-        out[:nv, b] = (Bv.T @ rv_flat) * (sqK / K)
-        out[nv : nv + K, b] = rmu.reshape(K) * (sqK / K)
-        out[nv + K, b] = rell
-    return out
+def _eigenvalues(st: SpaceTimeGrid, T: float, fprime1: float) -> np.ndarray:
+    """The 2K - 1 eigenvalues of A(T), unsorted."""
+    eigs = np.linalg.eigvalsh(_symbol_blocks(st, T, fprime1))
+    return eigs[_kept(st, eigs)]
 
 
 @dataclass
@@ -445,26 +342,53 @@ def kernel_at(
     check_trig_span: bool = False,
     temporal_freq: int = 1,
 ) -> KernelReport:
-    """SVD-based kernel count of A(T), optionally with trig-span energy."""
-    A = assemble_A(st, T, fprime1)
-    _, s, Vt = np.linalg.svd(A)
-    kernel_dim = int(np.sum(s <= sv_tol))
-    # Count the adjoint kernel from an independent factorization of A^T
-    # instead of leaning on symmetry of the assembly.
-    adj_dim = int(np.sum(np.linalg.svd(A.T, compute_uv=False) <= sv_tol))
-    svals = np.sort(s)
-    K = st.n_t * st.space.num_nodes
-    Bv = _v_basis(st)
-    nv = Bv.shape[1]
+    """Kernel count of A(T) from its symbol blocks, optionally with trig-span energy.
+
+    The singular values of the symmetric A(T) are the magnitudes of its
+    block eigenvalues. The kernel fields are the real and imaginary parts
+    of the zero-eigenvalue block eigenvectors put back on the grid,
+    orthonormalized for mean(v1 v2) + mean(mu1 mu2) + l1 l2.
+    """
+    sp = st.space
+    blocks = _symbol_blocks(st, T, fprime1)
+    eigs, vecs = np.linalg.eigh(blocks)
+    keep = _kept(st, eigs)
+    svals = np.sort(np.abs(eigs[keep]))
+    kernel_dim = int(np.sum(svals <= sv_tol))
+    # Count the adjoint kernel from an independent factorization of the
+    # conjugate-transposed blocks instead of leaning on their symmetry.
+    adj = np.linalg.svd(np.conj(np.swapaxes(blocks, -1, -2)), compute_uv=False)
+    adj_dim = int(np.sum(adj[_kept(st, adj)] <= sv_tol))
+    K = st.n_t * sp.num_nodes
     sqK = np.sqrt(K)
     shape = st.field_shape
 
-    def coords_to_fields(c):
-        v = (Bv @ c[:nv]).reshape(shape) * sqK
-        mu = c[nv : nv + K].reshape(shape) * sqK
-        return v, mu, float(c[nv + K])
-
-    kernel_fields = [coords_to_fields(Vt[-(i + 1)]) for i in range(kernel_dim)]
+    zero = keep & (np.abs(eigs) <= sv_tol)
+    modes = np.nonzero(zero)[:-1]
+    coef = np.zeros((2, kernel_dim) + shape, dtype=complex)
+    coef[(slice(None), np.arange(kernel_dim)) + modes] = np.swapaxes(vecs, -1, -2)[zero].T
+    origin = (0, slice(None)) + (0,) * (1 + sp.dim)
+    ell = coef[origin].copy()
+    coef[origin] = 0.0
+    v, mu = np.fft.ifftn(coef, axes=tuple(range(2, coef.ndim)), norm="forward")
+    # Rows hold (v, mu, l) scaled so that the dot product is the inner
+    # product above. A mode and its conjugate repeat one real span, so the
+    # 2 kernel_dim rows have rank kernel_dim; their Gram matrix's leading
+    # eigenvectors give an orthonormal basis of that span.
+    rows = np.concatenate(
+        [
+            np.concatenate([v.real, v.imag]).reshape(2 * kernel_dim, K) / sqK,
+            np.concatenate([mu.real, mu.imag]).reshape(2 * kernel_dim, K) / sqK,
+            np.concatenate([ell.real, ell.imag])[:, None],
+        ],
+        axis=1,
+    )
+    gram, W = np.linalg.eigh(rows @ rows.T)
+    ortho = (W[:, kernel_dim:] / np.sqrt(gram[kernel_dim:])).T @ rows
+    kernel_fields = [
+        (r[:K].reshape(shape) * sqK, r[K : 2 * K].reshape(shape) * sqK, float(r[2 * K]))
+        for r in ortho
+    ]
     frac = None
     if check_trig_span and kernel_dim > 0:
         pairs = analytic_kernel_fields(st, fprime1, temporal_freq=temporal_freq)
@@ -522,8 +446,7 @@ def sigma_branch(T: float, fprime1: float) -> dict:
 
 def sigma_from_operator(st: SpaceTimeGrid, T: float, fprime1: float) -> dict:
     """Numeric near-zero eigenvalue of A(T) vs the closed-form h-root."""
-    A = assemble_A(st, T, fprime1)
-    eigs = np.linalg.eigvalsh(A)
+    eigs = _eigenvalues(st, T, fprime1)
     near = float(eigs[np.argmin(np.abs(eigs))])
     root = sigma_h_root(T, fprime1)
     return {"T": T, "eig": near, "h_root": root, "gap": abs(near - root)}
@@ -551,8 +474,8 @@ def crossing_number(
 ) -> int:
     """Number of eigenvalues of A(T) crossing zero at T_bar."""
     Tbar = critical_period(fprime1)
-    lo = np.linalg.eigvalsh(assemble_A(st, Tbar * (1.0 - rel_offset), fprime1))
-    hi = np.linalg.eigvalsh(assemble_A(st, Tbar * (1.0 + rel_offset), fprime1))
+    lo = _eigenvalues(st, Tbar * (1.0 - rel_offset), fprime1)
+    hi = _eigenvalues(st, Tbar * (1.0 + rel_offset), fprime1)
     below = int(np.sum((lo > -window) & (lo < 0.0)))
     above = int(np.sum((hi > 0.0) & (hi < window)))
     if below != above:
@@ -615,23 +538,9 @@ def continue_branch(
     others = dirs[1:]
 
     Dt, DG, Dx = _flat_operators(st)
-    f1 = float(coupling._poly_val(1.0))
 
     def residual_vec(U, M, Hbar, T, a):
-        gradU = spectral.gradient(sp, U)
-        G1 = (
-            spectral.time_derivative_periodic(st, M) / T
-            - spectral.div_grad(sp, M)
-            - spectral.div_grad(sp, U)
-            - spectral.divergence(sp, M * gradU)
-        )
-        G2 = (
-            -spectral.time_derivative_periodic(st, U) / T
-            - spectral.div_grad(sp, U)
-            + 0.5 * np.sum(gradU * gradU, axis=0)
-            - (coupling._poly_val(1.0 + M) - f1)
-            + Hbar
-        )
+        G1, G2 = _residual(st, coupling, U, M, Hbar, T)
         rows = [G1.ravel(), G2.ravel()]
         rows.append([float(M.mean())])
         rows.append([float(U.mean())])

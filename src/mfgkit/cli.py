@@ -423,23 +423,21 @@ def _check_congestion(cfg, checks, rng):
         )
     needs_solve = {"duality", "hbar"} & set(checks)
     if needs_solve:
-        _, res = _solve_congestion(model, grid, s)
-        if "duality" in checks:
-            results.append(
-                {
-                    "name": "duality:stationary",
-                    "gap": abs(res.duality_gap),
-                    "tol": 1e-6,
-                }
-            )
-        if "hbar" in checks:
-            results.append(
-                {
-                    "name": "hbar:crosscheck",
-                    "gap": res.hbar_crosscheck_gap,
-                    "tol": 1e-6,
-                }
-            )
+        route, res = _solve_congestion(model, grid, s)
+        certificates = (
+            ("duality", "duality:stationary", res.duality_gap),
+            ("hbar", "hbar:crosscheck", res.hbar_crosscheck_gap),
+        )
+        for key, name, gap in certificates:
+            if key not in checks:
+                continue
+            if gap is None:
+                tag = res.diagnostics.get("route", route)
+                raise ModelError(
+                    f"crosscheck '{key}' does not apply: the {tag} solve "
+                    f"has no {name} certificate"
+                )
+            results.append({"name": name, "gap": abs(gap), "tol": 1e-6})
     return results
 
 

@@ -196,7 +196,7 @@ class StationaryResult:
     grad_inf: float
     iterations: int
     duality_gap: float | None
-    hbar_crosscheck_gap: float
+    hbar_crosscheck_gap: float | None
     residual_hjb_inf: float
     residual_fp_inf: float
     diagnostics: dict = field(default_factory=dict)
@@ -431,8 +431,9 @@ def solve_bb(
     regularized system honestly: ``residual_hjb_inf`` is the sup-norm of
     f(x, m) + Hbar (the density optimality of the regularized problem,
     which has no kinetic term), ``residual_fp_inf`` is the divergence of
-    w, ``duality_gap`` is None, and the ergodic-constant crosscheck is
-    skipped because psi2_hat evaluates the unregularized Hamiltonian.
+    w, and ``duality_gap`` and ``hbar_crosscheck_gap`` are None: the
+    ergodic-constant crosscheck is skipped because psi2_hat evaluates
+    the unregularized Hamiltonian.
     The diagnostics carry the regularization weight and a route tag so
     downstream code can tell this run apart from a certified solve.
     """
@@ -486,7 +487,7 @@ def solve_bb(
         w=w,
         **run,
         duality_gap=None,
-        hbar_crosscheck_gap=0.0,
+        hbar_crosscheck_gap=None,
         residual_hjb_inf=float(np.max(np.abs(dm + hbar))),
         residual_fp_inf=div_w,
         diagnostics={

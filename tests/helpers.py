@@ -3,10 +3,18 @@
 Everything here is deliberately independent of the library internals:
 finite differences, grid-search Legendre/Fenchel oracles, and the
 model functions restated from their definitions so library values can
-be checked against a second implementation.
+be checked against a second implementation. The dense linearized
+periodic operator at the end is the small-grid oracle for the
+spectral-block path of ``mfgkit.bifurcation``; it is built column by
+column from the grid operators of ``mfgkit.spectral``.
 """
 
+from functools import lru_cache
+
 import numpy as np
+
+from mfgkit import spectral
+from mfgkit.bifurcation import ELL_SCALE
 
 
 def fd_directional(fun, h=1e-5):
@@ -134,4 +142,69 @@ def node_field_from_slabs(slabs, boundary_term=None, at_start=False):
             out[0] = out[0] + boundary_term
         else:
             out[-1] = out[-1] + boundary_term
+    return out
+
+
+def apply_A(st, T, fprime1, v, mu, ell, ell_scale=ELL_SCALE):
+    """One grid application of the T-scaled symmetric linearized operator
+
+    A(T)[v, mu, l] = (mu_t + T lam (mu + v),
+                      -v_t + T lam v - T f'(1) mu + T c l,
+                      T c <mu>),     lam = -Laplacian.
+    """
+    sp = st.space
+    lam_mu = -spectral.laplacian(sp, mu)
+    lam_v = -spectral.laplacian(sp, v)
+    r_v = spectral.time_derivative_periodic(st, mu) + T * (lam_mu + lam_v)
+    r_mu = (
+        -spectral.time_derivative_periodic(st, v)
+        + T * lam_v
+        - T * fprime1 * mu
+        + T * ell_scale * ell
+    )
+    r_ell = T * ell_scale * float(mu.mean())
+    return r_v, r_mu, r_ell
+
+
+@lru_cache(maxsize=8)
+def v_basis(st):
+    """Euclidean-orthonormal basis (K x (K-2)) of the admissible v-space.
+
+    Two directions are excluded: the constant, and the temporal-Nyquist
+    sawtooth times the spatial constant, which every operator row
+    annihilates at every T.
+    """
+    K = st.n_t * st.space.num_nodes
+    ones = np.ones(K) / np.sqrt(K)
+    saw = np.repeat((-1.0) ** np.arange(st.n_t), st.space.num_nodes)
+    saw /= np.linalg.norm(saw)
+    Q, _ = np.linalg.qr(np.column_stack([ones, saw, np.eye(K)]))
+    return Q[:, 2:K]
+
+
+def assemble_A(st, T, fprime1, ell_scale=ELL_SCALE):
+    """Dense symmetric matrix of A(T) in orthonormal restricted coordinates.
+
+    Coordinates: K - 2 admissible v-components (see :func:`v_basis`),
+    K mu-components, 1 multiplier component, orthonormal for the inner
+    product <z1, z2> = mean(v1 v2) + mean(mu1 mu2) + l1 l2.
+    """
+    K = st.n_t * st.space.num_nodes
+    Bv = v_basis(st)
+    nv = Bv.shape[1]
+    sqK = np.sqrt(K)
+    shape = st.field_shape
+    zeros = np.zeros(shape)
+    cols = [(Bv[:, a].reshape(shape) * sqK, zeros, 0.0) for a in range(nv)]
+    for k in range(K):
+        mu = np.zeros(K)
+        mu[k] = sqK
+        cols.append((zeros, mu.reshape(shape), 0.0))
+    cols.append((zeros, zeros, 1.0))
+    out = np.empty((nv + K + 1, nv + K + 1))
+    for b, (v, mu, ell) in enumerate(cols):
+        rv, rmu, rell = apply_A(st, T, fprime1, v, mu, ell, ell_scale)
+        out[:nv, b] = (Bv.T @ rv.reshape(K)) * (sqK / K)
+        out[nv : nv + K, b] = rmu.reshape(K) * (sqK / K)
+        out[nv + K, b] = rell
     return out

@@ -1,8 +1,11 @@
 """Time-periodic branch machinery: kernels, eigenvalue crossing, continuation."""
 
+import time
+
 import numpy as np
 import pytest
 
+import helpers
 from mfgkit import CheckError, ModelError, PositivityError, bifurcation as bf
 from conftest import FPRIME1
 
@@ -75,36 +78,34 @@ def test_periodic_state_validation(periodic_setup):
 
 def test_mode_block_coefficients(periodic_setup):
     st, _ = periodic_setup
-    blocks = bf.mode_blocks(st, TBAR, FPRIME1)
-    assert len(blocks) == st.space.num_nodes
-    one = [b for b in blocks if b.k == (1,)][0]
-    lam = 4.0 * np.pi**2
-    expect = np.array(
-        [[-TBAR * lam, -TBAR * lam], [-TBAR * FPRIME1, TBAR * lam]]
-    )
-    assert np.max(np.abs(one.coefficients - expect)) == 0.0
-    zero = [b for b in blocks if b.k == (0,)][0]
-    assert zero.lam == 0.0
+    blocks = bf._symbol_blocks(st, TBAR, FPRIME1)
+    assert blocks.shape == (st.n_t,) + st.space.shape + (2, 2)
+    Tl = TBAR * 4.0 * np.pi**2
+    for n in range(st.n_t):
+        k = n - st.n_t if n > st.n_t // 2 else n
+        iw = 0.0 if n == st.n_t // 2 else 2j * np.pi * k
+        expect = np.array([[Tl, iw + Tl], [-iw + Tl, -TBAR * FPRIME1]])
+        assert np.max(np.abs(blocks[n, 1] - expect)) == 0.0
+    # The zero mode pairs the multiplier with the mean of mu.
+    Tc = TBAR * bf.ELL_SCALE
+    expect = np.array([[0.0, Tc], [Tc, -TBAR * FPRIME1]])
+    assert np.max(np.abs(blocks[0, 0] - expect)) == 0.0
 
 
-def test_modewise_operator_matches_grid_realization(periodic_setup):
-    st, _ = periodic_setup
-    from mfgkit.bifurcation import _apply_A
-
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(st.field_shape)
-    mu = rng.standard_normal(st.field_shape)
-    ell = 0.3
-    r_mode = bf.apply_A_modewise(st, 0.9 * TBAR, FPRIME1, v, mu, ell)
-    r_grid = _apply_A(st, 0.9 * TBAR, FPRIME1, v, mu, ell, bf.ELL_SCALE)
-    assert np.max(np.abs(r_mode[0] - r_grid[0])) <= 1e-12
-    assert np.max(np.abs(r_mode[1] - r_grid[1])) <= 1e-12
-    assert abs(r_mode[2] - r_grid[2]) <= 1e-12
+def test_modewise_operator_matches_grid_realization():
+    # The symbol blocks against the dense grid assembly, below and at T_bar.
+    for space, n_t in [((8,), 8), ((16,), 16), ((16,), 8), ((8, 8), 8)]:
+        st = bf.periodic_grid(len(space), space[0], n_t)
+        for T in (0.9 * TBAR, TBAR):
+            dense = np.linalg.eigvalsh(helpers.assemble_A(st, T, FPRIME1))
+            blocks = np.sort(bf._eigenvalues(st, T, FPRIME1))
+            assert blocks.shape == dense.shape == (2 * n_t * st.space.num_nodes - 1,)
+            assert np.max(np.abs(blocks - dense)) <= 1e-11
 
 
 def test_assembled_operator_is_symmetric(periodic_setup):
     st, _ = periodic_setup
-    A = bf.assemble_A(st, 0.9 * TBAR, FPRIME1)
+    A = helpers.assemble_A(st, 0.9 * TBAR, FPRIME1)
     assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
@@ -136,12 +137,43 @@ def test_kernel_trivial_off_critical(periodic_setup):
     assert rep.adjoint_kernel_dim == 0
 
 
+def test_kernel_at_2d_32_cubed():
+    # 2-D 32^2 x 32 has K = 32768; the dense operator would be 65535^2.
+    st = bf.periodic_grid(2, 32, 32)
+    start = time.perf_counter()
+    rep = bf.kernel_at(st, TBAR, FPRIME1, check_trig_span=True)
+    off = bf.kernel_at(st, 0.9 * TBAR, FPRIME1)
+    elapsed = time.perf_counter() - start
+    assert rep.kernel_dim == rep.adjoint_kernel_dim == 8
+    assert rep.trig_energy_fraction >= 0.999
+    assert len(rep.kernel_fields) == 8
+    assert off.kernel_dim == 0
+    assert elapsed < 2.0
+
+
+def test_kernel_fields_are_orthonormal_and_annihilated(periodic_setup):
+    st, _ = periodic_setup
+    for overtone in (1, 2, 3):
+        T = bf.critical_period(FPRIME1, overtone=overtone)
+        fields = bf.kernel_at(st, T, FPRIME1).kernel_fields
+        gram = np.array(
+            [
+                [np.mean(v1 * v2) + np.mean(m1 * m2) + l1 * l2 for v2, m2, l2 in fields]
+                for v1, m1, l1 in fields
+            ]
+        )
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+        for v, mu, ell in fields:
+            rv, rmu, rell = helpers.apply_A(st, T, FPRIME1, v, mu, ell)
+            assert max(np.max(np.abs(rv)), np.max(np.abs(rmu)), abs(rell)) <= 1e-10
+
+
 def test_analytic_kernel_fields_are_annihilated(periodic_setup):
     st, _ = periodic_setup
     pairs = bf.analytic_kernel_fields(st, FPRIME1)
     assert len(pairs) == 4
     for v, mu in pairs:
-        rv, rmu, rell = bf.apply_A_modewise(st, TBAR, FPRIME1, v, mu, 0.0)
+        rv, rmu, rell = helpers.apply_A(st, TBAR, FPRIME1, v, mu, 0.0)
         assert np.max(np.abs(rv)) <= 1e-10
         assert np.max(np.abs(rmu)) <= 1e-10
         assert abs(rell) <= 1e-10

@@ -111,6 +111,37 @@ def test_crosscheck_follows_the_configured_route(tmp_path):
     assert payload["all_pass"] is True
 
 
+GAMMA1_CFG = dict(
+    CONG_CFG,
+    model=dict(CONG_CFG["model"], gamma=1.0),
+    solver={"tol": 1e-10, "w_reg": 1e-4},
+)
+
+
+def test_gamma_one_hbar_crosscheck_exits_two(tmp_path, capsys):
+    # The regularized gamma = 1 solve skips the ergodic-constant
+    # crosscheck, so asking for it must not pass.
+    out = tmp_path / "g1"
+    cfg = write_cfg(tmp_path, "g1.json", dict(GAMMA1_CFG, checks=["hbar"], output_dir=str(out)))
+    assert run(["solve-stationary", cfg]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    assert payload["hbar_crosscheck_gap"] is None
+    assert payload["duality_gap"] is None
+    capsys.readouterr()
+    assert run(["crosscheck", cfg]) == 2
+    assert "crosscheck 'hbar' does not apply" in capsys.readouterr().err
+    assert not (out / "crosscheck.json").exists()
+
+
+def test_gamma_one_duality_crosscheck_exits_two(tmp_path, capsys):
+    out = tmp_path / "g1d"
+    checks = ["duality", "hbar"]
+    cfg = write_cfg(tmp_path, "g1d.json", dict(GAMMA1_CFG, checks=checks, output_dir=str(out)))
+    assert run(["crosscheck", cfg]) == 2
+    assert "crosscheck 'duality' does not apply" in capsys.readouterr().err
+    assert not (out / "crosscheck.json").exists()
+
+
 def test_solve_mfg_and_compare(tmp_path):
     out = tmp_path / "mfg"
     cfg = write_cfg(tmp_path, "m.json", dict(SEP_CFG, output_dir=str(out)))
