@@ -24,8 +24,8 @@ Modules
     problem (flux form, 2-D stream form, and the concave-exponent
     potential route).
 ``dynamics``
-    Newton solvers for the finite-horizon equilibrium and planner
-    systems on an implicit-midpoint time grid.
+    Matrix-free Newton-Krylov solvers for the finite-horizon equilibrium
+    and planner systems on an implicit-midpoint time grid.
 ``bifurcation``
     Linearized analysis at the uniform state and amplitude continuation
     of time-periodic branches.

@@ -27,12 +27,12 @@ acting on zero-mean v (the discrete v-space also drops one pure grid
 artifact, see :func:`_kept`); the multiplier coordinate is scaled by
 c = 4 pi^2 (the first nonzero Laplacian eigenvalue) so that the
 (mean-mu, l) sub-block has O(1) entries and a spectral gap bound on the
-fifth singular value is meaningful. A(T) is a Fourier multiplier: per
-spatial mode lam and temporal frequency omega = 2 pi n it is the
-Hermitian 2x2 block of :func:`_symbol_blocks`, and kernel counts, the
-eigenvalue crossing and the spectrum all come from batched
-eigendecompositions of those blocks. The block has characteristic
-polynomial
+(4d+1)-th singular value, the first above the 4d-dimensional kernel at
+T_bar, is meaningful. A(T) is a Fourier multiplier: per spatial mode
+lam and temporal frequency omega = 2 pi n it is the Hermitian 2x2 block
+of :func:`_symbol_blocks`, and kernel counts, the eigenvalue crossing
+and the spectrum all come from batched eigendecompositions of those
+blocks. The block has characteristic polynomial
 
     h(T, s) = -s^2 + s T (lam - f'(1)) + T^2 lam (lam + f'(1)) + omega^2
 

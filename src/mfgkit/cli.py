@@ -202,6 +202,7 @@ def _dynamic_solve(cfg, out_dir, planner: bool):
         "eps": eps,
         "newton_iterations": res.newton_iterations,
         "picard_sweeps": res.picard_sweeps,
+        "krylov_iterations": sum(res.krylov_iterations),
         "residual_inf": res.residual_inf,
         "m_min": res.min_m,
         "psi1": psi1(state, model).value,
@@ -268,7 +269,7 @@ def cmd_bifurcate(cfg, out_dir):
         "fprime1": branch.fprime1,
         "Tbar": branch.Tbar,
         "kernel_dim": ker.kernel_dim,
-        "fifth_singular_value": ker.fifth_smallest,
+        "gap_singular_value": float(ker.singular_values[4 * st.dim]),
         "kernel_trig_energy": ker.trig_energy_fraction,
         "points": [
             {

@@ -22,71 +22,39 @@ is the implicit midpoint step of the Hamiltonian flow generated by
 psi1_hat, so that quantity is conserved along solutions up to an O(dt^2)
 wobble with no secular drift.
 
-The solver is a damped Newton method on the full space-time system
-(block bidiagonal sparse Jacobian, direct factorization), started from
-m frozen at m0 and u swept backward, with a relaxed Picard fallback.
-Only the quadratic kinetic part is supported on the Newton path.
+The solver is a damped Newton method on the full space-time system,
+started from m frozen at m0 and u swept backward, with a relaxed Picard
+fallback. GMRES solves each step with the Jacobian applied at FFT cost,
+preconditioned by the Jacobian at mean density, zero drift and mean
+coupling slope: one real 2N x 2N time system per spatial Fourier mode
+(see :meth:`_System.preconditioner`). A GMRES solve that misses its
+tolerance raises :class:`SolverError`. Only the quadratic kinetic part
+is supported on the Newton path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
 from .errors import ModelError, SolverError
-from .grids import SpaceTimeGrid, TorusGrid
+from .grids import SpaceTimeGrid
 from . import spectral
 from .functionals import GameState, psi1, psi2
 from .hamiltonians import QuadraticKinetic, SeparableHamiltonian
 
 __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_planner"]
 
-
-@lru_cache(maxsize=8)
-def _dense_operators(grid: TorusGrid):
-    """Dense matrices of the spectral Laplacian and first derivatives."""
-    K = grid.num_nodes
-    eye = np.eye(K).reshape((K,) + grid.shape)
-    lap = spectral.laplacian(grid, eye).reshape(K, K).T
-    grads = spectral.gradient(grid, eye)  # (d, K, *shape)
-    Ds = tuple(grads[i].reshape(K, K).T for i in range(grid.dim))
-    return lap, Ds
-
-
-def _advection_matrix(Ds, V_flat):
-    """Matrix of m -> div(m V) for a fixed vector field V (flattened comps)."""
-    out = None
-    for D, v in zip(Ds, V_flat):
-        term = D * v[None, :]  # D @ diag(v)
-        out = term if out is None else out + term
-    return out
-
-
-def _transport_matrix(Ds, V_flat):
-    """Matrix of u -> V . grad u."""
-    out = None
-    for D, v in zip(Ds, V_flat):
-        term = v[:, None] * D
-        out = term if out is None else out + term
-    return out
-
-
-def _diffusion_form(Ds, m_flat):
-    """Matrix of u -> div(m grad u)."""
-    out = None
-    for D in Ds:
-        term = D @ (m_flat[:, None] * D)
-        out = term if out is None else out + term
-    return out
+# GMRES stops at ||A x - b|| <= KRYLOV_RTOL ||b||: tight enough for Newton to take
+# a direct solve's steps, above the FFT matvec's roundoff floor (~1e-12 at n = 64).
+KRYLOV_RTOL = 1e-10
 
 
 @dataclass
 class SolveResult:
-    """Converged state plus solver diagnostics."""
+    """Converged state plus solver diagnostics (GMRES iterations per Newton step)."""
 
     state: GameState
     newton_iterations: int
@@ -96,6 +64,7 @@ class SolveResult:
     psi1_dm_inf: float
     psi2_du_inf: float
     history: tuple[float, ...] = field(default_factory=tuple)
+    krylov_iterations: tuple[int, ...] = field(default_factory=tuple)
 
 
 def _check_model(model) -> None:
@@ -105,19 +74,64 @@ def _check_model(model) -> None:
         raise ModelError("the Newton path supports the quadratic kinetic part only")
 
 
-class _System:
-    """Residual/Jacobian assembly for the midpoint space-time system."""
+def _gmres(matvec, precond, rhs, where: str):
+    """Solve matvec(x) = rhs by preconditioned GMRES to KRYLOV_RTOL; returns
+    (x, iterations), or raises SolverError naming ``where``."""
+    n = rhs.size
+    residuals = []
+    x, info = sparse_linalg.gmres(
+        sparse_linalg.LinearOperator((n, n), matvec=matvec), rhs,
+        M=sparse_linalg.LinearOperator((n, n), matvec=precond), rtol=KRYLOV_RTOL, atol=0.0,
+        restart=40, maxiter=5, callback=residuals.append, callback_type="pr_norm",
+    )
+    if info != 0:
+        rel = float(np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs))
+        raise SolverError(
+            f"GMRES missed its relative tolerance {KRYLOV_RTOL:.0e} at {where}: "
+            f"relative residual {rel:.3e} after {len(residuals)} iterations"
+        )
+    return x, len(residuals)
 
-    def __init__(self, model, grid: SpaceTimeGrid, m0, uT, eps, planner):
+
+def _newton(residual, direction, z, tol: float, budget: int, history: list):
+    """Damped Newton on residual(z) = 0 along direction(z, res), Armijo on |res|^2;
+    appends step sup-norms to ``history``, returns (z, sup-norm, steps, converged)."""
+    res = residual(z)
+    rn = float(np.max(np.abs(res)))
+    for it in range(1, budget + 1):
+        if rn <= tol:
+            return z, rn, it - 1, True
+        delta = direction(z, res)
+        phi0 = float(res @ res)
+        step = 1.0
+        while step >= 1e-6:
+            z_try = z + step * delta
+            res_try = residual(z_try)
+            if float(res_try @ res_try) <= (1.0 - 1e-4 * step) * phi0:
+                break
+            step *= 0.5
+        else:
+            return z, rn, it, False
+        z, res = z_try, res_try
+        rn = float(np.max(np.abs(res)))
+        history.append(rn)
+    return z, rn, budget, rn <= tol
+
+
+class _System:
+    """Residual, Jacobian action and preconditioner of the midpoint system on
+    N time slabs of width dt over the space grid sp."""
+
+    def __init__(self, model, sp, N, dt, m0, uT, eps, planner):
         self.model = model
-        self.grid = grid
-        self.sp = grid.space
+        self.sp = sp
+        self.N = N
+        self.dt = dt
         self.m0 = np.asarray(m0, dtype=float)
         self.uT = np.asarray(uT, dtype=float)
         self.eps = float(eps)
         self.planner = planner
-        self.N = grid.n_t
-        self.K = self.sp.num_nodes
+        self.K = sp.num_nodes
 
     def coupling_terms(self, mbar):
         c = self.model.coupling
@@ -129,23 +143,26 @@ class _System:
             gp = c.df_dm(self.sp, mbar)
         return g, gp
 
-    def fields(self, z):
+    def fields(self, z, data=True):
+        """Unknown vector -> (u, m) stacks with data rows uT, m0 (zero if not ``data``)."""
         N, K = self.N, self.K
         u = np.empty((N + 1,) + self.sp.shape)
         m = np.empty((N + 1,) + self.sp.shape)
         u[:N] = z[: N * K].reshape((N,) + self.sp.shape)
-        u[N] = self.uT
-        m[0] = self.m0
+        u[N] = self.uT if data else 0.0
+        m[0] = self.m0 if data else 0.0
         m[1:] = z[N * K :].reshape((N,) + self.sp.shape)
         return u, m
 
-    def residual(self, z):
+    def midpoints(self, z):
+        """(u, m), their slab midpoints, grad ubar, and g, g' at mbar."""
         u, m = self.fields(z)
-        sp, dt, eps = self.sp, self.grid.dt, self.eps
-        ubar = 0.5 * (u[:-1] + u[1:])
-        mbar = 0.5 * (m[:-1] + m[1:])
-        V = spectral.gradient(sp, ubar)
-        g, _ = self.coupling_terms(mbar)
+        ubar, mbar = 0.5 * (u[:-1] + u[1:]), 0.5 * (m[:-1] + m[1:])
+        return (u, m, ubar, mbar, spectral.gradient(self.sp, ubar)) + self.coupling_terms(mbar)
+
+    def residual(self, z):
+        u, m, ubar, mbar, V, g, _ = self.midpoints(z)
+        sp, dt, eps = self.sp, self.dt, self.eps
         S = (
             -(u[1:] - u[:-1]) / dt
             - eps * spectral.laplacian(sp, ubar)
@@ -159,88 +176,92 @@ class _System:
         )
         return np.concatenate([S.ravel(), P.ravel()])
 
-    def jacobian(self, z):
+    def linearize(self, z):
+        """The derivative of :meth:`residual` at z as an action dz -> J dz,
+        and the state's mean density and mean g' for :meth:`preconditioner`."""
+        _, _, _, mbar, V, _, gp = self.midpoints(z)
+        sp, dt, eps = self.sp, self.dt, self.eps
+
+        def jvp(dz):
+            du, dm = self.fields(dz, data=False)
+            dub = 0.5 * (du[:-1] + du[1:])
+            dmb = 0.5 * (dm[:-1] + dm[1:])
+            G = spectral.gradient(sp, dub)
+            dS = (
+                -(du[1:] - du[:-1]) / dt
+                - eps * spectral.laplacian(sp, dub)
+                + np.sum(V * G, axis=0)
+                - gp * dmb
+            )
+            dP = (
+                (dm[1:] - dm[:-1]) / dt
+                - eps * spectral.laplacian(sp, dmb)
+                - spectral.divergence(sp, dmb * V + mbar * G)
+            )
+            return np.concatenate([dS.ravel(), dP.ravel()])
+
+        return jvp, (float(mbar.mean()), float(gp.mean()))
+
+    def preconditioner(self, mbar: float, gpbar: float):
+        """Inverse of the Jacobian at constant density mbar, zero drift and
+        constant coupling slope gpbar. Per spatial mode (Laplacian symbol
+        lam, div-grad symbol del) that is the real 2N x 2N midpoint system
+            -(a_{j+1} - a_j)/dt - eps lam ab_j - gpbar bb_j = S_j,
+             (b_{j+1} - b_j)/dt - eps lam bb_j - mbar del ab_j = P_j
+        in (a_0..a_{N-1}, b_1..b_N), a_N = b_0 = 0, ab/bb slab midpoints,
+        inverted for all modes at once and applied between real FFTs."""
+        sp, N, dt, eps = self.sp, self.N, self.dt, self.eps
+        eye, up, lo = np.eye(N), np.eye(N, k=1), np.eye(N, k=-1)
+        half = (Ellipsis, slice(sp.shape[-1] // 2 + 1))  # the modes rfftn keeps
+        lam = sp.laplacian_symbol[half].reshape(-1, 1, 1)
+        dg = sp.divgrad_symbol[half].reshape(-1, 1, 1)
+        au, am = 0.5 * (eye + up), 0.5 * (eye + lo)
+        inv = np.linalg.inv(np.block([
+            [(eye - up) / dt - eps * lam * au, -gpbar * am * np.ones_like(lam)],
+            [-mbar * dg * au, (eye - lo) / dt - eps * lam * am],
+        ]))  # (modes, 2N, 2N)
+        axes = tuple(range(1, sp.dim + 1))
+
+        def apply(r):
+            hat = np.fft.rfftn(r.reshape((2 * N,) + sp.shape), axes=axes)
+            flat = hat.reshape(2 * N, -1).T
+            x = inv @ np.stack([flat.real, flat.imag], axis=-1)
+            hat = (x[..., 0] + 1j * x[..., 1]).T.reshape(hat.shape)
+            return np.fft.irfftn(hat, s=sp.shape, axes=axes).ravel()
+
+        return apply
+
+    def sweep(self, z, half: int, tol: float):
+        """Solve the value rows for u with m frozen, backward from u_N = uT
+        (half 0), or the transport rows for m with u frozen, forward from
+        m_0 = m0 (half 1), one slab at a time by damped Newton to sup-norm
+        tol. Slab j is the one-slab system with data u_{j+1} and m_j and the
+        other half's unknown held by identity rows. Its preconditioner at
+        mbar = gpbar = 0 is block diagonal, so on the solved half it is the
+        exact inverse of the zero-drift step, the symbol 1/dt - eps lam / 2."""
         u, m = self.fields(z)
-        sp, dt, eps = self.sp, self.grid.dt, self.eps
-        N, K = self.N, self.K
-        L, Ds = _dense_operators(sp)
-        ubar = 0.5 * (u[:-1] + u[1:])
-        mbar = 0.5 * (m[:-1] + m[1:])
-        V = spectral.gradient(sp, ubar)
-        _, gp = self.coupling_terms(mbar)
-        eyedt = np.eye(K) / dt
+        frozen = np.arange(2 * self.K) // self.K != half
 
-        blocks = [[None] * (2 * N) for _ in range(2 * N)]
-        for j in range(N):
-            Vf = [V[i, j].ravel() for i in range(sp.dim)]
-            mf = mbar[j].ravel()
-            gpf = gp[j].ravel()
-            hjb_half = 0.5 * (-eps * L + _transport_matrix(Ds, Vf))
-            fp_half = -0.5 * (eps * L + _advection_matrix(Ds, Vf))
-            diff_half = -0.5 * _diffusion_form(Ds, mf)
-            # S_j rows (row j), P_j rows (row N + j); u_N and m_0 are data.
-            blocks[j][j] = eyedt + hjb_half
-            if j + 1 <= N - 1:
-                blocks[j][j + 1] = -eyedt + hjb_half
-            # m columns: index c corresponds to m_{c+1}, c = j-1 and c = j
-            if j >= 1:
-                blocks[j][N + j - 1] = np.diag(-0.5 * gpf)
-            blocks[j][N + j] = np.diag(-0.5 * gpf)
-            blocks[N + j][j] = diff_half
-            if j + 1 <= N - 1:
-                blocks[N + j][j + 1] = diff_half
-            if j >= 1:
-                blocks[N + j][N + j - 1] = -eyedt + fp_half
-            blocks[N + j][N + j] = eyedt + fp_half
-        return sparse.bmat(
-            [[sparse.csc_matrix(b) if b is not None else None for b in row] for row in blocks],
-            format="csc",
-        )
+        def restrict(op):
+            return lambda x: np.where(frozen, x, op(x))
 
-    def backward_sweep(self, m):
-        """Solve the HJB rows for u with m frozen (terminal to initial)."""
-        sp, dt, eps = self.sp, self.grid.dt, self.eps
-        N, K = self.N, self.K
-        L, Ds = _dense_operators(sp)
-        u = np.empty((N + 1,) + sp.shape)
-        u[N] = self.uT
-        mbar = 0.5 * (m[:-1] + m[1:])
-        for j in range(N - 1, -1, -1):
-            g, _ = self.coupling_terms(mbar[j])
-            uj = u[j + 1].copy()
-            for _ in range(30):
-                ubar = 0.5 * (uj + u[j + 1])
-                V = spectral.gradient(sp, ubar)
-                res = (
-                    -(u[j + 1] - uj) / dt
-                    - eps * spectral.laplacian(sp, ubar)
-                    + 0.5 * np.sum(V * V, axis=0)
-                    - g
-                )
-                if np.max(np.abs(res)) < 1e-12:
-                    break
-                Vf = [V[i].ravel() for i in range(sp.dim)]
-                J = np.eye(K) / dt + 0.5 * (-eps * L + _transport_matrix(Ds, Vf))
-                uj = uj - np.linalg.solve(J, res.ravel()).reshape(sp.shape)
-            u[j] = uj
-        return u
+        for j in range(self.N - 1, -1, -1) if half == 0 else range(self.N):
+            slab = _System(
+                self.model, self.sp, 1, self.dt, m[j], u[j + 1], self.eps, self.planner
+            )
+            precond = restrict(slab.preconditioner(0.0, 0.0))
+            where = f"slab {j} of the {('backward', 'forward')[half]} sweep"
 
-    def forward_sweep(self, u):
-        """Solve the transport rows for m with u frozen (initial to terminal)."""
-        sp, dt, eps = self.sp, self.grid.dt, self.eps
-        N, K = self.N, self.K
-        L, Ds = _dense_operators(sp)
-        m = np.empty((N + 1,) + sp.shape)
-        m[0] = self.m0
-        ubar = 0.5 * (u[:-1] + u[1:])
-        V = spectral.gradient(sp, ubar)
-        for j in range(N):
-            Vf = [V[i, j].ravel() for i in range(sp.dim)]
-            adv = _advection_matrix(Ds, Vf)
-            A = np.eye(K) / dt - 0.5 * (eps * L + adv)
-            B = np.eye(K) / dt + 0.5 * (eps * L + adv)
-            m[j + 1] = np.linalg.solve(A, B @ m[j].ravel()).reshape(sp.shape)
-        return m
+            def direction(z, res):
+                return _gmres(restrict(slab.linearize(z)[0]), precond, -res, where)[0]
+
+            if half == 0:
+                u[j] = u[j + 1]
+            start = slab.pack(u[j : j + 2], m[j : j + 2])
+            residual = lambda z: np.where(frozen, 0.0, slab.residual(z))  # noqa: E731
+            u_slab, m_slab = slab.fields(_newton(residual, direction, start, tol, 30, [])[0])
+            u[j], m[j + 1] = u_slab[0], m_slab[1]
+        return self.pack(u, m)
 
     def pack(self, u, m):
         return np.concatenate([u[: self.N].ravel(), m[1:].ravel()])
@@ -260,56 +281,32 @@ def _solve(
     _check_model(model)
     if grid.periodic_time:
         raise ModelError("finite-horizon solvers need an interval time axis")
-    sys = _System(model, grid, m0, uT, eps, planner)
+    sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
 
-    m = np.broadcast_to(sys.m0, (sys.N + 1,) + sys.sp.shape).copy()
-    u = sys.backward_sweep(m)
-    z = sys.pack(u, m)
+    z = sys.sweep(np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)]), 0, tol)
 
     history = []
+    krylov = []
     sweeps_used = 0
 
-    def newton(z, budget):
-        res = sys.residual(z)
-        rn = float(np.max(np.abs(res)))
-        for it in range(1, budget + 1):
-            if rn <= tol:
-                return z, rn, it - 1, True
-            J = sys.jacobian(z)
-            try:
-                delta = sparse_linalg.splu(J).solve(-res)
-            except RuntimeError as exc:
-                raise SolverError(f"Jacobian factorization failed: {exc}") from exc
-            phi0 = float(res @ res)
-            step = 1.0
-            while step >= 1e-6:
-                z_try = z + step * delta
-                res_try = sys.residual(z_try)
-                if float(res_try @ res_try) <= (1.0 - 1e-4 * step) * phi0:
-                    break
-                step *= 0.5
-            else:
-                return z, rn, it, False
-            z, res = z_try, res_try
-            rn = float(np.max(np.abs(res)))
-            history.append(rn)
-        return z, rn, budget, rn <= tol
+    def direction(z, res):
+        jvp, means = sys.linearize(z)
+        where = f"Newton step {len(krylov) + 1}"
+        delta, k = _gmres(jvp, sys.preconditioner(*means), -res, where)
+        krylov.append(k)
+        return delta
 
-    z, rn, iters, ok = newton(z, max_newton)
+    z, rn, iters, ok = _newton(sys.residual, direction, z, tol, max_newton, history)
     if not ok:
         # Relaxed fixed-point sweeps to re-seed Newton.
-        u, m = sys.fields(z)
         relax = 0.5
         for s in range(picard_sweeps):
             sweeps_used += 1
-            u_new = sys.backward_sweep(m)
-            m_new = sys.forward_sweep(u_new)
-            u = (1.0 - relax) * u + relax * u_new
-            m = (1.0 - relax) * m + relax * m_new
-            if float(np.max(np.abs(m_new - m))) < 1e-10:
+            z_new = sys.sweep(sys.sweep(z, 0, tol), 1, tol)
+            z = (1.0 - relax) * z + relax * z_new
+            if float(np.max(np.abs(z_new - z)[sys.N * sys.K :])) < 1e-10:
                 break
-        z = sys.pack(u, m)
-        z, rn, more, ok = newton(z, max_newton)
+        z, rn, more, ok = _newton(sys.residual, direction, z, tol, max_newton, history)
         iters += more
     if not ok:
         raise SolverError(
@@ -335,6 +332,7 @@ def _solve(
         psi1_dm_inf=dm_inf,
         psi2_du_inf=du_inf,
         history=tuple(history),
+        krylov_iterations=tuple(krylov),
     )
 
 

@@ -4,9 +4,11 @@ Everything here is deliberately independent of the library internals:
 finite differences, grid-search Legendre/Fenchel oracles, and the
 model functions restated from their definitions so library values can
 be checked against a second implementation. The dense linearized
-periodic operator at the end is the small-grid oracle for the
-spectral-block path of ``mfgkit.bifurcation``; it is built column by
-column from the grid operators of ``mfgkit.spectral``.
+periodic operator and the dense finite-horizon Jacobian at the end are
+the small-grid oracles for the spectral-block path of
+``mfgkit.bifurcation`` and the matrix-free Newton-Krylov path of
+``mfgkit.dynamics``; both are built from dense matrices of the grid
+operators of ``mfgkit.spectral``.
 """
 
 from functools import lru_cache
@@ -208,3 +210,58 @@ def assemble_A(st, T, fprime1, ell_scale=ELL_SCALE):
         out[nv : nv + K, b] = rmu.reshape(K) * (sqK / K)
         out[nv + K, b] = rell
     return out
+
+
+def dense_grid_operators(grid):
+    """Dense matrices of the spectral Laplacian and first derivatives."""
+    K = grid.num_nodes
+    eye = np.eye(K).reshape((K,) + grid.shape)
+    lap = spectral.laplacian(grid, eye).reshape(K, K).T
+    grads = spectral.gradient(grid, eye)  # (d, K, *shape)
+    Ds = tuple(grads[i].reshape(K, K).T for i in range(grid.dim))
+    return lap, Ds
+
+
+def dynamics_jacobian(system, z):
+    """Dense Jacobian of the finite-horizon midpoint residual at z.
+
+    ``system`` is a ``mfgkit.dynamics._System``; unknowns are ordered
+    (u_0..u_{N-1}, m_1..m_N), residual rows (S_0..S_{N-1}, P_0..P_{N-1}).
+    Built block by block from dense grid operators: the small-grid oracle
+    for the matrix-free Jacobian action.
+    """
+    u, m = system.fields(z)
+    sp, dt, eps = system.sp, system.dt, system.eps
+    N, K = system.N, system.K
+    L, Ds = dense_grid_operators(sp)
+    ubar = 0.5 * (u[:-1] + u[1:])
+    mbar = 0.5 * (m[:-1] + m[1:])
+    V = spectral.gradient(sp, ubar)
+    _, gp = system.coupling_terms(mbar)
+    eyedt = np.eye(K) / dt
+    J = np.zeros((2 * N * K, 2 * N * K))
+
+    def put(row, col, block):
+        J[row * K : (row + 1) * K, col * K : (col + 1) * K] = block
+
+    for j in range(N):
+        Vf = [V[i, j].ravel() for i in range(sp.dim)]
+        mf = mbar[j].ravel()
+        transport = sum(v[:, None] * D for D, v in zip(Ds, Vf))  # u -> V . grad u
+        advection = sum(D * v[None, :] for D, v in zip(Ds, Vf))  # m -> div(m V)
+        diffusion = sum(D @ (mf[:, None] * D) for D in Ds)  # u -> div(m grad u)
+        hjb_half = 0.5 * (-eps * L + transport)
+        fp_half = -0.5 * (eps * L + advection)
+        coupling = np.diag(-0.5 * gp[j].ravel())
+        # u_N and m_0 are data; m column c holds m_{c+1}.
+        put(j, j, eyedt + hjb_half)
+        put(j, N + j, coupling)
+        put(N + j, j, -0.5 * diffusion)
+        put(N + j, N + j, eyedt + fp_half)
+        if j + 1 <= N - 1:
+            put(j, j + 1, -eyedt + hjb_half)
+            put(N + j, j + 1, -0.5 * diffusion)
+        if j >= 1:
+            put(j, N + j - 1, coupling)
+            put(N + j, N + j - 1, -eyedt + fp_half)
+    return J

@@ -149,6 +149,7 @@ def test_solve_mfg_and_compare(tmp_path):
     payload = json.loads((out / "result.json").read_text())
     assert payload["problem"] == "equilibrium"
     assert payload["residual_inf"] <= 1e-10
+    assert payload["krylov_iterations"] >= payload["newton_iterations"] > 0
     assert payload["cost_identity_gap"] <= 1e-10
     assert (out / "m.field").exists()
 
@@ -219,6 +220,20 @@ def test_bifurcate_small_run(tmp_path):
     assert payload["mapped_back"]["residual_transport_inf"] <= 1e-8
     for fname in ("U.field", "M.field", "m.field", "u.field"):
         assert (out / fname).exists()
+
+
+def test_bifurcate_2d_reports_the_gap_above_the_kernel(tmp_path):
+    # In 2-D the kernel has dimension 4d = 8; the gap is the ninth value.
+    out = tmp_path / "bif2"
+    cfg = write_cfg(tmp_path, "b2.json", {
+        "bifurcation": {"fprime1": -6.0 * np.pi**2, "cubic": 1.0, "f1": 1.0,
+                        "dim": 2, "n": 8, "n_t": 8, "amplitudes": [1e-3]},
+        "output_dir": str(out),
+    })
+    assert run(["bifurcate", cfg]) == 0
+    payload = json.loads((out / "branch.json").read_text())
+    assert payload["kernel_dim"] == 8
+    assert payload["gap_singular_value"] >= 0.1
 
 
 def test_outputs_are_deterministic(tmp_path):

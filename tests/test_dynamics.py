@@ -1,20 +1,29 @@
 """Finite-horizon equilibrium and planner solvers."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
+import helpers
 from mfgkit import (
     Coupling,
     ModelError,
     SeparableHamiltonian,
     SolverError,
     SpaceTimeGrid,
+    SpatialTerm,
     TorusGrid,
     compare_equilibrium_vs_planner,
     compare_planner,
+    dynamics,
     solve_mfc,
     solve_mfg,
+    spectral,
 )
+from mfgkit.dynamics import _gmres, _System
 
 T = 0.25
 
@@ -152,3 +161,105 @@ def test_model_guards(sep_model, congestion_1d_model):
     st_per = SpaceTimeGrid(g, 8, T, periodic_time=True)
     with pytest.raises(ModelError, match="interval time axis"):
         solve_mfg(sep_model, st_per, m0, uT)
+
+
+def _system_case(shape, n_t, planner, seed=0):
+    """A _System on random data plus a random nearby state vector."""
+    rng = np.random.default_rng(seed)
+    sp = TorusGrid(shape)
+    model = SeparableHamiltonian(
+        Coupling(poly=(0.0, 0.5, 0.5), terms=(SpatialTerm(0.2, (1,) * len(shape)),))
+    )
+    m0 = 1.0 + spectral.random_band_limited(sp, rng, amplitude=0.3)
+    uT = spectral.random_band_limited(sp, rng, amplitude=0.3)
+    system = _System(model, sp, n_t, 0.5 / n_t, m0 / m0.mean(), uT, 0.7, planner)
+    K = sp.num_nodes
+    u = 0.3 * rng.standard_normal(n_t * K)
+    z = np.concatenate([u, 1.0 + 0.1 * rng.standard_normal(n_t * K)])
+    return system, z, rng
+
+
+CASES = [((16,), 8, False), ((16,), 8, True), ((8, 8), 4, False), ((8, 8), 4, True)]
+
+
+@pytest.mark.parametrize("shape, n_t, planner", CASES)
+def test_jacobian_action_matches_dense_oracle(shape, n_t, planner):
+    system, z, rng = _system_case(shape, n_t, planner)
+    J = helpers.dynamics_jacobian(system, z)
+    jvp = system.linearize(z)[0]
+    for _ in range(3):
+        dz = rng.standard_normal(z.size)
+        ref = J @ dz
+        assert np.max(np.abs(jvp(dz) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape, n_t, planner", CASES)
+def test_preconditioned_newton_step_matches_direct_solve(shape, n_t, planner):
+    system, z, _ = _system_case(shape, n_t, planner)
+    res = system.residual(z)
+    direct = splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-res)
+    jvp, means = system.linearize(z)
+    step, iterations = _gmres(jvp, system.preconditioner(*means), -res, "a test step")
+    assert 0 < iterations <= 40
+    assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
+
+
+def test_preconditioner_inverts_the_flat_jacobian():
+    # At a flat state with f = m the Jacobian has constant coefficients, so
+    # the preconditioner is its exact inverse.
+    system, _, rng = _system_case((8, 8), 4, False)
+    system.model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0)))
+    system.m0, system.uT = np.ones((8, 8)), np.zeros((8, 8))
+    z = np.concatenate([np.zeros(4 * 64), np.ones(4 * 64)])
+    J = helpers.dynamics_jacobian(system, z)
+    r = rng.standard_normal(z.size)
+    back = J @ system.preconditioner(1.0, 1.0)(r)
+    assert np.max(np.abs(back - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_krylov_iterations_are_recorded_per_newton_step(mfg_solved):
+    res, _ = mfg_solved
+    assert len(res.krylov_iterations) == res.newton_iterations == 3
+    assert all(0 < k <= 40 for k in res.krylov_iterations)
+
+
+def test_newton_counts_no_higher_than_direct_solves(sep_model):
+    # Counts of the direct-factorization solver on the same instances.
+    g = TorusGrid((16,))
+    m0, uT = perturbed_data(16)
+    for n_t, tol in ((8, 1e-10), (16, 1e-12), (128, 1e-12)):
+        res = solve_mfg(sep_model, SpaceTimeGrid(g, n_t, T), m0, uT, eps=1.0, tol=tol)
+        assert res.newton_iterations <= 3
+    res = solve_mfc(sep_model, SpaceTimeGrid(g, 8, T), m0, uT, eps=1.0, tol=1e-10)
+    assert res.newton_iterations <= 3
+
+
+def test_missed_krylov_tolerance_raises(sep_model, monkeypatch):
+    g = TorusGrid((16,))
+    st = SpaceTimeGrid(g, 8, T)
+    m0, uT = perturbed_data(16)
+    real_gmres = dynamics.sparse_linalg.gmres
+
+    def stalled_gmres(A, b, **kwargs):
+        x, info = real_gmres(A, b, **kwargs)
+        # The full Newton system has 2 N K unknowns; a sweep slab has 2 K.
+        return (0.5 * x, 5) if b.size == 2 * 8 * 16 else (x, info)
+
+    monkeypatch.setattr(dynamics.sparse_linalg, "gmres", stalled_gmres)
+    pattern = r"at Newton step 1: relative residual \S+ after \d+ iterations"
+    with pytest.raises(SolverError, match=pattern):
+        solve_mfg(sep_model, st, m0, uT)
+
+
+def test_2d_32_squared_solve_is_certified_quickly(sep_model):
+    sp = TorusGrid((32, 32))
+    x, y = sp.coords
+    m0 = 1.0 + 0.3 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+    uT = 0.2 * np.sin(2.0 * np.pi * (x + y))
+    start = time.perf_counter()
+    res = solve_mfg(sep_model, SpaceTimeGrid(sp, 8, 0.5), m0, uT, eps=0.5)
+    elapsed = time.perf_counter() - start
+    assert res.psi1_dm_inf <= 1e-7
+    assert res.psi2_du_inf <= 1e-7
+    assert res.picard_sweeps == 0
+    assert elapsed < 10.0
