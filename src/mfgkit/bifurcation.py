@@ -49,20 +49,29 @@ with kappa = sqrt(-4 pi^2 - f'(1)) / (2 pi).
 
 ``continue_branch`` follows the nontrivial branch by amplitude
 continuation: the state is pinned by <(U, M), z1> = a against a
-normalized kernel direction z1 and by orthogonality to the remaining
-kernel directions (which fixes the time/space translation phases), with
-T and Hbar unknown. The resulting overdetermined system is consistent
-(discrete translation equivariance is exact at band-limited amplitudes)
-and is solved by Gauss-Newton steps through an SVD least-squares solve.
+normalized kernel direction z1 and by orthogonality to the rest of the
+null space of G's linearization at the trivial state and T_bar (which
+fixes the time/space translation phases), with T and Hbar unknown. That
+null space is larger than A(T)'s kernel, because G's Laplacians are
+div(grad(.)) with the Nyquist zeroed: it adds the structural Nyquist
+modes and, in d >= 2, aliased copies of the kernel fields. The system is
+made square by Keller bordering: one unfolding parameter lam per null
+direction but z1, added to (G1, G2). Discrete translation equivariance
+makes the unbordered system consistent on resolved grids, so lam -> 0
+at the solution, and max |lam| is reported. Each Newton step is a GMRES
+solve with the Jacobian applied at FFT cost, preconditioned by the
+bordered linearization frozen at the trivial state: per-mode 2x2 blocks
+on the complement of the null space, closed by a small dense Schur
+complement (see :class:`_Branch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from ._newton_krylov import gmres, newton
 from .errors import CheckError, ModelError, PositivityError, SolverError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
@@ -224,58 +233,48 @@ def eval_g(state: PeriodicState, coupling: Coupling) -> float:
 # Linearized operator at the trivial branch.
 
 
-@lru_cache(maxsize=8)
-def _flat_operators(st: SpaceTimeGrid):
-    """Dense matrices (Dt, DG, D_i...) acting on flattened (n_t, *space)."""
-    sp = st.space
-    nt = st.n_t
-    K_sp = sp.num_nodes
-    Dt_small = np.zeros((nt, nt))
-    for j in range(nt):
-        e = np.zeros((nt,) + (1,) * sp.dim)
-        e[j] = 1.0
-        Dt_small[:, j] = spectral.time_derivative_periodic(st, e).reshape(nt)
-    eye_sp = np.eye(K_sp).reshape((K_sp,) + sp.shape)
-    DG_sp = spectral.div_grad(sp, eye_sp).reshape(K_sp, K_sp).T
-    grads = spectral.gradient(sp, eye_sp)
-    Dx_sp = tuple(grads[i].reshape(K_sp, K_sp).T for i in range(sp.dim))
-    I_t = np.eye(nt)
-    I_sp = np.eye(K_sp)
-    Dt = np.kron(Dt_small, I_sp)
-    DG = np.kron(I_t, DG_sp)
-    Dx = tuple(np.kron(I_t, D) for D in Dx_sp)
-    return Dt, DG, Dx
+def _mode_blocks(st: SpaceTimeGrid, T: float, fprime1: float, lam: np.ndarray) -> np.ndarray:
+    """T times the linearization of (G1, G2) at the trivial state, per mode.
+
+    Returns shape (n_t, *space, 2, 2), modes in FFT order: with lam the
+    per-mode eigenvalue of -Laplacian and i omega the d/dt symbol
+    (``time_derivative_symbol``, Nyquist zeroed), the Hermitian block
+    acting on the Fourier coefficients (v, mu) is
+
+        [[T lam,            i omega + T lam],
+         [-i omega + T lam, -T f'(1)       ]].
+    """
+    dt = st.time_derivative_symbol.reshape((-1,) + (1,) * st.space.dim)
+    blocks = np.empty(st.field_shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = T * lam
+    blocks[..., 0, 1] = dt + T * lam
+    blocks[..., 1, 0] = -dt + T * lam
+    blocks[..., 1, 1] = -T * fprime1
+    return blocks
 
 
 def _symbol_blocks(st: SpaceTimeGrid, T: float, fprime1: float) -> np.ndarray:
     """A(T) as one 2x2 Hermitian block per space-time Fourier mode.
 
-    Returns shape (n_t, *space, 2, 2), modes in FFT order. With lam the
-    Laplacian eigenvalue (``-space.laplacian_symbol``, Nyquist kept) and
-    i omega the d/dt symbol (``time_derivative_symbol``, Nyquist zeroed),
-    the block acting on the Fourier coefficients (v, mu) is
-
-        [[T lam,            i omega + T lam],
-         [-i omega + T lam, -T f'(1)       ]].
-
-    The coefficients c of f = sum c e^{2 pi i (n t + k.x)} are orthonormal
-    coordinates for mean(v1 v2) + mean(mu1 mu2) + l1 l2, so the block
-    eigenvalues over all modes are the eigenvalues of A(T). The constant
-    v is outside the domain; at the zero mode its slot carries the
+    These are the :func:`_mode_blocks` with lam = ``-space.laplacian_symbol``
+    (Nyquist kept). The coefficients c of f = sum c e^{2 pi i (n t + k.x)}
+    are orthonormal coordinates for mean(v1 v2) + mean(mu1 mu2) + l1 l2, so
+    the block eigenvalues over all modes are the eigenvalues of A(T). The
+    constant v is outside the domain; at the zero mode its slot carries the
     multiplier l instead, which gives the (l, mean-mu) block
     [[0, T c], [T c, -T f'(1)]].
     """
-    sp = st.space
-    lam = -sp.laplacian_symbol
-    dt = st.time_derivative_symbol.reshape((-1,) + (1,) * sp.dim)
-    blocks = np.empty((st.n_t,) + sp.shape + (2, 2), dtype=complex)
-    blocks[..., 0, 0] = T * lam
-    blocks[..., 0, 1] = dt + T * lam
-    blocks[..., 1, 0] = -dt + T * lam
-    blocks[..., 1, 1] = -T * fprime1
+    blocks = _mode_blocks(st, T, fprime1, -st.space.laplacian_symbol)
     Tc = T * ELL_SCALE
-    blocks[(0,) * (1 + sp.dim)] = [[0.0, Tc], [Tc, -T * fprime1]]
+    blocks[(0,) * (1 + st.space.dim)] = [[0.0, Tc], [Tc, -T * fprime1]]
     return blocks
+
+
+def _orthonormal_span(rows: np.ndarray, rank: int) -> np.ndarray:
+    """Euclidean-orthonormal basis, shape (rank, n), of the span of ``rows``
+    (which has that rank), from the leading eigenvectors of their Gram matrix."""
+    gram, W = np.linalg.eigh(rows @ rows.T)
+    return (W[:, -rank:] / np.sqrt(gram[-rank:])).T @ rows
 
 
 def _kept(st: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
@@ -383,8 +382,7 @@ def kernel_at(
         ],
         axis=1,
     )
-    gram, W = np.linalg.eigh(rows @ rows.T)
-    ortho = (W[:, kernel_dim:] / np.sqrt(gram[kernel_dim:])).T @ rows
+    ortho = _orthonormal_span(rows, kernel_dim)
     kernel_fields = [
         (r[:K].reshape(shape) * sqK, r[K : 2 * K].reshape(shape) * sqK, float(r[2 * K]))
         for r in ortho
@@ -491,11 +489,17 @@ def crossing_number(
 
 @dataclass
 class BranchPoint:
+    """One converged branch point with its solver record: Newton steps, GMRES
+    iterations per step, and the largest unfolding parameter |lambda|."""
+
     state: PeriodicState
     amplitude: float
     residual_inf: float
     kernel_energy_fraction: float
     dtM_over_M: float
+    newton_iterations: int
+    krylov_iterations: tuple[int, ...]
+    solvability_inf: float
 
 
 @dataclass
@@ -515,6 +519,164 @@ def _kernel_directions(st: SpaceTimeGrid, fprime1: float):
     return dirs
 
 
+class _Branch:
+    """The bordered continuation system at one pin amplitude.
+
+    The unknown z stacks (U, M) flattened (2K values), Hbar, T and the
+    unfolding parameters lam. The residual stacks
+
+        (G1, G2) + sum_j lam_j q_j,      <(U, M), b> - target  for b in rows,
+
+    with <x, y> = mean(x_U y_U) + mean(x_M y_M), rows = (mass, z1, q_1, ...)
+    and target a at z1, 0 elsewhere. The fields z1, q_j are an orthonormal
+    basis of the null space of the (U, M) linearization frozen at the
+    trivial state and T_bar (see :func:`_frozen_inverse`), z1 the pinned
+    kernel direction. That null space holds the 4d kernel fields, the
+    structural modes whose U column and G1 row vanish identically (every
+    k_i and omega at 0 or Nyquist), and, where the Nyquist-zeroed div-grad
+    symbol aliases them, copies of the kernel fields. Bordering all but z1
+    makes the system square and regular; T closes the z1 row.
+    """
+
+    def __init__(self, coupling: Coupling, st: SpaceTimeGrid):
+        self.coupling = coupling
+        self.st = st
+        self.K = K = st.n_t * st.space.num_nodes
+        fprime1 = _fprime1(coupling)
+        self.pinv, null = _frozen_inverse(st, fprime1)
+        v, mu = _kernel_directions(st, fprime1)[0]
+        z1 = np.concatenate([v.ravel(), mu.ravel()])
+        sqK = np.sqrt(K)
+        q = _orthonormal_span((null - np.outer(null @ z1 / K, z1)) / sqK, len(null) - 1) * sqK
+        self.psi = np.vstack([z1, q])
+        self.rows = np.vstack([np.concatenate([np.zeros(K), np.ones(K)]), self.psi])
+        self.target = np.zeros(len(self.rows))
+
+    def split(self, z):
+        """z -> (U, M, Hbar, T, lam)."""
+        K, shape = self.K, self.st.field_shape
+        U, M = z[:K].reshape(shape), z[K : 2 * K].reshape(shape)
+        return U, M, z[2 * K], z[2 * K + 1], z[2 * K + 2 :]
+
+    def unbordered(self, z):
+        """(G1, G2) flattened and the border rows, without lam."""
+        U, M, Hbar, T, _ = self.split(z)
+        G1, G2 = _residual(self.st, self.coupling, U, M, Hbar, T)
+        border = self.rows @ z[: 2 * self.K] / self.K - self.target
+        return np.concatenate([G1.ravel(), G2.ravel()]), border
+
+    def residual(self, z):
+        G, border = self.unbordered(z)
+        return np.concatenate([G + z[2 * self.K + 2 :] @ self.psi[1:], border])
+
+    def measure(self, z, res) -> float:
+        """Sup-norm of the unbordered rows at z; the bordered ``res`` is not
+        used, so lam never enters the convergence test."""
+        return float(max(np.max(np.abs(part)) for part in self.unbordered(z)))
+
+    def linearize(self, z):
+        """The derivative of :meth:`residual` at z as an action dz -> J dz,
+        and its T column for :meth:`preconditioner`."""
+        st, sp, K = self.st, self.st.space, self.K
+        U, M, _, T, _ = self.split(z)
+        gradU = spectral.gradient(sp, U)
+        fp = self.coupling._poly_val(1.0 + M, deriv=1)
+        t_col = np.concatenate(
+            [
+                -spectral.time_derivative_periodic(st, M).ravel(),
+                spectral.time_derivative_periodic(st, U).ravel(),
+            ]
+        ) / T**2
+
+        def jvp(dz):
+            dU, dM, dH, dT, dlam = self.split(dz)
+            gdU = spectral.gradient(sp, dU)
+            dG1 = (
+                spectral.time_derivative_periodic(st, dM) / T
+                - spectral.div_grad(sp, dM + dU)
+                - spectral.divergence(sp, dM * gradU + M * gdU)
+            )
+            dG2 = (
+                -spectral.time_derivative_periodic(st, dU) / T
+                - spectral.div_grad(sp, dU)
+                + np.sum(gradU * gdU, axis=0)
+                - fp * dM
+                + dH
+            )
+            dG = np.concatenate([dG1.ravel(), dG2.ravel()]) + dT * t_col + dlam @ self.psi[1:]
+            return np.concatenate([dG, self.rows @ dz[: 2 * K] / K])
+
+        return jvp, t_col
+
+    def apply_pinv(self, x):
+        """The frozen pseudo-inverse on stacked (U, M) vectors, shape (..., 2K)."""
+        shape = self.st.field_shape
+        axes = tuple(range(-len(shape), 0))
+        hat = np.fft.rfftn(x.reshape(x.shape[:-1] + (2,) + shape), axes=axes)
+        hat = np.sum(self.pinv * np.expand_dims(hat, -len(shape) - 2), axis=-len(shape) - 1)
+        return np.fft.irfftn(hat, s=shape, axes=axes).reshape(x.shape)
+
+    def preconditioner(self, t_col):
+        """Inverse of the bordered matrix whose (U, M) block is frozen at the
+        trivial state and T_bar, with this T column.
+
+        The frozen block A0 is inverted per mode on the complement of its
+        null space psi, so x = A0^+ (r - C y) + psi^T c, where C holds the
+        Hbar, T and lam columns and y their values. Solvability
+        psi (r - C y) = 0 and the border rows fix (y, c) by a dense
+        (2p + 1)-square Schur complement, p = len(psi).
+        """
+        K, psi, rows = self.K, self.psi, self.rows
+        p = len(psi)
+        cols = np.vstack([rows[0], t_col, psi[1:]])  # the Hbar column is the mass field
+        pcols = self.apply_pinv(cols)
+        schur = np.linalg.inv(
+            np.block(
+                [
+                    [psi @ cols.T / K, np.zeros((p, p))],
+                    [rows @ pcols.T / K, -rows @ psi.T / K],
+                ]
+            )
+        )
+
+        def apply(r):
+            a = self.apply_pinv(r[: 2 * K])
+            w = schur @ np.concatenate([psi @ r[: 2 * K] / K, rows @ a / K - r[2 * K :]])
+            y, c = w[: p + 1], w[p + 1 :]
+            return np.concatenate([a - y @ pcols + c @ psi, y])
+
+        return apply
+
+
+def _frozen_inverse(st: SpaceTimeGrid, fprime1: float):
+    """Per-mode pseudo-inverse and null space of the branch linearization
+    frozen at the trivial state and T_bar.
+
+    The blocks are :func:`_mode_blocks` with the Nyquist-zeroed div-grad
+    symbol, as in :func:`_residual`; eigenvalues of magnitude <= 1e-8
+    (T-scaled, the default ``sv_tol`` of :func:`kernel_at`) are the null
+    directions. Returns
+    the pseudo-inverse of the unscaled blocks, shape (2, 2, *half) on the
+    modes ``rfftn`` keeps, and the null space as an orthonormal basis of
+    (U, M) vectors, shape (p, 2K), for the mean inner product.
+    """
+    Tbar = critical_period(fprime1)
+    shape = st.field_shape
+    K = st.n_t * st.space.num_nodes
+    eigs, vecs = np.linalg.eigh(_mode_blocks(st, Tbar, fprime1, -st.space.divgrad_symbol))
+    zero = np.abs(eigs) <= 1e-8
+    inv = Tbar / np.where(zero, np.inf, eigs)
+    pinv = np.einsum("...ik,...k,...jk->ij...", vecs, inv, vecs.conj())
+    pinv = pinv[..., : shape[-1] // 2 + 1]
+    p = int(zero.sum())
+    coef = np.zeros((p, 2) + shape, dtype=complex)
+    coef[(np.arange(p), slice(None)) + np.nonzero(zero)[:-1]] = np.swapaxes(vecs, -1, -2)[zero]
+    fields = np.fft.ifftn(coef, axes=tuple(range(2, coef.ndim)), norm="forward")
+    # A mode and its conjugate repeat one real span: 2p rows of rank p.
+    rows = np.concatenate([fields.real, fields.imag]).reshape(2 * p, 2 * K)
+    return pinv, _orthonormal_span(rows / np.sqrt(K), p) * np.sqrt(K)
+
+
 def continue_branch(
     coupling: Coupling,
     st: SpaceTimeGrid,
@@ -524,119 +686,63 @@ def continue_branch(
 ) -> BifurcationBranch:
     """Follow the nontrivial periodic branch at the given pin amplitudes.
 
-    Amplitudes must be positive and are processed in the given order;
-    each solution warm-starts the next. Raises
-    :class:`~mfgkit.errors.SolverError` if Gauss-Newton stalls.
+    Amplitudes must be positive, at least one, and are processed in the
+    given order; each solution warm-starts the next. Each point solves the
+    bordered system of :class:`_Branch` by damped Newton with GMRES steps,
+    preconditioned by the bordered frozen linearization; it has converged
+    when the unbordered rows (G1, G2, mass, pin, orthogonality) are below
+    ``tol`` in sup-norm. Raises :class:`~mfgkit.errors.SolverError` if
+    Newton stalls or a GMRES solve misses its tolerance.
     """
-    fprime1 = _fprime1(coupling)
-    Tbar = critical_period(fprime1)
-    sp = st.space
-    K = st.n_t * sp.num_nodes
-    shape = st.field_shape
-    dirs = _kernel_directions(st, fprime1)
-    z1 = dirs[0]
-    others = dirs[1:]
-
-    Dt, DG, Dx = _flat_operators(st)
-
-    def residual_vec(U, M, Hbar, T, a):
-        G1, G2 = _residual(st, coupling, U, M, Hbar, T)
-        rows = [G1.ravel(), G2.ravel()]
-        rows.append([float(M.mean())])
-        rows.append([float(U.mean())])
-        pin = float(np.mean(U * z1[0]) + np.mean(M * z1[1])) - a
-        rows.append([pin])
-        for v, mu in others:
-            rows.append([float(np.mean(U * v) + np.mean(M * mu))])
-        return np.concatenate(rows), G1, G2
-
-    def jacobian(U, M, Hbar, T):
-        gradU = spectral.gradient(sp, U)
-        Mf = M.ravel()
-        fp = coupling._poly_val(1.0 + M, deriv=1).ravel()
-        adv_M = sum(Dx[i] * gradU[i].ravel()[None, :] for i in range(sp.dim))
-        diff_M = sum(Dx[i] @ (Mf[:, None] * Dx[i]) for i in range(sp.dim))
-        transp = sum(gradU[i].ravel()[:, None] * Dx[i] for i in range(sp.dim))
-        G1_U = -DG - diff_M
-        G1_M = Dt / T - DG - adv_M
-        G2_U = -Dt / T - DG + transp
-        G2_M = -np.diag(fp)
-        n_rows = 2 * K + 3 + len(others)
-        J = np.zeros((n_rows, 2 * K + 2))
-        J[:K, :K] = G1_U
-        J[:K, K : 2 * K] = G1_M
-        J[:K, 2 * K + 1] = (-spectral.time_derivative_periodic(st, M) / T**2).ravel()
-        J[K : 2 * K, :K] = G2_U
-        J[K : 2 * K, K : 2 * K] = G2_M
-        J[K : 2 * K, 2 * K] = 1.0
-        J[K : 2 * K, 2 * K + 1] = (
-            spectral.time_derivative_periodic(st, U) / T**2
-        ).ravel()
-        row = 2 * K
-        J[row, K : 2 * K] = 1.0 / K  # mass row
-        J[row + 1, :K] = 1.0 / K  # mean-U row
-        J[row + 2, :K] = z1[0].ravel() / K
-        J[row + 2, K : 2 * K] = z1[1].ravel() / K
-        for i, (v, mu) in enumerate(others):
-            J[row + 3 + i, :K] = v.ravel() / K
-            J[row + 3 + i, K : 2 * K] = mu.ravel() / K
-        return J
-
-    points: list[BranchPoint] = []
-    U = np.zeros(shape)
-    M = np.zeros(shape)
-    Hbar = 0.0
-    T = Tbar
-    prev_a = None
+    amplitudes = [float(a) for a in amplitudes]
+    if not amplitudes:
+        raise ModelError("amplitudes must hold at least one value")
     for a in amplitudes:
         if not a > 0.0:
             raise ModelError(f"amplitudes must be positive, got {a}")
-        if prev_a is None:
-            U = a * z1[0]
-            M = a * z1[1]
-        else:
-            scale = a / prev_a
-            U = U * scale
-            M = M * scale
-        rho, G1, G2 = residual_vec(U, M, Hbar, T, a)
-        rnorm = float(np.linalg.norm(rho))
-        converged = False
-        for _ in range(max_newton):
-            res_inf = max(
-                float(np.max(np.abs(G1))),
-                float(np.max(np.abs(G2))),
-                float(np.max(np.abs(rho[2 * K :]))),
-            )
-            if res_inf <= tol:
-                converged = True
-                break
-            J = jacobian(U, M, Hbar, T)
-            step, *_ = np.linalg.lstsq(J, -rho, rcond=1e-12)
-            scale = 1.0
-            while scale >= 2.0**-30:
-                U_try = U + scale * step[:K].reshape(shape)
-                M_try = M + scale * step[K : 2 * K].reshape(shape)
-                H_try = Hbar + scale * float(step[2 * K])
-                T_try = T + scale * float(step[2 * K + 1])
-                if T_try > 0.0 and float(M_try.min()) > -1.0:
-                    rho_try, G1_try, G2_try = residual_vec(U_try, M_try, H_try, T_try, a)
-                    if float(np.linalg.norm(rho_try)) <= (1.0 - 1e-4 * scale) * rnorm:
-                        break
-                scale *= 0.5
-            else:
+    fprime1 = _fprime1(coupling)
+    Tbar = critical_period(fprime1)
+    system = _Branch(coupling, st)
+    K = system.K
+    dirs = _kernel_directions(st, fprime1)
+
+    def feasible(z):
+        return z[2 * K + 1] > 0.0 and float(z[K : 2 * K].min()) > -1.0
+
+    points: list[BranchPoint] = []
+    z = np.concatenate([np.zeros(2 * K), [0.0, Tbar], np.zeros(len(system.psi) - 1)])
+    prev_a = None
+    for a in amplitudes:
+        x = system.psi[0] * a if prev_a is None else z[: 2 * K] * (a / prev_a)
+        z = np.concatenate([x, z[2 * K :]])
+        system.target[1] = a
+        krylov: list[int] = []
+
+        def direction(z, res):
+            if float(np.max(np.abs(res))) <= tol:
                 raise SolverError(
-                    f"branch continuation stalled at amplitude {a:g} "
-                    f"(residual {rnorm:.3e})"
+                    f"the branch equations are not solvable to {tol:g} on grid {st.field_shape} "
+                    f"at amplitude {a:g}: the bordered system is solved, but the unfolding "
+                    f"parameters reach {np.max(np.abs(system.split(z)[4])):.3e} and the "
+                    f"residual stays at {system.measure(z, res):.3e}; the grid does not resolve "
+                    f"the branch"
                 )
-            U, M, Hbar, T = U_try, M_try, H_try, T_try
-            rho, G1, G2 = rho_try, G1_try, G2_try
-            rnorm = float(np.linalg.norm(rho))
-        if not converged:
+            jvp, t_col = system.linearize(z)
+            where = f"Newton step {len(krylov) + 1} at amplitude {a:g}"
+            delta, k = gmres(jvp, system.preconditioner(t_col), -res, where)
+            krylov.append(k)
+            return delta
+
+        z, res_inf, steps, ok = newton(
+            system.residual, direction, z, tol, max_newton, [], feasible, system.measure
+        )
+        if not ok:
             raise SolverError(
                 f"branch continuation did not converge at amplitude {a:g} "
-                f"(residual {rnorm:.3e})"
+                f"(residual {res_inf:.3e} after {steps} Newton steps)"
             )
-        state = PeriodicState(st, U - U.mean(), M, Hbar=Hbar, T=T)
+        U, M, Hbar, T, lam = system.split(z)
+        state = PeriodicState(st, U - U.mean(), M, Hbar=float(Hbar), T=float(T))
         energy = float(np.mean(U * U) + np.mean(M * M))
         span = sum(
             float(np.mean(U * v) + np.mean(M * mu)) ** 2 for v, mu in dirs
@@ -645,18 +751,16 @@ def continue_branch(
         ratio = float(
             np.sqrt(np.mean(dtM * dtM)) / max(np.sqrt(np.mean(M * M)), 1e-300)
         )
-        res_inf = max(
-            float(np.max(np.abs(G1))),
-            float(np.max(np.abs(G2))),
-            float(np.max(np.abs(rho[2 * K :]))),
-        )
         points.append(
             BranchPoint(
                 state=state,
-                amplitude=float(a),
+                amplitude=a,
                 residual_inf=res_inf,
                 kernel_energy_fraction=span / energy if energy > 0 else 0.0,
                 dtM_over_M=ratio,
+                newton_iterations=steps,
+                krylov_iterations=tuple(krylov),
+                solvability_inf=float(np.max(np.abs(lam))),
             )
         )
         prev_a = a

@@ -279,6 +279,9 @@ def cmd_bifurcate(cfg, out_dir):
                 "residual_inf": p.residual_inf,
                 "dtM_over_M": p.dtM_over_M,
                 "kernel_energy_fraction": p.kernel_energy_fraction,
+                "newton_iterations": p.newton_iterations,
+                "krylov_iterations": p.krylov_iterations,
+                "solvability_inf": p.solvability_inf,
             }
             for p in branch.points
         ],

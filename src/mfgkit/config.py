@@ -321,6 +321,8 @@ def bifurcation_settings(cfg: dict) -> dict:
         "spectrum_points": int(bcfg.get("spectrum_points", 9)),
         "spectrum_halfwidth": float(bcfg.get("spectrum_halfwidth", 0.1)),
     }
+    if not out["amplitudes"]:
+        raise ConfigError("'bifurcation.amplitudes' must hold at least one value")
     if out["spectrum_points"] < 2:
         raise ConfigError("'bifurcation.spectrum_points' must be >= 2")
     if not 0.0 < out["spectrum_halfwidth"] < 1.0:

@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as sparse_linalg
 
+from ._newton_krylov import gmres, newton
 from .errors import ModelError, SolverError
 from .grids import SpaceTimeGrid
 from . import spectral
@@ -46,11 +46,6 @@ from .functionals import GameState, psi1, psi2
 from .hamiltonians import QuadraticKinetic, SeparableHamiltonian
 
 __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_planner"]
-
-# GMRES stops at ||A x - b|| <= KRYLOV_RTOL ||b||: tight enough for Newton to take
-# a direct solve's steps, above the FFT matvec's roundoff floor (~1e-12 at n = 64).
-KRYLOV_RTOL = 1e-10
-
 
 @dataclass
 class SolveResult:
@@ -72,50 +67,6 @@ def _check_model(model) -> None:
         raise ModelError("the finite-horizon solvers need a separable model")
     if not isinstance(model.kinetic, QuadraticKinetic):
         raise ModelError("the Newton path supports the quadratic kinetic part only")
-
-
-def _gmres(matvec, precond, rhs, where: str):
-    """Solve matvec(x) = rhs by preconditioned GMRES to KRYLOV_RTOL; returns
-    (x, iterations), or raises SolverError naming ``where``."""
-    n = rhs.size
-    residuals = []
-    x, info = sparse_linalg.gmres(
-        sparse_linalg.LinearOperator((n, n), matvec=matvec), rhs,
-        M=sparse_linalg.LinearOperator((n, n), matvec=precond), rtol=KRYLOV_RTOL, atol=0.0,
-        restart=40, maxiter=5, callback=residuals.append, callback_type="pr_norm",
-    )
-    if info != 0:
-        rel = float(np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs))
-        raise SolverError(
-            f"GMRES missed its relative tolerance {KRYLOV_RTOL:.0e} at {where}: "
-            f"relative residual {rel:.3e} after {len(residuals)} iterations"
-        )
-    return x, len(residuals)
-
-
-def _newton(residual, direction, z, tol: float, budget: int, history: list):
-    """Damped Newton on residual(z) = 0 along direction(z, res), Armijo on |res|^2;
-    appends step sup-norms to ``history``, returns (z, sup-norm, steps, converged)."""
-    res = residual(z)
-    rn = float(np.max(np.abs(res)))
-    for it in range(1, budget + 1):
-        if rn <= tol:
-            return z, rn, it - 1, True
-        delta = direction(z, res)
-        phi0 = float(res @ res)
-        step = 1.0
-        while step >= 1e-6:
-            z_try = z + step * delta
-            res_try = residual(z_try)
-            if float(res_try @ res_try) <= (1.0 - 1e-4 * step) * phi0:
-                break
-            step *= 0.5
-        else:
-            return z, rn, it, False
-        z, res = z_try, res_try
-        rn = float(np.max(np.abs(res)))
-        history.append(rn)
-    return z, rn, budget, rn <= tol
 
 
 class _System:
@@ -253,13 +204,13 @@ class _System:
             where = f"slab {j} of the {('backward', 'forward')[half]} sweep"
 
             def direction(z, res):
-                return _gmres(restrict(slab.linearize(z)[0]), precond, -res, where)[0]
+                return gmres(restrict(slab.linearize(z)[0]), precond, -res, where)[0]
 
             if half == 0:
                 u[j] = u[j + 1]
             start = slab.pack(u[j : j + 2], m[j : j + 2])
             residual = lambda z: np.where(frozen, 0.0, slab.residual(z))  # noqa: E731
-            u_slab, m_slab = slab.fields(_newton(residual, direction, start, tol, 30, [])[0])
+            u_slab, m_slab = slab.fields(newton(residual, direction, start, tol, 30, [])[0])
             u[j], m[j + 1] = u_slab[0], m_slab[1]
         return self.pack(u, m)
 
@@ -292,11 +243,11 @@ def _solve(
     def direction(z, res):
         jvp, means = sys.linearize(z)
         where = f"Newton step {len(krylov) + 1}"
-        delta, k = _gmres(jvp, sys.preconditioner(*means), -res, where)
+        delta, k = gmres(jvp, sys.preconditioner(*means), -res, where)
         krylov.append(k)
         return delta
 
-    z, rn, iters, ok = _newton(sys.residual, direction, z, tol, max_newton, history)
+    z, rn, iters, ok = newton(sys.residual, direction, z, tol, max_newton, history)
     if not ok:
         # Relaxed fixed-point sweeps to re-seed Newton.
         relax = 0.5
@@ -306,7 +257,7 @@ def _solve(
             z = (1.0 - relax) * z + relax * z_new
             if float(np.max(np.abs(z_new - z)[sys.N * sys.K :])) < 1e-10:
                 break
-        z, rn, more, ok = _newton(sys.residual, direction, z, tol, max_newton, history)
+        z, rn, more, ok = newton(sys.residual, direction, z, tol, max_newton, history)
         iters += more
     if not ok:
         raise SolverError(

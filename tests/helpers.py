@@ -4,18 +4,20 @@ Everything here is deliberately independent of the library internals:
 finite differences, grid-search Legendre/Fenchel oracles, and the
 model functions restated from their definitions so library values can
 be checked against a second implementation. The dense linearized
-periodic operator and the dense finite-horizon Jacobian at the end are
-the small-grid oracles for the spectral-block path of
-``mfgkit.bifurcation`` and the matrix-free Newton-Krylov path of
-``mfgkit.dynamics``; both are built from dense matrices of the grid
-operators of ``mfgkit.spectral``.
+periodic operator, the dense finite-horizon Jacobian and the dense
+branch Jacobian at the end are the small-grid oracles for the
+spectral-block path of ``mfgkit.bifurcation`` and the matrix-free
+Newton-Krylov paths of ``mfgkit.dynamics`` and ``continue_branch``; all
+are built from dense matrices of the grid operators of
+``mfgkit.spectral``.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
 
-from mfgkit import spectral
+from mfgkit import bifurcation, spectral
 from mfgkit.bifurcation import ELL_SCALE
 
 
@@ -265,3 +267,142 @@ def dynamics_jacobian(system, z):
             put(j, N + j - 1, coupling)
             put(N + j, N + j - 1, -eyedt + fp_half)
     return J
+
+
+@lru_cache(maxsize=4)
+def branch_flat_operators(st):
+    """Dense matrices (Dt, DG, D_i...) acting on flattened (n_t, *space)."""
+    sp = st.space
+    nt = st.n_t
+    K_sp = sp.num_nodes
+    Dt_small = np.zeros((nt, nt))
+    for j in range(nt):
+        e = np.zeros((nt,) + (1,) * sp.dim)
+        e[j] = 1.0
+        Dt_small[:, j] = spectral.time_derivative_periodic(st, e).reshape(nt)
+    eye_sp = np.eye(K_sp).reshape((K_sp,) + sp.shape)
+    DG_sp = spectral.div_grad(sp, eye_sp).reshape(K_sp, K_sp).T
+    grads = spectral.gradient(sp, eye_sp)
+    Dx_sp = tuple(grads[i].reshape(K_sp, K_sp).T for i in range(sp.dim))
+    I_t = np.eye(nt)
+    I_sp = np.eye(K_sp)
+    Dt = np.kron(Dt_small, I_sp)
+    DG = np.kron(I_t, DG_sp)
+    Dx = tuple(np.kron(I_t, D) for D in Dx_sp)
+    return Dt, DG, Dx
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1)
+    )
+
+
+def branch_null_fields(st, fprime1):
+    """Closed-form null space of the branch linearization at the trivial
+    state and T_bar, as (v, mu) pairs normalized for mean(v v) + mean(mu mu),
+    the continuation direction first.
+
+    Each analytic kernel field along axis i, times the Nyquist sign pattern
+    (-1)^j of every subset of the other space axes (the empty subset gives
+    the field itself, the others its copies that the Nyquist-zeroed div-grad
+    symbol aliases to it); then the U-only sign pattern of every subset of
+    (t, x_1, ..., x_d), on which the U column and G1 row vanish.
+    """
+    dim = st.space.dim
+    signs = [(-1.0) ** j for j in np.indices(st.field_shape)]
+
+    def pattern(axes):
+        return np.prod([signs[k] for k in axes], axis=0) if axes else np.ones(st.field_shape)
+
+    pairs = []
+    for i, (v, mu) in enumerate(bifurcation.analytic_kernel_fields(st, fprime1)):
+        others = [1 + k for k in range(dim) if k != i // 4]
+        pairs += [(v * pattern(sub), mu * pattern(sub)) for sub in _subsets(others)]
+    pairs += [(pattern(sub), np.zeros(st.field_shape)) for sub in _subsets(range(dim + 1))]
+    out = []
+    for v, mu in pairs:
+        nrm = np.sqrt(float(np.mean(v * v) + np.mean(mu * mu)))
+        out.append((v / nrm, mu / nrm))
+    return out
+
+
+def branch_residual(st, coupling, U, M, Hbar, T, a, dirs):
+    """Unbordered branch rows: G1, G2, mass, pin at amplitude a against
+    dirs[0], orthogonality to dirs[1:]."""
+    G1, G2 = bifurcation._residual(st, coupling, U, M, Hbar, T)
+    rows = [G1.ravel(), G2.ravel(), [float(M.mean())]]
+    rows.append([float(np.mean(U * dirs[0][0]) + np.mean(M * dirs[0][1])) - a])
+    for v, mu in dirs[1:]:
+        rows.append([float(np.mean(U * v) + np.mean(M * mu))])
+    return np.concatenate(rows)
+
+
+def branch_jacobian(st, coupling, U, M, T, dirs):
+    """Dense Jacobian of :func:`branch_residual` in (U, M, Hbar, T)."""
+    sp = st.space
+    K = st.n_t * sp.num_nodes
+    Dt, DG, Dx = branch_flat_operators(st)
+    gradU = spectral.gradient(sp, U)
+    Mf = M.ravel()
+    fp = coupling._poly_val(1.0 + M, deriv=1).ravel()
+    adv_M = sum(Dx[i] * gradU[i].ravel()[None, :] for i in range(sp.dim))
+    diff_M = sum(Dx[i] @ (Mf[:, None] * Dx[i]) for i in range(sp.dim))
+    transp = sum(gradU[i].ravel()[:, None] * Dx[i] for i in range(sp.dim))
+    J = np.zeros((2 * K + 1 + len(dirs), 2 * K + 2))
+    J[:K, :K] = -DG - diff_M
+    J[:K, K : 2 * K] = Dt / T - DG - adv_M
+    J[:K, 2 * K + 1] = (-spectral.time_derivative_periodic(st, M) / T**2).ravel()
+    J[K : 2 * K, :K] = -Dt / T - DG + transp
+    J[K : 2 * K, K : 2 * K] = -np.diag(fp)
+    J[K : 2 * K, 2 * K] = 1.0
+    J[K : 2 * K, 2 * K + 1] = (spectral.time_derivative_periodic(st, U) / T**2).ravel()
+    row = 2 * K
+    J[row, K : 2 * K] = 1.0 / K  # mass row
+    for i, (v, mu) in enumerate(dirs):
+        J[row + 1 + i, :K] = v.ravel() / K
+        J[row + 1 + i, K : 2 * K] = mu.ravel() / K
+    return J
+
+
+def dense_branch(coupling, st, amplitudes, tol=1e-12, max_newton=80):
+    """Reference continuation: Gauss-Newton on the overdetermined unbordered
+    rows, orthogonal to the whole :func:`branch_null_fields` span but the
+    pin, with min-norm ``lstsq`` steps. Returns (U, M, Hbar, T) per amplitude."""
+    fprime1 = float(coupling._poly_val(1.0, deriv=1))
+    dirs = branch_null_fields(st, fprime1)
+    K = st.n_t * st.space.num_nodes
+    shape = st.field_shape
+    U, M = np.zeros(shape), np.zeros(shape)
+    Hbar, T = 0.0, bifurcation.critical_period(fprime1)
+    out, prev = [], None
+    for a in amplitudes:
+        if prev is None:
+            U, M = a * dirs[0][0], a * dirs[0][1]
+        else:
+            U, M = U * (a / prev), M * (a / prev)
+        rho = branch_residual(st, coupling, U, M, Hbar, T, a, dirs)
+        for _ in range(max_newton):
+            if np.max(np.abs(rho)) <= tol:
+                break
+            J = branch_jacobian(st, coupling, U, M, T, dirs)
+            step = np.linalg.lstsq(J, -rho, rcond=1e-12)[0]
+            scale = 1.0
+            while True:
+                trial = (
+                    U + scale * step[:K].reshape(shape),
+                    M + scale * step[K : 2 * K].reshape(shape),
+                    Hbar + scale * step[2 * K],
+                    T + scale * step[2 * K + 1],
+                )
+                rho_try = branch_residual(st, coupling, *trial, a, dirs)
+                if np.linalg.norm(rho_try) <= (1.0 - 1e-4 * scale) * np.linalg.norm(rho):
+                    break
+                scale *= 0.5
+                assert scale >= 2.0**-30, "dense reference stalled"
+            (U, M, Hbar, T), rho = trial, rho_try
+        else:
+            raise AssertionError("dense reference did not converge")
+        out.append((U, M, Hbar, T))
+        prev = a
+    return out

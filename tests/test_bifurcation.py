@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import helpers
-from mfgkit import CheckError, ModelError, PositivityError, bifurcation as bf
+from mfgkit import CheckError, ModelError, PositivityError, SolverError, _newton_krylov, spectral
+from mfgkit import bifurcation as bf
 from conftest import FPRIME1
 
 TBAR = 0.22507907903927651
@@ -217,6 +218,9 @@ def test_branch_points_certify(branch3, periodic_setup):
         assert p.residual_inf <= 1e-10
         assert p.dtM_over_M >= 0.1
         assert p.dtM_over_M == pytest.approx(2.0 * np.pi, rel=1e-2)
+        assert p.newton_iterations == len(p.krylov_iterations) > 0
+        assert all(0 < k <= 40 for k in p.krylov_iterations)
+        assert p.solvability_inf <= 1e-12
     dT = [abs(p.state.T - TBAR) for p in branch.points]
     assert dT[0] < dT[1] < dT[2]
     # Quadratic tangency: dT scales like amplitude squared.
@@ -259,3 +263,138 @@ def test_x_dependent_coupling_rejected(periodic_setup):
     state = bf.PeriodicState(st, z, z, Hbar=0.0, T=TBAR)
     with pytest.raises(ModelError, match="x-independent"):
         bf.eval_G(state, bad)
+
+
+def _flat(U, M):
+    return np.concatenate([U.ravel(), M.ravel()])
+
+
+def test_frozen_null_space_is_the_closed_form_span():
+    # One rule (null vectors of the frozen per-mode blocks) gives the kernel
+    # fields, the structural Nyquist modes and, in 2-D and 3-D, the aliased
+    # copies: 4d + 2^(d+1) + aliased = 8, 24 and 64 directions.
+    for (dim, n, n_t), count in [((1, 16, 16), 8), ((2, 8, 8), 24), ((3, 4, 4), 64)]:
+        st = bf.periodic_grid(dim, n, n_t)
+        system = bf._Branch(bf.default_periodic_coupling(FPRIME1), st)
+        K = system.K
+        closed = np.array([_flat(v, mu) for v, mu in helpers.branch_null_fields(st, FPRIME1)])
+        assert closed.shape[0] == system.psi.shape[0] == count
+        assert np.max(np.abs(system.psi @ system.psi.T / K - np.eye(count))) <= 1e-12
+        assert np.max(np.abs(system.psi[0] - closed[0])) == 0.0
+        outside = closed - (closed @ system.psi.T / K) @ system.psi
+        assert np.max(np.abs(outside)) <= 1e-12
+
+
+def _random_branch_state(system, rng, a=0.01):
+    sp = system.st.space
+    dx = np.concatenate(
+        [spectral.random_band_limited(sp, rng).ravel() for _ in range(2 * system.st.n_t)]
+    )
+    x = a * system.psi[0] + 1e-3 * (dx - dx.mean())
+    return np.concatenate([x, [0.02, 1.01 * TBAR], 1e-3 * rng.standard_normal(len(system.psi) - 1)])
+
+
+@pytest.mark.parametrize("dim, n, n_t", [(1, 16, 16), (2, 8, 8)])
+def test_branch_jacobian_action_matches_dense_oracle(dim, n, n_t, periodic_setup):
+    _, coupling = periodic_setup
+    st = bf.periodic_grid(dim, n, n_t)
+    system = bf._Branch(coupling, st)
+    K = system.K
+    rng = np.random.default_rng(3)
+    z = _random_branch_state(system, rng)
+    U, M, _, T, _ = system.split(z)
+    dense = helpers.branch_jacobian(
+        st, coupling, U, M, T, helpers.branch_null_fields(st, FPRIME1)
+    )
+    dz = rng.standard_normal(z.size)
+    dz[2 * K + 2 :] = 0.0
+    jvp, t_col = system.linearize(z)
+    # Rows G1, G2, mass and pin; the remaining oracle rows span the same
+    # null space as the library's orthogonality rows in another basis.
+    got = jvp(dz)[: 2 * K + 2]
+    want = (dense @ dz[: 2 * K + 2])[: 2 * K + 2]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.max(np.abs(t_col - dense[: 2 * K, 2 * K + 1])) == 0.0
+
+
+def test_bordered_newton_step_matches_direct_solve(periodic_setup):
+    _, coupling = periodic_setup
+    st = bf.periodic_grid(1, 16, 16)
+    system = bf._Branch(coupling, st)
+    system.target[1] = 0.01
+    K = system.K
+    z = _random_branch_state(system, np.random.default_rng(5))
+    U, M, _, T, _ = system.split(z)
+    dense = helpers.branch_jacobian(
+        st, coupling, U, M, T, helpers.branch_null_fields(st, FPRIME1)
+    )
+    bordered = np.zeros((z.size, z.size))
+    bordered[: 2 * K, : 2 * K + 2] = dense[: 2 * K]
+    bordered[: 2 * K, 2 * K + 2 :] = system.psi[1:].T
+    bordered[2 * K :, : 2 * K] = system.rows / K
+    res = system.residual(z)
+    direct = np.linalg.solve(bordered, -res)
+    jvp, t_col = system.linearize(z)
+    step, iterations = _newton_krylov.gmres(jvp, system.preconditioner(t_col), -res, "a test step")
+    assert 0 < iterations <= 40
+    assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("dim, n, n_t", [(1, 16, 16), (1, 24, 24), (2, 8, 8)])
+def test_branch_points_match_dense_reference(dim, n, n_t, periodic_setup):
+    _, coupling = periodic_setup
+    st = bf.periodic_grid(dim, n, n_t)
+    amplitudes = (0.004, 0.012)
+    reference = helpers.dense_branch(coupling, st, amplitudes)
+    branch = bf.continue_branch(coupling, st, amplitudes)
+    for (U, M, Hbar, T), p in zip(reference, branch.points):
+        assert abs(p.state.T - T) <= 1e-10
+        assert abs(p.state.Hbar - Hbar) <= 1e-10
+        assert abs(np.max(np.abs(p.state.U)) - np.max(np.abs(U))) <= 1e-10
+        assert abs(np.max(np.abs(p.state.M)) - np.max(np.abs(M))) <= 1e-10
+        assert np.max(np.abs(p.state.U - U)) <= 1e-10
+        assert np.max(np.abs(p.state.M - M)) <= 1e-10
+
+
+def test_period_curvature_is_grid_independent():
+    # (T - T_bar) / a^2 -> T_2 ~ 0.0304526 for f'(1) = -6 pi^2, cubic 1, f1 = 0.
+    # One ulp of T is 4.4e-12 in this ratio at a = 0.0025, and Newton steps at
+    # the roundoff floor move T by several ulps on either grid: the dense
+    # lstsq reference differs by 2.1e-10 between n = 16 and 24 there.
+    coupling = bf.default_periodic_coupling(FPRIME1, cubic=1.0, f1=0.0)
+    ratios = {}
+    for n in (16, 24):
+        branch = bf.continue_branch(coupling, bf.periodic_grid(1, n, n), (0.0025, 0.01))
+        ratios[n] = [(p.state.T - TBAR) / p.amplitude**2 for p in branch.points]
+    assert abs(ratios[16][0] - ratios[24][0]) <= 1e-9
+    assert abs(ratios[16][1] - ratios[24][1]) <= 1e-10
+    assert abs(ratios[16][0] - 0.03045271) <= 1e-8
+    assert abs(ratios[24][0] - 0.03045271) <= 1e-8
+
+
+def test_2d_16_squared_branch_certifies_quickly(periodic_setup):
+    _, coupling = periodic_setup
+    start = time.perf_counter()
+    branch = bf.continue_branch(coupling, bf.periodic_grid(2, 16, 8), (0.005, 0.01, 0.02))
+    elapsed = time.perf_counter() - start
+    for p in branch.points:
+        assert p.residual_inf <= 1e-12
+        assert p.solvability_inf <= 1e-12
+    assert elapsed < 10.0
+
+
+def test_unresolved_branch_raises_a_solvability_error(periodic_setup):
+    # On n = 4 the products of first harmonics land on the Nyquist mode,
+    # where the derivatives vanish: the bordered system is solved with
+    # nonzero unfolding parameters, and no unbordered solution exists.
+    _, coupling = periodic_setup
+    with pytest.raises(SolverError, match="unfolding parameters reach .* does not resolve"):
+        bf.continue_branch(coupling, bf.periodic_grid(1, 4, 4), (0.005,))
+
+
+def test_branch_amplitudes_validated(periodic_setup):
+    st, coupling = periodic_setup
+    with pytest.raises(ModelError, match="at least one"):
+        bf.continue_branch(coupling, st, [])
+    with pytest.raises(ModelError, match="positive"):
+        bf.continue_branch(coupling, st, (1e-3, -1e-3))

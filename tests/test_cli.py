@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -245,6 +246,43 @@ def test_outputs_are_deterministic(tmp_path):
         paths.append(out)
     for fname in ("result.json", "m.field", "u.field"):
         assert (paths[0] / fname).read_bytes() == (paths[1] / fname).read_bytes()
+
+
+BIF_CFG = {"fprime1": -6.0 * np.pi**2, "cubic": 1.0, "f1": 1.0,
+           "dim": 2, "n": 8, "n_t": 8, "amplitudes": [2e-3, 6e-3]}
+
+
+def test_bifurcate_outputs_are_deterministic(tmp_path):
+    paths = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        cfg = write_cfg(tmp_path, f"{tag}.json", {"bifurcation": BIF_CFG, "output_dir": str(out)})
+        assert run(["bifurcate", cfg]) == 0
+        paths.append(out)
+    for fname in ("branch.json", "U.field", "M.field", "m.field", "u.field"):
+        assert (paths[0] / fname).read_bytes() == (paths[1] / fname).read_bytes()
+    for point in json.loads((paths[0] / "branch.json").read_text())["points"]:
+        assert point["newton_iterations"] == len(point["krylov_iterations"]) > 0
+        assert point["solvability_inf"] <= 1e-12
+
+
+def test_bifurcate_empty_amplitudes_exits_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "e.json", {"bifurcation": dict(BIF_CFG, amplitudes=[]),
+                                         "output_dir": str(tmp_path / "o")})
+    assert run(["bifurcate", cfg]) == 2
+    assert "bifurcation.amplitudes" in capsys.readouterr().err
+
+
+def test_bifurcate_3d_coarse_grid_exits_typed(tmp_path, capsys):
+    # 4^3 x 4 does not resolve the branch: a typed solver exit, in bounded time.
+    cfg = write_cfg(tmp_path, "c.json", {
+        "bifurcation": dict(BIF_CFG, dim=3, n=4, n_t=4, amplitudes=[5e-3]),
+        "output_dir": str(tmp_path / "o"),
+    })
+    start = time.perf_counter()
+    assert run(["bifurcate", cfg]) == 1
+    assert time.perf_counter() - start < 30.0
+    assert "does not resolve the branch" in capsys.readouterr().err
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch):

@@ -18,12 +18,12 @@ from mfgkit import (
     TorusGrid,
     compare_equilibrium_vs_planner,
     compare_planner,
-    dynamics,
     solve_mfc,
     solve_mfg,
     spectral,
+    _newton_krylov,
 )
-from mfgkit.dynamics import _gmres, _System
+from mfgkit.dynamics import _System
 
 T = 0.25
 
@@ -199,7 +199,7 @@ def test_preconditioned_newton_step_matches_direct_solve(shape, n_t, planner):
     res = system.residual(z)
     direct = splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-res)
     jvp, means = system.linearize(z)
-    step, iterations = _gmres(jvp, system.preconditioner(*means), -res, "a test step")
+    step, iterations = _newton_krylov.gmres(jvp, system.preconditioner(*means), -res, "a test step")
     assert 0 < iterations <= 40
     assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -238,14 +238,14 @@ def test_missed_krylov_tolerance_raises(sep_model, monkeypatch):
     g = TorusGrid((16,))
     st = SpaceTimeGrid(g, 8, T)
     m0, uT = perturbed_data(16)
-    real_gmres = dynamics.sparse_linalg.gmres
+    real_gmres = _newton_krylov.sparse_linalg.gmres
 
     def stalled_gmres(A, b, **kwargs):
         x, info = real_gmres(A, b, **kwargs)
         # The full Newton system has 2 N K unknowns; a sweep slab has 2 K.
         return (0.5 * x, 5) if b.size == 2 * 8 * 16 else (x, info)
 
-    monkeypatch.setattr(dynamics.sparse_linalg, "gmres", stalled_gmres)
+    monkeypatch.setattr(_newton_krylov.sparse_linalg, "gmres", stalled_gmres)
     pattern = r"at Newton step 1: relative residual \S+ after \d+ iterations"
     with pytest.raises(SolverError, match=pattern):
         solve_mfg(sep_model, st, m0, uT)
