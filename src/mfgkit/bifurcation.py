@@ -45,7 +45,8 @@ first spatial harmonics and the temporal profiles
     mu = cos(2 pi N t),  v = kappa sin(2 pi N t) - cos(2 pi N t),
     mu = sin(2 pi N t),  v = -kappa cos(2 pi N t) - sin(2 pi N t),
 
-with kappa = sqrt(-4 pi^2 - f'(1)) / (2 pi).
+with kappa = sqrt(-4 pi^2 - f'(1)) / (2 pi); the multiplier coordinate l
+is 0 in every kernel field.
 
 ``continue_branch`` follows the nontrivial branch by amplitude
 continuation: the state is pinned by <(U, M), z1> = a against a
@@ -62,7 +63,9 @@ at the solution, and max |lam| is reported. Each Newton step is a GMRES
 solve with the Jacobian applied at FFT cost, preconditioned by the
 bordered linearization frozen at the trivial state: per-mode 2x2 blocks
 on the complement of the null space, closed by a small dense Schur
-complement (see :class:`_Branch`).
+complement (see :class:`_Branch`). The kernel of A(T) and this null space
+come from one routine, :func:`_null_basis`, and the closed-form kernel
+fields (z1 among them) from one array, :func:`_kernel_rows`.
 """
 
 from __future__ import annotations
@@ -103,6 +106,11 @@ __all__ = [
 
 LAMBDA1 = 4.0 * np.pi**2
 ELL_SCALE = LAMBDA1
+# Per-mode block eigenvalues (T-scaled) of at most this magnitude are null
+# directions, of A(T) and of the frozen branch linearization alike.
+_NULL_TOL = 1e-8
+_BRANCH_TOL = 1e-12
+_MAX_NEWTON = 80
 
 
 def default_periodic_coupling(fprime1: float, cubic: float = 1.0, f1: float = 0.0) -> Coupling:
@@ -115,6 +123,7 @@ def default_periodic_coupling(fprime1: float, cubic: float = 1.0, f1: float = 0.
 
 
 def _fprime1(coupling: Coupling) -> float:
+    """f'(1) of the coupling, which must be x-independent."""
     if coupling.terms:
         raise ModelError("the periodic-branch machinery needs an x-independent coupling")
     return float(coupling._poly_val(1.0, deriv=1))
@@ -198,31 +207,25 @@ def _residual(st: SpaceTimeGrid, coupling: Coupling, U, M, Hbar: float, T: float
 
 def eval_G(state: PeriodicState, coupling: Coupling):
     """Residual triple (G1, G2, G3) of the rescaled periodic system."""
-    if coupling.terms:
-        raise ModelError("the periodic-branch machinery needs an x-independent coupling")
+    _fprime1(coupling)
     G1, G2 = _residual(state.grid, coupling, state.U, state.M, state.Hbar, state.T)
     return G1, G2, float(state.M.mean())
 
 
 def eval_g(state: PeriodicState, coupling: Coupling) -> float:
     """Scalar potential whose exact discrete gradient is (G1, G2, G3)."""
-    if coupling.terms:
-        raise ModelError("the periodic-branch machinery needs an x-independent coupling")
+    _fprime1(coupling)
     st = state.grid
     sp = st.space
     U, M, T = state.U, state.M, state.T
     gradU = spectral.gradient(sp, U)
     gradM = spectral.gradient(sp, M)
     f1 = float(coupling._poly_val(1.0))
-    # Normalized antiderivative of the polynomial part with F(1) = 0.
-    coeffs = np.polynomial.polynomial.polyint(np.array(coupling.poly))
-    pv = np.polynomial.polynomial.polyval
-    F = pv(1.0 + M, coeffs) - pv(1.0, coeffs)
     integrand = (
         -spectral.time_derivative_periodic(st, U) * M / T
         + np.sum(gradU * gradM, axis=0)
         + 0.5 * np.sum(gradU * gradU, axis=0) * (M + 1.0)
-        - F
+        - coupling.F(sp, 1.0 + M)
         + f1 * M
         + state.Hbar * M
     )
@@ -275,6 +278,21 @@ def _orthonormal_span(rows: np.ndarray, rank: int) -> np.ndarray:
     (which has that rank), from the leading eigenvectors of their Gram matrix."""
     gram, W = np.linalg.eigh(rows @ rows.T)
     return (W[:, -rank:] / np.sqrt(gram[-rank:])).T @ rows
+
+
+def _null_basis(vecs: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """Basis, shape (p, 2K) and orthonormal for mean(v1 v2) + mean(mu1 mu2),
+    of the real grid fields (v, mu) spanned by the p per-mode block
+    eigenvectors (columns of ``vecs``) that ``null`` flags. A mode and its
+    conjugate repeat one real span: the 2p real and imaginary parts have rank p."""
+    shape = null.shape[:-1]
+    K = int(np.prod(shape))
+    p = int(null.sum())
+    coef = np.zeros((p, 2) + shape, dtype=complex)
+    coef[(np.arange(p), slice(None)) + np.nonzero(null)[:-1]] = np.swapaxes(vecs, -1, -2)[null]
+    fields = np.fft.ifftn(coef, axes=tuple(range(2, coef.ndim)), norm="forward")
+    rows = np.concatenate([fields.real, fields.imag]).reshape(2 * p, 2 * K)
+    return _orthonormal_span(rows / np.sqrt(K), p) * np.sqrt(K)
 
 
 def _kept(st: SpaceTimeGrid, values: np.ndarray) -> np.ndarray:
@@ -333,86 +351,56 @@ def analytic_kernel_fields(
     return out
 
 
+def _kernel_rows(st: SpaceTimeGrid, fprime1: float, temporal_freq: int = 1) -> np.ndarray:
+    """The closed-form kernel pairs as rows (v, mu), shape (4d, 2K), each
+    normalized for mean(v v) + mean(mu mu). The rows are orthogonal on
+    grids that resolve the frequency 2N; row 0 is the continuation
+    direction z1."""
+    rows = []
+    for v, mu in analytic_kernel_fields(st, fprime1, temporal_freq):
+        nrm = np.sqrt(float(np.mean(v * v) + np.mean(mu * mu)))
+        rows.append(np.concatenate([v.ravel(), mu.ravel()]) / nrm)
+    return np.array(rows)
+
+
 def kernel_at(
     st: SpaceTimeGrid,
     T: float,
     fprime1: float,
-    sv_tol: float = 1e-8,
     check_trig_span: bool = False,
     temporal_freq: int = 1,
 ) -> KernelReport:
     """Kernel count of A(T) from its symbol blocks, optionally with trig-span energy.
 
     The singular values of the symmetric A(T) are the magnitudes of its
-    block eigenvalues. The kernel fields are the real and imaginary parts
-    of the zero-eigenvalue block eigenvectors put back on the grid,
-    orthonormalized for mean(v1 v2) + mean(mu1 mu2) + l1 l2.
+    block eigenvalues. The kernel fields are the :func:`_null_basis` of
+    the eigenvalues up to ``_NULL_TOL``, as (v, mu, l) triples with l = 0:
+    the (l, mean-mu) block has determinant -T^2 c^2, regular for T > 0.
     """
-    sp = st.space
+    if not T > 0.0:
+        raise ModelError(f"period must be positive, got {T}")
     blocks = _symbol_blocks(st, T, fprime1)
     eigs, vecs = np.linalg.eigh(blocks)
     keep = _kept(st, eigs)
     svals = np.sort(np.abs(eigs[keep]))
-    kernel_dim = int(np.sum(svals <= sv_tol))
     # Count the adjoint kernel from an independent factorization of the
     # conjugate-transposed blocks instead of leaning on their symmetry.
     adj = np.linalg.svd(np.conj(np.swapaxes(blocks, -1, -2)), compute_uv=False)
-    adj_dim = int(np.sum(adj[_kept(st, adj)] <= sv_tol))
-    K = st.n_t * sp.num_nodes
-    sqK = np.sqrt(K)
-    shape = st.field_shape
-
-    zero = keep & (np.abs(eigs) <= sv_tol)
-    modes = np.nonzero(zero)[:-1]
-    coef = np.zeros((2, kernel_dim) + shape, dtype=complex)
-    coef[(slice(None), np.arange(kernel_dim)) + modes] = np.swapaxes(vecs, -1, -2)[zero].T
-    origin = (0, slice(None)) + (0,) * (1 + sp.dim)
-    ell = coef[origin].copy()
-    coef[origin] = 0.0
-    v, mu = np.fft.ifftn(coef, axes=tuple(range(2, coef.ndim)), norm="forward")
-    # Rows hold (v, mu, l) scaled so that the dot product is the inner
-    # product above. A mode and its conjugate repeat one real span, so the
-    # 2 kernel_dim rows have rank kernel_dim; their Gram matrix's leading
-    # eigenvectors give an orthonormal basis of that span.
-    rows = np.concatenate(
-        [
-            np.concatenate([v.real, v.imag]).reshape(2 * kernel_dim, K) / sqK,
-            np.concatenate([mu.real, mu.imag]).reshape(2 * kernel_dim, K) / sqK,
-            np.concatenate([ell.real, ell.imag])[:, None],
-        ],
-        axis=1,
-    )
-    ortho = _orthonormal_span(rows, kernel_dim)
-    kernel_fields = [
-        (r[:K].reshape(shape) * sqK, r[K : 2 * K].reshape(shape) * sqK, float(r[2 * K]))
-        for r in ortho
-    ]
+    adj_dim = int(np.sum(adj[_kept(st, adj)] <= _NULL_TOL))
+    basis = _null_basis(vecs, keep & (np.abs(eigs) <= _NULL_TOL))
+    K = basis.shape[1] // 2
     frac = None
-    if check_trig_span and kernel_dim > 0:
-        pairs = analytic_kernel_fields(st, fprime1, temporal_freq=temporal_freq)
-        basis = []
-        for v, mu in pairs:
-            vec = np.concatenate([v.ravel(), mu.ravel(), [0.0]])
-            for b in basis:
-                vec = vec - (b @ vec) * b
-            nrm = np.linalg.norm(vec)
-            if nrm > 1e-12:
-                basis.append(vec / nrm)
-        fracs = []
-        for v, mu, ell in kernel_fields:
-            vec = np.concatenate([v.ravel(), mu.ravel(), [ell * sqK]])
-            nrm2 = float(vec @ vec)
-            proj2 = sum(float(b @ vec) ** 2 for b in basis)
-            fracs.append(proj2 / nrm2)
-        frac = float(min(fracs))
-    fifth = float(svals[4]) if len(svals) > 4 else float("nan")
+    if check_trig_span and len(basis):
+        proj = basis @ _kernel_rows(st, fprime1, temporal_freq).T / K
+        frac = float(np.min(np.sum(proj * proj, axis=1) / (np.sum(basis * basis, axis=1) / K)))
+    shape = st.field_shape
     return KernelReport(
         T=T,
         singular_values=svals,
-        kernel_dim=kernel_dim,
+        kernel_dim=len(basis),
         adjoint_kernel_dim=adj_dim,
-        fifth_smallest=fifth,
-        kernel_fields=kernel_fields,
+        fifth_smallest=float(svals[4]) if len(svals) > 4 else float("nan"),
+        kernel_fields=[(r[:K].reshape(shape), r[K:].reshape(shape), 0.0) for r in basis],
         trig_energy_fraction=frac,
     )
 
@@ -450,8 +438,9 @@ def sigma_from_operator(st: SpaceTimeGrid, T: float, fprime1: float) -> dict:
     return {"T": T, "eig": near, "h_root": root, "gap": abs(near - root)}
 
 
-def sigma_slope(st: SpaceTimeGrid, fprime1: float, delta: float = 2e-3) -> float:
-    """Richardson-extrapolated numeric slope of sigma(T) at T_bar."""
+def sigma_slope(st: SpaceTimeGrid, fprime1: float) -> float:
+    """Richardson-extrapolated numeric slope of sigma(T) at T_bar, from
+    centered differences with steps 2e-3 and 1e-3."""
     Tbar = critical_period(fprime1)
 
     def centered(d):
@@ -459,23 +448,19 @@ def sigma_slope(st: SpaceTimeGrid, fprime1: float, delta: float = 2e-3) -> float
         dn = sigma_from_operator(st, Tbar - d, fprime1)["eig"]
         return (up - dn) / (2.0 * d)
 
-    s1 = centered(delta)
-    s2 = centered(0.5 * delta)
+    s1 = centered(2e-3)
+    s2 = centered(1e-3)
     return (4.0 * s2 - s1) / 3.0
 
 
-def crossing_number(
-    st: SpaceTimeGrid,
-    fprime1: float,
-    rel_offset: float = 0.05,
-    window: float = 0.5,
-) -> int:
-    """Number of eigenvalues of A(T) crossing zero at T_bar."""
+def crossing_number(st: SpaceTimeGrid, fprime1: float) -> int:
+    """Number of eigenvalues of A(T) crossing zero at T_bar: those in
+    (-0.5, 0) at 0.95 T_bar against those in (0, 0.5) at 1.05 T_bar."""
     Tbar = critical_period(fprime1)
-    lo = _eigenvalues(st, Tbar * (1.0 - rel_offset), fprime1)
-    hi = _eigenvalues(st, Tbar * (1.0 + rel_offset), fprime1)
-    below = int(np.sum((lo > -window) & (lo < 0.0)))
-    above = int(np.sum((hi > 0.0) & (hi < window)))
+    lo = _eigenvalues(st, Tbar * (1.0 - 0.05), fprime1)
+    hi = _eigenvalues(st, Tbar * (1.0 + 0.05), fprime1)
+    below = int(np.sum((lo > -0.5) & (lo < 0.0)))
+    above = int(np.sum((hi > 0.0) & (hi < 0.5)))
     if below != above:
         raise CheckError(
             f"ambiguous crossing count: {below} below vs {above} above T_bar"
@@ -509,16 +494,6 @@ class BifurcationBranch:
     points: list[BranchPoint]
 
 
-def _kernel_directions(st: SpaceTimeGrid, fprime1: float):
-    """Normalized kernel directions; z1 is the continuation direction."""
-    pairs = analytic_kernel_fields(st, fprime1)
-    dirs = []
-    for v, mu in pairs:
-        nrm = np.sqrt(float(np.mean(v * v) + np.mean(mu * mu)))
-        dirs.append((v / nrm, mu / nrm))
-    return dirs
-
-
 class _Branch:
     """The bordered continuation system at one pin amplitude.
 
@@ -544,8 +519,8 @@ class _Branch:
         self.K = K = st.n_t * st.space.num_nodes
         fprime1 = _fprime1(coupling)
         self.pinv, null = _frozen_inverse(st, fprime1)
-        v, mu = _kernel_directions(st, fprime1)[0]
-        z1 = np.concatenate([v.ravel(), mu.ravel()])
+        self.kernel = _kernel_rows(st, fprime1)
+        z1 = self.kernel[0]
         sqK = np.sqrt(K)
         q = _orthonormal_span((null - np.outer(null @ z1 / K, z1)) / sqK, len(null) - 1) * sqK
         self.psi = np.vstack([z1, q])
@@ -653,37 +628,20 @@ def _frozen_inverse(st: SpaceTimeGrid, fprime1: float):
     frozen at the trivial state and T_bar.
 
     The blocks are :func:`_mode_blocks` with the Nyquist-zeroed div-grad
-    symbol, as in :func:`_residual`; eigenvalues of magnitude <= 1e-8
-    (T-scaled, the default ``sv_tol`` of :func:`kernel_at`) are the null
-    directions. Returns
-    the pseudo-inverse of the unscaled blocks, shape (2, 2, *half) on the
-    modes ``rfftn`` keeps, and the null space as an orthonormal basis of
-    (U, M) vectors, shape (p, 2K), for the mean inner product.
+    symbol, as in :func:`_residual`; eigenvalues up to ``_NULL_TOL`` are
+    the null directions. Returns the pseudo-inverse of the unscaled
+    blocks, shape (2, 2, *half) on the modes ``rfftn`` keeps, and the
+    :func:`_null_basis` of the null directions, shape (p, 2K).
     """
     Tbar = critical_period(fprime1)
-    shape = st.field_shape
-    K = st.n_t * st.space.num_nodes
     eigs, vecs = np.linalg.eigh(_mode_blocks(st, Tbar, fprime1, -st.space.divgrad_symbol))
-    zero = np.abs(eigs) <= 1e-8
-    inv = Tbar / np.where(zero, np.inf, eigs)
+    null = np.abs(eigs) <= _NULL_TOL
+    inv = Tbar / np.where(null, np.inf, eigs)
     pinv = np.einsum("...ik,...k,...jk->ij...", vecs, inv, vecs.conj())
-    pinv = pinv[..., : shape[-1] // 2 + 1]
-    p = int(zero.sum())
-    coef = np.zeros((p, 2) + shape, dtype=complex)
-    coef[(np.arange(p), slice(None)) + np.nonzero(zero)[:-1]] = np.swapaxes(vecs, -1, -2)[zero]
-    fields = np.fft.ifftn(coef, axes=tuple(range(2, coef.ndim)), norm="forward")
-    # A mode and its conjugate repeat one real span: 2p rows of rank p.
-    rows = np.concatenate([fields.real, fields.imag]).reshape(2 * p, 2 * K)
-    return pinv, _orthonormal_span(rows / np.sqrt(K), p) * np.sqrt(K)
+    return pinv[..., : st.field_shape[-1] // 2 + 1], _null_basis(vecs, null)
 
 
-def continue_branch(
-    coupling: Coupling,
-    st: SpaceTimeGrid,
-    amplitudes,
-    tol: float = 1e-12,
-    max_newton: int = 80,
-) -> BifurcationBranch:
+def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> BifurcationBranch:
     """Follow the nontrivial periodic branch at the given pin amplitudes.
 
     Amplitudes must be positive, at least one, and are processed in the
@@ -691,8 +649,9 @@ def continue_branch(
     bordered system of :class:`_Branch` by damped Newton with GMRES steps,
     preconditioned by the bordered frozen linearization; it has converged
     when the unbordered rows (G1, G2, mass, pin, orthogonality) are below
-    ``tol`` in sup-norm. Raises :class:`~mfgkit.errors.SolverError` if
-    Newton stalls or a GMRES solve misses its tolerance.
+    ``_BRANCH_TOL`` in sup-norm. Raises :class:`~mfgkit.errors.SolverError`
+    if Newton stalls or takes more than ``_MAX_NEWTON`` steps, or a GMRES
+    solve misses its tolerance.
     """
     amplitudes = [float(a) for a in amplitudes]
     if not amplitudes:
@@ -704,7 +663,6 @@ def continue_branch(
     Tbar = critical_period(fprime1)
     system = _Branch(coupling, st)
     K = system.K
-    dirs = _kernel_directions(st, fprime1)
 
     def feasible(z):
         return z[2 * K + 1] > 0.0 and float(z[K : 2 * K].min()) > -1.0
@@ -719,13 +677,13 @@ def continue_branch(
         krylov: list[int] = []
 
         def direction(z, res):
-            if float(np.max(np.abs(res))) <= tol:
+            if float(np.max(np.abs(res))) <= _BRANCH_TOL:
                 raise SolverError(
-                    f"the branch equations are not solvable to {tol:g} on grid {st.field_shape} "
-                    f"at amplitude {a:g}: the bordered system is solved, but the unfolding "
-                    f"parameters reach {np.max(np.abs(system.split(z)[4])):.3e} and the "
-                    f"residual stays at {system.measure(z, res):.3e}; the grid does not resolve "
-                    f"the branch"
+                    f"the branch equations are not solvable to {_BRANCH_TOL:g} on grid "
+                    f"{st.field_shape} at amplitude {a:g}: the bordered system is solved, "
+                    f"but the unfolding parameters reach {np.max(np.abs(system.split(z)[4])):.3e} "
+                    f"and the residual stays at {system.measure(z, res):.3e}; the grid does not "
+                    f"resolve the branch"
                 )
             jvp, t_col = system.linearize(z)
             where = f"Newton step {len(krylov) + 1} at amplitude {a:g}"
@@ -734,7 +692,7 @@ def continue_branch(
             return delta
 
         z, res_inf, steps, ok = newton(
-            system.residual, direction, z, tol, max_newton, [], feasible, system.measure
+            system.residual, direction, z, _BRANCH_TOL, _MAX_NEWTON, [], feasible, system.measure
         )
         if not ok:
             raise SolverError(
@@ -744,9 +702,7 @@ def continue_branch(
         U, M, Hbar, T, lam = system.split(z)
         state = PeriodicState(st, U - U.mean(), M, Hbar=float(Hbar), T=float(T))
         energy = float(np.mean(U * U) + np.mean(M * M))
-        span = sum(
-            float(np.mean(U * v) + np.mean(M * mu)) ** 2 for v, mu in dirs
-        )
+        span = float(np.sum((system.kernel @ z[: 2 * K] / K) ** 2))
         dtM = spectral.time_derivative_periodic(st, M)
         ratio = float(
             np.sqrt(np.mean(dtM * dtM)) / max(np.sqrt(np.mean(M * M)), 1e-300)

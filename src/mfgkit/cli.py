@@ -181,15 +181,21 @@ def cmd_solve_stationary(cfg, out_dir):
     return payload, {"result.json": payload}
 
 
-def _dynamic_solve(cfg, out_dir, planner: bool):
+def _separable_problem(cfg, needs: str):
+    """The configured finite-horizon problem: (model, time grid, m0, uT,
+    eps, solver settings). A model that is not separable raises
+    ``ConfigError("<needs> model.kind = 'separable'")``."""
     model = build_model(cfg)
     if not isinstance(model, SeparableHamiltonian):
-        raise ConfigError("the dynamic solvers need model.kind = 'separable'")
+        raise ConfigError(f"{needs} model.kind = 'separable'")
     st = build_time_grid(cfg)
     m0 = build_m0(st.space, cfg)
     uT = build_uT(st.space, cfg)
-    eps = float(cfg.get("eps", 1.0))
-    s = solver_settings(cfg)
+    return model, st, m0, uT, float(cfg.get("eps", 1.0)), solver_settings(cfg)
+
+
+def _dynamic_solve(cfg, out_dir, planner: bool):
+    model, st, m0, uT, eps, s = _separable_problem(cfg, "the dynamic solvers need")
     solver = solve_mfc if planner else solve_mfg
     res = solver(model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"])
     state = res.state
@@ -225,14 +231,7 @@ def cmd_solve_mfc(cfg, out_dir):
 
 
 def cmd_compare(cfg, out_dir):
-    model = build_model(cfg)
-    if not isinstance(model, SeparableHamiltonian):
-        raise ConfigError("compare needs model.kind = 'separable'")
-    st = build_time_grid(cfg)
-    m0 = build_m0(st.space, cfg)
-    uT = build_uT(st.space, cfg)
-    eps = float(cfg.get("eps", 1.0))
-    s = solver_settings(cfg)
+    model, st, m0, uT, eps, s = _separable_problem(cfg, "compare needs")
     cmp = compare_planner(model, st, m0, uT, eps=eps, tol=s["tol"])
     payload = {
         "psi2_equilibrium": cmp["psi2_equilibrium"],
@@ -336,11 +335,7 @@ def _random_game_state(model, st, m0, uT, eps, rng):
 
 
 def _check_separable(cfg, checks, rng):
-    model = build_model(cfg)
-    st = build_time_grid(cfg)
-    m0 = build_m0(st.space, cfg)
-    uT = build_uT(st.space, cfg)
-    eps = float(cfg.get("eps", 1.0))
+    model, st, m0, uT, eps, s = _separable_problem(cfg, "crosscheck needs")
     results = []
     if "derivatives" in checks or "two-forms" in checks:
         state = _random_game_state(model, st, m0, uT, eps, rng)
@@ -383,7 +378,6 @@ def _check_separable(cfg, checks, rng):
                     {"name": f"two-forms:{name}", "gap": gap / scale, "tol": 1e-10}
                 )
     if "duality" in checks or "mass" in checks:
-        s = solver_settings(cfg)
         res = solve_mfg(model, st, m0, uT, eps=eps, tol=s["tol"])
         if "duality" in checks:
             cost = social_cost(res.state, model)
@@ -473,14 +467,7 @@ def duality_crosscheck(cfg) -> dict:
     saddle value from either side) and the pointwise conjugate
     consistency F*(x, f(x, m)) = m f(x, m) - F(x, m).
     """
-    model = build_model(cfg)
-    if not isinstance(model, SeparableHamiltonian):
-        raise ConfigError("duality-crosscheck needs model.kind = 'separable'")
-    st = build_time_grid(cfg)
-    m0 = build_m0(st.space, cfg)
-    uT = build_uT(st.space, cfg)
-    eps = float(cfg.get("eps", 1.0))
-    s = solver_settings(cfg)
+    model, st, m0, uT, eps, s = _separable_problem(cfg, "duality-crosscheck needs")
     res = solve_mfg(
         model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"]
     )

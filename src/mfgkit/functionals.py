@@ -43,7 +43,7 @@ import numpy as np
 from .errors import GridError, ModelError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
-from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian
+from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian, _kinetic_legendre
 
 __all__ = [
     "GameState",
@@ -393,12 +393,7 @@ def b_cost(state: GameState, model: SeparableHamiltonian, control=None) -> float
     mbar = 0.5 * (state.m[:-1] + state.m[1:])
     if control is None:
         control = optimal_control(state, model)
-    if hasattr(model.kinetic, "legendre"):
-        L0 = model.kinetic.legendre(-control)
-    else:
-        from .hamiltonians import _numeric_radial_legendre
-
-        L0 = _numeric_radial_legendre(model.kinetic, -control)
+    L0 = _kinetic_legendre(model.kinetic, -control)
     F = model.coupling.F(sp, mbar)
     return grid.dt * float(np.sum(_xmean(mbar * L0 + F))) + float(
         np.mean(state.uT * state.m[-1])

@@ -10,7 +10,9 @@ also available.
 Two model families are provided:
 
 * :class:`SeparableHamiltonian`: H(x, p, m) = H0(p) - f(x, m), with a
-  quadratic default kinetic part (H0(p) = |p|^2 / 2).
+  quadratic default kinetic part (H0(p) = |p|^2 / 2). Its conjugate
+  needs the kinetic part's closed-form ``legendre``; a kinetic part
+  without one raises :class:`~mfgkit.errors.ModelError` there.
 * :class:`CongestionHamiltonian`: H(x, p, m) = |p + Q|^gamma /
   (gamma m^alpha) - f(x, m) with a constant drift vector Q, gamma >= 1,
   alpha >= 0, alpha != 1.
@@ -164,54 +166,14 @@ class QuadraticKinetic:
         return 0.5 * np.sum(q * q, axis=0)
 
 
-def _numeric_radial_legendre(kinetic, q: np.ndarray) -> np.ndarray:
-    """sup_p q . p - H0(p) for radial H0, by line search along q.
-
-    Fallback for kinetic parts without a closed-form conjugate. The
-    supremum over p reduces to a scalar concave problem along the ray
-    p = r q/|q| (radial H0); solved by golden-section refinement of a
-    bracket grown geometrically until the objective decreases.
-    """
-    qmag = np.sqrt(np.sum(q * q, axis=0))
-    flat = qmag.ravel()
-    out = np.zeros_like(flat)
-    d = q.shape[0]
-    for idx, qa in enumerate(flat):
-        if qa == 0.0:
-            p = np.zeros((d, 1))
-            out[idx] = -float(kinetic.value(p)[0])
-            continue
-        direction = np.zeros((d, 1))
-        direction[0, 0] = 1.0
-
-        def obj(r):
-            return qa * r - float(kinetic.value(direction * r)[0])
-
-        hi = 1.0
-        while obj(2.0 * hi) > obj(hi):
-            hi *= 2.0
-            if hi > 1e12:
-                raise ModelError("radial conjugate bracket did not close")
-        lo = 0.0
-        hi *= 2.0
-        phi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c1 = b - phi * (b - a)
-        c2 = a + phi * (b - a)
-        f1, f2 = obj(c1), obj(c2)
-        for _ in range(200):
-            if f1 < f2:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = obj(c2)
-            else:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = obj(c1)
-            if b - a < 1e-13 * max(1.0, b):
-                break
-        out[idx] = obj(0.5 * (a + b))
-    return out.reshape(qmag.shape)
+def _kinetic_legendre(kinetic, q: np.ndarray) -> np.ndarray:
+    """The closed-form conjugate L0(q) of a kinetic part; one without a
+    ``legendre`` method raises :class:`ModelError`."""
+    if not hasattr(kinetic, "legendre"):
+        raise ModelError(
+            f"kinetic part {type(kinetic).__name__} has no closed-form conjugate (legendre)"
+        )
+    return kinetic.legendre(q)
 
 
 @dataclass(frozen=True)
@@ -256,11 +218,7 @@ class SeparableHamiltonian:
 
     def legendre(self, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
         _check_floor(m, self.m_min)
-        if hasattr(self.kinetic, "legendre"):
-            L0 = self.kinetic.legendre(q)
-        else:
-            L0 = _numeric_radial_legendre(self.kinetic, q)
-        return L0 + self.coupling.f(grid, m)
+        return _kinetic_legendre(self.kinetic, q) + self.coupling.f(grid, m)
 
     def hess_pp(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         return self.kinetic.hess(p)
@@ -389,19 +347,14 @@ class MonotonicityReport:
     n_samples: int
 
 
-def check_monotonicity(
-    model,
-    grid: TorusGrid,
-    n_samples: int = 256,
-    seed: int = 0,
-    p_scale: float = 1.0,
-    m_range: tuple[float, float] = (0.2, 2.0),
-) -> MonotonicityReport:
-    """Sample (x, p, m) and report the monotonicity indicators above."""
-    rng = np.random.default_rng(seed)
+def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
+    """Report the monotonicity indicators above on 256 seeded samples:
+    p standard normal, m uniform in [0.2, 2]."""
+    S = 256
+    rng = np.random.default_rng(0)
     d = grid.dim
-    p = rng.standard_normal((d, n_samples)) * p_scale
-    m = rng.uniform(m_range[0], m_range[1], n_samples)
+    p = rng.standard_normal((d, S))
+    m = rng.uniform(0.2, 2.0, S)
 
     # The spatial offset s(x) is additive in f, so it drops out of every
     # derivative sampled here; sampling (p, m) pairs alone suffices.
@@ -417,7 +370,6 @@ def check_monotonicity(
             model.gamma * m ** (model.alpha + 1.0)
         ) - model.coupling._poly_val(m, deriv=1)
 
-    S = n_samples
     block = np.zeros((S, d + 1, d + 1))
     block[:, :d, :d] = 2.0 * np.moveaxis(hpp, -1, 0)
     block[:, :d, d] = dmdp.T
@@ -429,7 +381,7 @@ def check_monotonicity(
         min_eig_pp=float(eigs_pp.min()),
         max_dm_h=float(dmH.max()),
         min_eig_block=float(eigs_block.min()),
-        n_samples=n_samples,
+        n_samples=S,
     )
 
 

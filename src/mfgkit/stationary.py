@@ -386,14 +386,15 @@ def _certify(model, grid, m, u, w, hbar, run, extras) -> StationaryResult:
     )
 
 
-def _recover_from_flux(model, grid, m, w, curl_tol):
-    """(u, Hbar, transform diagnostics) at an optimal flux pair (m, w)."""
+def _recover_from_flux(model, grid, m, w):
+    """(u, Hbar, transform diagnostics) at an optimal flux pair (m, w); a
+    solenoidal residual above 1e-6 raises :class:`CurlError`."""
     hbar = -float(np.mean(phi_bb(grid, m, w, model).dm))
-    u, transform_report = u_from_w(model, grid, m, w, curl_tol=curl_tol)
+    u, transform_report = u_from_w(model, grid, m, w, curl_tol=1e-6)
     return u, hbar, {f"transform_{k}": v for k, v in transform_report.items()}
 
 
-def _require_bb_model(model: CongestionHamiltonian, w_reg: float):
+def _require_bb_model(model: CongestionHamiltonian, w_reg: float = 0.0):
     if not isinstance(model, CongestionHamiltonian):
         raise ModelError("stationary congestion solvers need a congestion model")
     if model.alpha >= 1.0:
@@ -414,7 +415,6 @@ def solve_bb(
     max_iter: int = 50000,
     barrier_stages: tuple[float, ...] = (),
     w_reg: float = 0.0,
-    curl_tol: float = 1e-6,
 ) -> StationaryResult:
     """Minimize phi_bb over unit-mass m > 0 and divergence-free w.
 
@@ -473,7 +473,7 @@ def solve_bb(
         barrier_stages,
     )
     if not gamma1:
-        u, hbar, extras = _recover_from_flux(model, grid, m, w, curl_tol)
+        u, hbar, extras = _recover_from_flux(model, grid, m, w)
         return _certify(model, grid, m, u, w, hbar, run, extras)
     _, dm, dw = objective(m, w)
     hbar = -float(np.mean(dm))
@@ -509,8 +509,6 @@ def solve_bb_2d_stream(
     grid: TorusGrid,
     tol: float = 1e-9,
     max_iter: int = 50000,
-    w_reg: float = 0.0,
-    curl_tol: float = 1e-6,
 ) -> StationaryResult:
     """Stream-function variant of :func:`solve_bb` (d = 2 only).
 
@@ -518,11 +516,9 @@ def solve_bb_2d_stream(
     (-div grad)^{-1/2} phi, which equilibrates the potential block
     against the density block (see the module docstring).
     """
-    _require_bb_model(model, w_reg)
+    _require_bb_model(model)
     if grid.dim != 2:
         raise ModelError("solve_bb_2d_stream needs a 2-D grid")
-    if w_reg > 0.0:
-        raise ModelError("w_reg is only supported by solve_bb")
     K = grid.num_nodes
     # The block is y = (phi, sqrt(K) R): in the volume-weighted BB metric
     # a raw constant coordinate would carry curvature K times that of the
@@ -542,7 +538,7 @@ def solve_bb_2d_stream(
     m, y, run = _descend(model, grid, None, y0, objective, lambda yv: yv, tol, max_iter)
     v, R = stream(y)
     w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))
-    u, hbar, extras = _recover_from_flux(model, grid, m, w, curl_tol)
+    u, hbar, extras = _recover_from_flux(model, grid, m, w)
     extras["stream_R"] = tuple(float(r) for r in R)
     return _certify(model, grid, m, u, w, hbar, run, extras)
 
@@ -550,16 +546,14 @@ def solve_bb_2d_stream(
 def solve_potential_a_gt_1(
     model: CongestionHamiltonian,
     grid: TorusGrid,
-    m0: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 50000,
 ) -> StationaryResult:
-    """Minimize j_functional over (m, u) for exponents 1 < alpha <= gamma.
+    """Minimize j_functional over (m, u) for exponents 1 < alpha <= gamma,
+    from the uniform density and u = 0.
 
     The value function is optimized in preconditioned coordinates phi
-    with u = (-div grad)^{-1/2} phi (see the module docstring); pass
-    ``u0`` to seed the corresponding phi.
+    with u = (-div grad)^{-1/2} phi (see the module docstring).
     """
     if not isinstance(model, CongestionHamiltonian):
         raise ModelError("solve_potential_a_gt_1 needs a congestion model")
@@ -568,18 +562,13 @@ def solve_potential_a_gt_1(
             f"solve_potential_a_gt_1 requires 1 < alpha <= gamma, got alpha = "
             f"{model.alpha}, gamma = {model.gamma}"
         )
-    if u0 is None:
-        phi0 = np.zeros(grid.shape)
-    else:
-        # phi = (-div grad)^{+1/2} u0, realized with the same symbol.
-        sym = -grid.divgrad_symbol
-        phi0 = np.fft.ifftn(np.sqrt(sym) * np.fft.fftn(np.array(u0, dtype=float))).real
 
     def objective(m, phi):
         rep = j_functional(grid, m, _half_inverse_divgrad(grid, phi), model)
         return rep.value, rep.dm, _half_inverse_divgrad(grid, rep.du)
 
-    m, phi, run = _descend(model, grid, m0, phi0, objective, lambda yv: yv, tol, max_iter)
+    phi0 = np.zeros(grid.shape)
+    m, phi, run = _descend(model, grid, None, phi0, objective, lambda yv: yv, tol, max_iter)
     u = _half_inverse_divgrad(grid, phi)
     hbar = -float(np.mean(j_functional(grid, m, u, model).dm))
     return _certify(

@@ -138,6 +138,13 @@ def test_kernel_trivial_off_critical(periodic_setup):
     assert rep.adjoint_kernel_dim == 0
 
 
+def test_kernel_at_rejects_nonpositive_period(periodic_setup):
+    st, _ = periodic_setup
+    for T in (0.0, -TBAR):
+        with pytest.raises(ModelError, match="period must be positive"):
+            bf.kernel_at(st, T, FPRIME1)
+
+
 def test_kernel_at_2d_32_cubed():
     # 2-D 32^2 x 32 has K = 32768; the dense operator would be 65535^2.
     st = bf.periodic_grid(2, 32, 32)

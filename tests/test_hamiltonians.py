@@ -5,12 +5,15 @@ import helpers
 from mfgkit import (
     CongestionHamiltonian,
     Coupling,
+    GameState,
     ModelError,
     PositivityError,
     QuadraticKinetic,
     SeparableHamiltonian,
+    SpaceTimeGrid,
     SpatialTerm,
     TorusGrid,
+    b_cost,
     check_monotonicity,
     hamiltonians,
 )
@@ -224,7 +227,7 @@ def test_monotonicity_report_flags_decreasing_coupling(g1):
     assert rep_bad.max_dm_h > 0.0
 
 
-def test_numeric_legendre_fallback_for_custom_kinetic(g1):
+def test_kinetic_without_legendre_raises_where_a_conjugate_is_needed(g1):
     class Quartic:
         def value(self, p):
             return 0.25 * np.sum(p**2, axis=0) ** 2
@@ -232,17 +235,13 @@ def test_numeric_legendre_fallback_for_custom_kinetic(g1):
         def grad(self, p):
             return p * np.sum(p**2, axis=0)
 
-        def hess(self, p):
-            r2 = np.sum(p**2, axis=0)
-            d = p.shape[0]
-            eye = np.eye(d).reshape(d, d, *([1] * (p.ndim - 1)))
-            return eye * r2 + 2.0 * p[:, None] * p[None, :]
-
     model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0)), kinetic=Quartic())
-    L = model.legendre(g1, np.full((1, 16), 1.3), np.full(16, 2.0))
-    # sup_p (1.3 p - p^4/4) + f(2) = (3/4) 1.3^{4/3} + 2
-    closed = 0.75 * 1.3 ** (4.0 / 3.0) + 2.0
-    assert np.max(np.abs(L - closed)) < 1e-8
+    with pytest.raises(ModelError, match="Quartic has no closed-form conjugate"):
+        model.legendre(g1, np.full((1, 16), 1.3), np.full(16, 2.0))
+    st = SpaceTimeGrid(g1, 8, 0.4)
+    state = GameState(st, np.ones((9, 16)), np.zeros((9, 16)), np.ones(16), np.zeros(16))
+    with pytest.raises(ModelError, match="Quartic has no closed-form conjugate"):
+        b_cost(state, model, control=np.zeros((1, 8, 16)))
 
 
 def test_quadratic_kinetic_parts():

@@ -158,9 +158,6 @@ def test_stream_route_matches_flux_route(bb2d_pair):
 def test_stream_route_guards(congestion_1d_model, congestion_2d_model):
     with pytest.raises(ModelError, match="2-D grid"):
         solve_bb_2d_stream(congestion_2d_model, TorusGrid((16,)))
-    g = TorusGrid((8, 8))
-    with pytest.raises(ModelError, match="w_reg is only supported"):
-        solve_bb_2d_stream(congestion_2d_model, g, w_reg=1e-4)
 
 
 def test_flux_route_rejects_alpha_at_least_one():
