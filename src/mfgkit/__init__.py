@@ -83,7 +83,6 @@ from .stationary import (
 from .dynamics import (
     SolveResult,
     compare_equilibrium_vs_planner,
-    compare_planner,
     solve_mfc,
     solve_mfg,
 )
@@ -108,7 +107,7 @@ from .bifurcation import (
     sigma_slope,
     sigma_slope_exact,
 )
-from .config import ExperimentConfig, load_config
+from .config import load_config
 
 __version__ = "0.1.0"
 
@@ -160,7 +159,6 @@ __all__ = [
     "solve_mfg",
     "solve_mfc",
     "compare_equilibrium_vs_planner",
-    "compare_planner",
     "PeriodicState",
     "BifurcationBranch",
     "BranchPoint",
@@ -180,7 +178,6 @@ __all__ = [
     "sigma_slope_exact",
     "continue_branch",
     "map_to_original",
-    "ExperimentConfig",
     "load_config",
     "__version__",
 ]

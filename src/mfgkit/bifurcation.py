@@ -106,8 +106,10 @@ __all__ = [
 
 LAMBDA1 = 4.0 * np.pi**2
 ELL_SCALE = LAMBDA1
-# Per-mode block eigenvalues (T-scaled) of at most this magnitude are null
-# directions, of A(T) and of the frozen branch linearization alike.
+# Per-mode block eigenvalues of at most this magnitude times T are null
+# directions, of A(T) and of the frozen branch linearization alike: the
+# blocks are T-scaled, so an absolute bound would flag every omega = 0
+# block as T -> 0.
 _NULL_TOL = 1e-8
 _BRANCH_TOL = 1e-12
 _MAX_NEWTON = 80
@@ -374,7 +376,7 @@ def kernel_at(
 
     The singular values of the symmetric A(T) are the magnitudes of its
     block eigenvalues. The kernel fields are the :func:`_null_basis` of
-    the eigenvalues up to ``_NULL_TOL``, as (v, mu, l) triples with l = 0:
+    the eigenvalues up to ``_NULL_TOL * T``, as (v, mu, l) triples with l = 0:
     the (l, mean-mu) block has determinant -T^2 c^2, regular for T > 0.
     """
     if not T > 0.0:
@@ -386,8 +388,8 @@ def kernel_at(
     # Count the adjoint kernel from an independent factorization of the
     # conjugate-transposed blocks instead of leaning on their symmetry.
     adj = np.linalg.svd(np.conj(np.swapaxes(blocks, -1, -2)), compute_uv=False)
-    adj_dim = int(np.sum(adj[_kept(st, adj)] <= _NULL_TOL))
-    basis = _null_basis(vecs, keep & (np.abs(eigs) <= _NULL_TOL))
+    adj_dim = int(np.sum(adj[_kept(st, adj)] <= _NULL_TOL * T))
+    basis = _null_basis(vecs, keep & (np.abs(eigs) <= _NULL_TOL * T))
     K = basis.shape[1] // 2
     frac = None
     if check_trig_span and len(basis):
@@ -628,14 +630,14 @@ def _frozen_inverse(st: SpaceTimeGrid, fprime1: float):
     frozen at the trivial state and T_bar.
 
     The blocks are :func:`_mode_blocks` with the Nyquist-zeroed div-grad
-    symbol, as in :func:`_residual`; eigenvalues up to ``_NULL_TOL`` are
+    symbol, as in :func:`_residual`; eigenvalues up to ``_NULL_TOL * T_bar`` are
     the null directions. Returns the pseudo-inverse of the unscaled
     blocks, shape (2, 2, *half) on the modes ``rfftn`` keeps, and the
     :func:`_null_basis` of the null directions, shape (p, 2K).
     """
     Tbar = critical_period(fprime1)
     eigs, vecs = np.linalg.eigh(_mode_blocks(st, Tbar, fprime1, -st.space.divgrad_symbol))
-    null = np.abs(eigs) <= _NULL_TOL
+    null = np.abs(eigs) <= _NULL_TOL * Tbar
     inv = Tbar / np.where(null, np.inf, eigs)
     pinv = np.einsum("...ik,...k,...jk->ij...", vecs, inv, vecs.conj())
     return pinv[..., : st.field_shape[-1] // 2 + 1], _null_basis(vecs, null)

@@ -59,7 +59,7 @@ from .config import (
     resolve_output_dir,
     solver_settings,
 )
-from .dynamics import compare_planner, solve_mfc, solve_mfg
+from .dynamics import compare_equilibrium_vs_planner, solve_mfc, solve_mfg
 from .errors import (
     CheckError,
     ConfigError,
@@ -183,21 +183,27 @@ def cmd_solve_stationary(cfg, out_dir):
 
 def _separable_problem(cfg, needs: str):
     """The configured finite-horizon problem: (model, time grid, m0, uT,
-    eps, solver settings). A model that is not separable raises
-    ``ConfigError("<needs> model.kind = 'separable'")``."""
+    eps, solve), where solve(planner) runs the equilibrium or planner
+    solver with ``solver.tol`` and ``solver.max_newton``. A model that is
+    not separable raises ``ConfigError("<needs> model.kind = 'separable'")``."""
     model = build_model(cfg)
     if not isinstance(model, SeparableHamiltonian):
         raise ConfigError(f"{needs} model.kind = 'separable'")
     st = build_time_grid(cfg)
     m0 = build_m0(st.space, cfg)
     uT = build_uT(st.space, cfg)
-    return model, st, m0, uT, float(cfg.get("eps", 1.0)), solver_settings(cfg)
+    eps, s = float(cfg.get("eps", 1.0)), solver_settings(cfg)
+
+    def solve(planner: bool):
+        solver = solve_mfc if planner else solve_mfg
+        return solver(model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"])
+
+    return model, st, m0, uT, eps, solve
 
 
 def _dynamic_solve(cfg, out_dir, planner: bool):
-    model, st, m0, uT, eps, s = _separable_problem(cfg, "the dynamic solvers need")
-    solver = solve_mfc if planner else solve_mfg
-    res = solver(model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"])
+    model, st, _, _, eps, solve = _separable_problem(cfg, "the dynamic solvers need")
+    res = solve(planner)
     state = res.state
     save_field(out_dir / "m.field", DensityField(st, state.m))
     save_field(out_dir / "u.field", ScalarField(st, state.u))
@@ -231,20 +237,21 @@ def cmd_solve_mfc(cfg, out_dir):
 
 
 def cmd_compare(cfg, out_dir):
-    model, st, m0, uT, eps, s = _separable_problem(cfg, "compare needs")
-    cmp = compare_planner(model, st, m0, uT, eps=eps, tol=s["tol"])
+    model, _, _, _, _, solve = _separable_problem(cfg, "compare needs")
+    res_g, res_c = solve(False), solve(True)
+    cmp = compare_equilibrium_vs_planner(res_g.state, res_c.state, model)
     payload = {
-        "psi2_equilibrium": cmp["psi2_equilibrium"],
-        "psi2_planner": cmp["psi2_planner"],
+        "psi2_equilibrium": cmp["psi2_mfg"],
+        "psi2_planner": cmp["psi2_mfc"],
         "gap": cmp["gap"],
-        "ordered": cmp["ordered"],
+        "ordered": cmp["inequality_holds"],
         "equilibrium": {
-            "newton_iterations": cmp["equilibrium"].newton_iterations,
-            "residual_inf": cmp["equilibrium"].residual_inf,
+            "newton_iterations": res_g.newton_iterations,
+            "residual_inf": res_g.residual_inf,
         },
         "planner": {
-            "newton_iterations": cmp["planner"].newton_iterations,
-            "residual_inf": cmp["planner"].residual_inf,
+            "newton_iterations": res_c.newton_iterations,
+            "residual_inf": res_c.residual_inf,
         },
     }
     return payload, {"result.json": payload}
@@ -335,7 +342,7 @@ def _random_game_state(model, st, m0, uT, eps, rng):
 
 
 def _check_separable(cfg, checks, rng):
-    model, st, m0, uT, eps, s = _separable_problem(cfg, "crosscheck needs")
+    model, st, m0, uT, eps, solve = _separable_problem(cfg, "crosscheck needs")
     results = []
     if "derivatives" in checks or "two-forms" in checks:
         state = _random_game_state(model, st, m0, uT, eps, rng)
@@ -378,7 +385,7 @@ def _check_separable(cfg, checks, rng):
                     {"name": f"two-forms:{name}", "gap": gap / scale, "tol": 1e-10}
                 )
     if "duality" in checks or "mass" in checks:
-        res = solve_mfg(model, st, m0, uT, eps=eps, tol=s["tol"])
+        res = solve(False)
         if "duality" in checks:
             cost = social_cost(res.state, model)
             val = psi2(res.state, model).value
@@ -467,10 +474,8 @@ def duality_crosscheck(cfg) -> dict:
     saddle value from either side) and the pointwise conjugate
     consistency F*(x, f(x, m)) = m f(x, m) - F(x, m).
     """
-    model, st, m0, uT, eps, s = _separable_problem(cfg, "duality-crosscheck needs")
-    res = solve_mfg(
-        model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"]
-    )
+    model, st, _, _, _, solve = _separable_problem(cfg, "duality-crosscheck needs")
+    res = solve(False)
     if res.residual_inf > 1e-6:
         raise CheckError(
             f"solved state residual {res.residual_inf:.3e} is above 1e-6; "

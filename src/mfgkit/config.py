@@ -58,7 +58,6 @@ from .hamiltonians import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "load_config",
     "build_coupling",
     "build_model",
@@ -103,32 +102,6 @@ _SOLVER_KEYS = {
 _FORMULATIONS = ("auto", "bb", "stream2d", "potential")
 
 
-class ExperimentConfig(dict):
-    """One validated run configuration (the parsed JSON object).
-
-    Behaves as a plain mapping; the scalar top-level fields are exposed
-    as properties with their defaults applied.
-    """
-
-    @property
-    def task(self) -> str | None:
-        return self.get("task")
-
-    @property
-    def seed(self) -> int:
-        return int(self.get("seed", 0))
-
-    @property
-    def eps(self) -> float:
-        return float(self.get("eps", 1.0))
-
-    @property
-    def checks(self) -> list:
-        return list(self.get("checks", []))
-
-    @property
-    def output_dir(self):
-        return self.get("output_dir")
 _BIF_KEYS = {
     "fprime1",
     "cubic",
@@ -156,7 +129,7 @@ def _section(cfg: dict, name: str, allowed: set) -> dict:
     return sec
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> dict:
     """Read and structurally validate one JSON configuration file."""
     try:
         with open(path) as fh:
@@ -186,7 +159,7 @@ def load_config(path) -> ExperimentConfig:
     checks = cfg.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("'checks' must be a list of strings")
-    return ExperimentConfig(cfg)
+    return cfg
 
 
 def _floats(values, where: str) -> tuple[float, ...]:
@@ -248,13 +221,12 @@ def build_space_grid(cfg: dict) -> TorusGrid:
     return TorusGrid(shape)
 
 
-def build_time_grid(cfg: dict, periodic_time: bool = False) -> SpaceTimeGrid:
+def build_time_grid(cfg: dict) -> SpaceTimeGrid:
     gcfg = _section(cfg, "grid", _GRID_KEYS)
     return SpaceTimeGrid(
         build_space_grid(cfg),
         n_t=int(gcfg.get("n_t", 16)),
         horizon=float(gcfg.get("horizon", 1.0)),
-        periodic_time=periodic_time,
     )
 
 

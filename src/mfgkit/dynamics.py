@@ -15,12 +15,13 @@ with ub/mb the slab midpoints, u_N = uT and m_0 = m0 held as data, and
 g(m) = f(x, m) for the equilibrium problem or g(m) = f + m df/dm for the
 planner (control) problem, whose solution is a critical point of psi2.
 
-These rows are exactly the critical-point equations of the discrete
-payoffs in :mod:`mfgkit.functionals`: at a solved state every reported
-derivative field vanishes (data rows included), and the slab structure
-is the implicit midpoint step of the Hamiltonian flow generated by
-psi1_hat, so that quantity is conserved along solutions up to an O(dt^2)
-wobble with no secular drift.
+The code does not restate these rows: :meth:`_System.residual` returns the
+slab rows of :mod:`mfgkit.functionals` (psi1's for the equilibrium,
+psi2's for the planner), so at a solved state every reported derivative
+field vanishes (data rows included). The slab structure is the implicit
+midpoint step of the Hamiltonian flow generated by psi1_hat, so that
+quantity is conserved along solutions up to an O(dt^2) wobble with no
+secular drift.
 
 The solver is a damped Newton method on the full space-time system,
 started from m frozen at m0 and u swept backward, with a relaxed Picard
@@ -28,8 +29,11 @@ fallback. GMRES solves each step with the Jacobian applied at FFT cost,
 preconditioned by the Jacobian at mean density, zero drift and mean
 coupling slope: one real 2N x 2N time system per spatial Fourier mode
 (see :meth:`_System.preconditioner`). A GMRES solve that misses its
-tolerance raises :class:`SolverError`. Only the quadratic kinetic part
-is supported on the Newton path.
+tolerance raises :class:`SolverError`. The separable rows hold at any
+density; the solved node densities are checked once against the model's
+``m_min``, before the certificates, and a density below it raises
+:class:`PositivityError`. Only the quadratic kinetic part is supported
+on the Newton path.
 """
 
 from __future__ import annotations
@@ -39,13 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._newton_krylov import gmres, newton
-from .errors import ModelError, SolverError
+from .errors import ModelError, PositivityError, SolverError
 from .grids import SpaceTimeGrid
 from . import spectral
-from .functionals import GameState, psi1, psi2
+from .functionals import GameState, _slab_rows, psi1, psi2
 from .hamiltonians import QuadraticKinetic, SeparableHamiltonian
 
-__all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_planner"]
+__all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_equilibrium_vs_planner"]
 
 @dataclass
 class SolveResult:
@@ -84,16 +88,6 @@ class _System:
         self.planner = planner
         self.K = sp.num_nodes
 
-    def coupling_terms(self, mbar):
-        c = self.model.coupling
-        if self.planner:
-            g = c.f(self.sp, mbar) + mbar * c.df_dm(self.sp, mbar)
-            gp = 2.0 * c.df_dm(self.sp, mbar) + mbar * c.d2f_dm2(self.sp, mbar)
-        else:
-            g = c.f(self.sp, mbar)
-            gp = c.df_dm(self.sp, mbar)
-        return g, gp
-
     def fields(self, z, data=True):
         """Unknown vector -> (u, m) stacks with data rows uT, m0 (zero if not ``data``)."""
         N, K = self.N, self.K
@@ -105,33 +99,27 @@ class _System:
         m[1:] = z[N * K :].reshape((N,) + self.sp.shape)
         return u, m
 
-    def midpoints(self, z):
-        """(u, m), their slab midpoints, grad ubar, and g, g' at mbar."""
-        u, m = self.fields(z)
-        ubar, mbar = 0.5 * (u[:-1] + u[1:]), 0.5 * (m[:-1] + m[1:])
-        return (u, m, ubar, mbar, spectral.gradient(self.sp, ubar)) + self.coupling_terms(mbar)
-
     def residual(self, z):
-        u, m, ubar, mbar, V, g, _ = self.midpoints(z)
-        sp, dt, eps = self.sp, self.dt, self.eps
-        S = (
-            -(u[1:] - u[:-1]) / dt
-            - eps * spectral.laplacian(sp, ubar)
-            + 0.5 * np.sum(V * V, axis=0)
-            - g
+        """The slab rows of the payoff whose critical point is solved: psi1's
+        for the equilibrium, psi2's for the planner."""
+        u, m = self.fields(z)
+        which = "psi2" if self.planner else "psi1"
+        rows = _slab_rows(
+            self.sp, self.model, which, u[:-1], u[1:], m[:-1], m[1:], self.dt, self.eps
         )
-        P = (
-            (m[1:] - m[:-1]) / dt
-            - eps * spectral.laplacian(sp, mbar)
-            - spectral.divergence(sp, mbar * V)
-        )
-        return np.concatenate([S.ravel(), P.ravel()])
+        return np.concatenate([rows.value.ravel(), rows.transport.ravel()])
 
     def linearize(self, z):
         """The derivative of :meth:`residual` at z as an action dz -> J dz,
         and the state's mean density and mean g' for :meth:`preconditioner`."""
-        _, _, _, mbar, V, _, gp = self.midpoints(z)
         sp, dt, eps = self.sp, self.dt, self.eps
+        u, m = self.fields(z)
+        mbar = 0.5 * (m[:-1] + m[1:])
+        V = spectral.gradient(sp, 0.5 * (u[:-1] + u[1:]))
+        c = self.model.coupling  # g' = f' (equilibrium) or (m f)'' (planner)
+        gp = c.df_dm(sp, mbar)
+        if self.planner:
+            gp = 2.0 * gp + mbar * c.d2f_dm2(sp, mbar)
 
         def jvp(dz):
             du, dm = self.fields(dz, data=False)
@@ -266,6 +254,13 @@ def _solve(
         )
 
     u, m = sys.fields(z)
+    low = m.reshape(sys.N + 1, -1).min(axis=1)
+    j = int(np.argmin(low))
+    if not low[j] >= model.m_min:
+        raise PositivityError(
+            f"solved density {low[j]:.3e} at time slice {j} is below the floor "
+            f"{model.m_min:.1e}"
+        )
     state = GameState(grid, m, u, m0=sys.m0, uT=sys.uT, eps=eps)
     if planner:
         rep = psi2(state, model)
@@ -336,26 +331,4 @@ def compare_equilibrium_vs_planner(mfg_state, mfc_state, model, tol: float = 1e-
         "psi2_mfc": val_c,
         "gap": val_c - val_g,
         "inequality_holds": bool(val_g <= val_c + tol),
-    }
-
-
-def compare_planner(
-    model: SeparableHamiltonian,
-    grid: SpaceTimeGrid,
-    m0,
-    uT,
-    eps: float = 1.0,
-    tol: float = 1e-9,
-) -> dict:
-    """Solve both problems and compare psi2 (equilibrium <= planner)."""
-    res_g = solve_mfg(model, grid, m0, uT, eps=eps, tol=tol)
-    res_c = solve_mfc(model, grid, m0, uT, eps=eps, tol=tol)
-    cmp = compare_equilibrium_vs_planner(res_g.state, res_c.state, model)
-    return {
-        "psi2_equilibrium": cmp["psi2_mfg"],
-        "psi2_planner": cmp["psi2_mfc"],
-        "gap": cmp["gap"],
-        "ordered": cmp["inequality_holds"],
-        "equilibrium": res_g,
-        "planner": res_c,
     }

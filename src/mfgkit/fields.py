@@ -76,17 +76,6 @@ class ScalarField:
     def space(self) -> TorusGrid:
         return _space_of(self.grid)
 
-    def gradient(self) -> "VectorField":
-        return VectorField(self.grid, spectral.gradient(self.space, self.values))
-
-    def laplacian(self) -> "ScalarField":
-        return ScalarField(self.grid, spectral.laplacian(self.space, self.values))
-
-    def integral(self):
-        if isinstance(self.grid, SpaceTimeGrid):
-            return spectral.integrate_space_time(self.grid, self.values)
-        return spectral.integrate(self.grid, self.values)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -104,16 +93,6 @@ class VectorField:
                 f"shape {_expected_shape(self.grid, components=d)}"
             )
         object.__setattr__(self, "values", arr)
-
-    @property
-    def space(self) -> TorusGrid:
-        return _space_of(self.grid)
-
-    def divergence(self) -> ScalarField:
-        return ScalarField(self.grid, spectral.divergence(self.space, self.values))
-
-    def project_div_free(self) -> "VectorField":
-        return VectorField(self.grid, spectral.project_div_free(self.space, self.values))
 
 
 class DensityField(ScalarField):

@@ -37,6 +37,7 @@ Sign and role conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,86 +139,100 @@ def _xmean(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[0], -1).mean(axis=1)
 
 
-def _dynamic_report(state: GameState, model, which: str) -> FunctionalReport:
-    grid = state.grid
-    sp = grid.space
-    dt = grid.dt
-    eps = state.eps
+class _Slabs(NamedTuple):
+    """Implicit-midpoint slab terms of one payoff (see :func:`_slab_rows`)."""
 
-    mbar = 0.5 * (state.m[:-1] + state.m[1:])
-    ubar = 0.5 * (state.u[:-1] + state.u[1:])
-    du_slab = state.u[1:] - state.u[:-1]
-    dm_slab_diff = state.m[1:] - state.m[:-1]
+    value: np.ndarray  # value row, the per-slab m-derivative
+    transport: np.ndarray  # transport row, the per-slab u-derivative
+    hjb: np.ndarray  # adv + H, the HJB residual
+    running: np.ndarray  # running cost, m-weighted form
+    cost: np.ndarray  # running cost without its m * adv part: F_H or m H
+    ubar: np.ndarray
+    mbar: np.ndarray
+    trans: np.ndarray
 
-    pbar = spectral.gradient(sp, ubar)
-    lap_ubar = spectral.laplacian(sp, ubar)
-    lap_mbar = spectral.laplacian(sp, mbar)
 
-    hv = model.eval(sp, pbar, mbar)
-    adv = -du_slab / dt - eps * lap_ubar  # -u_t - eps lap(u) at midpoints
+def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> _Slabs:
+    """The rows of payoff ``which`` on time slabs of width dt from (u0, m0)
+    to (u1, m1), all terms at the slab midpoints ubar, mbar:
 
+        adv   = -(u1 - u0)/dt - eps lap(ubar),
+        trans =  (m1 - m0)/dt - eps lap(mbar),
+        value row:     adv + H (psi1),  adv + H + mbar dmH (psi2),
+        transport row: trans - div W,   W = dp F_H (psi1),  mbar dpH (psi2).
+
+    These are the finite-horizon solver's rows (psi1's for the equilibrium,
+    psi2's for the planner); with u0 = u1 and m0 = m1 they are the
+    stationary rows.
+    """
+    ubar, mbar = 0.5 * (u0 + u1), 0.5 * (m0 + m1)
+    p = spectral.gradient(sp, ubar)
+    adv = -(u1 - u0) / dt - eps * spectral.laplacian(sp, ubar)
+    trans = (m1 - m0) / dt - eps * spectral.laplacian(sp, mbar)
+    hv = model.eval(sp, p, mbar)
+    hjb = adv + hv.H
     if which == "psi1":
-        FH, dpFH = model.eval_F_H(sp, pbar, mbar)
-        running = mbar * adv + FH
-        dm_slab = adv + hv.H
-        W = dpFH
+        cost, W = model.eval_F_H(sp, p, mbar)
+        value, running = hjb, mbar * adv + cost
     elif which == "psi2":
-        running = mbar * (adv + hv.H)
-        dm_slab = adv + hv.H + mbar * hv.dmH
-        W = mbar * hv.dpH
+        cost, W = mbar * hv.H, mbar * hv.dpH
+        value, running = hjb + mbar * hv.dmH, mbar * hjb
     else:  # pragma: no cover
         raise ValueError(which)
+    transport = trans - spectral.divergence(sp, W)
+    return _Slabs(value, transport, hjb, running, cost, ubar, mbar, trans)
 
-    terminal_pairing = float(np.mean(state.m[-1] * state.u[-1]))
-    initial_pairing = float(np.mean(state.m0 * state.u[0]))
-    terminal_cost = float(np.mean(state.m[-1] * state.uT))
+
+def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
+    """Node field of per-slab rows: end slabs plus ``first``/``last`` at the
+    end nodes, the average of the two adjacent slabs inside."""
+    out = np.empty((len(slab) + 1,) + slab.shape[1:])
+    out[0] = slab[0] + first
+    out[1:-1] = 0.5 * (slab[:-1] + slab[1:])
+    out[-1] = slab[-1] + last
+    return out
+
+
+def _raw_F_shift(sp, model, m) -> np.ndarray:
+    """F - antiderivative_raw at m: moves psi1 to the raw-antiderivative form."""
+    return model.coupling.F(sp, m) - model.coupling.antiderivative_raw(sp, m)
+
+
+def _dynamic_report(state: GameState, model, which: str) -> FunctionalReport:
+    grid = state.grid
+    dt = grid.dt
+    u, m = state.u, state.m
+    s = _slab_rows(grid.space, model, which, u[:-1], u[1:], m[:-1], m[1:], dt, state.eps)
+
+    initial_pairing = float(np.mean(state.m0 * u[0]))
+    terminal_cost = float(np.mean(m[-1] * state.uT))
     value = (
-        dt * float(np.sum(_xmean(running)))
-        + terminal_pairing
+        dt * float(np.sum(_xmean(s.running)))
+        + float(np.mean(m[-1] * u[-1]))
         - initial_pairing
         - terminal_cost
     )
-
     # Node-centered derivative fields (see module docstring).
-    N = grid.n_t
-    dm = np.empty_like(state.m)
-    dm[0] = dm_slab[0]
-    dm[1:N] = 0.5 * (dm_slab[:-1] + dm_slab[1:])
-    dm[N] = dm_slab[-1] + (2.0 / dt) * (state.u[-1] - state.uT)
-
-    divW = spectral.divergence(sp, W)
-    fp_slab = dm_slab_diff / dt - eps * lap_mbar - divW
-    du = np.empty_like(state.u)
-    du[0] = fp_slab[0] + (2.0 / dt) * (state.m[0] - state.m0)
-    du[1:N] = 0.5 * (fp_slab[:-1] + fp_slab[1:])
-    du[N] = fp_slab[-1]
+    dm = _nodes(s.value, last=(2.0 / dt) * (u[-1] - state.uT))
+    du = _nodes(s.transport, first=(2.0 / dt) * (m[0] - state.m0))
 
     # Second displayed form (transport-weighted); equal up to roundoff by
     # summation by parts in time and self-adjointness of the Laplacian.
-    if which == "psi1":
-        integrand = FH
-    else:
-        integrand = mbar * hv.H
-    transported = ubar * (dm_slab_diff / dt - eps * lap_mbar)
     value_u_weighted = (
-        dt * float(np.sum(_xmean(transported + integrand)))
-        + float(np.mean(state.m[0] * state.u[0]))
+        dt * float(np.sum(_xmean(s.ubar * s.trans + s.cost)))
+        + float(np.mean(m[0] * u[0]))
         - initial_pairing
         - terminal_cost
     )
 
     extras = {
-        "terminal_pairing": terminal_pairing,
-        "initial_pairing": initial_pairing,
-        "terminal_cost": terminal_cost,
         "value_u_weighted": value_u_weighted,
-        "hjb_slab_residual": adv + hv.H,
-        "fp_slab_residual": fp_slab if which == "psi2" else None,
+        "hjb_slab_residual": s.hjb,
+        "fp_slab_residual": s.transport if which == "psi2" else None,
     }
-    if hasattr(model, "coupling"):
-        delta = model.coupling.F(sp, mbar) - model.coupling.antiderivative_raw(sp, mbar)
-        if which == "psi1":
-            extras["value_raw_F"] = value + dt * float(np.sum(_xmean(delta)))
+    if which == "psi1":
+        delta = _raw_F_shift(grid.space, model, s.mbar)
+        extras["value_raw_F"] = value + dt * float(np.sum(_xmean(delta)))
     return FunctionalReport(value=value, dm=dm, du=du, extras=extras)
 
 
@@ -231,35 +246,23 @@ def psi2(state: GameState, model) -> FunctionalReport:
     return _dynamic_report(state, model, "psi2")
 
 
+def _hat_report(state: StationaryState, model, which: str) -> FunctionalReport:
+    """The one-slab rows of the constant pair (u, u), (m, m)."""
+    u, m = state.u, state.m
+    s = _slab_rows(state.grid, model, which, u, u, m, m, 1.0, state.eps)
+    rep = FunctionalReport(value=float(np.mean(s.running)), dm=s.value, du=s.transport)
+    if which == "psi1":
+        delta = _raw_F_shift(state.grid, model, m)
+        rep.extras["value_raw_F"] = rep.value + float(np.mean(delta))
+    return rep
+
+
 def psi1_hat(state: StationaryState, model) -> FunctionalReport:
-    grid = state.grid
-    p = spectral.gradient(grid, state.u)
-    lap_u = spectral.laplacian(grid, state.u)
-    lap_m = spectral.laplacian(grid, state.m)
-    hv = model.eval(grid, p, state.m)
-    FH, dpFH = model.eval_F_H(grid, p, state.m)
-    value = float(np.mean(-state.eps * state.m * lap_u + FH))
-    dm = -state.eps * lap_u + hv.H
-    du = -state.eps * lap_m - spectral.divergence(grid, dpFH)
-    extras = {}
-    if hasattr(model, "coupling"):
-        delta = model.coupling.F(grid, state.m) - model.coupling.antiderivative_raw(
-            grid, state.m
-        )
-        extras["value_raw_F"] = value + float(np.mean(delta))
-    return FunctionalReport(value=value, dm=dm, du=du, extras=extras)
+    return _hat_report(state, model, "psi1")
 
 
 def psi2_hat(state: StationaryState, model) -> FunctionalReport:
-    grid = state.grid
-    p = spectral.gradient(grid, state.u)
-    lap_u = spectral.laplacian(grid, state.u)
-    lap_m = spectral.laplacian(grid, state.m)
-    hv = model.eval(grid, p, state.m)
-    value = float(np.mean(-state.eps * state.m * lap_u + state.m * hv.H))
-    dm = -state.eps * lap_u + hv.H + state.m * hv.dmH
-    du = -state.eps * lap_m - spectral.divergence(grid, state.m * hv.dpH)
-    return FunctionalReport(value=value, dm=dm, du=du)
+    return _hat_report(state, model, "psi2")
 
 
 def _with_multiplier(base: FunctionalReport, state: StationaryState) -> FunctionalReport:

@@ -17,9 +17,12 @@ Two model families are provided:
   (gamma m^alpha) - f(x, m) with a constant drift vector Q, gamma >= 1,
   alpha >= 0, alpha != 1.
 
-Evaluating any model at a density entry below ``m_min`` (default 1e-10)
-raises :class:`~mfgkit.errors.PositivityError`; the power laws are not
-continued past the floor.
+Evaluating a congestion model at a density entry below ``m_min``
+(default 1e-10) raises :class:`~mfgkit.errors.PositivityError`; its
+power laws are not continued past the floor. Every term of a separable
+model is polynomial in m, so it evaluates at any density; its ``m_min``
+is the floor the finite-horizon solver checks once on the solved
+densities.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "CongestionHamiltonian",
     "MonotonicityReport",
     "check_monotonicity",
-    "legendre",
 ]
 
 M_FLOOR = 1e-10
@@ -202,7 +204,6 @@ class SeparableHamiltonian:
     m_min: float = M_FLOOR
 
     def eval(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> HamiltonianValues:
-        _check_floor(m, self.m_min)
         H = self.kinetic.value(p) - self.coupling.f(grid, m)
         return HamiltonianValues(
             H=H,
@@ -212,12 +213,10 @@ class SeparableHamiltonian:
 
     def eval_F_H(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
         """Antiderivative of H in m and its p-gradient: (F_H, dp F_H)."""
-        _check_floor(m, self.m_min)
         FH = m * self.kinetic.value(p) - self.coupling.F(grid, m)
         return FH, m * self.kinetic.grad(p)
 
     def legendre(self, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
-        _check_floor(m, self.m_min)
         return _kinetic_legendre(self.kinetic, q) + self.coupling.f(grid, m)
 
     def hess_pp(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -383,8 +382,3 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
         min_eig_block=float(eigs_block.min()),
         n_samples=S,
     )
-
-
-def legendre(model, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Convex conjugate of H in p, evaluated at (x, q, m)."""
-    return model.legendre(grid, q, m)

@@ -239,7 +239,11 @@ def dynamics_jacobian(system, z):
     ubar = 0.5 * (u[:-1] + u[1:])
     mbar = 0.5 * (m[:-1] + m[1:])
     V = spectral.gradient(sp, ubar)
-    _, gp = system.coupling_terms(mbar)
+    # g' from the coupling polynomial: f' (equilibrium) or (m f)'' (planner).
+    poly = np.polynomial.Polynomial(system.model.coupling.poly)
+    if system.planner:
+        poly = poly * np.polynomial.Polynomial([0.0, 1.0])
+    gp = poly.deriv(2 if system.planner else 1)(mbar)
     eyedt = np.eye(K) / dt
     J = np.zeros((2 * N * K, 2 * N * K))
 

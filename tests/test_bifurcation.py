@@ -138,6 +138,16 @@ def test_kernel_trivial_off_critical(periodic_setup):
     assert rep.adjoint_kernel_dim == 0
 
 
+def test_kernel_at_tiny_period_has_no_kernel():
+    # The blocks scale with T; an absolute null bound flagged 31 fields at
+    # T = 1e-12 and 4 at T = 1e-9 on this grid.
+    st = bf.periodic_grid(1, 8, 4)
+    for T in (1e-12, 1e-9):
+        rep = bf.kernel_at(st, T, FPRIME1)
+        assert rep.kernel_dim == 0
+        assert rep.adjoint_kernel_dim == 0
+
+
 def test_kernel_at_rejects_nonpositive_period(periodic_setup):
     st, _ = periodic_setup
     for T in (0.0, -TBAR):

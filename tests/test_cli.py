@@ -158,8 +158,43 @@ def test_solve_mfg_and_compare(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", dict(SEP_CFG, output_dir=str(out2)))
     assert run(["compare", cfg]) == 0
     payload = json.loads((out2 / "result.json").read_text())
+    assert set(payload) == {
+        "psi2_equilibrium", "psi2_planner", "gap", "ordered", "equilibrium", "planner"
+    }
     assert payload["ordered"] is True
     assert payload["psi2_equilibrium"] <= payload["psi2_planner"] + 1e-8
+    assert payload["gap"] == payload["psi2_planner"] - payload["psi2_equilibrium"]
+    for side in ("equilibrium", "planner"):
+        assert set(payload[side]) == {"newton_iterations", "residual_inf"}
+        assert payload[side]["residual_inf"] <= 1e-10
+
+
+def test_every_dynamic_command_honours_max_newton(tmp_path, capsys):
+    # No Newton step allowed: every command that solves must fail alike.
+    cfg = write_cfg(tmp_path, "n0.json", dict(SEP_CFG, solver={"tol": 1e-10, "max_newton": 0}))
+    for command in ("solve-mfg", "solve-mfc", "compare", "crosscheck", "duality-crosscheck"):
+        assert run([command, cfg, "--output-dir", tmp_path / command]) == 1, command
+        assert "no convergence" in capsys.readouterr().err
+
+
+def test_negative_node_density_fails_every_dynamic_command(tmp_path, capsys):
+    # The steep case of test_dynamics: Newton converges to node densities
+    # down to -0.12, which no command may certify.
+    steep = {
+        "eps": 0.3,
+        "model": {"kind": "separable", "f_poly": [0.0, 1.0],
+                  "f_spatial": [{"amp": 0.3, "k": [1], "kind": "cos"}]},
+        "grid": {"dim": 1, "n": 32, "n_t": 16, "horizon": 1.0},
+        "initial": {
+            "m0": {"base": 1.0, "modes": [{"amp": 0.5, "k": [1], "kind": "cos"}]},
+            "uT": {"base": 0.0, "modes": [{"amp": 1.0, "k": [1], "kind": "sin"},
+                                          {"amp": 0.5, "k": [2], "kind": "cos"}]},
+        },
+    }
+    cfg = write_cfg(tmp_path, "steep.json", steep)
+    for command in ("solve-mfg", "compare", "crosscheck", "duality-crosscheck"):
+        assert run([command, cfg, "--output-dir", tmp_path / command]) == 1, command
+        assert "below the floor" in capsys.readouterr().err
 
 
 def test_crosscheck_passes_and_fails(tmp_path, capsys, monkeypatch):

@@ -10,14 +10,17 @@ from scipy.sparse.linalg import splu
 import helpers
 from mfgkit import (
     Coupling,
+    GameState,
     ModelError,
+    PositivityError,
     SeparableHamiltonian,
     SolverError,
     SpaceTimeGrid,
     SpatialTerm,
     TorusGrid,
     compare_equilibrium_vs_planner,
-    compare_planner,
+    psi1,
+    psi2,
     solve_mfc,
     solve_mfg,
     spectral,
@@ -108,23 +111,6 @@ def test_compare_rejects_mismatched_data(sep_model):
         compare_equilibrium_vs_planner(res_a.state, res_b.state, sep_model)
 
 
-def test_compare_planner_convenience_payload(sep_model):
-    g = TorusGrid((16,))
-    m0, uT = perturbed_data(16)
-    out = compare_planner(sep_model, SpaceTimeGrid(g, 8, T), m0, uT, eps=1.0, tol=1e-10)
-    assert set(out) == {
-        "psi2_equilibrium",
-        "psi2_planner",
-        "gap",
-        "ordered",
-        "equilibrium",
-        "planner",
-    }
-    assert out["ordered"]
-    assert out["equilibrium"].residual_inf <= 1e-10
-    assert out["planner"].residual_inf <= 1e-10
-
-
 def test_unreachable_tolerance_raises(sep_model):
     g = TorusGrid((16,))
     m0, uT = perturbed_data(16)
@@ -180,6 +166,21 @@ def _system_case(shape, n_t, planner, seed=0):
 
 
 CASES = [((16,), 8, False), ((16,), 8, True), ((8, 8), 4, False), ((8, 8), 4, True)]
+
+
+@pytest.mark.parametrize("shape, n_t, planner", CASES)
+def test_residual_rows_are_the_payoff_rows(shape, n_t, planner):
+    # Bit for bit: the solver's rows are psi1's (equilibrium) or psi2's
+    # (planner) slab rows, which the reports average onto the nodes.
+    system, z, _ = _system_case(shape, n_t, planner)
+    u, m = system.fields(z)
+    state = GameState(SpaceTimeGrid(system.sp, n_t, 0.5), m, u, system.m0, system.uT, eps=0.7)
+    rep = (psi2 if planner else psi1)(state, system.model)
+    S, P = system.residual(z).reshape((2, n_t) + shape)
+    for rows, nodes in ((S, rep.dm), (P, rep.du)):
+        assert np.array_equal(nodes[0], rows[0])
+        assert np.array_equal(nodes[1:-1], 0.5 * (rows[:-1] + rows[1:]))
+        assert np.array_equal(nodes[-1], rows[-1])
 
 
 @pytest.mark.parametrize("shape, n_t, planner", CASES)
@@ -263,3 +264,21 @@ def test_2d_32_squared_solve_is_certified_quickly(sep_model):
     assert res.psi2_du_inf <= 1e-7
     assert res.picard_sweeps == 0
     assert elapsed < 10.0
+
+
+def steep_case():
+    """1-D 32 x 16, horizon 1, eps 0.3: f = m + 0.3 cos 2 pi x, m0 = 1 + 0.5 cos 2 pi x,
+    uT = sin 2 pi x + 0.5 cos 4 pi x. Newton converges to a state whose node
+    densities reach -0.12 at t = T, while every slab midpoint stays positive."""
+    sp = TorusGrid((32,))
+    x = sp.coords[0]
+    model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0), terms=(SpatialTerm(0.3, (1,)),)))
+    m0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * x)
+    uT = np.sin(2.0 * np.pi * x) + 0.5 * np.cos(4.0 * np.pi * x)
+    return model, SpaceTimeGrid(sp, 16, 1.0), m0, uT
+
+
+def test_negative_node_density_is_not_certified():
+    model, st, m0, uT = steep_case()
+    with pytest.raises(PositivityError, match=r"density -1\.236e-01 at time slice 16 "):
+        solve_mfg(model, st, m0, uT, eps=0.3)

@@ -15,7 +15,6 @@ from mfgkit import (
     TorusGrid,
     b_cost,
     check_monotonicity,
-    hamiltonians,
 )
 
 
@@ -129,7 +128,7 @@ def test_fenchel_young_against_sup_oracle(g1):
         # library evaluation: pack the samples onto grid nodes (the
         # couplings above carry no explicit x-dependence)
         grid = TorusGrid((100,))
-        lib = hamiltonians.legendre(model, grid, q.reshape(1, 100), m)
+        lib = model.legendre(grid, q.reshape(1, 100), m)
         assert np.max(np.abs(lib - oracle)) < 1e-8
 
 
@@ -185,6 +184,19 @@ def test_density_floor(g1):
     model = CongestionHamiltonian(Q=(1.0,), alpha=0.5, gamma=2.0)
     with pytest.raises(PositivityError, match="below the evaluation floor"):
         model.eval(g1, np.zeros((1, 16)), np.full(16, 1e-12))
+
+
+def test_separable_model_evaluates_below_the_floor(g1):
+    # Every separable term is polynomial in m: no floor applies.
+    model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0, 0.5)))
+    p = np.full((1, 16), 0.5)
+    m = np.full(16, -0.25)
+    hv = model.eval(g1, p, m)
+    assert np.all(hv.H == 0.125 - (-0.25 + 0.5 * 0.0625))
+    assert np.all(hv.dmH == -(1.0 - 0.25))
+    FH, dpFH = model.eval_F_H(g1, p, m)
+    assert np.all(np.isfinite(FH)) and np.all(dpFH == -0.125)
+    assert np.all(np.isfinite(model.legendre(g1, p, m)))
 
 
 def test_drift_dimension_mismatch(g1):
