@@ -26,6 +26,7 @@ from mfgkit import (
     spectral,
     _newton_krylov,
 )
+from mfgkit.cli import cmd_compare
 from mfgkit.dynamics import _System
 
 T = 0.25
@@ -109,6 +110,33 @@ def test_compare_rejects_mismatched_data(sep_model):
     res_b = solve_mfc(sep_model, st, m0b, uT, eps=1.0, tol=1e-10)
     with pytest.raises(ModelError, match="different data"):
         compare_equilibrium_vs_planner(res_a.state, res_b.state, sep_model)
+
+
+def test_compare_planner_convenience_payload(tmp_path):
+    # The compare command's payload: both solves with their residuals, and
+    # psi2 of each side under the keys the report uses.
+    cfg = {
+        "model": {"kind": "separable", "f_poly": [0.0, 1.0]},
+        "grid": {"dim": 1, "n": 16, "n_t": 8, "horizon": T},
+        "initial": {
+            "m0": {"base": 1.0, "modes": [{"amp": 0.1, "k": [1], "kind": "cos"}]},
+            "uT": {"base": 0.0, "modes": [{"amp": 0.05, "k": [1], "kind": "sin"}]},
+        },
+        "solver": {"tol": 1e-10},
+    }
+    out, files = cmd_compare(cfg, tmp_path)
+    assert files == {"result.json": out}
+    assert set(out) == {
+        "psi2_equilibrium",
+        "psi2_planner",
+        "gap",
+        "ordered",
+        "equilibrium",
+        "planner",
+    }
+    assert out["ordered"]
+    assert out["equilibrium"]["residual_inf"] <= 1e-10
+    assert out["planner"]["residual_inf"] <= 1e-10
 
 
 def test_unreachable_tolerance_raises(sep_model):
