@@ -47,6 +47,7 @@ import numpy as np
 
 from . import __version__, bifurcation, spectral
 from .config import (
+    _number,
     bifurcation_settings,
     build_m0,
     build_model,
@@ -192,7 +193,7 @@ def _separable_problem(cfg, needs: str):
     st = build_time_grid(cfg)
     m0 = build_m0(st.space, cfg)
     uT = build_uT(st.space, cfg)
-    eps, s = float(cfg.get("eps", 1.0)), solver_settings(cfg)
+    eps, s = _number(cfg.get("eps", 1.0), "eps"), solver_settings(cfg)
 
     def solve(planner: bool):
         solver = solve_mfc if planner else solve_mfg
@@ -213,7 +214,6 @@ def _dynamic_solve(cfg, out_dir, planner: bool):
         "problem": "planner" if planner else "equilibrium",
         "eps": eps,
         "newton_iterations": res.newton_iterations,
-        "picard_sweeps": res.picard_sweeps,
         "krylov_iterations": sum(res.krylov_iterations),
         "residual_inf": res.residual_inf,
         "m_min": res.min_m,
@@ -448,7 +448,7 @@ def _check_congestion(cfg, checks, rng):
 
 def cmd_crosscheck(cfg, out_dir):
     model = build_model(cfg)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
     checks = cfg.get("checks") or (
         ["derivatives", "two-forms", "duality", "mass"]
         if isinstance(model, SeparableHamiltonian)

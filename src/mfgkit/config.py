@@ -162,27 +162,38 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _floats(values, where: str) -> tuple[float, ...]:
+def _number(value, where: str, kind=float):
+    """``kind(value)`` for the scalar config value at key ``where``; a value
+    that does not convert raises ConfigError naming the key."""
     try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{where}' must be a number (got {value!r})")
+
+
+def _numbers(values, where: str, kind=float) -> tuple:
+    try:
+        return tuple(kind(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{where}' must be a list of numbers")
 
 
+def _term(mode: dict, where: str) -> SpatialTerm:
+    return SpatialTerm(
+        amp=_number(mode.get("amp", 0.0), f"{where}.amp"),
+        k=_numbers(mode.get("k", ()), f"{where}.k", int),
+        kind=str(mode.get("kind", "cos")),
+    )
+
+
 def build_coupling(mcfg: dict) -> Coupling:
-    poly = _floats(mcfg.get("f_poly", [0.0, 1.0]), "model.f_poly")
+    poly = _numbers(mcfg.get("f_poly", [0.0, 1.0]), "model.f_poly")
     terms = []
     for mode in mcfg.get("f_spatial", []):
         if not isinstance(mode, dict):
             raise ConfigError("entries of 'model.f_spatial' must be objects")
         _check_keys(mode, _MODE_KEYS, "'model.f_spatial'")
-        terms.append(
-            SpatialTerm(
-                amp=float(mode.get("amp", 0.0)),
-                k=tuple(int(v) for v in mode.get("k", ())),
-                kind=str(mode.get("kind", "cos")),
-            )
-        )
+        terms.append(_term(mode, "model.f_spatial"))
     return Coupling(poly=poly, terms=tuple(terms))
 
 
@@ -200,9 +211,9 @@ def build_model(cfg: dict):
         if "Q" not in mcfg:
             raise ConfigError("congestion models need 'model.Q'")
         return CongestionHamiltonian(
-            Q=_floats(mcfg["Q"], "model.Q"),
-            alpha=float(mcfg.get("alpha", 0.5)),
-            gamma=float(mcfg.get("gamma", 2.0)),
+            Q=_numbers(mcfg["Q"], "model.Q"),
+            alpha=_number(mcfg.get("alpha", 0.5), "model.alpha"),
+            gamma=_number(mcfg.get("gamma", 2.0), "model.gamma"),
             coupling=coupling,
         )
     raise ConfigError(f"unknown model kind '{kind}' (use separable or congestion)")
@@ -210,14 +221,14 @@ def build_model(cfg: dict):
 
 def build_space_grid(cfg: dict) -> TorusGrid:
     gcfg = _section(cfg, "grid", _GRID_KEYS)
-    dim = int(gcfg.get("dim", 1))
+    dim = _number(gcfg.get("dim", 1), "grid.dim", int)
     n = gcfg.get("n", 16)
     if isinstance(n, list):
-        shape = tuple(int(v) for v in n)
+        shape = _numbers(n, "grid.n", int)
         if len(shape) != dim:
             raise ConfigError(f"'grid.n' has {len(shape)} entries but dim = {dim}")
     else:
-        shape = (int(n),) * dim
+        shape = (_number(n, "grid.n", int),) * dim
     return TorusGrid(shape)
 
 
@@ -225,25 +236,23 @@ def build_time_grid(cfg: dict) -> SpaceTimeGrid:
     gcfg = _section(cfg, "grid", _GRID_KEYS)
     return SpaceTimeGrid(
         build_space_grid(cfg),
-        n_t=int(gcfg.get("n_t", 16)),
-        horizon=float(gcfg.get("horizon", 1.0)),
+        n_t=_number(gcfg.get("n_t", 16), "grid.n_t", int),
+        horizon=_number(gcfg.get("horizon", 1.0), "grid.horizon"),
     )
 
 
-def build_profile(grid: TorusGrid, pcfg: dict | None, base_default: float) -> np.ndarray:
-    out = np.full(grid.shape, float((pcfg or {}).get("base", base_default)))
-    for mode in (pcfg or {}).get("modes", []):
-        term = SpatialTerm(
-            amp=float(mode.get("amp", 0.0)),
-            k=tuple(int(v) for v in mode.get("k", ())),
-            kind=str(mode.get("kind", "cos")),
-        )
-        out = out + term.evaluate(grid)
+def build_profile(grid: TorusGrid, cfg: dict, key: str, base_default: float) -> np.ndarray:
+    """The spatial profile ``initial.<key>``: its base plus its modes."""
+    where = f"initial.{key}"
+    pcfg = _section(cfg, "initial", _INITIAL_KEYS).get(key) or {}
+    out = np.full(grid.shape, _number(pcfg.get("base", base_default), f"{where}.base"))
+    for mode in pcfg.get("modes", []):
+        out = out + _term(mode, f"{where}.modes").evaluate(grid)
     return out
 
 
 def build_m0(grid: TorusGrid, cfg: dict) -> np.ndarray:
-    m0 = build_profile(grid, _section(cfg, "initial", _INITIAL_KEYS).get("m0"), 1.0)
+    m0 = build_profile(grid, cfg, "m0", 1.0)
     if float(m0.min()) <= 0.0:
         raise ConfigError(
             f"'initial.m0' must be strictly positive (min = {float(m0.min()):.3e})"
@@ -255,7 +264,7 @@ def build_m0(grid: TorusGrid, cfg: dict) -> np.ndarray:
 
 
 def build_uT(grid: TorusGrid, cfg: dict) -> np.ndarray:
-    return build_profile(grid, _section(cfg, "initial", _INITIAL_KEYS).get("uT"), 0.0)
+    return build_profile(grid, cfg, "uT", 0.0)
 
 
 def solver_settings(cfg: dict) -> dict:
@@ -267,31 +276,35 @@ def solver_settings(cfg: dict) -> dict:
             f"got '{formulation}'"
         )
     return {
-        "tol": float(scfg.get("tol", 1e-9)),
-        "max_iter": int(scfg.get("max_iter", 50000)),
-        "max_newton": int(scfg.get("max_newton", 40)),
+        "tol": _number(scfg.get("tol", 1e-9), "solver.tol"),
+        "max_iter": _number(scfg.get("max_iter", 50000), "solver.max_iter", int),
+        "max_newton": _number(scfg.get("max_newton", 40), "solver.max_newton", int),
         "formulation": formulation,
-        "barrier_stages": _floats(
+        "barrier_stages": _numbers(
             scfg.get("barrier_stages", ()), "solver.barrier_stages"
         ),
-        "w_reg": float(scfg.get("w_reg", 0.0)),
+        "w_reg": _number(scfg.get("w_reg", 0.0), "solver.w_reg"),
     }
 
 
 def bifurcation_settings(cfg: dict) -> dict:
     bcfg = _section(cfg, "bifurcation", _BIF_KEYS)
     out = {
-        "fprime1": float(bcfg.get("fprime1", -6.0 * np.pi**2)),
-        "cubic": float(bcfg.get("cubic", 1.0)),
-        "f1": float(bcfg.get("f1", 0.0)),
-        "amplitudes": _floats(
+        "fprime1": _number(bcfg.get("fprime1", -6.0 * np.pi**2), "bifurcation.fprime1"),
+        "cubic": _number(bcfg.get("cubic", 1.0), "bifurcation.cubic"),
+        "f1": _number(bcfg.get("f1", 0.0), "bifurcation.f1"),
+        "amplitudes": _numbers(
             bcfg.get("amplitudes", (1e-3, 3e-3, 1e-2)), "bifurcation.amplitudes"
         ),
-        "dim": int(bcfg.get("dim", 1)),
-        "n": int(bcfg.get("n", 16)),
-        "n_t": int(bcfg.get("n_t", 16)),
-        "spectrum_points": int(bcfg.get("spectrum_points", 9)),
-        "spectrum_halfwidth": float(bcfg.get("spectrum_halfwidth", 0.1)),
+        "dim": _number(bcfg.get("dim", 1), "bifurcation.dim", int),
+        "n": _number(bcfg.get("n", 16), "bifurcation.n", int),
+        "n_t": _number(bcfg.get("n_t", 16), "bifurcation.n_t", int),
+        "spectrum_points": _number(
+            bcfg.get("spectrum_points", 9), "bifurcation.spectrum_points", int
+        ),
+        "spectrum_halfwidth": _number(
+            bcfg.get("spectrum_halfwidth", 0.1), "bifurcation.spectrum_halfwidth"
+        ),
     }
     if not out["amplitudes"]:
         raise ConfigError("'bifurcation.amplitudes' must hold at least one value")

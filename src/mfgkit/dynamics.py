@@ -24,16 +24,17 @@ quantity is conserved along solutions up to an O(dt^2) wobble with no
 secular drift.
 
 The solver is a damped Newton method on the full space-time system,
-started from m frozen at m0 and u swept backward, with a relaxed Picard
-fallback. GMRES solves each step with the Jacobian applied at FFT cost,
-preconditioned by the Jacobian at mean density, zero drift and mean
-coupling slope: one real 2N x 2N time system per spatial Fourier mode
+started from the data rows (u = uT and m = m0 on every slice). GMRES
+solves each step with the Jacobian applied at FFT cost, preconditioned
+by the Jacobian at mean density, zero drift and mean coupling slope:
+one real 2N x 2N time system per spatial Fourier mode
 (see :meth:`_System.preconditioner`). A GMRES solve that misses its
 tolerance raises :class:`SolverError`. The separable rows hold at any
 density; the solved node densities are checked once against the model's
 ``m_min``, before the certificates, and a density below it raises
 :class:`PositivityError`. Only the quadratic kinetic part is supported
-on the Newton path.
+on the Newton path, and a negative or non-finite eps raises
+:class:`ModelError` before any work.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ class SolveResult:
 
     state: GameState
     newton_iterations: int
-    picard_sweeps: int
     residual_inf: float
     min_m: float
     psi1_dm_inf: float
     psi2_du_inf: float
     history: tuple[float, ...] = field(default_factory=tuple)
     krylov_iterations: tuple[int, ...] = field(default_factory=tuple)
+    picard_sweeps: int = 0  # always 0; bench/tracer.py still reads it
 
 
 def _check_model(model) -> None:
@@ -170,41 +171,6 @@ class _System:
 
         return apply
 
-    def sweep(self, z, half: int, tol: float):
-        """Solve the value rows for u with m frozen, backward from u_N = uT
-        (half 0), or the transport rows for m with u frozen, forward from
-        m_0 = m0 (half 1), one slab at a time by damped Newton to sup-norm
-        tol. Slab j is the one-slab system with data u_{j+1} and m_j and the
-        other half's unknown held by identity rows. Its preconditioner at
-        mbar = gpbar = 0 is block diagonal, so on the solved half it is the
-        exact inverse of the zero-drift step, the symbol 1/dt - eps lam / 2."""
-        u, m = self.fields(z)
-        frozen = np.arange(2 * self.K) // self.K != half
-
-        def restrict(op):
-            return lambda x: np.where(frozen, x, op(x))
-
-        for j in range(self.N - 1, -1, -1) if half == 0 else range(self.N):
-            slab = _System(
-                self.model, self.sp, 1, self.dt, m[j], u[j + 1], self.eps, self.planner
-            )
-            precond = restrict(slab.preconditioner(0.0, 0.0))
-            where = f"slab {j} of the {('backward', 'forward')[half]} sweep"
-
-            def direction(z, res):
-                return gmres(restrict(slab.linearize(z)[0]), precond, -res, where)[0]
-
-            if half == 0:
-                u[j] = u[j + 1]
-            start = slab.pack(u[j : j + 2], m[j : j + 2])
-            residual = lambda z: np.where(frozen, 0.0, slab.residual(z))  # noqa: E731
-            u_slab, m_slab = slab.fields(newton(residual, direction, start, tol, 30, [])[0])
-            u[j], m[j + 1] = u_slab[0], m_slab[1]
-        return self.pack(u, m)
-
-    def pack(self, u, m):
-        return np.concatenate([u[: self.N].ravel(), m[1:].ravel()])
-
 
 def _solve(
     model,
@@ -215,18 +181,16 @@ def _solve(
     planner: bool,
     tol: float,
     max_newton: int,
-    picard_sweeps: int,
 ) -> SolveResult:
     _check_model(model)
     if grid.periodic_time:
         raise ModelError("finite-horizon solvers need an interval time axis")
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ModelError(f"the viscosity eps must be finite and >= 0 (got {eps})")
     sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
-
-    z = sys.sweep(np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)]), 0, tol)
 
     history = []
     krylov = []
-    sweeps_used = 0
 
     def direction(z, res):
         jvp, means = sys.linearize(z)
@@ -235,22 +199,11 @@ def _solve(
         krylov.append(k)
         return delta
 
-    z, rn, iters, ok = newton(sys.residual, direction, z, tol, max_newton, history)
-    if not ok:
-        # Relaxed fixed-point sweeps to re-seed Newton.
-        relax = 0.5
-        for s in range(picard_sweeps):
-            sweeps_used += 1
-            z_new = sys.sweep(sys.sweep(z, 0, tol), 1, tol)
-            z = (1.0 - relax) * z + relax * z_new
-            if float(np.max(np.abs(z_new - z)[sys.N * sys.K :])) < 1e-10:
-                break
-        z, rn, more, ok = newton(sys.residual, direction, z, tol, max_newton, history)
-        iters += more
+    start = np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)])
+    z, rn, iters, ok = newton(sys.residual, direction, start, tol, max_newton, history)
     if not ok:
         raise SolverError(
-            f"no convergence: residual sup-norm {rn:.3e} after {iters} Newton "
-            f"iterations and {sweeps_used} fixed-point sweeps"
+            f"no convergence: residual sup-norm {rn:.3e} after {iters} Newton iterations"
         )
 
     u, m = sys.fields(z)
@@ -272,7 +225,6 @@ def _solve(
     return SolveResult(
         state=state,
         newton_iterations=iters,
-        picard_sweeps=sweeps_used,
         residual_inf=rn,
         min_m=float(m.min()),
         psi1_dm_inf=dm_inf,
@@ -290,11 +242,10 @@ def solve_mfg(
     eps: float = 1.0,
     tol: float = 1e-9,
     max_newton: int = 40,
-    picard_sweeps: int = 40,
 ) -> SolveResult:
     """Solve the equilibrium system; derivative fields of psi1 (in m) and
     psi2 (in u) vanish at the returned state to solver tolerance."""
-    return _solve(model, grid, m0, uT, eps, False, tol, max_newton, picard_sweeps)
+    return _solve(model, grid, m0, uT, eps, False, tol, max_newton)
 
 
 def solve_mfc(
@@ -305,11 +256,10 @@ def solve_mfc(
     eps: float = 1.0,
     tol: float = 1e-9,
     max_newton: int = 40,
-    picard_sweeps: int = 40,
 ) -> SolveResult:
     """Solve the planner first-order system (critical point of psi2); the
     value row carries the extra m df/dm term."""
-    return _solve(model, grid, m0, uT, eps, True, tol, max_newton, picard_sweeps)
+    return _solve(model, grid, m0, uT, eps, True, tol, max_newton)
 
 
 def compare_equilibrium_vs_planner(mfg_state, mfc_state, model, tol: float = 1e-8) -> dict:

@@ -354,3 +354,42 @@ def test_version_flag():
 def test_missing_config_exits_two(tmp_path, capsys):
     assert run(["report", tmp_path / "nope.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _with(cfg, key, value):
+    """A deep copy of cfg with the dotted key set to value."""
+    out = json.loads(json.dumps(cfg))
+    *path, last = key.split(".")
+    node = out
+    for part in path:
+        node = node.setdefault(part, {})
+    node[last] = value
+    return out
+
+
+MALFORMED = [
+    ("solve-mfg", SEP_CFG, "eps", "abc"),
+    ("solve-mfg", SEP_CFG, "eps", None),
+    ("solve-mfg", SEP_CFG, "grid.n", "x"),
+    ("solve-mfg", SEP_CFG, "solver.tol", "x"),
+    ("solve-mfg", SEP_CFG, "initial.m0.base", "x"),
+    ("report", CONG_CFG, "model.alpha", "x"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n", "x"),
+    ("crosscheck", SEP_CFG, "seed", "x"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value", MALFORMED, ids=[f"{c[2]}={c[3]!r}" for c in MALFORMED]
+)
+def test_malformed_config_scalar_exits_two(tmp_path, capsys, command, base, key, value):
+    cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
+    assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 2
+    assert f"'{key}' must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", [-0.5, float("nan")])
+def test_bad_viscosity_exits_two_before_solving(tmp_path, capsys, eps):
+    cfg = write_cfg(tmp_path, "bad.json", dict(SEP_CFG, eps=eps))
+    assert run(["solve-mfg", cfg, "--output-dir", tmp_path / "o"]) == 2
+    assert "viscosity eps must be finite and >= 0" in capsys.readouterr().err

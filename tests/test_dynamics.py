@@ -49,7 +49,7 @@ def test_trivial_equilibrium_closed_form(sep_model):
     u_exact = (T - t)[:, None] * np.ones(16)
     assert np.max(np.abs(res.state.m - 1.0)) < 1e-13
     assert np.max(np.abs(res.state.u - u_exact)) < 1e-13
-    assert res.newton_iterations == 0
+    assert res.newton_iterations == 1
 
 
 def test_trivial_planner_closed_form(sep_model):
@@ -150,7 +150,6 @@ def test_unreachable_tolerance_raises(sep_model):
             uT,
             tol=1e-15,
             max_newton=2,
-            picard_sweeps=2,
         )
 
 
@@ -271,7 +270,7 @@ def test_missed_krylov_tolerance_raises(sep_model, monkeypatch):
 
     def stalled_gmres(A, b, **kwargs):
         x, info = real_gmres(A, b, **kwargs)
-        # The full Newton system has 2 N K unknowns; a sweep slab has 2 K.
+        # A Newton step's GMRES solve has 2 N K unknowns.
         return (0.5 * x, 5) if b.size == 2 * 8 * 16 else (x, info)
 
     monkeypatch.setattr(_newton_krylov.sparse_linalg, "gmres", stalled_gmres)
@@ -310,3 +309,25 @@ def test_negative_node_density_is_not_certified():
     model, st, m0, uT = steep_case()
     with pytest.raises(PositivityError, match=r"density -1\.236e-01 at time slice 16 "):
         solve_mfg(model, st, m0, uT, eps=0.3)
+
+
+@pytest.mark.parametrize("shape, n_t, planner", CASES)
+def test_krylov_newton_matches_dense_newton(shape, n_t, planner):
+    # Dense Newton from the same start, the data rows, with each step a
+    # direct solve of the dense Jacobian oracle.
+    system, _, _ = _system_case(shape, n_t, planner)
+    start = np.concatenate([np.tile(d.ravel(), n_t) for d in (system.uT, system.m0)])
+
+    def direction(z, res):
+        return splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-res)
+
+    z, _, steps, ok = _newton_krylov.newton(system.residual, direction, start, 1e-9, 40, [])
+    assert ok
+    solver = solve_mfc if planner else solve_mfg
+    res = solver(
+        system.model, SpaceTimeGrid(system.sp, n_t, 0.5), system.m0, system.uT, eps=0.7
+    )
+    u, m = system.fields(z)
+    assert res.newton_iterations == steps
+    assert np.max(np.abs(res.state.u - u)) <= 1e-12
+    assert np.max(np.abs(res.state.m - m)) <= 1e-12
