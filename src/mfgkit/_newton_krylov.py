@@ -1,8 +1,9 @@
-"""Damped Newton with preconditioned GMRES steps, shared by the space-time solvers.
+"""The one damped Newton–Krylov solve of the space-time systems.
 
-Both :mod:`mfgkit.dynamics` and :mod:`mfgkit.bifurcation` solve square
-nonlinear systems whose Jacobian is applied at FFT cost and preconditioned
-per Fourier mode; this module holds the loop they share.
+:func:`newton` runs on a system from :mod:`mfgkit.dynamics` or
+:mod:`mfgkit.bifurcation`: ``residual(z)``, ``linearize(z, res) -> (jvp,
+precond)`` applied at FFT cost, and the optional hooks ``feasible(z)`` and
+``measure(z, res)``.
 """
 
 from __future__ import annotations
@@ -36,37 +37,46 @@ def gmres(matvec, precond, rhs, where: str):
     return x, len(residuals)
 
 
-def _sup(z, res) -> float:
-    return float(np.max(np.abs(res)))
-
-
-def newton(residual, direction, z, tol: float, budget: int, history: list,
-           feasible=None, measure=_sup):
-    """Damped Newton on residual(z) = 0 along direction(z, res), Armijo on |res|^2.
-
-    Trial points rejected by ``feasible(z)`` are halved without being
-    evaluated. Convergence is ``measure(z, res) <= tol`` (default: the
-    sup-norm of res). Appends each accepted measure to ``history`` and returns
-    (z, measure, steps, converged).
+def newton(system, z, tol: float, budget: int, where: str = ""):
+    """Damped Newton on system.residual(z) = 0, Armijo on |res|^2, each step
+    a GMRES solve labelled "Newton step <i><where>". Trial points that fail
+    ``feasible`` are halved unevaluated; converged means ``measure(z, res)
+    <= tol`` (default: sup-norm of res). Returns (z, measure, GMRES iterations
+    per step, measure after each step); raises SolverError "no
+    convergence<where>" if the line search stalls or the budget runs out.
     """
-    res = residual(z)
+    feasible = getattr(system, "feasible", None)
+    measure = getattr(system, "measure", lambda z, res: float(np.max(np.abs(res))))
+    res = system.residual(z)
     rn = measure(z, res)
+    krylov, history = [], []
     for it in range(1, budget + 1):
         if rn <= tol:
-            return z, rn, it - 1, True
-        delta = direction(z, res)
+            break
+        # The linearization (its preconditioner holds a dense block per Fourier
+        # mode) is dropped once its step is solved.
+        delta, k = gmres(*system.linearize(z, res), -res, f"Newton step {it}{where}")
+        krylov.append(k)
         phi0 = float(res @ res)
         step = 1.0
         while step >= 1e-6:
             z_try = z + step * delta
             if feasible is None or feasible(z_try):
-                res_try = residual(z_try)
+                res_try = system.residual(z_try)
                 if float(res_try @ res_try) <= (1.0 - 1e-4 * step) * phi0:
                     break
             step *= 0.5
         else:
-            return z, rn, it, False
+            raise SolverError(
+                f"no convergence{where}: the line search stalled at Newton step {it}, "
+                f"residual {rn:.3e}"
+            )
         z, res = z_try, res_try
         rn = measure(z, res)
         history.append(rn)
-    return z, rn, budget, rn <= tol
+    if not rn <= tol:
+        raise SolverError(
+            f"no convergence{where}: residual {rn:.3e} after {budget} Newton "
+            f"iterations, the whole budget"
+        )
+    return z, rn, tuple(krylov), tuple(history)

@@ -59,11 +59,14 @@ modes and, in d >= 2, aliased copies of the kernel fields. The system is
 made square by Keller bordering: one unfolding parameter lam per null
 direction but z1, added to (G1, G2). Discrete translation equivariance
 makes the unbordered system consistent on resolved grids, so lam -> 0
-at the solution, and max |lam| is reported. Each Newton step is a GMRES
-solve with the Jacobian applied at FFT cost, preconditioned by the
-bordered linearization frozen at the trivial state: per-mode 2x2 blocks
-on the complement of the null space, closed by a small dense Schur
-complement (see :class:`_Branch`). The kernel of A(T) and this null space
+at the solution, and max |lam| is reported. Each point is solved by
+:func:`mfgkit._newton_krylov.newton`, the damped Newton–Krylov loop
+shared with the finite-horizon solvers. Each step is a GMRES solve with
+the Jacobian applied at FFT cost, preconditioned by the bordered
+linearization frozen at the trivial state: per-mode 2x2 blocks on the
+complement of the null space, closed by a small dense Schur complement
+(see :class:`_Branch`, which also supplies the feasibility test and the
+convergence measure). The kernel of A(T) and this null space
 come from one routine, :func:`_null_basis`, and the closed-form kernel
 fields (z1 among them) from one array, :func:`_kernel_rows`.
 """
@@ -74,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton_krylov import gmres, newton
+from ._newton_krylov import newton
 from .errors import CheckError, ModelError, PositivityError, SolverError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
@@ -546,14 +549,29 @@ class _Branch:
         G, border = self.unbordered(z)
         return np.concatenate([G + z[2 * self.K + 2 :] @ self.psi[1:], border])
 
+    def feasible(self, z) -> bool:
+        """A positive period and a positive density 1 + M."""
+        _, M, _, T, _ = self.split(z)
+        return T > 0.0 and float(M.min()) > -1.0
+
     def measure(self, z, res) -> float:
         """Sup-norm of the unbordered rows at z; the bordered ``res`` is not
         used, so lam never enters the convergence test."""
         return float(max(np.max(np.abs(part)) for part in self.unbordered(z)))
 
-    def linearize(self, z):
-        """The derivative of :meth:`residual` at z as an action dz -> J dz,
-        and its T column for :meth:`preconditioner`."""
+    def linearize(self, z, res):
+        """The derivative of :meth:`residual` at z as an action dz -> J dz and
+        :meth:`preconditioner` with its T column; raises SolverError when ``res``
+        is solved but the unbordered rows are not (the grid does not resolve
+        the branch)."""
+        if float(np.max(np.abs(res))) <= _BRANCH_TOL:
+            raise SolverError(
+                f"the branch equations are not solvable to {_BRANCH_TOL:g} on grid "
+                f"{self.st.field_shape} at amplitude {self.target[1]:g}: the bordered system "
+                f"is solved, but the unfolding parameters reach "
+                f"{np.max(np.abs(self.split(z)[4])):.3e} and the residual stays at "
+                f"{self.measure(z, res):.3e}; the grid does not resolve the branch"
+            )
         st, sp, K = self.st, self.st.space, self.K
         U, M, _, T, _ = self.split(z)
         gradU = spectral.gradient(sp, U)
@@ -583,7 +601,7 @@ class _Branch:
             dG = np.concatenate([dG1.ravel(), dG2.ravel()]) + dT * t_col + dlam @ self.psi[1:]
             return np.concatenate([dG, self.rows @ dz[: 2 * K] / K])
 
-        return jvp, t_col
+        return jvp, self.preconditioner(t_col)
 
     def apply_pinv(self, x):
         """The frozen pseudo-inverse on stacked (U, M) vectors, shape (..., 2K)."""
@@ -648,12 +666,13 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
 
     Amplitudes must be positive, at least one, and are processed in the
     given order; each solution warm-starts the next. Each point solves the
-    bordered system of :class:`_Branch` by damped Newton with GMRES steps,
+    bordered system of :class:`_Branch` by :func:`mfgkit._newton_krylov.newton`,
     preconditioned by the bordered frozen linearization; it has converged
     when the unbordered rows (G1, G2, mass, pin, orthogonality) are below
     ``_BRANCH_TOL`` in sup-norm. Raises :class:`~mfgkit.errors.SolverError`
-    if Newton stalls or takes more than ``_MAX_NEWTON`` steps, or a GMRES
-    solve misses its tolerance.
+    with the engine's "no convergence at amplitude a" if the line search
+    stalls or ``_MAX_NEWTON`` steps do not converge, if a GMRES solve misses
+    its tolerance, or if the grid does not resolve the branch.
     """
     amplitudes = [float(a) for a in amplitudes]
     if not amplitudes:
@@ -665,10 +684,6 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
     Tbar = critical_period(fprime1)
     system = _Branch(coupling, st)
     K = system.K
-
-    def feasible(z):
-        return z[2 * K + 1] > 0.0 and float(z[K : 2 * K].min()) > -1.0
-
     points: list[BranchPoint] = []
     z = np.concatenate([np.zeros(2 * K), [0.0, Tbar], np.zeros(len(system.psi) - 1)])
     prev_a = None
@@ -676,31 +691,7 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
         x = system.psi[0] * a if prev_a is None else z[: 2 * K] * (a / prev_a)
         z = np.concatenate([x, z[2 * K :]])
         system.target[1] = a
-        krylov: list[int] = []
-
-        def direction(z, res):
-            if float(np.max(np.abs(res))) <= _BRANCH_TOL:
-                raise SolverError(
-                    f"the branch equations are not solvable to {_BRANCH_TOL:g} on grid "
-                    f"{st.field_shape} at amplitude {a:g}: the bordered system is solved, "
-                    f"but the unfolding parameters reach {np.max(np.abs(system.split(z)[4])):.3e} "
-                    f"and the residual stays at {system.measure(z, res):.3e}; the grid does not "
-                    f"resolve the branch"
-                )
-            jvp, t_col = system.linearize(z)
-            where = f"Newton step {len(krylov) + 1} at amplitude {a:g}"
-            delta, k = gmres(jvp, system.preconditioner(t_col), -res, where)
-            krylov.append(k)
-            return delta
-
-        z, res_inf, steps, ok = newton(
-            system.residual, direction, z, _BRANCH_TOL, _MAX_NEWTON, [], feasible, system.measure
-        )
-        if not ok:
-            raise SolverError(
-                f"branch continuation did not converge at amplitude {a:g} "
-                f"(residual {res_inf:.3e} after {steps} Newton steps)"
-            )
+        z, res_inf, krylov, _ = newton(system, z, _BRANCH_TOL, _MAX_NEWTON, f" at amplitude {a:g}")
         U, M, Hbar, T, lam = system.split(z)
         state = PeriodicState(st, U - U.mean(), M, Hbar=float(Hbar), T=float(T))
         energy = float(np.mean(U * U) + np.mean(M * M))
@@ -716,8 +707,8 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
                 residual_inf=res_inf,
                 kernel_energy_fraction=span / energy if energy > 0 else 0.0,
                 dtM_over_M=ratio,
-                newton_iterations=steps,
-                krylov_iterations=tuple(krylov),
+                newton_iterations=len(krylov),
+                krylov_iterations=krylov,
                 solvability_inf=float(np.max(np.abs(lam))),
             )
         )

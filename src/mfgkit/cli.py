@@ -448,7 +448,10 @@ def _check_congestion(cfg, checks, rng):
 
 def cmd_crosscheck(cfg, out_dir):
     model = build_model(cfg)
-    rng = np.random.default_rng(_number(cfg.get("seed", 0), "seed", int))
+    seed = _number(cfg.get("seed", 0), "seed", int)
+    if seed < 0:
+        raise ConfigError(f"'seed' must be a number >= 0 (got {seed})")
+    rng = np.random.default_rng(seed)
     checks = cfg.get("checks") or (
         ["derivatives", "two-forms", "duality", "mass"]
         if isinstance(model, SeparableHamiltonian)

@@ -129,6 +129,16 @@ def _section(cfg: dict, name: str, allowed: set) -> dict:
     return sec
 
 
+def _check_modes(modes, where: str) -> None:
+    """The harmonic modes at key ``where`` must be a list of mode objects."""
+    if not isinstance(modes, list):
+        raise ConfigError(f"'{where}' must be a list of mode objects (got {modes!r})")
+    for mode in modes:
+        if not isinstance(mode, dict):
+            raise ConfigError(f"entries of '{where}' must be objects")
+        _check_keys(mode, _MODE_KEYS, f"a mode of '{where}'")
+
+
 def load_config(path) -> dict:
     """Read and structurally validate one JSON configuration file."""
     try:
@@ -142,7 +152,7 @@ def load_config(path) -> dict:
         raise ConfigError("config root must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "the config root")
     # Validate sections eagerly so errors do not depend on the command.
-    _section(cfg, "model", _MODEL_KEYS)
+    _check_modes(_section(cfg, "model", _MODEL_KEYS).get("f_spatial", []), "model.f_spatial")
     _section(cfg, "grid", _GRID_KEYS)
     initial = _section(cfg, "initial", _INITIAL_KEYS)
     for prof_key in initial:
@@ -150,10 +160,7 @@ def load_config(path) -> dict:
         if not isinstance(prof, dict):
             raise ConfigError(f"'initial.{prof_key}' must be a JSON object")
         _check_keys(prof, _PROFILE_KEYS, f"'initial.{prof_key}'")
-        for mode in prof.get("modes", []):
-            if not isinstance(mode, dict):
-                raise ConfigError(f"modes in 'initial.{prof_key}' must be objects")
-            _check_keys(mode, _MODE_KEYS, f"a mode of 'initial.{prof_key}'")
+        _check_modes(prof.get("modes", []), f"initial.{prof_key}.modes")
     _section(cfg, "solver", _SOLVER_KEYS)
     _section(cfg, "bifurcation", _BIF_KEYS)
     checks = cfg.get("checks", [])
@@ -188,13 +195,8 @@ def _term(mode: dict, where: str) -> SpatialTerm:
 
 def build_coupling(mcfg: dict) -> Coupling:
     poly = _numbers(mcfg.get("f_poly", [0.0, 1.0]), "model.f_poly")
-    terms = []
-    for mode in mcfg.get("f_spatial", []):
-        if not isinstance(mode, dict):
-            raise ConfigError("entries of 'model.f_spatial' must be objects")
-        _check_keys(mode, _MODE_KEYS, "'model.f_spatial'")
-        terms.append(_term(mode, "model.f_spatial"))
-    return Coupling(poly=poly, terms=tuple(terms))
+    terms = tuple(_term(mode, "model.f_spatial") for mode in mcfg.get("f_spatial", []))
+    return Coupling(poly=poly, terms=terms)
 
 
 def build_model(cfg: dict):

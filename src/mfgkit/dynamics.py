@@ -23,13 +23,16 @@ midpoint step of the Hamiltonian flow generated by psi1_hat, so that
 quantity is conserved along solutions up to an O(dt^2) wobble with no
 secular drift.
 
-The solver is a damped Newton method on the full space-time system,
-started from the data rows (u = uT and m = m0 on every slice). GMRES
-solves each step with the Jacobian applied at FFT cost, preconditioned
-by the Jacobian at mean density, zero drift and mean coupling slope:
-one real 2N x 2N time system per spatial Fourier mode
-(see :meth:`_System.preconditioner`). A GMRES solve that misses its
-tolerance raises :class:`SolverError`. The separable rows hold at any
+The solver is :func:`mfgkit._newton_krylov.newton`, the damped
+Newton–Krylov loop shared with the periodic branch, run on the full
+space-time system from the data rows (u = uT and m = m0 on every slice).
+:class:`_System` supplies the residual and, through
+:meth:`_System.linearize`, the Jacobian applied at FFT cost and its
+preconditioner, the Jacobian at mean density, zero drift and mean
+coupling slope: one real 2N x 2N time system per spatial Fourier mode
+(see :meth:`_System.preconditioner`). A Newton solve whose line search
+stalls or whose step budget runs out, or a GMRES solve that misses its
+tolerance, raises :class:`SolverError`. The separable rows hold at any
 density; the solved node densities are checked once against the model's
 ``m_min``, before the certificates, and a density below it raises
 :class:`PositivityError`. Only the quadratic kinetic part is supported
@@ -43,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton_krylov import gmres, newton
-from .errors import ModelError, PositivityError, SolverError
+from ._newton_krylov import newton
+from .errors import ModelError, PositivityError
 from .grids import SpaceTimeGrid
 from . import spectral
 from .functionals import GameState, _slab_rows, psi1, psi2
@@ -110,9 +113,9 @@ class _System:
         )
         return np.concatenate([rows.value.ravel(), rows.transport.ravel()])
 
-    def linearize(self, z):
+    def linearize(self, z, res):
         """The derivative of :meth:`residual` at z as an action dz -> J dz,
-        and the state's mean density and mean g' for :meth:`preconditioner`."""
+        and :meth:`preconditioner` at the state's mean density and mean g'."""
         sp, dt, eps = self.sp, self.dt, self.eps
         u, m = self.fields(z)
         mbar = 0.5 * (m[:-1] + m[1:])
@@ -140,7 +143,7 @@ class _System:
             )
             return np.concatenate([dS.ravel(), dP.ravel()])
 
-        return jvp, (float(mbar.mean()), float(gp.mean()))
+        return jvp, self.preconditioner(float(mbar.mean()), float(gp.mean()))
 
     def preconditioner(self, mbar: float, gpbar: float):
         """Inverse of the Jacobian at constant density mbar, zero drift and
@@ -189,22 +192,8 @@ def _solve(
         raise ModelError(f"the viscosity eps must be finite and >= 0 (got {eps})")
     sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
 
-    history = []
-    krylov = []
-
-    def direction(z, res):
-        jvp, means = sys.linearize(z)
-        where = f"Newton step {len(krylov) + 1}"
-        delta, k = gmres(jvp, sys.preconditioner(*means), -res, where)
-        krylov.append(k)
-        return delta
-
     start = np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)])
-    z, rn, iters, ok = newton(sys.residual, direction, start, tol, max_newton, history)
-    if not ok:
-        raise SolverError(
-            f"no convergence: residual sup-norm {rn:.3e} after {iters} Newton iterations"
-        )
+    z, rn, krylov, history = newton(sys, start, tol, max_newton)
 
     u, m = sys.fields(z)
     low = m.reshape(sys.N + 1, -1).min(axis=1)
@@ -224,13 +213,13 @@ def _solve(
         du_inf = float(np.max(np.abs(psi2(state, model).du)))
     return SolveResult(
         state=state,
-        newton_iterations=iters,
+        newton_iterations=len(krylov),
         residual_inf=rn,
         min_m=float(m.min()),
         psi1_dm_inf=dm_inf,
         psi2_du_inf=du_inf,
-        history=tuple(history),
-        krylov_iterations=tuple(krylov),
+        history=history,
+        krylov_iterations=krylov,
     )
 
 

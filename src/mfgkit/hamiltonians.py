@@ -86,6 +86,11 @@ class Coupling:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.poly:
             raise ModelError("coupling polynomial needs at least one coefficient")
+        # p, p', p'' and the raw antiderivative P = polyint(p), built once.
+        c = np.polynomial.polynomial
+        p = np.array(self.poly)
+        object.__setattr__(self, "_derivs", (p, c.polyder(p), c.polyder(p, 2)))
+        object.__setattr__(self, "_antider", c.polyint(p))
 
     def spatial(self, grid: TorusGrid) -> np.ndarray:
         s = np.zeros(grid.shape)
@@ -94,11 +99,8 @@ class Coupling:
         return s
 
     def _poly_val(self, m, deriv: int = 0):
-        c = np.polynomial.polynomial
-        coeffs = np.array(self.poly)
-        for _ in range(deriv):
-            coeffs = c.polyder(coeffs)
-        return c.polyval(m, coeffs)
+        """p(m), p'(m) or p''(m) for deriv 0, 1 or 2."""
+        return np.polynomial.polynomial.polyval(m, self._derivs[deriv])
 
     def f(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         return self._poly_val(m) + self.spatial(grid)
@@ -111,14 +113,12 @@ class Coupling:
 
     def antiderivative_raw(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """P(m) + s(x) m with P = polyint(p), P(0) = 0."""
-        coeffs = np.polynomial.polynomial.polyint(np.array(self.poly))
-        return np.polynomial.polynomial.polyval(m, coeffs) + self.spatial(grid) * m
+        return np.polynomial.polynomial.polyval(m, self._antider) + self.spatial(grid) * m
 
     def F(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """Normalized antiderivative, F(x, m) = int_1^m f(x, z) dz."""
-        coeffs = np.polynomial.polynomial.polyint(np.array(self.poly))
         pv = np.polynomial.polynomial.polyval
-        return (pv(m, coeffs) - pv(1.0, coeffs)) + self.spatial(grid) * (m - 1.0)
+        return (pv(m, self._antider) - pv(1.0, self._antider)) + self.spatial(grid) * (m - 1.0)
 
     def conjugate(self, grid: TorusGrid, w: np.ndarray) -> np.ndarray:
         """Fenchel conjugate F*(x, w) = sup_{z >= 0} (w z - F(x, z)).

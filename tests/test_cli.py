@@ -376,6 +376,7 @@ MALFORMED = [
     ("report", CONG_CFG, "model.alpha", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n", "x"),
     ("crosscheck", SEP_CFG, "seed", "x"),
+    ("crosscheck", SEP_CFG, "seed", -1),
 ]
 
 
@@ -386,6 +387,14 @@ def test_malformed_config_scalar_exits_two(tmp_path, capsys, command, base, key,
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 2
     assert f"'{key}' must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["crosscheck", "solve-mfg"])
+@pytest.mark.parametrize("key", ["initial.m0.modes", "model.f_spatial"])
+def test_non_list_modes_exit_two(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path, "bad.json", _with(SEP_CFG, key, 5))
+    assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 2
+    assert f"'{key}' must be a list of mode objects (got 5)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eps", [-0.5, float("nan")])

@@ -1,6 +1,9 @@
 """Finite-horizon equilibrium and planner solvers."""
 
+import operator
+import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,18 +142,31 @@ def test_compare_planner_convenience_payload(tmp_path):
     assert out["planner"]["residual_inf"] <= 1e-10
 
 
-def test_unreachable_tolerance_raises(sep_model):
+@pytest.mark.parametrize(
+    "max_newton, exit_, steps_vs_budget",
+    [
+        (2, r"residual \S+ after (\d+) Newton iterations, the whole budget", operator.eq),
+        (40, r"the line search stalled at Newton step (\d+), residual \S+", operator.lt),
+    ],
+    ids=["budget", "stall"],
+)
+def test_unreachable_tolerance_raises(sep_model, max_newton, exit_, steps_vs_budget):
+    # tol 1e-15 lies below the residual's roundoff floor (~3e-13): 2 Newton
+    # steps run out first, while the default budget outlasts the line search,
+    # which stalls at that floor.
     g = TorusGrid((16,))
     m0, uT = perturbed_data(16)
-    with pytest.raises(SolverError, match="no convergence"):
+    with pytest.raises(SolverError, match="no convergence: " + exit_) as info:
         solve_mfg(
             sep_model,
             SpaceTimeGrid(g, 8, T),
             m0,
             uT,
             tol=1e-15,
-            max_newton=2,
+            max_newton=max_newton,
         )
+    steps = int(re.search(exit_, str(info.value)).group(1))
+    assert steps_vs_budget(steps, max_newton)
 
 
 def test_model_guards(sep_model, congestion_1d_model):
@@ -214,7 +230,7 @@ def test_residual_rows_are_the_payoff_rows(shape, n_t, planner):
 def test_jacobian_action_matches_dense_oracle(shape, n_t, planner):
     system, z, rng = _system_case(shape, n_t, planner)
     J = helpers.dynamics_jacobian(system, z)
-    jvp = system.linearize(z)[0]
+    jvp = system.linearize(z, system.residual(z))[0]
     for _ in range(3):
         dz = rng.standard_normal(z.size)
         ref = J @ dz
@@ -226,8 +242,8 @@ def test_preconditioned_newton_step_matches_direct_solve(shape, n_t, planner):
     system, z, _ = _system_case(shape, n_t, planner)
     res = system.residual(z)
     direct = splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-res)
-    jvp, means = system.linearize(z)
-    step, iterations = _newton_krylov.gmres(jvp, system.preconditioner(*means), -res, "a test step")
+    jvp, precond = system.linearize(z, res)
+    step, iterations = _newton_krylov.gmres(jvp, precond, -res, "a test step")
     assert 0 < iterations <= 40
     assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -313,16 +329,18 @@ def test_negative_node_density_is_not_certified():
 
 @pytest.mark.parametrize("shape, n_t, planner", CASES)
 def test_krylov_newton_matches_dense_newton(shape, n_t, planner):
-    # Dense Newton from the same start, the data rows, with each step a
-    # direct solve of the dense Jacobian oracle.
+    # The same Newton loop from the same start, the data rows, on the dense
+    # Jacobian oracle, preconditioned by its direct (splu) solve.
     system, _, _ = _system_case(shape, n_t, planner)
     start = np.concatenate([np.tile(d.ravel(), n_t) for d in (system.uT, system.m0)])
 
-    def direction(z, res):
-        return splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-res)
+    def linearize(z, res):
+        J = helpers.dynamics_jacobian(system, z)
+        return J.__matmul__, splu(csc_matrix(J)).solve
 
-    z, _, steps, ok = _newton_krylov.newton(system.residual, direction, start, 1e-9, 40, [])
-    assert ok
+    dense = SimpleNamespace(residual=system.residual, linearize=linearize)
+    z, _, krylov, _ = _newton_krylov.newton(dense, start, 1e-9, 40)
+    steps = len(krylov)
     solver = solve_mfc if planner else solve_mfg
     res = solver(
         system.model, SpaceTimeGrid(system.sp, n_t, 0.5), system.m0, system.uT, eps=0.7
