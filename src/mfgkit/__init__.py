@@ -49,7 +49,6 @@ from .fields import DensityField, ScalarField, VectorField, load_field, save_fie
 from .hamiltonians import (
     Coupling,
     CongestionHamiltonian,
-    QuadraticKinetic,
     SeparableHamiltonian,
     SpatialTerm,
     check_monotonicity,
@@ -129,7 +128,6 @@ __all__ = [
     "load_field",
     "Coupling",
     "SpatialTerm",
-    "QuadraticKinetic",
     "SeparableHamiltonian",
     "CongestionHamiltonian",
     "check_monotonicity",

@@ -29,25 +29,28 @@ spectrum
     period, closed form vs numeric, as CSV.
 crosscheck
     Derivative/duality/transform identities on the configured instance
-    (solves follow ``solver.formulation``); failures exit with code 3.
+    (solves follow ``solver.formulation``); ``checks`` picks them by the
+    names :mod:`mfgkit.config` lists per model kind. Failures exit with 3.
 duality-crosscheck
     Both dual control costs against psi1 at a solved equilibrium, plus
     the pointwise conjugate consistency of F*; failures exit with 3.
 
-Exit codes: 0 success; 1 solver or runtime failure; 2 malformed
-configuration or model; 3 failed crosscheck.
+Exit codes (``_EXIT_CODES``): 0 success; 1 solver or runtime failure; 2
+malformed configuration or model, or an output directory that cannot be
+created; 3 failed crosscheck.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import __version__, bifurcation, spectral
 from .config import (
-    _number,
+    _setting,
     bifurcation_settings,
     build_m0,
     build_model,
@@ -66,6 +69,7 @@ from .errors import (
     ConfigError,
     CurlError,
     GridError,
+    MFGKitError,
     ModelError,
     PositivityError,
     SolverError,
@@ -115,7 +119,7 @@ def cmd_report(cfg, out_dir):
     r1 = psi1_hat(state, model)
     r2 = psi2_hat(state, model)
     mono = check_monotonicity(model, grid)
-    payload = {
+    return {
         "model": _describe_model(model),
         "grid": {"dim": grid.dim, "n": list(grid.shape)},
         "uniform_state": {
@@ -130,7 +134,6 @@ def cmd_report(cfg, out_dir):
             "n_samples": mono.n_samples,
         },
     }
-    return payload, {"report.json": payload}
 
 
 def _solve_congestion(model, grid, s):
@@ -165,7 +168,7 @@ def cmd_solve_stationary(cfg, out_dir):
     save_field(out_dir / "m.field", DensityField(grid, res.state.m))
     save_field(out_dir / "u.field", ScalarField(grid, res.state.u))
     save_field(out_dir / "w.field", VectorField(grid, res.w))
-    payload = {
+    return {
         "route": route,
         "hbar": res.state.Hbar,
         "value": res.value,
@@ -179,7 +182,6 @@ def cmd_solve_stationary(cfg, out_dir):
         "m_max": float(res.state.m.max()),
         "diagnostics": res.diagnostics,
     }
-    return payload, {"result.json": payload}
 
 
 def _separable_problem(cfg, needs: str):
@@ -193,7 +195,7 @@ def _separable_problem(cfg, needs: str):
     st = build_time_grid(cfg)
     m0 = build_m0(st.space, cfg)
     uT = build_uT(st.space, cfg)
-    eps, s = _number(cfg.get("eps", 1.0), "eps"), solver_settings(cfg)
+    eps, s = _setting(cfg, "eps"), solver_settings(cfg)
 
     def solve(planner: bool):
         solver = solve_mfc if planner else solve_mfg
@@ -225,22 +227,14 @@ def _dynamic_solve(cfg, out_dir, planner: bool):
     }
     if not planner:
         payload["cost_identity_gap"] = abs(cost + val2)
-    return payload, {"result.json": payload}
-
-
-def cmd_solve_mfg(cfg, out_dir):
-    return _dynamic_solve(cfg, out_dir, planner=False)
-
-
-def cmd_solve_mfc(cfg, out_dir):
-    return _dynamic_solve(cfg, out_dir, planner=True)
+    return payload
 
 
 def cmd_compare(cfg, out_dir):
     model, _, _, _, _, solve = _separable_problem(cfg, "compare needs")
     res_g, res_c = solve(False), solve(True)
     cmp = compare_equilibrium_vs_planner(res_g.state, res_c.state, model)
-    payload = {
+    return {
         "psi2_equilibrium": cmp["psi2_mfg"],
         "psi2_planner": cmp["psi2_mfc"],
         "gap": cmp["gap"],
@@ -254,7 +248,6 @@ def cmd_compare(cfg, out_dir):
             "residual_inf": res_c.residual_inf,
         },
     }
-    return payload, {"result.json": payload}
 
 
 def cmd_bifurcate(cfg, out_dir):
@@ -271,7 +264,7 @@ def cmd_bifurcate(cfg, out_dir):
     save_field(out_dir / "M.field", ScalarField(st, last.state.M))
     save_field(out_dir / "m.field", DensityField(mapped["grid"], mapped["m"]))
     save_field(out_dir / "u.field", ScalarField(mapped["grid"], mapped["u"]))
-    payload = {
+    return {
         "fprime1": branch.fprime1,
         "Tbar": branch.Tbar,
         "kernel_dim": ker.kernel_dim,
@@ -298,7 +291,6 @@ def cmd_bifurcate(cfg, out_dir):
             "mass_defect": mapped["mass_defect"],
         },
     }
-    return payload, {"branch.json": payload}
 
 
 def cmd_spectrum(cfg, out_dir):
@@ -312,7 +304,7 @@ def cmd_spectrum(cfg, out_dir):
         info = bifurcation.sigma_from_operator(st, float(T), b["fprime1"])
         rows.append((float(T), info["h_root"], info["eig"]))
     dump_csv(out_dir / "spectrum.csv", ["T", "sigma_closed_form", "sigma_numeric"], rows)
-    payload = {
+    return {
         "fprime1": b["fprime1"],
         "Tbar": Tbar,
         "slope_closed_form": bifurcation.sigma_slope_exact(b["fprime1"]),
@@ -320,7 +312,6 @@ def cmd_spectrum(cfg, out_dir):
         "sign_change": bool(rows[0][2] * rows[-1][2] < 0.0),
         "max_closed_form_gap": max(abs(r[1] - r[2]) for r in rows),
     }
-    return payload, {"spectrum.json": payload}
 
 
 def _fd_directional(fun, h):
@@ -369,39 +360,23 @@ def _check_separable(cfg, checks, rng):
 
                 fd = _fd_directional(value_at, 1e-4)
                 scale = max(abs(analytic), abs(fd), 1e-12)
-                results.append(
-                    {
-                        "name": f"derivative:{name}",
-                        "gap": abs(fd - analytic) / scale,
-                        "tol": 1e-6,
-                    }
-                )
+                results.append((f"derivative:{name}", abs(fd - analytic) / scale, 1e-6))
         if "two-forms" in checks:
             for name, fn in (("psi1", psi1), ("psi2", psi2)):
                 rep = fn(state, model)
                 gap = abs(rep.value - rep.extras["value_u_weighted"])
                 scale = max(1.0, abs(rep.value))
-                results.append(
-                    {"name": f"two-forms:{name}", "gap": gap / scale, "tol": 1e-10}
-                )
+                results.append((f"two-forms:{name}", gap / scale, 1e-10))
     if "duality" in checks or "mass" in checks:
         res = solve(False)
         if "duality" in checks:
             cost = social_cost(res.state, model)
             val = psi2(res.state, model).value
             scale = max(1.0, abs(val))
-            results.append(
-                {"name": "duality:cost", "gap": abs(cost + val) / scale, "tol": 1e-8}
-            )
+            results.append(("duality:cost", abs(cost + val) / scale, 1e-8))
         if "mass" in checks:
             masses = res.state.m.reshape(st.num_time_nodes, -1).mean(axis=1)
-            results.append(
-                {
-                    "name": "mass:slices",
-                    "gap": float(np.max(np.abs(masses - 1.0))),
-                    "tol": 1e-8,
-                }
-            )
+            results.append(("mass:slices", float(np.max(np.abs(masses - 1.0))), 1e-8))
     return results
 
 
@@ -417,17 +392,9 @@ def _check_congestion(cfg, checks, rng):
         w = w_from_u(model, grid, m, u)
         u2, rep = u_from_w(model, grid, m, w)
         w2 = w_from_u(model, grid, m, u2)
-        gap = float(np.max(np.abs(w2 - w)))
-        results.append({"name": "transforms:roundtrip", "gap": gap, "tol": 1e-8})
-        results.append(
-            {
-                "name": "transforms:curl",
-                "gap": rep["curl_residual_inf"],
-                "tol": 1e-8,
-            }
-        )
-    needs_solve = {"duality", "hbar"} & set(checks)
-    if needs_solve:
+        results.append(("transforms:roundtrip", float(np.max(np.abs(w2 - w))), 1e-8))
+        results.append(("transforms:curl", rep["curl_residual_inf"], 1e-8))
+    if {"duality", "hbar"} & set(checks):
         route, res = _solve_congestion(model, grid, s)
         certificates = (
             ("duality", "duality:stationary", res.duality_gap),
@@ -442,40 +409,46 @@ def _check_congestion(cfg, checks, rng):
                     f"crosscheck '{key}' does not apply: the {tag} solve "
                     f"has no {name} certificate"
                 )
-            results.append({"name": name, "gap": abs(gap), "tol": 1e-6})
+            results.append((name, abs(gap), 1e-6))
     return results
 
 
+def _verdict(checks, **payload) -> dict:
+    """The crosscheck payload: each (name, gap, tol) check with its ``pass``,
+    and ``all_pass``."""
+    entries = [{"name": n, "gap": g, "tol": t, "pass": bool(g <= t)} for n, g, t in checks]
+    return dict(payload, checks=entries, all_pass=all(e["pass"] for e in entries))
+
+
+# Crosscheck names and runner per model kind; an empty or absent "checks"
+# runs every name of the kind.
+_CHECKS = {
+    "separable": (("derivatives", "two-forms", "duality", "mass"), _check_separable),
+    "congestion": (("transforms", "duality", "hbar"), _check_congestion),
+}
+
+
 def cmd_crosscheck(cfg, out_dir):
-    model = build_model(cfg)
-    seed = _number(cfg.get("seed", 0), "seed", int)
-    if seed < 0:
-        raise ConfigError(f"'seed' must be a number >= 0 (got {seed})")
-    rng = np.random.default_rng(seed)
-    checks = cfg.get("checks") or (
-        ["derivatives", "two-forms", "duality", "mass"]
-        if isinstance(model, SeparableHamiltonian)
-        else ["transforms", "duality", "hbar"]
-    )
-    if isinstance(model, SeparableHamiltonian):
-        results = _check_separable(cfg, checks, rng)
-    else:
-        results = _check_congestion(cfg, checks, rng)
-    if not results:
-        raise ConfigError(f"no applicable checks among {checks}")
-    for entry in results:
-        entry["pass"] = bool(entry["gap"] <= entry["tol"])
-    payload = {"checks": results, "all_pass": all(e["pass"] for e in results)}
-    return payload, {"crosscheck.json": payload}
+    kind = "separable" if isinstance(build_model(cfg), SeparableHamiltonian) else "congestion"
+    names, run_checks = _CHECKS[kind]
+    checks = cfg.get("checks") or names
+    for name in checks:
+        if name not in names:
+            raise ConfigError(
+                f"unknown check '{name}' for a {kind} model (valid: {', '.join(names)})"
+            )
+    rng = np.random.default_rng(_setting(cfg, "seed"))
+    return _verdict(run_checks(cfg, checks, rng))
 
 
-def duality_crosscheck(cfg) -> dict:
+def duality_crosscheck(cfg, out_dir=None) -> dict:
     """Both dual control costs against psi1 at a solved equilibrium.
 
     Solves the configured dynamic game, then checks the saddle identities
     B = -psi1 and A = +psi1 (the two control problems bound the same
     saddle value from either side) and the pointwise conjugate
-    consistency F*(x, f(x, m)) = m f(x, m) - F(x, m).
+    consistency F*(x, f(x, m)) = m f(x, m) - F(x, m). It writes no field
+    files, so ``out_dir`` is unused.
     """
     model, st, _, _, _, solve = _separable_problem(cfg, "duality-crosscheck needs")
     res = solve(False)
@@ -501,38 +474,33 @@ def duality_crosscheck(cfg) -> dict:
         )
     )
     checks = [
-        {"name": "saddle:bcost", "gap": abs(bval + val1) / scale, "tol": 1e-6},
-        {"name": "saddle:acost", "gap": abs(aval - val1) / scale, "tol": 1e-6},
-        {"name": "saddle:sum", "gap": abs(aval + bval) / scale, "tol": 1e-6},
-        {"name": "conjugate:pointwise", "gap": conj_gap, "tol": 1e-8},
+        ("saddle:bcost", abs(bval + val1) / scale, 1e-6),
+        ("saddle:acost", abs(aval - val1) / scale, 1e-6),
+        ("saddle:sum", abs(aval + bval) / scale, 1e-6),
+        ("conjugate:pointwise", conj_gap, 1e-8),
     ]
-    for entry in checks:
-        entry["pass"] = bool(entry["gap"] <= entry["tol"])
-    return {
-        "psi1": val1,
-        "b_cost": bval,
-        "a_cost": aval,
-        "residual_inf": res.residual_inf,
-        "checks": checks,
-        "all_pass": all(e["pass"] for e in checks),
-    }
+    return _verdict(checks, psi1=val1, b_cost=bval, a_cost=aval, residual_inf=res.residual_inf)
 
 
-def cmd_duality_crosscheck(cfg, out_dir):
-    payload = duality_crosscheck(cfg)
-    return payload, {"duality.json": payload}
-
-
+# Each command: the function that returns its payload, and the summary file
+# main writes the payload to.
 _COMMANDS = {
-    "report": cmd_report,
-    "solve-stationary": cmd_solve_stationary,
-    "solve-mfg": cmd_solve_mfg,
-    "solve-mfc": cmd_solve_mfc,
-    "compare": cmd_compare,
-    "bifurcate": cmd_bifurcate,
-    "spectrum": cmd_spectrum,
-    "crosscheck": cmd_crosscheck,
-    "duality-crosscheck": cmd_duality_crosscheck,
+    "report": (cmd_report, "report.json"),
+    "solve-stationary": (cmd_solve_stationary, "result.json"),
+    "solve-mfg": (partial(_dynamic_solve, planner=False), "result.json"),
+    "solve-mfc": (partial(_dynamic_solve, planner=True), "result.json"),
+    "compare": (cmd_compare, "result.json"),
+    "bifurcate": (cmd_bifurcate, "branch.json"),
+    "spectrum": (cmd_spectrum, "spectrum.json"),
+    "crosscheck": (cmd_crosscheck, "crosscheck.json"),
+    "duality-crosscheck": (duality_crosscheck, "duality.json"),
+}
+
+# The exit code of each error class; success exits 0.
+_EXIT_CODES = {
+    (ConfigError, GridError, ModelError): 2,
+    (SolverError, PositivityError, CurlError): 1,
+    CheckError: 3,
 }
 
 
@@ -543,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mfgkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON configuration")
         p.add_argument(
             "--output-dir",
@@ -556,32 +524,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, summary = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
         out_dir = resolve_output_dir(args.output_dir, cfg)
-    except (ConfigError, GridError, ModelError) as exc:
+        payload = run(cfg, out_dir)
+    except MFGKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        payload, files = _COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, GridError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, PositivityError, CurlError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    text = None
-    for fname, content in files.items():
-        text = dump_json(out_dir / fname, content)
-    if text is not None:
-        sys.stdout.write(text)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    sys.stdout.write(dump_json(out_dir / summary, payload))
     if not payload.get("all_pass", True):
         failed = [e["name"] for e in payload["checks"] if not e["pass"]]
         print(f"error: checks failed: {', '.join(failed)}", file=sys.stderr)
-        return 3
+        return _EXIT_CODES[CheckError]
     return 0
 
 

@@ -2,38 +2,45 @@
 
 A configuration is a single JSON object. Every key is optional unless a
 command needs it; unknown keys anywhere are rejected so typos fail loudly
-(:class:`~mfgkit.errors.ConfigError` names the offending key). The full
-schema, with defaults:
+(:class:`~mfgkit.errors.ConfigError` names the offending key). The keys:
 
     {
-      "task": "solve-mfg",            // informational; the subcommand wins
-      "seed": 0,                      // RNG seed for crosscheck probes
-      "output_dir": "mfgkit-out",     // see resolve_output_dir for precedence
-      "eps": 1.0,                     // viscosity of the dynamic solvers
+      "task": ...,          // informational; the subcommand wins
+      "seed": ...,          // RNG seed for crosscheck probes, >= 0
+      "output_dir": ...,    // see resolve_output_dir for precedence
+      "eps": ...,           // viscosity of the dynamic solvers
       "model": {
-        "kind": "separable",          // or "congestion"
-        "f_poly": [0.0, 1.0],         // coupling f(m) = sum_j c_j m^j ...
-        "f_spatial": [                // ... + sum of torus harmonics
+        "kind": ...,        // "separable" or "congestion"
+        "f_poly": [...],    // coupling f(m) = sum_j c_j m^j ...
+        "f_spatial": [      // ... + sum of torus harmonics
           {"amp": 0.1, "k": [1], "kind": "cos"}
         ],
-        "Q": [1.0, 0.0],              // congestion only: drift vector
-        "alpha": 0.5,                 // congestion only: density exponent
-        "gamma": 2.0                  // congestion only: momentum exponent
+        "Q": [...], "alpha": ..., "gamma": ...   // congestion only
       },
-      "grid": {"dim": 1, "n": 16, "n_t": 16, "horizon": 1.0},
-      "initial": {
-        "m0": {"base": 1.0, "modes": [...]},   // spatial profiles
-        "uT": {"base": 0.0, "modes": [...]}
-      },
-      "solver": {"tol": 1e-9, "max_iter": 50000, "max_newton": 40,
-                 "formulation": "auto",   // bb | stream2d | potential | auto
-                 "barrier_stages": [], "w_reg": 0.0},
-      "bifurcation": {"fprime1": -6 pi^2, "cubic": 1.0, "f1": 0.0,
-                      "amplitudes": [0.001, 0.003, 0.01],
-                      "dim": 1, "n": 16, "n_t": 16,
-                      "spectrum_points": 9, "spectrum_halfwidth": 0.1},
-      "checks": ["derivatives", "two-forms", "duality", "mass"]
+      "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},
+      "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},
+      "solver": {"tol": ...,          // finite, > 0
+                 "max_iter": ...,     // >= 1; stationary descent budget
+                 "max_newton": ...,   // >= 1; Newton budget of dynamic solves
+                 "formulation": ...,  // bb | stream2d | potential | auto
+                 "barrier_stages": [...], "w_reg": ...},
+      "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,
+                      "amplitudes": [...],   // at least one
+                      "dim": ..., "n": ..., "n_t": ...,
+                      "spectrum_points": ...,      // >= 2
+                      "spectrum_halfwidth": ...},  // in (0, 1)
+      "checks": [...]       // crosscheck names; empty or absent: all
     }
+
+Each key's converter, default and allowed range is its row in the section
+tables below (``_TOP``, ``_MODEL``, ``_GRID``, ``_SOLVER``,
+``_BIFURCATION``, ``_MODE``). A command reads a key when it needs it, and
+a value out of range raises ConfigError naming the key, before any solve.
+
+Crosscheck names per model kind; any other name is rejected:
+
+* separable: ``derivatives``, ``two-forms``, ``duality``, ``mass``;
+* congestion: ``transforms``, ``duality``, ``hbar``.
 
 Output directory precedence: ``--output-dir`` flag, then the config's
 ``output_dir``, then the ``MFGKIT_OUTPUT_DIR`` environment variable, then
@@ -43,8 +50,11 @@ Output directory precedence: ``--output-dir`` flag, then the config's
 from __future__ import annotations
 
 import json
+import math
 import os
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,100 +84,6 @@ __all__ = [
     "dump_csv",
 ]
 
-_TOP_KEYS = {
-    "task",
-    "seed",
-    "output_dir",
-    "eps",
-    "model",
-    "grid",
-    "initial",
-    "solver",
-    "bifurcation",
-    "checks",
-}
-_MODEL_KEYS = {"kind", "f_poly", "f_spatial", "Q", "alpha", "gamma"}
-_GRID_KEYS = {"dim", "n", "n_t", "horizon"}
-_INITIAL_KEYS = {"m0", "uT"}
-_PROFILE_KEYS = {"base", "modes"}
-_MODE_KEYS = {"amp", "k", "kind"}
-_SOLVER_KEYS = {
-    "tol",
-    "max_iter",
-    "max_newton",
-    "formulation",
-    "barrier_stages",
-    "w_reg",
-}
-_FORMULATIONS = ("auto", "bb", "stream2d", "potential")
-
-
-_BIF_KEYS = {
-    "fprime1",
-    "cubic",
-    "f1",
-    "amplitudes",
-    "dim",
-    "n",
-    "n_t",
-    "spectrum_points",
-    "spectrum_halfwidth",
-}
-
-
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
-
-
-def _section(cfg: dict, name: str, allowed: set) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"'{name}' must be a JSON object")
-    _check_keys(sec, allowed, f"'{name}'")
-    return sec
-
-
-def _check_modes(modes, where: str) -> None:
-    """The harmonic modes at key ``where`` must be a list of mode objects."""
-    if not isinstance(modes, list):
-        raise ConfigError(f"'{where}' must be a list of mode objects (got {modes!r})")
-    for mode in modes:
-        if not isinstance(mode, dict):
-            raise ConfigError(f"entries of '{where}' must be objects")
-        _check_keys(mode, _MODE_KEYS, f"a mode of '{where}'")
-
-
-def load_config(path) -> dict:
-    """Read and structurally validate one JSON configuration file."""
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "the config root")
-    # Validate sections eagerly so errors do not depend on the command.
-    _check_modes(_section(cfg, "model", _MODEL_KEYS).get("f_spatial", []), "model.f_spatial")
-    _section(cfg, "grid", _GRID_KEYS)
-    initial = _section(cfg, "initial", _INITIAL_KEYS)
-    for prof_key in initial:
-        prof = initial[prof_key]
-        if not isinstance(prof, dict):
-            raise ConfigError(f"'initial.{prof_key}' must be a JSON object")
-        _check_keys(prof, _PROFILE_KEYS, f"'initial.{prof_key}'")
-        _check_modes(prof.get("modes", []), f"initial.{prof_key}.modes")
-    _section(cfg, "solver", _SOLVER_KEYS)
-    _section(cfg, "bifurcation", _BIF_KEYS)
-    checks = cfg.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ConfigError("'checks' must be a list of strings")
-    return cfg
-
 
 def _number(value, where: str, kind=float):
     """``kind(value)`` for the scalar config value at key ``where``; a value
@@ -185,24 +101,185 @@ def _numbers(values, where: str, kind=float) -> tuple:
         raise ConfigError(f"'{where}' must be a list of numbers")
 
 
+_int = partial(_number, kind=int)
+_ints = partial(_numbers, kind=int)
+
+
+def _text(value, where: str) -> str:
+    return str(value)
+
+
+def _shape(value, where: str):
+    """``grid.n``: one node count for every axis, or a list of them."""
+    return _ints(value, where) if isinstance(value, list) else _int(value, where)
+
+
+def _modes(modes, where: str) -> list:
+    """The harmonic modes at key ``where`` must be a list of mode objects."""
+    if not isinstance(modes, list):
+        raise ConfigError(f"'{where}' must be a list of mode objects (got {modes!r})")
+    for mode in modes:
+        if not isinstance(mode, dict):
+            raise ConfigError(f"entries of '{where}' must be objects")
+        _check_keys(mode, _MODE, f"a mode of '{where}'")
+    return modes
+
+
+class _Key(NamedTuple):
+    """One config key: ``read(value, where)`` converts it, ``default`` stands
+    in when it is absent, and a value failing ``ok`` raises ConfigError
+    "'<key>' must be <rule>", with ``{value}`` in the rule filled in."""
+
+    read: Callable
+    default: object
+    ok: Callable | None = None
+    rule: str = ""
+
+
+def _at_least(lo: int) -> dict:
+    return {"ok": lambda v: v >= lo, "rule": f"a number >= {lo} (got {{value}})"}
+
+
+_FORMULATIONS = ("auto", "bb", "stream2d", "potential")
+
+_TOP = {
+    "seed": _Key(_int, 0, **_at_least(0)),
+    "eps": _Key(_number, 1.0),
+}
+_MODEL = {
+    "kind": _Key(_text, "separable"),
+    "f_poly": _Key(_numbers, (0.0, 1.0)),
+    "f_spatial": _Key(_modes, []),
+    "Q": _Key(_numbers, None),
+    "alpha": _Key(_number, 0.5),
+    "gamma": _Key(_number, 2.0),
+}
+_GRID = {
+    "dim": _Key(_int, 1),
+    "n": _Key(_shape, 16),
+    "n_t": _Key(_int, 16),
+    "horizon": _Key(_number, 1.0),
+}
+_SOLVER = {
+    "tol": _Key(_number, 1e-9, lambda v: 0.0 < v < math.inf, "a number in (0, inf) (got {value})"),
+    "max_iter": _Key(_int, 50000, **_at_least(1)),
+    "max_newton": _Key(_int, 40, **_at_least(1)),
+    "formulation": _Key(
+        _text,
+        "auto",
+        lambda v: v in _FORMULATIONS,
+        f"one of {', '.join(_FORMULATIONS)}; got '{{value}}'",
+    ),
+    "barrier_stages": _Key(_numbers, ()),
+    "w_reg": _Key(_number, 0.0),
+}
+_BIFURCATION = {
+    "fprime1": _Key(_number, -6.0 * np.pi**2),
+    "cubic": _Key(_number, 1.0),
+    "f1": _Key(_number, 0.0),
+    "amplitudes": _Key(_numbers, (1e-3, 3e-3, 1e-2), bool, "hold at least one value"),
+    "dim": _Key(_int, 1),
+    "n": _Key(_int, 16),
+    "n_t": _Key(_int, 16),
+    "spectrum_points": _Key(_int, 9, lambda v: v >= 2, ">= 2"),
+    "spectrum_halfwidth": _Key(_number, 0.1, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+}
+_MODE = {
+    "amp": _Key(_number, 0.0),
+    "k": _Key(_ints, ()),
+    "kind": _Key(_text, "cos"),
+}
+_SECTIONS = {"model": _MODEL, "grid": _GRID, "solver": _SOLVER, "bifurcation": _BIFURCATION}
+_TOP_KEYS = {"task", "output_dir", "initial", "checks", *_TOP, *_SECTIONS}
+_INITIAL_KEYS = {"m0", "uT"}
+_PROFILE_KEYS = {"base", "modes"}
+
+
+def _check_keys(obj: dict, allowed, where: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
+
+
+def _section(cfg: dict, name: str, allowed=None) -> dict:
+    """Section ``name`` of cfg; its keys must be in ``allowed`` (default:
+    the section's table)."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    _check_keys(sec, allowed or _SECTIONS[name], f"'{name}'")
+    return sec
+
+
+def _read(obj: dict, table: dict, key: str, where: str):
+    """The value of ``key`` in ``obj`` (or its default), converted and
+    range-checked by its row in ``table``; ``where`` names it in errors."""
+    row = table[key]
+    value = row.read(obj.get(key, row.default), where)
+    if row.ok is not None and not row.ok(value):
+        raise ConfigError(f"'{where}' must be " + row.rule.format(value=value))
+    return value
+
+
+def _setting(cfg: dict, key: str):
+    """The setting at dotted ``key``: "eps", "solver.tol", ..."""
+    name, _, leaf = key.rpartition(".")
+    if not name:
+        return _read(cfg, _TOP, leaf, key)
+    return _read(_section(cfg, name), _SECTIONS[name], leaf, key)
+
+
+def _settings(cfg: dict, name: str) -> dict:
+    return {key: _setting(cfg, f"{name}.{key}") for key in _SECTIONS[name]}
+
+
+def load_config(path) -> dict:
+    """Read and structurally validate one JSON configuration file."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config root must be a JSON object")
+    _check_keys(cfg, _TOP_KEYS, "the config root")
+    # Validate sections eagerly so errors do not depend on the command.
+    for name in _SECTIONS:
+        _section(cfg, name)
+    _setting(cfg, "model.f_spatial")
+    initial = _section(cfg, "initial", _INITIAL_KEYS)
+    for prof_key in initial:
+        prof = initial[prof_key]
+        if not isinstance(prof, dict):
+            raise ConfigError(f"'initial.{prof_key}' must be a JSON object")
+        _check_keys(prof, _PROFILE_KEYS, f"'initial.{prof_key}'")
+        _modes(prof.get("modes", []), f"initial.{prof_key}.modes")
+    checks = cfg.get("checks", [])
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigError("'checks' must be a list of strings")
+    return cfg
+
+
 def _term(mode: dict, where: str) -> SpatialTerm:
     return SpatialTerm(
-        amp=_number(mode.get("amp", 0.0), f"{where}.amp"),
-        k=_numbers(mode.get("k", ()), f"{where}.k", int),
-        kind=str(mode.get("kind", "cos")),
+        amp=_read(mode, _MODE, "amp", f"{where}.amp"),
+        k=_read(mode, _MODE, "k", f"{where}.k"),
+        kind=_read(mode, _MODE, "kind", f"{where}.kind"),
     )
 
 
 def build_coupling(mcfg: dict) -> Coupling:
-    poly = _numbers(mcfg.get("f_poly", [0.0, 1.0]), "model.f_poly")
-    terms = tuple(_term(mode, "model.f_spatial") for mode in mcfg.get("f_spatial", []))
-    return Coupling(poly=poly, terms=terms)
+    poly = _read(mcfg, _MODEL, "f_poly", "model.f_poly")
+    modes = _read(mcfg, _MODEL, "f_spatial", "model.f_spatial")
+    return Coupling(poly=poly, terms=tuple(_term(mode, "model.f_spatial") for mode in modes))
 
 
 def build_model(cfg: dict):
     """Instantiate the configured Hamiltonian model."""
-    mcfg = _section(cfg, "model", _MODEL_KEYS)
-    kind = mcfg.get("kind", "separable")
+    mcfg = _section(cfg, "model")
+    kind = _setting(cfg, "model.kind")
     coupling = build_coupling(mcfg)
     if kind == "separable":
         for key in ("Q", "alpha", "gamma"):
@@ -213,33 +290,29 @@ def build_model(cfg: dict):
         if "Q" not in mcfg:
             raise ConfigError("congestion models need 'model.Q'")
         return CongestionHamiltonian(
-            Q=_numbers(mcfg["Q"], "model.Q"),
-            alpha=_number(mcfg.get("alpha", 0.5), "model.alpha"),
-            gamma=_number(mcfg.get("gamma", 2.0), "model.gamma"),
+            Q=_setting(cfg, "model.Q"),
+            alpha=_setting(cfg, "model.alpha"),
+            gamma=_setting(cfg, "model.gamma"),
             coupling=coupling,
         )
     raise ConfigError(f"unknown model kind '{kind}' (use separable or congestion)")
 
 
 def build_space_grid(cfg: dict) -> TorusGrid:
-    gcfg = _section(cfg, "grid", _GRID_KEYS)
-    dim = _number(gcfg.get("dim", 1), "grid.dim", int)
-    n = gcfg.get("n", 16)
-    if isinstance(n, list):
-        shape = _numbers(n, "grid.n", int)
-        if len(shape) != dim:
-            raise ConfigError(f"'grid.n' has {len(shape)} entries but dim = {dim}")
-    else:
-        shape = (_number(n, "grid.n", int),) * dim
+    dim = _setting(cfg, "grid.dim")
+    shape = _setting(cfg, "grid.n")
+    if not isinstance(shape, tuple):
+        shape = (shape,) * dim
+    elif len(shape) != dim:
+        raise ConfigError(f"'grid.n' has {len(shape)} entries but dim = {dim}")
     return TorusGrid(shape)
 
 
 def build_time_grid(cfg: dict) -> SpaceTimeGrid:
-    gcfg = _section(cfg, "grid", _GRID_KEYS)
     return SpaceTimeGrid(
         build_space_grid(cfg),
-        n_t=_number(gcfg.get("n_t", 16), "grid.n_t", int),
-        horizon=_number(gcfg.get("horizon", 1.0), "grid.horizon"),
+        n_t=_setting(cfg, "grid.n_t"),
+        horizon=_setting(cfg, "grid.horizon"),
     )
 
 
@@ -270,55 +343,16 @@ def build_uT(grid: TorusGrid, cfg: dict) -> np.ndarray:
 
 
 def solver_settings(cfg: dict) -> dict:
-    scfg = _section(cfg, "solver", _SOLVER_KEYS)
-    formulation = str(scfg.get("formulation", "auto"))
-    if formulation not in _FORMULATIONS:
-        raise ConfigError(
-            f"'solver.formulation' must be one of {', '.join(_FORMULATIONS)}; "
-            f"got '{formulation}'"
-        )
-    return {
-        "tol": _number(scfg.get("tol", 1e-9), "solver.tol"),
-        "max_iter": _number(scfg.get("max_iter", 50000), "solver.max_iter", int),
-        "max_newton": _number(scfg.get("max_newton", 40), "solver.max_newton", int),
-        "formulation": formulation,
-        "barrier_stages": _numbers(
-            scfg.get("barrier_stages", ()), "solver.barrier_stages"
-        ),
-        "w_reg": _number(scfg.get("w_reg", 0.0), "solver.w_reg"),
-    }
+    return _settings(cfg, "solver")
 
 
 def bifurcation_settings(cfg: dict) -> dict:
-    bcfg = _section(cfg, "bifurcation", _BIF_KEYS)
-    out = {
-        "fprime1": _number(bcfg.get("fprime1", -6.0 * np.pi**2), "bifurcation.fprime1"),
-        "cubic": _number(bcfg.get("cubic", 1.0), "bifurcation.cubic"),
-        "f1": _number(bcfg.get("f1", 0.0), "bifurcation.f1"),
-        "amplitudes": _numbers(
-            bcfg.get("amplitudes", (1e-3, 3e-3, 1e-2)), "bifurcation.amplitudes"
-        ),
-        "dim": _number(bcfg.get("dim", 1), "bifurcation.dim", int),
-        "n": _number(bcfg.get("n", 16), "bifurcation.n", int),
-        "n_t": _number(bcfg.get("n_t", 16), "bifurcation.n_t", int),
-        "spectrum_points": _number(
-            bcfg.get("spectrum_points", 9), "bifurcation.spectrum_points", int
-        ),
-        "spectrum_halfwidth": _number(
-            bcfg.get("spectrum_halfwidth", 0.1), "bifurcation.spectrum_halfwidth"
-        ),
-    }
-    if not out["amplitudes"]:
-        raise ConfigError("'bifurcation.amplitudes' must hold at least one value")
-    if out["spectrum_points"] < 2:
-        raise ConfigError("'bifurcation.spectrum_points' must be >= 2")
-    if not 0.0 < out["spectrum_halfwidth"] < 1.0:
-        raise ConfigError("'bifurcation.spectrum_halfwidth' must be in (0, 1)")
-    return out
+    return _settings(cfg, "bifurcation")
 
 
 def resolve_output_dir(flag_value, cfg: dict) -> Path:
-    """Flag beats config beats MFGKIT_OUTPUT_DIR beats ./mfgkit-out."""
+    """Flag beats config beats MFGKIT_OUTPUT_DIR beats ./mfgkit-out. A
+    directory that cannot be created raises ConfigError naming it."""
     if flag_value:
         target = flag_value
     elif cfg.get("output_dir"):
@@ -328,7 +362,10 @@ def resolve_output_dir(flag_value, cfg: dict) -> Path:
     else:
         target = "mfgkit-out"
     path = Path(target)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}")
     return path
 
 

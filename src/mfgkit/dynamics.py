@@ -35,8 +35,7 @@ stalls or whose step budget runs out, or a GMRES solve that misses its
 tolerance, raises :class:`SolverError`. The separable rows hold at any
 density; the solved node densities are checked once against the model's
 ``m_min``, before the certificates, and a density below it raises
-:class:`PositivityError`. Only the quadratic kinetic part is supported
-on the Newton path, and a negative or non-finite eps raises
+:class:`PositivityError`. A negative or non-finite eps raises
 :class:`ModelError` before any work.
 """
 
@@ -51,7 +50,7 @@ from .errors import ModelError, PositivityError
 from .grids import SpaceTimeGrid
 from . import spectral
 from .functionals import GameState, _slab_rows, psi1, psi2
-from .hamiltonians import QuadraticKinetic, SeparableHamiltonian
+from .hamiltonians import SeparableHamiltonian
 
 __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_equilibrium_vs_planner"]
 
@@ -73,8 +72,6 @@ class SolveResult:
 def _check_model(model) -> None:
     if not isinstance(model, SeparableHamiltonian):
         raise ModelError("the finite-horizon solvers need a separable model")
-    if not isinstance(model.kinetic, QuadraticKinetic):
-        raise ModelError("the Newton path supports the quadratic kinetic part only")
 
 
 class _System:

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import GridError, ModelError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
-from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian, _kinetic_legendre
+from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian
 
 __all__ = [
     "GameState",
@@ -396,7 +396,7 @@ def b_cost(state: GameState, model: SeparableHamiltonian, control=None) -> float
     mbar = 0.5 * (state.m[:-1] + state.m[1:])
     if control is None:
         control = optimal_control(state, model)
-    L0 = _kinetic_legendre(model.kinetic, -control)
+    L0 = 0.5 * np.sum(control * control, axis=0)  # L0(-r) = |r|^2 / 2
     F = model.coupling.F(sp, mbar)
     return grid.dt * float(np.sum(_xmean(mbar * L0 + F))) + float(
         np.mean(state.uT * state.m[-1])

@@ -69,10 +69,6 @@ class TorusGrid:
         return int(np.prod(self.shape))
 
     @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(1.0 / nv for nv in self.shape)
-
-    @property
     def cell_volume(self) -> float:
         """Quadrature weight of one node (the torus has unit volume)."""
         return 1.0 / self.num_nodes

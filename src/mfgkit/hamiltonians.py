@@ -9,10 +9,7 @@ also available.
 
 Two model families are provided:
 
-* :class:`SeparableHamiltonian`: H(x, p, m) = H0(p) - f(x, m), with a
-  quadratic default kinetic part (H0(p) = |p|^2 / 2). Its conjugate
-  needs the kinetic part's closed-form ``legendre``; a kinetic part
-  without one raises :class:`~mfgkit.errors.ModelError` there.
+* :class:`SeparableHamiltonian`: H(x, p, m) = |p|^2 / 2 - f(x, m).
 * :class:`CongestionHamiltonian`: H(x, p, m) = |p + Q|^gamma /
   (gamma m^alpha) - f(x, m) with a constant drift vector Q, gamma >= 1,
   alpha >= 0, alpha != 1.
@@ -38,7 +35,6 @@ __all__ = [
     "M_FLOOR",
     "SpatialTerm",
     "Coupling",
-    "QuadraticKinetic",
     "HamiltonianValues",
     "SeparableHamiltonian",
     "CongestionHamiltonian",
@@ -150,34 +146,6 @@ class Coupling:
         return np.asarray(w) * z - self.F(grid, z)
 
 
-class QuadraticKinetic:
-    """H0(p) = |p|^2 / 2 with closed-form conjugate L0(q) = |q|^2 / 2."""
-
-    def value(self, p: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sum(p * p, axis=0)
-
-    def grad(self, p: np.ndarray) -> np.ndarray:
-        return p
-
-    def hess(self, p: np.ndarray) -> np.ndarray:
-        d = p.shape[0]
-        eye = np.eye(d).reshape((d, d) + (1,) * (p.ndim - 1))
-        return np.broadcast_to(eye, (d, d) + p.shape[1:]).copy()
-
-    def legendre(self, q: np.ndarray) -> np.ndarray:
-        return 0.5 * np.sum(q * q, axis=0)
-
-
-def _kinetic_legendre(kinetic, q: np.ndarray) -> np.ndarray:
-    """The closed-form conjugate L0(q) of a kinetic part; one without a
-    ``legendre`` method raises :class:`ModelError`."""
-    if not hasattr(kinetic, "legendre"):
-        raise ModelError(
-            f"kinetic part {type(kinetic).__name__} has no closed-form conjugate (legendre)"
-        )
-    return kinetic.legendre(q)
-
-
 @dataclass(frozen=True)
 class HamiltonianValues:
     """Pointwise H and its first derivatives at (x, p, m)."""
@@ -197,30 +165,32 @@ def _check_floor(m: np.ndarray, m_min: float) -> None:
 
 @dataclass(frozen=True)
 class SeparableHamiltonian:
-    """H(x, p, m) = H0(p) - f(x, m)."""
+    """H(x, p, m) = H0(p) - f(x, m) with H0(p) = |p|^2 / 2, whose conjugate
+    is L0(q) = |q|^2 / 2."""
 
     coupling: Coupling = field(default_factory=Coupling)
-    kinetic: QuadraticKinetic = field(default_factory=QuadraticKinetic)
     m_min: float = M_FLOOR
 
     def eval(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> HamiltonianValues:
-        H = self.kinetic.value(p) - self.coupling.f(grid, m)
+        H = 0.5 * np.sum(p * p, axis=0) - self.coupling.f(grid, m)
         return HamiltonianValues(
             H=H,
-            dpH=self.kinetic.grad(p),
+            dpH=p,
             dmH=-self.coupling.df_dm(grid, m) + np.zeros_like(H),
         )
 
     def eval_F_H(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
         """Antiderivative of H in m and its p-gradient: (F_H, dp F_H)."""
-        FH = m * self.kinetic.value(p) - self.coupling.F(grid, m)
-        return FH, m * self.kinetic.grad(p)
+        FH = m * (0.5 * np.sum(p * p, axis=0)) - self.coupling.F(grid, m)
+        return FH, m * p
 
     def legendre(self, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return _kinetic_legendre(self.kinetic, q) + self.coupling.f(grid, m)
+        return 0.5 * np.sum(q * q, axis=0) + self.coupling.f(grid, m)
 
     def hess_pp(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return self.kinetic.hess(p)
+        d = p.shape[0]
+        eye = np.eye(d).reshape((d, d) + (1,) * (p.ndim - 1))
+        return np.broadcast_to(eye, (d, d) + p.shape[1:]).copy()
 
     def dm_dpH(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
         return np.zeros_like(p)

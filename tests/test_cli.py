@@ -170,8 +170,9 @@ def test_solve_mfg_and_compare(tmp_path):
 
 
 def test_every_dynamic_command_honours_max_newton(tmp_path, capsys):
-    # No Newton step allowed: every command that solves must fail alike.
-    cfg = write_cfg(tmp_path, "n0.json", dict(SEP_CFG, solver={"tol": 1e-10, "max_newton": 0}))
+    # One Newton step is too few at this tol: every command that solves
+    # must fail alike.
+    cfg = write_cfg(tmp_path, "n1.json", dict(SEP_CFG, solver={"tol": 1e-10, "max_newton": 1}))
     for command in ("solve-mfg", "solve-mfc", "compare", "crosscheck", "duality-crosscheck"):
         assert run([command, cfg, "--output-dir", tmp_path / command]) == 1, command
         assert "no convergence" in capsys.readouterr().err
@@ -367,6 +368,17 @@ def _with(cfg, key, value):
     return out
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solver ran before the config was rejected")
+
+
+@pytest.fixture
+def solvers_forbidden(monkeypatch):
+    for name in ("solve_mfg", "solve_mfc", "solve_bb", "solve_bb_2d_stream",
+                 "solve_potential_a_gt_1"):
+        monkeypatch.setattr(cli, name, _no_solve)
+
+
 MALFORMED = [
     ("solve-mfg", SEP_CFG, "eps", "abc"),
     ("solve-mfg", SEP_CFG, "eps", None),
@@ -377,13 +389,36 @@ MALFORMED = [
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n", "x"),
     ("crosscheck", SEP_CFG, "seed", "x"),
     ("crosscheck", SEP_CFG, "seed", -1),
+    ("report", CONG_CFG, "model.gamma", "x"),
+    ("report", SEP_CFG, "grid.dim", "x"),
+    ("solve-mfg", SEP_CFG, "grid.n_t", "x"),
+    ("solve-mfg", SEP_CFG, "grid.horizon", "x"),
+    ("solve-stationary", CONG_CFG, "solver.max_iter", "x"),
+    ("solve-mfg", SEP_CFG, "solver.max_newton", "x"),
+    ("solve-stationary", CONG_CFG, "solver.w_reg", "x"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", "x"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", "x"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", "x"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.dim", "x"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n_t", "x"),
+    ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.spectrum_points", "x"),
+    ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.spectrum_halfwidth", "x"),
+    ("solve-mfg", SEP_CFG, "solver.tol", 0.0),
+    ("solve-stationary", CONG_CFG, "solver.tol", -1.0),
+    ("solve-stationary", CONG_CFG, "solver.tol", float("nan")),
+    ("crosscheck", CONG_CFG, "solver.tol", float("inf")),
+    ("solve-mfg", SEP_CFG, "solver.max_newton", -3),
+    ("duality-crosscheck", SEP_CFG, "solver.max_newton", 0),
+    ("solve-stationary", CONG_CFG, "solver.max_iter", 0),
 ]
 
 
 @pytest.mark.parametrize(
     "command, base, key, value", MALFORMED, ids=[f"{c[2]}={c[3]!r}" for c in MALFORMED]
 )
-def test_malformed_config_scalar_exits_two(tmp_path, capsys, command, base, key, value):
+def test_malformed_config_scalar_exits_two(
+    tmp_path, capsys, solvers_forbidden, command, base, key, value
+):
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 2
     assert f"'{key}' must be a number" in capsys.readouterr().err
@@ -402,3 +437,31 @@ def test_bad_viscosity_exits_two_before_solving(tmp_path, capsys, eps):
     cfg = write_cfg(tmp_path, "bad.json", dict(SEP_CFG, eps=eps))
     assert run(["solve-mfg", cfg, "--output-dir", tmp_path / "o"]) == 2
     assert "viscosity eps must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, checks, bad, valid",
+    [
+        (SEP_CFG, ["mass", "dervatives"], "dervatives",
+         "separable model (valid: derivatives, two-forms, duality, mass)"),
+        (CONG_CFG, ["hbar", "duality", "transform"], "transform",
+         "congestion model (valid: transforms, duality, hbar)"),
+    ],
+    ids=["separable", "congestion"],
+)
+def test_unknown_check_name_exits_two_before_solving(
+    tmp_path, capsys, solvers_forbidden, base, checks, bad, valid
+):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "bad.json", dict(base, checks=checks))
+    assert run(["crosscheck", cfg, "--output-dir", out]) == 2
+    assert f"unknown check '{bad}' for a {valid}" in capsys.readouterr().err
+    assert not (out / "crosscheck.json").exists()
+
+
+def test_uncreatable_output_dir_exits_two(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    target = tmp_path / "afile" / "sub"
+    cfg = write_cfg(tmp_path, "r.json", {"model": {"kind": "separable"}})
+    assert run(["report", cfg, "--output-dir", target]) == 2
+    assert f"cannot create output directory {target}" in capsys.readouterr().err

@@ -5,15 +5,11 @@ import helpers
 from mfgkit import (
     CongestionHamiltonian,
     Coupling,
-    GameState,
     ModelError,
     PositivityError,
-    QuadraticKinetic,
     SeparableHamiltonian,
-    SpaceTimeGrid,
     SpatialTerm,
     TorusGrid,
-    b_cost,
     check_monotonicity,
 )
 
@@ -239,29 +235,14 @@ def test_monotonicity_report_flags_decreasing_coupling(g1):
     assert rep_bad.max_dm_h > 0.0
 
 
-def test_kinetic_without_legendre_raises_where_a_conjugate_is_needed(g1):
-    class Quartic:
-        def value(self, p):
-            return 0.25 * np.sum(p**2, axis=0) ** 2
-
-        def grad(self, p):
-            return p * np.sum(p**2, axis=0)
-
-    model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0)), kinetic=Quartic())
-    with pytest.raises(ModelError, match="Quartic has no closed-form conjugate"):
-        model.legendre(g1, np.full((1, 16), 1.3), np.full(16, 2.0))
-    st = SpaceTimeGrid(g1, 8, 0.4)
-    state = GameState(st, np.ones((9, 16)), np.zeros((9, 16)), np.ones(16), np.zeros(16))
-    with pytest.raises(ModelError, match="Quartic has no closed-form conjugate"):
-        b_cost(state, model, control=np.zeros((1, 8, 16)))
-
-
-def test_quadratic_kinetic_parts():
-    kin = QuadraticKinetic()
-    p = np.array([[3.0], [4.0]])
-    assert kin.value(p)[0] == 12.5
-    assert np.array_equal(kin.grad(p), p)
-    assert kin.legendre(p)[0] == 12.5
-    hess = kin.hess(p)
+def test_separable_kinetic_part_is_quadratic(g1):
+    # f = 0 isolates H0(p) = |p|^2 / 2 and its conjugate L0(q) = |q|^2 / 2.
+    model = SeparableHamiltonian(Coupling(poly=(0.0,)))
+    p, m = np.array([[3.0], [4.0]]), np.ones(16)
+    vals = model.eval(g1, p, m)
+    assert vals.H[0] == 12.5
+    assert np.array_equal(vals.dpH, p)
+    assert model.legendre(g1, p, m)[0] == 12.5
+    hess = model.hess_pp(g1, p, m)
     assert hess.shape[:2] == (2, 2)
     assert np.allclose(hess[:, :, 0], np.eye(2))
