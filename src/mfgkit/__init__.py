@@ -100,7 +100,6 @@ from .bifurcation import (
     kernel_at,
     map_to_original,
     periodic_grid,
-    sigma_branch,
     sigma_from_operator,
     sigma_h_root,
     sigma_slope,
@@ -170,7 +169,6 @@ __all__ = [
     "analytic_kernel_fields",
     "crossing_number",
     "sigma_h_root",
-    "sigma_branch",
     "sigma_from_operator",
     "sigma_slope",
     "sigma_slope_exact",

@@ -97,7 +97,6 @@ __all__ = [
     "analytic_kernel_fields",
     "sigma_h_root",
     "sigma_slope_exact",
-    "sigma_branch",
     "sigma_from_operator",
     "sigma_slope",
     "crossing_number",
@@ -424,15 +423,6 @@ def sigma_slope_exact(fprime1: float) -> float:
     """d sigma / d T of the near-zero branch at T_bar (closed form)."""
     lam = LAMBDA1
     return 2.0 * lam * (-lam - fprime1) / (lam - fprime1)
-
-
-def sigma_branch(T: float, fprime1: float) -> dict:
-    """Closed-form near-zero eigenvalue branch: sigma(T) and its slope at T_bar."""
-    return {
-        "T": T,
-        "sigma": sigma_h_root(T, fprime1),
-        "slope_at_Tbar": sigma_slope_exact(fprime1),
-    }
 
 
 def sigma_from_operator(st: SpaceTimeGrid, T: float, fprime1: float) -> dict:

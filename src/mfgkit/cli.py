@@ -111,10 +111,6 @@ def _describe_model(model) -> dict:
 def cmd_report(cfg, out_dir):
     model = build_model(cfg)
     grid = build_space_grid(cfg)
-    if isinstance(model, CongestionHamiltonian) and model.dim != grid.dim:
-        raise ConfigError(
-            f"model.Q has {model.dim} components but grid.dim = {grid.dim}"
-        )
     state = StationaryState(grid, np.ones(grid.shape), np.zeros(grid.shape))
     r1 = psi1_hat(state, model)
     r2 = psi2_hat(state, model)
@@ -136,35 +132,30 @@ def cmd_report(cfg, out_dir):
     }
 
 
-def _solve_congestion(model, grid, s):
-    """Run the stationary route that ``solver.formulation`` names.
-
-    ``auto`` picks the potential route iff alpha > 1, else the flux
-    route. Returns (route, result).
-    """
+def _congestion_problem(cfg, needs: str):
+    """The configured stationary problem: (model, grid, route, solve), where
+    solve() runs the route that ``solver.formulation`` names; ``auto`` picks
+    the potential route iff alpha > 1, else the flux route ``bb``. A model
+    that is not congestion raises ``ConfigError("<needs> model.kind =
+    'congestion'")``."""
+    model = build_model(cfg)
+    if not isinstance(model, CongestionHamiltonian):
+        raise ConfigError(f"{needs} model.kind = 'congestion'")
+    grid = build_space_grid(cfg)
+    s = solver_settings(cfg)
     route = s["formulation"]
     if route == "auto":
         route = "potential" if model.alpha > 1.0 else "bb"
-    if route == "potential":
-        return route, solve_potential_a_gt_1(model, grid, tol=s["tol"], max_iter=s["max_iter"])
-    if route == "stream2d":
-        return route, solve_bb_2d_stream(model, grid, tol=s["tol"], max_iter=s["max_iter"])
-    return route, solve_bb(
-        model,
-        grid,
-        tol=s["tol"],
-        max_iter=s["max_iter"],
-        barrier_stages=s["barrier_stages"],
-        w_reg=s["w_reg"],
-    )
+    kw = {"tol": s["tol"], "max_iter": s["max_iter"]}
+    if route == "bb":
+        kw.update(barrier_stages=s["barrier_stages"], w_reg=s["w_reg"])
+    solver = {"bb": solve_bb, "stream2d": solve_bb_2d_stream, "potential": solve_potential_a_gt_1}
+    return model, grid, route, partial(solver[route], model, grid, **kw)
 
 
 def cmd_solve_stationary(cfg, out_dir):
-    model = build_model(cfg)
-    if not isinstance(model, CongestionHamiltonian):
-        raise ConfigError("solve-stationary needs model.kind = 'congestion'")
-    grid = build_space_grid(cfg)
-    route, res = _solve_congestion(model, grid, solver_settings(cfg))
+    _, grid, route, solve = _congestion_problem(cfg, "solve-stationary needs")
+    res = solve()
     save_field(out_dir / "m.field", DensityField(grid, res.state.m))
     save_field(out_dir / "u.field", ScalarField(grid, res.state.u))
     save_field(out_dir / "w.field", VectorField(grid, res.w))
@@ -381,9 +372,7 @@ def _check_separable(cfg, checks, rng):
 
 
 def _check_congestion(cfg, checks, rng):
-    model = build_model(cfg)
-    grid = build_space_grid(cfg)
-    s = solver_settings(cfg)
+    model, grid, route, solve = _congestion_problem(cfg, "crosscheck needs")
     results = []
     if "transforms" in checks:
         m = 1.0 + spectral.random_band_limited(grid, rng, amplitude=0.3)
@@ -395,7 +384,7 @@ def _check_congestion(cfg, checks, rng):
         results.append(("transforms:roundtrip", float(np.max(np.abs(w2 - w))), 1e-8))
         results.append(("transforms:curl", rep["curl_residual_inf"], 1e-8))
     if {"duality", "hbar"} & set(checks):
-        route, res = _solve_congestion(model, grid, s)
+        res = solve()
         certificates = (
             ("duality", "duality:stationary", res.duality_gap),
             ("hbar", "hbar:crosscheck", res.hbar_crosscheck_gap),

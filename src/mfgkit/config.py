@@ -15,7 +15,8 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
         "f_spatial": [      // ... + sum of torus harmonics
           {"amp": 0.1, "k": [1], "kind": "cos"}
         ],
-        "Q": [...], "alpha": ..., "gamma": ...   // congestion only
+        "Q": [...],         // congestion only: one entry per grid.dim,
+        "alpha": ..., "gamma": ...   // all finite; gamma >= 1, alpha >= 0, != 1
       },
       "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},
       "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},
@@ -23,7 +24,8 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
                  "max_iter": ...,     // >= 1; stationary descent budget
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
                  "formulation": ...,  // bb | stream2d | potential | auto
-                 "barrier_stages": [...], "w_reg": ...},
+                 "barrier_stages": [...],
+                 "w_reg": ...},       // in [0, inf); > 0 needed at gamma = 1
       "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,
                       "amplitudes": [...],   // at least one
                       "dim": ..., "n": ..., "n_t": ...,
@@ -171,7 +173,9 @@ _SOLVER = {
         f"one of {', '.join(_FORMULATIONS)}; got '{{value}}'",
     ),
     "barrier_stages": _Key(_numbers, ()),
-    "w_reg": _Key(_number, 0.0),
+    "w_reg": _Key(
+        _number, 0.0, lambda v: 0.0 <= v < math.inf, "a number in [0, inf) (got {value})"
+    ),
 }
 _BIFURCATION = {
     "fprime1": _Key(_number, -6.0 * np.pi**2),
@@ -277,7 +281,8 @@ def build_coupling(mcfg: dict) -> Coupling:
 
 
 def build_model(cfg: dict):
-    """Instantiate the configured Hamiltonian model."""
+    """Instantiate the configured Hamiltonian model. A congestion model's
+    ``model.Q`` must have ``grid.dim`` entries."""
     mcfg = _section(cfg, "model")
     kind = _setting(cfg, "model.kind")
     coupling = build_coupling(mcfg)
@@ -289,8 +294,11 @@ def build_model(cfg: dict):
     if kind == "congestion":
         if "Q" not in mcfg:
             raise ConfigError("congestion models need 'model.Q'")
+        Q, dim = _setting(cfg, "model.Q"), _setting(cfg, "grid.dim")
+        if len(Q) != dim:
+            raise ConfigError(f"'model.Q' has {len(Q)} entries but 'grid.dim' = {dim}")
         return CongestionHamiltonian(
-            Q=_setting(cfg, "model.Q"),
+            Q=Q,
             alpha=_setting(cfg, "model.alpha"),
             gamma=_setting(cfg, "model.gamma"),
             coupling=coupling,

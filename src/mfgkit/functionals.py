@@ -44,7 +44,7 @@ import numpy as np
 from .errors import GridError, ModelError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
-from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian
+from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian, _check_floor
 
 __all__ = [
     "GameState",
@@ -193,11 +193,6 @@ def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
     return out
 
 
-def _raw_F_shift(sp, model, m) -> np.ndarray:
-    """F - antiderivative_raw at m: moves psi1 to the raw-antiderivative form."""
-    return model.coupling.F(sp, m) - model.coupling.antiderivative_raw(sp, m)
-
-
 def _dynamic_report(state: GameState, model, which: str) -> FunctionalReport:
     grid = state.grid
     dt = grid.dt
@@ -230,9 +225,6 @@ def _dynamic_report(state: GameState, model, which: str) -> FunctionalReport:
         "hjb_slab_residual": s.hjb,
         "fp_slab_residual": s.transport if which == "psi2" else None,
     }
-    if which == "psi1":
-        delta = _raw_F_shift(grid.space, model, s.mbar)
-        extras["value_raw_F"] = value + dt * float(np.sum(_xmean(delta)))
     return FunctionalReport(value=value, dm=dm, du=du, extras=extras)
 
 
@@ -250,11 +242,7 @@ def _hat_report(state: StationaryState, model, which: str) -> FunctionalReport:
     """The one-slab rows of the constant pair (u, u), (m, m)."""
     u, m = state.u, state.m
     s = _slab_rows(state.grid, model, which, u, u, m, m, 1.0, state.eps)
-    rep = FunctionalReport(value=float(np.mean(s.running)), dm=s.value, du=s.transport)
-    if which == "psi1":
-        delta = _raw_F_shift(state.grid, model, m)
-        rep.extras["value_raw_F"] = rep.value + float(np.mean(delta))
-    return rep
+    return FunctionalReport(value=float(np.mean(s.running)), dm=s.value, du=s.transport)
 
 
 def psi1_hat(state: StationaryState, model) -> FunctionalReport:
@@ -312,12 +300,9 @@ def phi_bb(
     gp = model.gamma_prime
     a = model.alpha
     beta = model.beta
-    from .hamiltonians import _check_floor
-
     _check_floor(m, model.m_min)
-    Qarr = np.array(model.Q).reshape((model.dim,) + (1,) * m.ndim)
     wmag = np.sqrt(np.sum(w * w, axis=0))
-    wQ = np.sum(w * Qarr, axis=0)
+    wQ = np.sum(w * model.drift(w), axis=0)
     value = float(
         np.mean(
             -wQ / (1.0 - a)
@@ -326,10 +311,7 @@ def phi_bb(
         )
     )
     dm = -(wmag**gp) * m ** (-beta - 1.0) / model.gamma + model.coupling.f(grid, m)
-    dw = (-Qarr + CongestionHamiltonian._pow(wmag, gp - 2.0) * w * m ** (-beta)) / (
-        1.0 - a
-    )
-    return FunctionalReport(value=value, dm=dm, dw=dw)
+    return FunctionalReport(value=value, dm=dm, dw=model.momentum(w, m) / (1.0 - a))
 
 
 def j_functional(
@@ -344,19 +326,15 @@ def j_functional(
         raise ModelError("j_functional needs a congestion model")
     if model.alpha <= 1.0:
         raise ModelError("j_functional requires alpha > 1")
-    from .hamiltonians import _check_floor
-
     _check_floor(m, model.m_min)
     a, g = model.alpha, model.gamma
     p = spectral.gradient(grid, u)
-    r = p + np.array(model.Q).reshape((model.dim,) + (1,) * m.ndim)
-    rmag = np.sqrt(np.sum(r * r, axis=0))
+    _, rmag = model.shift(p)
     value = float(
         np.mean(m ** (1.0 - a) * rmag**g / ((a - 1.0) * g) + model.coupling.F(grid, m))
     )
     dm = -(m ** (-a)) * rmag**g / g + model.coupling.f(grid, m)
-    flux = m ** (1.0 - a) * CongestionHamiltonian._pow(rmag, g - 2.0) * r
-    du = -spectral.divergence(grid, flux) / (a - 1.0)
+    du = -spectral.divergence(grid, model.flux(p, m)) / (a - 1.0)
     return FunctionalReport(value=value, dm=dm, du=du)
 
 

@@ -3,16 +3,19 @@
 A coupling is a local cost f(x, m) = p(m) + s(x) with p polynomial and
 s a finite combination of torus harmonics. Its antiderivative in m is
 normalized so that F(x, 1) = 0, which fixes the additive constant that
-the payoff functionals would otherwise inherit; the raw antiderivative
-(constant chosen so the m-polynomial part has zero constant term) is
-also available.
+the payoff functionals would otherwise inherit.
 
 Two model families are provided:
 
 * :class:`SeparableHamiltonian`: H(x, p, m) = |p|^2 / 2 - f(x, m).
 * :class:`CongestionHamiltonian`: H(x, p, m) = |p + Q|^gamma /
   (gamma m^alpha) - f(x, m) with a constant drift vector Q, gamma >= 1,
-  alpha >= 0, alpha != 1.
+  alpha >= 0, alpha != 1, all finite.
+
+The congestion change of variables lives here and nowhere else:
+``drift`` (Q against a field, with the component-count check), ``shift``
+(p + Q and its magnitude), ``flux`` (w = m^{1-alpha}|p+Q|^{gamma-2}(p+Q))
+and its inverse ``momentum``.
 
 Evaluating a congestion model at a density entry below ``m_min``
 (default 1e-10) raises :class:`~mfgkit.errors.PositivityError`; its
@@ -82,7 +85,7 @@ class Coupling:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.poly:
             raise ModelError("coupling polynomial needs at least one coefficient")
-        # p, p', p'' and the raw antiderivative P = polyint(p), built once.
+        # p, p', p'' and the antiderivative P = polyint(p), built once.
         c = np.polynomial.polynomial
         p = np.array(self.poly)
         object.__setattr__(self, "_derivs", (p, c.polyder(p), c.polyder(p, 2)))
@@ -106,10 +109,6 @@ class Coupling:
 
     def d2f_dm2(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         return self._poly_val(m, deriv=2) + np.zeros(grid.shape)
-
-    def antiderivative_raw(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        """P(m) + s(x) m with P = polyint(p), P(0) = 0."""
-        return np.polynomial.polynomial.polyval(m, self._antider) + self.spatial(grid) * m
 
     def F(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """Normalized antiderivative, F(x, m) = int_1^m f(x, z) dz."""
@@ -208,9 +207,12 @@ class CongestionHamiltonian:
 
     def __post_init__(self):
         object.__setattr__(self, "Q", tuple(float(v) for v in self.Q))
-        if self.gamma < 1.0:
+        for name, value in (("alpha", self.alpha), ("gamma", self.gamma), ("Q", self.Q)):
+            if not np.all(np.isfinite(value)):
+                raise ModelError(f"{name} must be finite, got {value}")
+        if not self.gamma >= 1.0:
             raise ModelError(f"gamma must be >= 1, got {self.gamma}")
-        if self.alpha < 0.0:
+        if not self.alpha >= 0.0:
             raise ModelError(f"alpha must be >= 0, got {self.alpha}")
         if self.alpha == 1.0:
             raise ModelError("alpha = 1 is excluded (the m-antiderivative degenerates)")
@@ -230,17 +232,27 @@ class CongestionHamiltonian:
         """Density exponent of the convex reformulation, (gamma'-1)(1-alpha)."""
         return (self.gamma_prime - 1.0) * (1.0 - self.alpha)
 
-    def _drift(self, like: np.ndarray) -> np.ndarray:
+    def drift(self, like: np.ndarray) -> np.ndarray:
+        """Q shaped to broadcast against the vector field ``like``, whose
+        leading axis must hold one entry per component of Q."""
+        if like.shape[0] != self.dim:
+            raise ModelError(f"field has {like.shape[0]} components, Q has {self.dim}")
         return np.array(self.Q).reshape((self.dim,) + (1,) * (like.ndim - 1))
 
-    def _shifted(self, p: np.ndarray):
-        if p.shape[0] != self.dim:
-            raise ModelError(
-                f"momentum has {p.shape[0]} components, drift has {self.dim}"
-            )
-        r = p + self._drift(p)
-        rmag = np.sqrt(np.sum(r * r, axis=0))
-        return r, rmag
+    def shift(self, p: np.ndarray):
+        """The drift shift r = p + Q and its magnitude |r|."""
+        r = p + self.drift(p)
+        return r, np.sqrt(np.sum(r * r, axis=0))
+
+    def flux(self, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The flux map w = m^{1-alpha} |p + Q|^{gamma-2} (p + Q)."""
+        r, rmag = self.shift(p)
+        return m ** (1.0 - self.alpha) * self._pow(rmag, self.gamma - 2.0) * r
+
+    def momentum(self, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`flux`: p = m^{-beta} |w|^{gamma'-2} w - Q."""
+        wmag = np.sqrt(np.sum(w * w, axis=0))
+        return self._pow(wmag, self.gamma_prime - 2.0) * w * m ** (-self.beta) - self.drift(w)
 
     @staticmethod
     def _pow(base: np.ndarray, expo: float) -> np.ndarray:
@@ -252,7 +264,7 @@ class CongestionHamiltonian:
 
     def eval(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> HamiltonianValues:
         _check_floor(m, self.m_min)
-        r, rmag = self._shifted(p)
+        r, rmag = self.shift(p)
         g = self.gamma
         H = rmag**g / (g * m**self.alpha) - self.coupling.f(grid, m)
         dpH = self._pow(rmag, g - 2.0) * r / m**self.alpha
@@ -264,18 +276,17 @@ class CongestionHamiltonian:
 
     def eval_F_H(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
         _check_floor(m, self.m_min)
-        r, rmag = self._shifted(p)
+        _, rmag = self.shift(p)
         g, a = self.gamma, self.alpha
         FH = m ** (1.0 - a) * rmag**g / ((1.0 - a) * g) - self.coupling.F(grid, m)
-        dpFH = m ** (1.0 - a) * self._pow(rmag, g - 2.0) * r / (1.0 - a)
-        return FH, dpFH
+        return FH, self.flux(p, m) / (1.0 - a)
 
     def legendre(self, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
         """L(x, q, m) = -q . Q + m^{alpha/(gamma-1)} |q|^{gamma'} / gamma' + f."""
         _check_floor(m, self.m_min)
         gp = self.gamma_prime
         qmag = np.sqrt(np.sum(q * q, axis=0))
-        drift_dot = np.sum(q * self._drift(q), axis=0)
+        drift_dot = np.sum(q * self.drift(q), axis=0)
         return (
             -drift_dot
             + m ** (self.alpha * (gp - 1.0)) * qmag**gp / gp
@@ -283,7 +294,7 @@ class CongestionHamiltonian:
         )
 
     def hess_pp(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-        r, rmag = self._shifted(p)
+        r, rmag = self.shift(p)
         g = self.gamma
         d = self.dim
         eye = np.eye(d).reshape((d, d) + (1,) * rmag.ndim)
@@ -293,7 +304,7 @@ class CongestionHamiltonian:
         ) / m**self.alpha
 
     def dm_dpH(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-        r, rmag = self._shifted(p)
+        r, rmag = self.shift(p)
         return -self.alpha * self._pow(rmag, self.gamma - 2.0) * r / m ** (
             self.alpha + 1.0
         )
@@ -332,9 +343,7 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     if isinstance(model, SeparableHamiltonian):
         dmH = -model.coupling._poly_val(m, deriv=1)
     else:
-        rmag = np.sqrt(
-            np.sum((p + np.array(model.Q).reshape(d, 1)) ** 2, axis=0)
-        )
+        _, rmag = model.shift(p)
         dmH = -model.alpha * rmag**model.gamma / (
             model.gamma * m ** (model.alpha + 1.0)
         ) - model.coupling._poly_val(m, deriv=1)

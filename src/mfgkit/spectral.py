@@ -158,9 +158,8 @@ def random_band_limited(
     rng: np.random.Generator,
     kmax: int = 3,
     amplitude: float = 1.0,
-    zero_mean: bool = True,
 ) -> np.ndarray:
-    """Smooth random real field built from modes with |k_i| <= kmax."""
+    """Smooth random real mean-zero field built from modes with |k_i| <= kmax."""
     hat = np.zeros(grid.shape, dtype=complex)
     mesh = np.meshgrid(*grid.wavenumbers, indexing="ij")
     keep = np.ones(grid.shape, dtype=bool)
@@ -170,8 +169,7 @@ def random_band_limited(
     vals = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
     hat[tuple(idx.T)] = vals
     field = np.fft.ifftn(hat).real
-    if zero_mean:
-        field -= field.mean()
+    field -= field.mean()
     scale = np.max(np.abs(field))
     if scale > 0:
         field *= amplitude / scale

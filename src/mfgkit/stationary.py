@@ -14,6 +14,10 @@ div w = 0, with the flux transform
     w = m^{1-alpha} |grad u + Q|^{gamma-2} (grad u + Q),
     grad u + Q = m^{-beta} |w|^{gamma'-2} w,   beta = (gamma'-1)(1-alpha).
 
+Both directions are stated once, as ``CongestionHamiltonian.flux`` and
+``CongestionHamiltonian.momentum``; ``w_from_u`` and ``u_from_w`` apply
+them to a potential u.
+
 The multiplier of the mass constraint is -Hbar, recovered as minus the
 mean of the m-derivative field. At the minimum, -phi_bb equals psi1_hat.
 
@@ -41,7 +45,7 @@ Every certified route ends in ``_certify``: PDE residuals, the duality
 gap against psi1_hat, and the crosscheck of Hbar against psi2_hat at the
 reconstructed state, which fails the run above ``HBAR_CROSSCHECK_TOL``.
 Only the regularized gamma = 1 flux solve is uncertified (see
-``solve_bb``).
+``solve_bb``; its weight ``w_reg`` must be a number in [0, inf)).
 
 The stream and potential routes optimize a scalar potential whose
 Hessian block is a weighted Laplacian, which would give the joint
@@ -113,13 +117,8 @@ def perp(vec: np.ndarray) -> np.ndarray:
 def w_from_u(
     model: CongestionHamiltonian, grid: TorusGrid, m: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Flux of the congestion transform, w = m^{1-a}|grad u+Q|^{g-2}(grad u+Q)."""
-    p = spectral.gradient(grid, u)
-    r = p + np.array(model.Q).reshape((model.dim,) + (1,) * m.ndim)
-    rmag = np.sqrt(np.sum(r * r, axis=0))
-    return m ** (1.0 - model.alpha) * CongestionHamiltonian._pow(
-        rmag, model.gamma - 2.0
-    ) * r
+    """Flux of the congestion transform at grad u (see ``model.flux``)."""
+    return model.flux(spectral.gradient(grid, u), m)
 
 
 def u_from_w(
@@ -131,22 +130,18 @@ def u_from_w(
 ):
     """Invert the flux transform; returns (u, consistency report).
 
-    The candidate gradient g = m^{-beta}|w|^{gamma'-2} w - Q must be a
+    The candidate gradient g = ``model.momentum(w, m)`` must be a
     spatial gradient for u to exist: its spatial mean (the drift
     mismatch) is reported, and solenoidal content above ``curl_tol``
     raises :class:`CurlError` rather than being projected away silently.
     u is returned in the zero-mean gauge.
     """
-    gp = model.gamma_prime
-    wmag = np.sqrt(np.sum(w * w, axis=0))
-    g = CongestionHamiltonian._pow(wmag, gp - 2.0) * w * m ** (-model.beta) - np.array(
-        model.Q
-    ).reshape((model.dim,) + (1,) * m.ndim)
+    g = model.momentum(w, m)
     u = spectral.solve_poisson(grid, spectral.divergence(grid, g))
     u = u - u.mean()
     recon = g - spectral.gradient(grid, u)
     mean_mismatch = np.array([float(np.mean(c)) for c in recon])
-    fluct = recon - mean_mismatch.reshape((model.dim,) + (1,) * m.ndim)
+    fluct = recon - mean_mismatch.reshape((-1,) + (1,) * m.ndim)
     curl_inf = float(np.max(np.abs(fluct)))
     report = {
         "drift_mean_mismatch": mean_mismatch,
@@ -351,8 +346,9 @@ def _certify(model, grid, m, u, w, hbar, run, extras) -> StationaryResult:
 
     Raises :class:`SolverError` when the multiplier Hbar and psi2_hat at
     (m, u) differ by more than ``HBAR_CROSSCHECK_TOL``. The residuals are
-    those of the PDE system: the Hamilton-Jacobi equation, and the
-    divergence of the flux transform of (m, u).
+    those of the PDE system: the Hamilton-Jacobi equation, read from
+    psi1_hat's value row (at eps = 0 and u0 = u1 that row is H exactly),
+    and the divergence of the flux transform of (m, u).
     """
     state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
     hbar_psi2 = psi2_hat(state, model).value
@@ -362,16 +358,15 @@ def _certify(model, grid, m, u, w, hbar, run, extras) -> StationaryResult:
             f"ergodic constant crosscheck failed: multiplier {hbar:.10f} vs "
             f"psi2_hat {hbar_psi2:.10f} (gap {hbar_gap:.3e})"
         )
-    psi1_val = psi1_hat(state, model).value
-    hv = model.eval(grid, spectral.gradient(grid, u), m)
+    psi1 = psi1_hat(state, model)
     w_rt = w_from_u(model, grid, m, u)
     return StationaryResult(
         state=state,
         w=w,
         **run,
-        duality_gap=run["value"] + psi1_val,
+        duality_gap=run["value"] + psi1.value,
         hbar_crosscheck_gap=hbar_gap,
-        residual_hjb_inf=float(np.max(np.abs(hv.H - hbar))),
+        residual_hjb_inf=float(np.max(np.abs(psi1.dm - hbar))),
         residual_fp_inf=float(np.max(np.abs(spectral.divergence(grid, w_rt)))),
         diagnostics={
             "mass_error": abs(float(np.mean(m)) - 1.0),
@@ -379,7 +374,7 @@ def _certify(model, grid, m, u, w, hbar, run, extras) -> StationaryResult:
             "min_m": float(m.min()),
             "hbar_from_multiplier": hbar,
             "hbar_from_psi2_hat": hbar_psi2,
-            "psi1_hat_value": psi1_val,
+            "psi1_hat_value": psi1.value,
             "flux_roundtrip_inf": float(np.max(np.abs(w_rt - w))),
             **extras,
         },
@@ -395,6 +390,8 @@ def _recover_from_flux(model, grid, m, w):
 
 
 def _require_bb_model(model: CongestionHamiltonian, w_reg: float = 0.0):
+    if not 0.0 <= w_reg < np.inf:
+        raise ModelError(f"w_reg must be a number in [0, inf), got {w_reg}")
     if not isinstance(model, CongestionHamiltonian):
         raise ModelError("stationary congestion solvers need a congestion model")
     if model.alpha >= 1.0:
@@ -438,15 +435,12 @@ def solve_bb(
     downstream code can tell this run apart from a certified solve.
     """
     _require_bb_model(model, w_reg)
-    d = grid.dim
-    if model.dim != d:
-        raise ModelError(f"model drift has {model.dim} components, grid is d = {d}")
     a = model.alpha
     gamma1 = model.gamma == 1.0
-    Qarr = np.array(model.Q).reshape((d,) + (1,) * d)
 
     def objective(m, w):
         if gamma1:
+            Qarr = model.drift(w)
             value = float(
                 np.mean(-np.sum(w * Qarr, axis=0) / (1.0 - a) + model.coupling.F(grid, m))
             )
@@ -460,7 +454,9 @@ def solve_bb(
         return value, dm, dw
 
     if w0 is None:
-        w0 = np.broadcast_to(0.0 if gamma1 else Qarr, (d,) + grid.shape)
+        w0 = np.zeros((grid.dim,) + grid.shape)
+        if not gamma1:
+            w0 = np.broadcast_to(model.drift(w0), w0.shape)
     m, w, run = _descend(
         model,
         grid,
@@ -534,7 +530,9 @@ def solve_bb_2d_stream(
         # Chain rule for the scaled coordinates: dPhi/d(sR) = dR / s.
         return rep.value, rep.dm, np.concatenate([dphi.ravel(), rep.extras["dR"] / r_scale])
 
-    y0 = np.concatenate([np.zeros(K), np.array([model.Q[1], -model.Q[0]]) * r_scale])
+    # R starts where perp(R) = Q, read through the model's checked drift.
+    q = model.drift(np.zeros(2))
+    y0 = np.concatenate([np.zeros(K), np.array([q[1], -q[0]]) * r_scale])
     m, y, run = _descend(model, grid, None, y0, objective, lambda yv: yv, tol, max_iter)
     v, R = stream(y)
     w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))

@@ -208,11 +208,9 @@ def test_sigma_operator_matches_h_root(periodic_setup):
     assert hi["eig"] == pytest.approx(0.17479387052954, abs=1e-9)
 
 
-def test_sigma_branch_payload_and_slope(periodic_setup):
+def test_sigma_branch_root_and_slope(periodic_setup):
     st, _ = periodic_setup
-    out = bf.sigma_branch(1.05 * TBAR, FPRIME1)
-    assert set(out) == {"T", "sigma", "slope_at_Tbar"}
-    assert out["sigma"] == pytest.approx(0.17479387052954, abs=1e-9)
+    assert bf.sigma_h_root(1.05 * TBAR, FPRIME1) == pytest.approx(0.17479387052954, abs=1e-9)
     exact = bf.sigma_slope_exact(FPRIME1)
     assert exact == pytest.approx(15.791367041742973, abs=1e-12)
     assert exact == pytest.approx(1.6 * np.pi**2, rel=1e-13)

@@ -410,6 +410,8 @@ MALFORMED = [
     ("solve-mfg", SEP_CFG, "solver.max_newton", -3),
     ("duality-crosscheck", SEP_CFG, "solver.max_newton", 0),
     ("solve-stationary", CONG_CFG, "solver.max_iter", 0),
+    ("solve-stationary", GAMMA1_CFG, "solver.w_reg", float("nan")),
+    ("solve-stationary", CONG_CFG, "solver.w_reg", -1.0),
 ]
 
 
@@ -457,6 +459,38 @@ def test_unknown_check_name_exits_two_before_solving(
     assert run(["crosscheck", cfg, "--output-dir", out]) == 2
     assert f"unknown check '{bad}' for a {valid}" in capsys.readouterr().err
     assert not (out / "crosscheck.json").exists()
+
+
+@pytest.mark.parametrize("command", ["report", "solve-stationary"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("alpha", float("nan"), "alpha must be finite, got nan"),
+        ("gamma", float("nan"), "gamma must be finite, got nan"),
+        ("Q", [float("nan")], "Q must be finite, got (nan,)"),
+    ],
+)
+def test_nan_model_parameter_exits_two_before_solving(
+    tmp_path, capsys, solvers_forbidden, command, key, value, message
+):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "bad.json", _with(CONG_CFG, f"model.{key}", value))
+    assert run([command, cfg, "--output-dir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["report", "solve-stationary", "crosscheck"])
+@pytest.mark.parametrize("Q, dim", [([0.5], 2), ([0.5, 0.5], 1)], ids=["short", "long"])
+def test_wrong_length_drift_exits_two_before_solving(
+    tmp_path, capsys, solvers_forbidden, command, Q, dim
+):
+    out = tmp_path / "o"
+    cfg = _with(_with(CONG_CFG, "model.Q", Q), "grid", {"dim": dim, "n": 16})
+    assert run([command, write_cfg(tmp_path, "bad.json", cfg), "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"'model.Q' has {len(Q)} entries but 'grid.dim' = {dim}" in err
+    assert not any(out.iterdir())
 
 
 def test_uncreatable_output_dir_exits_two(tmp_path, capsys):

@@ -52,9 +52,7 @@ def test_trivial_stationary_values(g1):
     model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0)))
     state = StationaryState(g1, np.ones(16), np.zeros(16))
     assert psi2_hat(state, model).value == -1.0
-    rep1 = psi1_hat(state, model)
-    assert rep1.value == 0.0
-    assert rep1.extras["value_raw_F"] == -0.5
+    assert psi1_hat(state, model).value == 0.0
 
 
 def test_trivial_psi2_hat_general_coupling(g1):

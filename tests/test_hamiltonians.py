@@ -201,6 +201,18 @@ def test_drift_dimension_mismatch(g1):
         model.eval(g1, np.zeros((1, 16)), np.ones(16))
 
 
+@pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
+def test_flux_and_momentum_are_inverse(g2, gamma):
+    model = CongestionHamiltonian(Q=(0.7, -0.4), alpha=0.5, gamma=gamma)
+    rng = np.random.default_rng(11)
+    m = rng.uniform(0.5, 1.5, (8, 8))
+    p, w = rng.standard_normal((2, 2, 8, 8))
+    back_p = model.momentum(model.flux(p, m), m)
+    back_w = model.flux(model.momentum(w, m), m)
+    assert np.max(np.abs(back_p - p)) <= 1e-12 * np.max(np.abs(p))
+    assert np.max(np.abs(back_w - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 def test_coupling_normalization_and_derivatives(g1):
     coupling = Coupling(poly=(0.3, 1.0, 0.2), terms=(SpatialTerm(0.1, (1,), kind="sin"),))
     assert np.max(np.abs(coupling.F(g1, np.ones(16)))) == 0.0

@@ -158,6 +158,8 @@ def test_stream_route_matches_flux_route(bb2d_pair):
 def test_stream_route_guards(congestion_1d_model, congestion_2d_model):
     with pytest.raises(ModelError, match="2-D grid"):
         solve_bb_2d_stream(congestion_2d_model, TorusGrid((16,)))
+    with pytest.raises(ModelError, match="components"):
+        solve_bb_2d_stream(congestion_1d_model, TorusGrid((16, 16)))
 
 
 def test_flux_route_rejects_alpha_at_least_one():
@@ -225,6 +227,21 @@ def test_potential_route_guards():
 def test_solver_rejects_dimension_mismatch(congestion_2d_model):
     with pytest.raises(ModelError, match="components"):
         solve_bb(congestion_2d_model, TorusGrid((16,)))
+
+
+def test_transforms_reject_a_drift_of_the_wrong_length():
+    # A 1-entry Q on a 2-D grid: every use of the transform names the
+    # component mismatch instead of broadcasting Q over both axes.
+    g = TorusGrid((16, 16))
+    m, u, w = np.ones((16, 16)), np.zeros((16, 16)), np.ones((2, 16, 16))
+    with pytest.raises(ModelError, match="components"):
+        phi_bb(g, m, w, plain_model())
+    with pytest.raises(ModelError, match="components"):
+        j_functional(g, m, u, plain_model(alpha=1.5))
+    with pytest.raises(ModelError, match="components"):
+        w_from_u(plain_model(), g, m, u)
+    with pytest.raises(ModelError, match="components"):
+        u_from_w(plain_model(), g, m, w)
 
 
 def test_stalled_descent_raises_with_its_floor():
