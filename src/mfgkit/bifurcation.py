@@ -66,9 +66,12 @@ the Jacobian applied at FFT cost, preconditioned by the bordered
 linearization frozen at the trivial state: per-mode 2x2 blocks on the
 complement of the null space, closed by a small dense Schur complement
 (see :class:`_Branch`, which also supplies the feasibility test and the
-convergence measure). The kernel of A(T) and this null space
-come from one routine, :func:`_null_basis`, and the closed-form kernel
-fields (z1 among them) from one array, :func:`_kernel_rows`.
+convergence measure). The residual (whose linear part is
+:func:`_linear_blocks`), its Jacobian action, the frozen preconditioner,
+the kernel and the spectrum all read the per-mode blocks of
+:func:`_mode_blocks`. The kernel of A(T) and this null space come from
+one routine, :func:`_null_basis`, and the closed-form kernel fields (z1
+among them) from one array, :func:`_kernel_rows`.
 """
 
 from __future__ import annotations
@@ -119,6 +122,9 @@ _MAX_NEWTON = 80
 
 def default_periodic_coupling(fprime1: float, cubic: float = 1.0, f1: float = 0.0) -> Coupling:
     """f(m) = f1 + fprime1 (m - 1) + cubic (m - 1)^3 as a polynomial coupling."""
+    for name, value in (("fprime1", fprime1), ("cubic", cubic), ("f1", f1)):
+        if not np.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value}")
     c0 = f1 - fprime1 - cubic
     c1 = fprime1 + 3.0 * cubic
     c2 = -3.0 * cubic
@@ -188,24 +194,21 @@ class PeriodicState:
             raise PositivityError("1 + M must stay positive")
 
 
+def _linear_blocks(st: SpaceTimeGrid, T: float) -> np.ndarray:
+    """The linear part of (G1, G2) as :func:`spectral.modewise` blocks on
+    (U, M): the :func:`_mode_blocks` with f'(1) = 0 and the Nyquist-zeroed
+    div-grad symbol, divided by T. The f'(1) M term stays in the coupling."""
+    return spectral.rfft_modes(_mode_blocks(st, T, 0.0, -st.space.divgrad_symbol)) / T
+
+
 def _residual(st: SpaceTimeGrid, coupling: Coupling, U, M, Hbar: float, T: float):
     """(G1, G2) of the rescaled periodic system on raw fields."""
     sp = st.space
     gradU = spectral.gradient(sp, U)
-    G1 = (
-        spectral.time_derivative_periodic(st, M) / T
-        - spectral.div_grad(sp, M)
-        - spectral.div_grad(sp, U)
-        - spectral.divergence(sp, M * gradU)
-    )
+    G1, G2 = spectral.modewise(_linear_blocks(st, T), np.stack([U, M]))
     f1 = float(coupling._poly_val(1.0))
-    G2 = (
-        -spectral.time_derivative_periodic(st, U) / T
-        - spectral.div_grad(sp, U)
-        + 0.5 * np.sum(gradU * gradU, axis=0)
-        - (coupling._poly_val(1.0 + M) - f1)
-        + Hbar
-    )
+    G1 = G1 - spectral.divergence(sp, M * gradU)
+    G2 = G2 + 0.5 * np.sum(gradU * gradU, axis=0) - (coupling._poly_val(1.0 + M) - f1) + Hbar
     return G1, G2
 
 
@@ -334,9 +337,7 @@ class KernelReport:
     trig_energy_fraction: float | None
 
 
-def analytic_kernel_fields(
-    st: SpaceTimeGrid, fprime1: float, temporal_freq: int = 1
-) -> list:
+def analytic_kernel_fields(st: SpaceTimeGrid, fprime1: float, temporal_freq: int = 1) -> list:
     """The 4d closed-form kernel pairs (v, mu) at T = N T_bar."""
     sp = st.space
     kappa = np.sqrt(-4.0 * np.pi**2 - fprime1) / (2.0 * np.pi)
@@ -457,9 +458,7 @@ def crossing_number(st: SpaceTimeGrid, fprime1: float) -> int:
     below = int(np.sum((lo > -0.5) & (lo < 0.0)))
     above = int(np.sum((hi > 0.0) & (hi < 0.5)))
     if below != above:
-        raise CheckError(
-            f"ambiguous crossing count: {below} below vs {above} above T_bar"
-        )
+        raise CheckError(f"ambiguous crossing count: {below} below vs {above} above T_bar")
     return below
 
 
@@ -566,28 +565,16 @@ class _Branch:
         U, M, _, T, _ = self.split(z)
         gradU = spectral.gradient(sp, U)
         fp = self.coupling._poly_val(1.0 + M, deriv=1)
-        t_col = np.concatenate(
-            [
-                -spectral.time_derivative_periodic(st, M).ravel(),
-                spectral.time_derivative_periodic(st, U).ravel(),
-            ]
-        ) / T**2
+        blocks = _linear_blocks(st, T)
+        ddt = spectral.time_derivative_periodic
+        t_col = np.concatenate([-ddt(st, M), ddt(st, U)], axis=None) / T**2
 
         def jvp(dz):
             dU, dM, dH, dT, dlam = self.split(dz)
             gdU = spectral.gradient(sp, dU)
-            dG1 = (
-                spectral.time_derivative_periodic(st, dM) / T
-                - spectral.div_grad(sp, dM + dU)
-                - spectral.divergence(sp, dM * gradU + M * gdU)
-            )
-            dG2 = (
-                -spectral.time_derivative_periodic(st, dU) / T
-                - spectral.div_grad(sp, dU)
-                + np.sum(gradU * gdU, axis=0)
-                - fp * dM
-                + dH
-            )
+            dG1, dG2 = spectral.modewise(blocks, dz[: 2 * K].reshape((2,) + st.field_shape))
+            dG1 = dG1 - spectral.divergence(sp, dM * gradU + M * gdU)
+            dG2 = dG2 + np.sum(gradU * gdU, axis=0) - fp * dM + dH
             dG = np.concatenate([dG1.ravel(), dG2.ravel()]) + dT * t_col + dlam @ self.psi[1:]
             return np.concatenate([dG, self.rows @ dz[: 2 * K] / K])
 
@@ -595,11 +582,8 @@ class _Branch:
 
     def apply_pinv(self, x):
         """The frozen pseudo-inverse on stacked (U, M) vectors, shape (..., 2K)."""
-        shape = self.st.field_shape
-        axes = tuple(range(-len(shape), 0))
-        hat = np.fft.rfftn(x.reshape(x.shape[:-1] + (2,) + shape), axes=axes)
-        hat = np.sum(self.pinv * np.expand_dims(hat, -len(shape) - 2), axis=-len(shape) - 1)
-        return np.fft.irfftn(hat, s=shape, axes=axes).reshape(x.shape)
+        fields = x.reshape(x.shape[:-1] + (2,) + self.st.field_shape)
+        return spectral.modewise(self.pinv, fields).reshape(x.shape)
 
     def preconditioner(self, t_col):
         """Inverse of the bordered matrix whose (U, M) block is frozen at the
@@ -615,14 +599,10 @@ class _Branch:
         p = len(psi)
         cols = np.vstack([rows[0], t_col, psi[1:]])  # the Hbar column is the mass field
         pcols = self.apply_pinv(cols)
-        schur = np.linalg.inv(
-            np.block(
-                [
-                    [psi @ cols.T / K, np.zeros((p, p))],
-                    [rows @ pcols.T / K, -rows @ psi.T / K],
-                ]
-            )
-        )
+        schur = np.linalg.inv(np.block([
+            [psi @ cols.T / K, np.zeros((p, p))],
+            [rows @ pcols.T / K, -rows @ psi.T / K],
+        ]))
 
         def apply(r):
             a = self.apply_pinv(r[: 2 * K])
@@ -638,23 +618,23 @@ def _frozen_inverse(st: SpaceTimeGrid, fprime1: float):
     frozen at the trivial state and T_bar.
 
     The blocks are :func:`_mode_blocks` with the Nyquist-zeroed div-grad
-    symbol, as in :func:`_residual`; eigenvalues up to ``_NULL_TOL * T_bar`` are
-    the null directions. Returns the pseudo-inverse of the unscaled
-    blocks, shape (2, 2, *half) on the modes ``rfftn`` keeps, and the
-    :func:`_null_basis` of the null directions, shape (p, 2K).
+    symbol, as in :func:`_linear_blocks`; eigenvalues up to ``_NULL_TOL * T_bar``
+    are the null directions. Returns the pseudo-inverse of the unscaled
+    blocks as :func:`spectral.modewise` blocks, and the :func:`_null_basis`
+    of the null directions, shape (p, 2K).
     """
     Tbar = critical_period(fprime1)
     eigs, vecs = np.linalg.eigh(_mode_blocks(st, Tbar, fprime1, -st.space.divgrad_symbol))
     null = np.abs(eigs) <= _NULL_TOL * Tbar
     inv = Tbar / np.where(null, np.inf, eigs)
-    pinv = np.einsum("...ik,...k,...jk->ij...", vecs, inv, vecs.conj())
-    return pinv[..., : st.field_shape[-1] // 2 + 1], _null_basis(vecs, null)
+    pinv = np.einsum("...ik,...k,...jk->...ij", vecs, inv, vecs.conj())
+    return spectral.rfft_modes(pinv), _null_basis(vecs, null)
 
 
 def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> BifurcationBranch:
     """Follow the nontrivial periodic branch at the given pin amplitudes.
 
-    Amplitudes must be positive, at least one, and are processed in the
+    Amplitudes must be finite and positive, at least one, and are processed in the
     given order; each solution warm-starts the next. Each point solves the
     bordered system of :class:`_Branch` by :func:`mfgkit._newton_krylov.newton`,
     preconditioned by the bordered frozen linearization; it has converged
@@ -668,8 +648,8 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
     if not amplitudes:
         raise ModelError("amplitudes must hold at least one value")
     for a in amplitudes:
-        if not a > 0.0:
-            raise ModelError(f"amplitudes must be positive, got {a}")
+        if not 0.0 < a < np.inf:
+            raise ModelError(f"amplitudes must be finite and positive, got {a}")
     fprime1 = _fprime1(coupling)
     Tbar = critical_period(fprime1)
     system = _Branch(coupling, st)
@@ -687,9 +667,7 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
         energy = float(np.mean(U * U) + np.mean(M * M))
         span = float(np.sum((system.kernel @ z[: 2 * K] / K) ** 2))
         dtM = spectral.time_derivative_periodic(st, M)
-        ratio = float(
-            np.sqrt(np.mean(dtM * dtM)) / max(np.sqrt(np.mean(M * M)), 1e-300)
-        )
+        ratio = float(np.sqrt(np.mean(dtM * dtM)) / max(np.sqrt(np.mean(M * M)), 1e-300))
         points.append(
             BranchPoint(
                 state=state,
@@ -714,9 +692,7 @@ def map_to_original(state: PeriodicState, coupling: Coupling) -> dict:
     returned along with per-slice masses.
     """
     st = state.grid
-    grid_T = SpaceTimeGrid(
-        st.space, n_t=st.n_t, horizon=state.T, periodic_time=True
-    )
+    grid_T = SpaceTimeGrid(st.space, n_t=st.n_t, horizon=state.T, periodic_time=True)
     f1 = float(coupling._poly_val(1.0))
     s_nodes = grid_T.times.reshape((st.n_t,) + (1,) * st.space.dim)
     m = 1.0 + state.M

@@ -11,23 +11,23 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
       "eps": ...,           // viscosity of the dynamic solvers
       "model": {
         "kind": ...,        // "separable" or "congestion"
-        "f_poly": [...],    // coupling f(m) = sum_j c_j m^j ...
+        "f_poly": [...],    // coupling f(m) = sum_j c_j m^j, finite c_j ...
         "f_spatial": [      // ... + sum of torus harmonics
-          {"amp": 0.1, "k": [1], "kind": "cos"}
+          {"amp": 0.1, "k": [1], "kind": "cos"}   // finite amp
         ],
         "Q": [...],         // congestion only: one entry per grid.dim,
         "alpha": ..., "gamma": ...   // all finite; gamma >= 1, alpha >= 0, != 1
       },
-      "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},
+      "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon finite, > 0
       "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},
       "solver": {"tol": ...,          // finite, > 0
                  "max_iter": ...,     // >= 1; stationary descent budget
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
                  "formulation": ...,  // bb | stream2d | potential | auto
-                 "barrier_stages": [...],
+                 "barrier_stages": [...],   // each finite, > 0
                  "w_reg": ...},       // in [0, inf); > 0 needed at gamma = 1
-      "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,
-                      "amplitudes": [...],   // at least one
+      "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,   // finite
+                      "amplitudes": [...],   // at least one; each finite, > 0
                       "dim": ..., "n": ..., "n_t": ...,
                       "spectrum_points": ...,      // >= 2
                       "spectrum_halfwidth": ...},  // in (0, 1)
@@ -142,12 +142,17 @@ def _at_least(lo: int) -> dict:
     return {"ok": lambda v: v >= lo, "rule": f"a number >= {lo} (got {{value}})"}
 
 
+def _positive(v: float) -> bool:
+    return 0.0 < v < math.inf
+
+
+_POSITIVE = {"ok": _positive, "rule": "a number in (0, inf) (got {value})"}
+_LIST_RULE = "a list of numbers in (0, inf) (got {value})"
+
+
 _FORMULATIONS = ("auto", "bb", "stream2d", "potential")
 
-_TOP = {
-    "seed": _Key(_int, 0, **_at_least(0)),
-    "eps": _Key(_number, 1.0),
-}
+_TOP = {"seed": _Key(_int, 0, **_at_least(0)), "eps": _Key(_number, 1.0)}
 _MODEL = {
     "kind": _Key(_text, "separable"),
     "f_poly": _Key(_numbers, (0.0, 1.0)),
@@ -160,10 +165,10 @@ _GRID = {
     "dim": _Key(_int, 1),
     "n": _Key(_shape, 16),
     "n_t": _Key(_int, 16),
-    "horizon": _Key(_number, 1.0),
+    "horizon": _Key(_number, 1.0, **_POSITIVE),
 }
 _SOLVER = {
-    "tol": _Key(_number, 1e-9, lambda v: 0.0 < v < math.inf, "a number in (0, inf) (got {value})"),
+    "tol": _Key(_number, 1e-9, **_POSITIVE),
     "max_iter": _Key(_int, 50000, **_at_least(1)),
     "max_newton": _Key(_int, 40, **_at_least(1)),
     "formulation": _Key(
@@ -172,7 +177,7 @@ _SOLVER = {
         lambda v: v in _FORMULATIONS,
         f"one of {', '.join(_FORMULATIONS)}; got '{{value}}'",
     ),
-    "barrier_stages": _Key(_numbers, ()),
+    "barrier_stages": _Key(_numbers, (), lambda v: all(map(_positive, v)), _LIST_RULE),
     "w_reg": _Key(
         _number, 0.0, lambda v: 0.0 <= v < math.inf, "a number in [0, inf) (got {value})"
     ),
@@ -181,18 +186,17 @@ _BIFURCATION = {
     "fprime1": _Key(_number, -6.0 * np.pi**2),
     "cubic": _Key(_number, 1.0),
     "f1": _Key(_number, 0.0),
-    "amplitudes": _Key(_numbers, (1e-3, 3e-3, 1e-2), bool, "hold at least one value"),
+    "amplitudes": _Key(
+        _numbers, (1e-3, 3e-3, 1e-2), lambda v: bool(v) and all(map(_positive, v)),
+        "a nonempty " + _LIST_RULE,
+    ),
     "dim": _Key(_int, 1),
     "n": _Key(_int, 16),
     "n_t": _Key(_int, 16),
     "spectrum_points": _Key(_int, 9, lambda v: v >= 2, ">= 2"),
     "spectrum_halfwidth": _Key(_number, 0.1, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
 }
-_MODE = {
-    "amp": _Key(_number, 0.0),
-    "k": _Key(_ints, ()),
-    "kind": _Key(_text, "cos"),
-}
+_MODE = {"amp": _Key(_number, 0.0), "k": _Key(_ints, ()), "kind": _Key(_text, "cos")}
 _SECTIONS = {"model": _MODEL, "grid": _GRID, "solver": _SOLVER, "bifurcation": _BIFURCATION}
 _TOP_KEYS = {"task", "output_dir", "initial", "checks", *_TOP, *_SECTIONS}
 _INITIAL_KEYS = {"m0", "uT"}

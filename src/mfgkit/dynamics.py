@@ -29,7 +29,8 @@ space-time system from the data rows (u = uT and m = m0 on every slice).
 :class:`_System` supplies the residual and, through
 :meth:`_System.linearize`, the Jacobian applied at FFT cost and its
 preconditioner, the Jacobian at mean density, zero drift and mean
-coupling slope: one real 2N x 2N time system per spatial Fourier mode
+coupling slope: one real 2N x 2N time system per spatial Fourier mode,
+inverted once per Newton step and applied by :func:`spectral.modewise`
 (see :meth:`_System.preconditioner`). A Newton solve whose line search
 stalls or whose step budget runs out, or a GMRES solve that misses its
 tolerance, raises :class:`SolverError`. The separable rows hold at any
@@ -149,27 +150,17 @@ class _System:
             -(a_{j+1} - a_j)/dt - eps lam ab_j - gpbar bb_j = S_j,
              (b_{j+1} - b_j)/dt - eps lam bb_j - mbar del ab_j = P_j
         in (a_0..a_{N-1}, b_1..b_N), a_N = b_0 = 0, ab/bb slab midpoints,
-        inverted for all modes at once and applied between real FFTs."""
+        inverted for all modes at once and applied by :func:`spectral.modewise`."""
         sp, N, dt, eps = self.sp, self.N, self.dt, self.eps
         eye, up, lo = np.eye(N), np.eye(N, k=1), np.eye(N, k=-1)
-        half = (Ellipsis, slice(sp.shape[-1] // 2 + 1))  # the modes rfftn keeps
-        lam = sp.laplacian_symbol[half].reshape(-1, 1, 1)
-        dg = sp.divgrad_symbol[half].reshape(-1, 1, 1)
+        lam = spectral.rfft_modes(sp.laplacian_symbol[..., None, None])
+        dg = spectral.rfft_modes(sp.divgrad_symbol[..., None, None])
         au, am = 0.5 * (eye + up), 0.5 * (eye + lo)
         inv = np.linalg.inv(np.block([
             [(eye - up) / dt - eps * lam * au, -gpbar * am * np.ones_like(lam)],
             [-mbar * dg * au, (eye - lo) / dt - eps * lam * am],
-        ]))  # (modes, 2N, 2N)
-        axes = tuple(range(1, sp.dim + 1))
-
-        def apply(r):
-            hat = np.fft.rfftn(r.reshape((2 * N,) + sp.shape), axes=axes)
-            flat = hat.reshape(2 * N, -1).T
-            x = inv @ np.stack([flat.real, flat.imag], axis=-1)
-            hat = (x[..., 0] + 1j * x[..., 1]).T.reshape(hat.shape)
-            return np.fft.irfftn(hat, s=sp.shape, axes=axes).ravel()
-
-        return apply
+        ]))  # (*modes, 2N, 2N)
+        return lambda r: spectral.modewise(inv, r.reshape((2 * N,) + sp.shape)).ravel()
 
 
 def _solve(

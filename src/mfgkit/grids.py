@@ -6,8 +6,8 @@ up to the Nyquist mode are represented exactly and quadrature of any
 resolved trigonometric polynomial is exact (the trapezoid rule on a
 periodic grid reduces to the plain node average).
 
-Wavenumber convention: integer modes per axis as returned by
-``numpy.fft.fftfreq(n) * n``, i.e. ``0, 1, ..., n/2-1, -n/2, ..., -1``.
+Wavenumber convention: integer modes per axis in FFT order,
+``0, 1, ..., n/2-1, -n/2, ..., -1``.
 The unpaired Nyquist mode (|k| = n/2) is kept in the Laplacian symbol
 4 pi^2 |k|^2 but dropped from first-derivative symbols, which keeps
 derivatives of real fields real and makes the discrete divergence the
@@ -86,7 +86,7 @@ class TorusGrid:
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         """Integer wavenumbers per axis (1-D arrays)."""
-        return tuple(np.rint(np.fft.fftfreq(nv) * nv).astype(int) for nv in self.shape)
+        return tuple((np.arange(nv) + nv // 2) % nv - nv // 2 for nv in self.shape)
 
     @cached_property
     def _k_mesh(self) -> tuple[np.ndarray, ...]:
@@ -145,8 +145,8 @@ class SpaceTimeGrid:
     def __post_init__(self):
         if self.n_t < 4 or self.n_t % 2 != 0:
             raise GridError(f"n_t must be even and >= 4, got {self.n_t}")
-        if not (self.horizon > 0.0):
-            raise GridError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < np.inf:
+            raise GridError(f"horizon must be positive and finite, got {self.horizon}")
 
     @property
     def dim(self) -> int:
@@ -184,7 +184,7 @@ class SpaceTimeGrid:
         """Spectral d/dt symbol on the periodic time circle (1-D array)."""
         if not self.periodic_time:
             raise GridError("spectral time derivative requires periodic_time=True")
-        k = np.rint(np.fft.fftfreq(self.n_t) * self.n_t).astype(int)
+        k = (np.arange(self.n_t) + self.n_t // 2) % self.n_t - self.n_t // 2
         sym = 2j * np.pi * k.astype(float) / self.horizon
         sym[np.abs(k) == self.n_t // 2] = 0.0
         return sym

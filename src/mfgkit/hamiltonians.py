@@ -50,7 +50,7 @@ M_FLOOR = 1e-10
 
 @dataclass(frozen=True)
 class SpatialTerm:
-    """One harmonic amp * cos(2 pi k . x) or amp * sin(2 pi k . x)."""
+    """One harmonic amp * cos(2 pi k . x) or amp * sin(2 pi k . x), amp finite."""
 
     amp: float
     k: tuple[int, ...]
@@ -59,6 +59,8 @@ class SpatialTerm:
     def __post_init__(self):
         if self.kind not in ("cos", "sin"):
             raise ModelError(f"spatial term kind must be cos or sin, got {self.kind}")
+        if not np.isfinite(self.amp):
+            raise ModelError(f"amp must be finite, got {self.amp}")
         object.__setattr__(self, "k", tuple(int(v) for v in self.k))
 
     def evaluate(self, grid: TorusGrid) -> np.ndarray:
@@ -75,7 +77,7 @@ class SpatialTerm:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Local cost f(x, m) = sum_j poly[j] m^j + s(x)."""
+    """Local cost f(x, m) = sum_j poly[j] m^j + s(x), every poly[j] finite."""
 
     poly: tuple[float, ...] = (0.0, 1.0)
     terms: tuple[SpatialTerm, ...] = ()
@@ -85,6 +87,8 @@ class Coupling:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.poly:
             raise ModelError("coupling polynomial needs at least one coefficient")
+        if not np.all(np.isfinite(self.poly)):
+            raise ModelError(f"poly must be finite, got {self.poly}")
         # p, p', p'' and the antiderivative P = polyint(p), built once.
         c = np.polynomial.polynomial
         p = np.array(self.poly)

@@ -14,6 +14,9 @@ Exactness properties relied on elsewhere (and asserted in the tests):
   exactly, is idempotent and self-adjoint, and leaves the k = 0 (constant)
   component untouched;
 * ``integrate`` of a resolved trigonometric polynomial is exact.
+
+:func:`modewise` applies one k x k block per mode between real FFTs. The
+operators above keep complex FFTs: stationary outcomes flip at roundoff.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ __all__ = [
     "solve_poisson",
     "time_derivative_periodic",
     "integrate_space_time",
+    "rfft_modes",
+    "modewise",
     "random_band_limited",
 ]
 
@@ -151,6 +156,32 @@ def integrate_space_time(st: SpaceTimeGrid, arr: np.ndarray) -> float:
         )
     slice_means = arr.reshape(arr.shape[0], -1).mean(axis=1)
     return float(np.dot(st.time_weights, slice_means))
+
+
+def rfft_modes(full: np.ndarray) -> np.ndarray:
+    """The modes ``rfftn`` keeps of blocks (*modes, k, k) given on every mode."""
+    return full[..., : full.shape[-3] // 2 + 1, :, :]
+
+
+def modewise(blocks: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """irfftn(B rfftn(arr)) over the trailing axes, one k x k block B per mode.
+
+    ``arr`` has shape (..., k, *shape), ``blocks`` (*half, k, k) on the
+    :func:`rfft_modes` of ``shape``. Real blocks act on the real and
+    imaginary parts in real arithmetic; complex blocks must satisfy
+    B(-k) = conj(B(k)) to stand for a real operator.
+    """
+    ndim = blocks.ndim - 2
+    axes = tuple(range(-ndim, 0))
+    hat = np.fft.rfftn(arr, axes=axes)  # (..., k, *half)
+    if np.iscomplexobj(blocks):
+        rows = np.moveaxis(blocks, (-2, -1), (0, 1))  # (k, k, *half)
+        out = np.sum(rows * np.expand_dims(hat, -ndim - 2), axis=-ndim - 1)
+    else:
+        hat = np.moveaxis(hat, -ndim - 1, -1)  # (..., *half, k)
+        x = blocks @ np.stack([hat.real, hat.imag], axis=-1)
+        out = np.moveaxis(x[..., 0] + 1j * x[..., 1], -1, -ndim - 1)
+    return np.fft.irfftn(out, s=arr.shape[arr.ndim - ndim :], axes=axes)
 
 
 def random_band_limited(

@@ -104,7 +104,7 @@ def _half_inverse_divgrad(grid: TorusGrid, f: np.ndarray) -> np.ndarray:
     sym = -grid.divgrad_symbol
     with np.errstate(invalid="ignore", divide="ignore"):
         half = np.where(sym > 0.0, 1.0 / np.sqrt(np.where(sym > 0.0, sym, 1.0)), 0.0)
-    return np.fft.ifftn(half * np.fft.fftn(f)).real
+    return spectral._ifft_real(grid, half * spectral._fft(grid, f))
 
 
 def perp(vec: np.ndarray) -> np.ndarray:
@@ -389,9 +389,12 @@ def _recover_from_flux(model, grid, m, w):
     return u, hbar, {f"transform_{k}": v for k, v in transform_report.items()}
 
 
-def _require_bb_model(model: CongestionHamiltonian, w_reg: float = 0.0):
+def _require_bb_model(model: CongestionHamiltonian, w_reg: float = 0.0, barrier_stages=()):
     if not 0.0 <= w_reg < np.inf:
         raise ModelError(f"w_reg must be a number in [0, inf), got {w_reg}")
+    for mu in barrier_stages:
+        if not 0.0 < mu < np.inf:
+            raise ModelError(f"barrier_stages entries must be numbers in (0, inf), got {mu}")
     if not isinstance(model, CongestionHamiltonian):
         raise ModelError("stationary congestion solvers need a congestion model")
     if model.alpha >= 1.0:
@@ -434,7 +437,7 @@ def solve_bb(
     The diagnostics carry the regularization weight and a route tag so
     downstream code can tell this run apart from a certified solve.
     """
-    _require_bb_model(model, w_reg)
+    _require_bb_model(model, w_reg, barrier_stages)
     a = model.alpha
     gamma1 = model.gamma == 1.0
 

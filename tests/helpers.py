@@ -9,7 +9,9 @@ branch Jacobian at the end are the small-grid oracles for the
 spectral-block path of ``mfgkit.bifurcation`` and the matrix-free
 Newton-Krylov paths of ``mfgkit.dynamics`` and ``continue_branch``; all
 are built from dense matrices of the grid operators of
-``mfgkit.spectral``.
+``mfgkit.spectral``. The periodic residual and its Jacobian action,
+written out with those grid operators, are the oracle for their symbol
+form, and a dense DFT matrix is the oracle for ``spectral.modewise``.
 """
 
 import itertools
@@ -214,6 +216,31 @@ def assemble_A(st, T, fprime1, ell_scale=ELL_SCALE):
     return out
 
 
+def dft_matrix(shape):
+    """Dense matrix of the unnormalized n-D DFT of a C-ordered array of
+    ``shape``; its inverse is the conjugate transpose over the node count."""
+    out = np.ones((1, 1))
+    for n in shape:
+        k = np.arange(n)
+        out = np.kron(out, np.exp(-2j * np.pi * np.outer(k, k) / n))
+    return out
+
+
+def modewise_dense(full_blocks, arr):
+    """Oracle for ``spectral.modewise``: ``full_blocks`` of shape
+    (*shape, k, k) on every mode in FFT order, applied to ``arr`` of shape
+    (..., k, *shape) by dense DFT matrices; the real part is returned."""
+    shape = full_blocks.shape[:-2]
+    k = full_blocks.shape[-1]
+    N = int(np.prod(shape))
+    F = dft_matrix(shape)
+    flat = arr.reshape(arr.shape[:-len(shape)] + (N,))  # (..., k, N)
+    hat = flat @ F.T
+    blocks = full_blocks.reshape(N, k, k)
+    out = np.einsum("nij,...jn->...in", blocks, hat)
+    return (out @ F.conj().T / N).real.reshape(arr.shape)
+
+
 def dense_grid_operators(grid):
     """Dense matrices of the spectral Laplacian and first derivatives."""
     K = grid.num_nodes
@@ -331,10 +358,54 @@ def branch_null_fields(st, fprime1):
     return out
 
 
+def periodic_residual(st, coupling, U, M, Hbar, T):
+    """(G1, G2) of the rescaled periodic system, written out term by term
+    with the grid operators of ``mfgkit.spectral``: the oracle for the
+    symbol form of ``bifurcation._residual``."""
+    sp = st.space
+    gradU = spectral.gradient(sp, U)
+    G1 = (
+        spectral.time_derivative_periodic(st, M) / T
+        - spectral.div_grad(sp, M)
+        - spectral.div_grad(sp, U)
+        - spectral.divergence(sp, M * gradU)
+    )
+    f1 = float(coupling._poly_val(1.0))
+    G2 = (
+        -spectral.time_derivative_periodic(st, U) / T
+        - spectral.div_grad(sp, U)
+        + 0.5 * np.sum(gradU * gradU, axis=0)
+        - (coupling._poly_val(1.0 + M) - f1)
+        + Hbar
+    )
+    return G1, G2
+
+
+def periodic_jvp(st, coupling, U, M, T, dU, dM, dH):
+    """The derivative of :func:`periodic_residual` in (U, M, Hbar) at fixed
+    T, applied to (dU, dM, dH), term by term."""
+    sp = st.space
+    gradU = spectral.gradient(sp, U)
+    gdU = spectral.gradient(sp, dU)
+    dG1 = (
+        spectral.time_derivative_periodic(st, dM) / T
+        - spectral.div_grad(sp, dM + dU)
+        - spectral.divergence(sp, dM * gradU + M * gdU)
+    )
+    dG2 = (
+        -spectral.time_derivative_periodic(st, dU) / T
+        - spectral.div_grad(sp, dU)
+        + np.sum(gradU * gdU, axis=0)
+        - coupling._poly_val(1.0 + M, deriv=1) * dM
+        + dH
+    )
+    return dG1, dG2
+
+
 def branch_residual(st, coupling, U, M, Hbar, T, a, dirs):
     """Unbordered branch rows: G1, G2, mass, pin at amplitude a against
     dirs[0], orthogonality to dirs[1:]."""
-    G1, G2 = bifurcation._residual(st, coupling, U, M, Hbar, T)
+    G1, G2 = periodic_residual(st, coupling, U, M, Hbar, T)
     rows = [G1.ravel(), G2.ravel(), [float(M.mean())]]
     rows.append([float(np.mean(U * dirs[0][0]) + np.mean(M * dirs[0][1])) - a])
     for v, mu in dirs[1:]:

@@ -66,6 +66,38 @@ def test_residual_is_exact_gradient_of_potential(periodic_setup):
     assert abs(pair - fd) <= 1e-8 * max(1.0, abs(fd))
 
 
+@pytest.mark.parametrize("dim, n, n_t", [(1, 16, 16), (1, 24, 8), (2, 8, 8), (2, 12, 8)])
+def test_symbol_form_matches_the_explicit_formula(dim, n, n_t, periodic_setup):
+    # (G1, G2) and its Jacobian action through the mode blocks of A(T),
+    # against the terms written out with the grid operators.
+    _, coupling = periodic_setup
+    st = bf.periodic_grid(dim, n, n_t)
+    system = bf._Branch(coupling, st)
+    K = system.K
+    rng = np.random.default_rng(dim + n + n_t)
+
+    def rel(got, want):
+        return max(np.max(np.abs(g - w)) / np.max(np.abs(w)) for g, w in zip(got, want))
+
+    for T in (0.5 * TBAR, TBAR, 3.0):
+        U, M = 0.1 * rng.standard_normal((2,) + st.field_shape)
+        Hbar = 0.3
+        got = bf._residual(st, coupling, U, M, Hbar, T)
+        assert rel(got, helpers.periodic_residual(st, coupling, U, M, Hbar, T)) <= 1e-12
+        z = np.concatenate([U.ravel(), M.ravel(), [Hbar, T], np.zeros(len(system.psi) - 1)])
+        jvp, _ = system.linearize(z, system.residual(z))
+        dU, dM = rng.standard_normal((2,) + st.field_shape)
+        dz = np.concatenate([dU.ravel(), dM.ravel(), [0.7, 0.0], np.zeros(len(system.psi) - 1)])
+        dG = jvp(dz)[: 2 * K].reshape((2,) + st.field_shape)
+        assert rel(dG, helpers.periodic_jvp(st, coupling, U, M, T, dU, dM, 0.7)) <= 1e-12
+        # The linear part is the mode blocks of A(T) at f'(1) = 0, over T.
+        zero = np.zeros(st.field_shape)
+        linear = bf.default_periodic_coupling(0.0, 0.0)
+        lin = spectral.modewise(bf._linear_blocks(st, T), np.stack([dU, dM]))
+        want = helpers.periodic_jvp(st, linear, zero, zero, T, dU, dM, 0.0)
+        assert rel(lin, want) <= 1e-12
+
+
 def test_periodic_state_validation(periodic_setup):
     st, _ = periodic_setup
     z = np.zeros(st.field_shape)
@@ -414,3 +446,14 @@ def test_branch_amplitudes_validated(periodic_setup):
         bf.continue_branch(coupling, st, [])
     with pytest.raises(ModelError, match="positive"):
         bf.continue_branch(coupling, st, (1e-3, -1e-3))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ModelError, match="finite and positive"):
+            bf.continue_branch(coupling, st, (1e-3, bad))
+
+
+@pytest.mark.parametrize("name", ["fprime1", "cubic", "f1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_periodic_coupling_rejects_non_finite_coefficients(name, value):
+    args = {"fprime1": FPRIME1, "cubic": 1.0, "f1": 0.0, name: value}
+    with pytest.raises(ModelError, match=f"{name} must be finite, got {value}"):
+        bf.default_periodic_coupling(**args)

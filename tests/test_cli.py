@@ -119,7 +119,7 @@ GAMMA1_CFG = dict(
 )
 
 
-def test_gamma_one_hbar_crosscheck_exits_two(tmp_path, capsys):
+def test_gamma_one_hbar_crosscheck_exits_two(tmp_path, capsys, monkeypatch):
     # The regularized gamma = 1 solve skips the ergodic-constant
     # crosscheck, so asking for it must not pass.
     out = tmp_path / "g1"
@@ -129,18 +129,38 @@ def test_gamma_one_hbar_crosscheck_exits_two(tmp_path, capsys):
     assert payload["hbar_crosscheck_gap"] is None
     assert payload["duality_gap"] is None
     capsys.readouterr()
+    for name in SOLVERS:
+        monkeypatch.setattr(cli, name, _no_solve)
     assert run(["crosscheck", cfg]) == 2
-    assert "crosscheck 'hbar' does not apply" in capsys.readouterr().err
+    assert "crosscheck 'hbar' does not apply at gamma = 1" in capsys.readouterr().err
     assert not (out / "crosscheck.json").exists()
 
 
-def test_gamma_one_duality_crosscheck_exits_two(tmp_path, capsys):
+def test_gamma_one_duality_crosscheck_exits_two(tmp_path, capsys, solvers_forbidden):
     out = tmp_path / "g1d"
     checks = ["duality", "hbar"]
     cfg = write_cfg(tmp_path, "g1d.json", dict(GAMMA1_CFG, checks=checks, output_dir=str(out)))
     assert run(["crosscheck", cfg]) == 2
-    assert "crosscheck 'duality' does not apply" in capsys.readouterr().err
+    assert "crosscheck 'duality' does not apply at gamma = 1" in capsys.readouterr().err
     assert not (out / "crosscheck.json").exists()
+
+
+@pytest.mark.parametrize(
+    "checks, name",
+    [(None, "transforms"), (["transforms"], "transforms"), (["hbar", "duality"], "hbar")],
+)
+def test_gamma_one_crosscheck_names_the_check_before_solving(
+    tmp_path, capsys, solvers_forbidden, checks, name
+):
+    # The default check list starts with transforms, whose inverse flux map
+    # needs gamma'; none of the three applies at gamma = 1.
+    out = tmp_path / "g1"
+    cfg = dict(GAMMA1_CFG, output_dir=str(out))
+    if checks is not None:
+        cfg["checks"] = checks
+    assert run(["crosscheck", write_cfg(tmp_path, "g1.json", cfg)]) == 2
+    assert f"crosscheck '{name}' does not apply at gamma = 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_solve_mfg_and_compare(tmp_path):
@@ -372,11 +392,14 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a solver ran before the config was rejected")
 
 
+SOLVERS = ("solve_mfg", "solve_mfc", "solve_bb", "solve_bb_2d_stream", "solve_potential_a_gt_1")
+
+
 @pytest.fixture
 def solvers_forbidden(monkeypatch):
-    for name in ("solve_mfg", "solve_mfc", "solve_bb", "solve_bb_2d_stream",
-                 "solve_potential_a_gt_1"):
+    for name in SOLVERS:
         monkeypatch.setattr(cli, name, _no_solve)
+    monkeypatch.setattr(cli.bifurcation, "continue_branch", _no_solve)
 
 
 MALFORMED = [
@@ -412,6 +435,7 @@ MALFORMED = [
     ("solve-stationary", CONG_CFG, "solver.max_iter", 0),
     ("solve-stationary", GAMMA1_CFG, "solver.w_reg", float("nan")),
     ("solve-stationary", CONG_CFG, "solver.w_reg", -1.0),
+    ("solve-mfg", SEP_CFG, "grid.horizon", float("inf")),
 ]
 
 
@@ -490,6 +514,59 @@ def test_wrong_length_drift_exits_two_before_solving(
     assert run([command, write_cfg(tmp_path, "bad.json", cfg), "--output-dir", out]) == 2
     err = capsys.readouterr().err
     assert f"'model.Q' has {len(Q)} entries but 'grid.dim' = {dim}" in err
+    assert not any(out.iterdir())
+
+
+NON_FINITE_COUPLING = [
+    ("solve-mfg", SEP_CFG, "model.f_poly", [float("nan"), 1.0],
+     "poly must be finite, got (nan, 1.0)"),
+    ("report", CONG_CFG, "model.f_poly", [0.0, float("inf")],
+     "poly must be finite, got (0.0, inf)"),
+    ("solve-mfg", SEP_CFG, "model.f_spatial", [{"amp": float("nan"), "k": [1]}],
+     "amp must be finite, got nan"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", float("nan"),
+     "cubic must be finite, got nan"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", float("inf"),
+     "f1 must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value, message",
+    NON_FINITE_COUPLING,
+    ids=[f"{c[2]}={c[3]!r}" for c in NON_FINITE_COUPLING],
+)
+def test_non_finite_coupling_exits_two_before_solving(
+    tmp_path, capsys, solvers_forbidden, command, base, key, value, message
+):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
+    assert run([command, cfg, "--output-dir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+BAD_LISTS = [
+    ("solve-stationary", CONG_CFG, "solver.barrier_stages", [1e-2, 0.0]),
+    ("solve-stationary", CONG_CFG, "solver.barrier_stages", [-1e-2]),
+    ("solve-stationary", CONG_CFG, "solver.barrier_stages", [float("nan")]),
+    ("crosscheck", CONG_CFG, "solver.barrier_stages", [float("inf")]),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [1e-3, float("inf")]),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [float("nan")]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value", BAD_LISTS, ids=[f"{c[2]}={c[3]!r}" for c in BAD_LISTS]
+)
+def test_list_entry_outside_0_inf_exits_two_before_solving(
+    tmp_path, capsys, solvers_forbidden, command, base, key, value
+):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
+    assert run([command, cfg, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}' must be a" in err and "list of numbers in (0, inf)" in err
     assert not any(out.iterdir())
 
 

@@ -35,6 +35,14 @@ def test_construction_guards():
     CongestionHamiltonian(Q=(1.0,), alpha=2.0, gamma=2.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_coupling_guards_name_the_non_finite_parameter(value):
+    with pytest.raises(ModelError, match=r"poly must be finite, got \(0.0, "):
+        Coupling(poly=(0.0, value))
+    with pytest.raises(ModelError, match=f"amp must be finite, got {value}"):
+        SpatialTerm(value, (1,))
+
+
 def test_congestion_worked_values(g1, g2):
     # Q = 0, p = 0, m = 1, f(m) = m: only the coupling survives
     m1 = CongestionHamiltonian(Q=(0.0,), alpha=0.5, gamma=2.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from mfgkit import (
     DensityField,
     GridError,
@@ -187,3 +188,56 @@ def test_density_field_validation(g1):
         DensityField(g1, -np.ones(32))
     with pytest.raises(PositivityError):
         DensityField(g1, np.full(32, 2.0))
+
+
+def _conjugate_symmetric(rng, shape, k, complex_blocks):
+    """Random blocks of shape (*shape, k, k) on every mode in FFT order with
+    B(-k) = conj(B(k)), so that they stand for a real operator."""
+    raw = rng.standard_normal(shape + (k, k))
+    if complex_blocks:
+        raw = raw + 1j * rng.standard_normal(shape + (k, k))
+    flipped = raw[tuple(np.ix_(*[(-np.arange(n)) % n for n in shape]))]
+    return 0.5 * (raw + np.conj(flipped))
+
+
+@pytest.mark.parametrize("complex_blocks", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "shape, k", [((8,), 1), ((16,), 2), ((6, 8), 2), ((4, 6, 8), 3), ((8, 4, 4), 2)],
+    ids=["1d-k1", "1d-k2", "2d", "space-time-1d", "space-time-2d"],
+)
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+def test_modewise_matches_dense_dft(shape, k, complex_blocks, batch):
+    rng = np.random.default_rng(sum(shape) + 7 * k)
+    full = _conjugate_symmetric(rng, shape, k, complex_blocks)
+    arr = rng.standard_normal(batch + (k,) + shape)
+    got = spectral.modewise(spectral.rfft_modes(full), arr)
+    want = helpers.modewise_dense(full, arr)
+    assert got.shape == arr.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_modewise_applies_hermitian_mode_blocks():
+    # Hermitian 2 x 2 blocks in the form of the periodic operator: odd
+    # imaginary off-diagonal part, even real part.
+    st = SpaceTimeGrid(TorusGrid((8,)), n_t=8, horizon=1.0, periodic_time=True)
+    iw = st.time_derivative_symbol.reshape(-1, 1)
+    lam = -st.space.divgrad_symbol.reshape(1, -1)
+    full = np.empty(st.field_shape + (2, 2), dtype=complex)
+    full[..., 0, 0], full[..., 1, 1] = lam, 2.0 + 0.0 * lam
+    full[..., 0, 1], full[..., 1, 0] = iw + lam, -iw + lam
+    arr = np.random.default_rng(2).standard_normal((2,) + st.field_shape)
+    got = spectral.modewise(spectral.rfft_modes(full), arr)
+    assert np.max(np.abs(got - helpers.modewise_dense(full, arr))) <= 1e-12 * np.max(np.abs(got))
+
+
+def test_rfft_modes_keeps_the_half_rfftn_keeps():
+    full = np.arange(6 * 8 * 2 * 2).reshape(6, 8, 2, 2)
+    half = spectral.rfft_modes(full)
+    assert half.shape == np.fft.rfftn(np.zeros((6, 8))).shape + (2, 2)
+    assert np.array_equal(half, full[:, :5])
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
+def test_space_time_grid_rejects_a_horizon_outside_0_inf(horizon):
+    with pytest.raises(GridError, match="horizon must be positive and finite"):
+        SpaceTimeGrid(TorusGrid((8,)), n_t=8, horizon=horizon)

@@ -145,6 +145,12 @@ def test_solve_bb_barrier_stages_reach_same_optimum(bb_solved):
     assert res3.residual_hjb_inf <= 1e-6
 
 
+@pytest.mark.parametrize("stage", [0.0, -1e-2, np.nan, np.inf])
+def test_solve_bb_rejects_a_barrier_stage_outside_0_inf(congestion_1d_model, stage):
+    with pytest.raises(ModelError, match=f"barrier_stages entries .* got {stage}"):
+        solve_bb(congestion_1d_model, TorusGrid((16,)), barrier_stages=(1e-2, stage), max_iter=1)
+
+
 def test_stream_route_matches_flux_route(bb2d_pair):
     res_bb, res_stream, model, g = bb2d_pair
     assert abs(res_bb.value - res_stream.value) <= 1e-8
