@@ -142,11 +142,13 @@ def _fprime1(coupling: Coupling) -> float:
 def critical_period(fprime1: float, overtone: int = 1) -> float:
     """Critical period T_bar (or its overtone multiple N T_bar).
 
-    Requires the kernel-isolation window -8 pi^2 < f'(1) < -4 pi^2; the
-    violated bound is named in the error.
+    Requires a finite f'(1) in the kernel-isolation window
+    -8 pi^2 < f'(1) < -4 pi^2; the violated bound is named in the error.
     """
     if overtone < 1:
         raise ModelError(f"overtone must be >= 1, got {overtone}")
+    if not np.isfinite(fprime1):
+        raise ModelError(f"fprime1 must be finite, got {fprime1}")
     if not fprime1 > -8.0 * np.pi**2:
         raise ModelError(
             f"f'(1) = {fprime1:.6f} violates the lower window bound -8 pi^2 "

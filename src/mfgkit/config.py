@@ -19,7 +19,7 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
         "alpha": ..., "gamma": ...   // all finite; gamma >= 1, alpha >= 0, != 1
       },
       "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon finite, > 0
-      "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},
+      "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},  // finite base
       "solver": {"tol": ...,          // finite, > 0
                  "max_iter": ...,     // >= 1; stationary descent budget
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
@@ -332,7 +332,10 @@ def build_profile(grid: TorusGrid, cfg: dict, key: str, base_default: float) -> 
     """The spatial profile ``initial.<key>``: its base plus its modes."""
     where = f"initial.{key}"
     pcfg = _section(cfg, "initial", _INITIAL_KEYS).get(key) or {}
-    out = np.full(grid.shape, _number(pcfg.get("base", base_default), f"{where}.base"))
+    base = _number(pcfg.get("base", base_default), f"{where}.base")
+    if not math.isfinite(base):
+        raise ConfigError(f"'{where}.base' must be a finite number (got {base})")
+    out = np.full(grid.shape, base)
     for mode in pcfg.get("modes", []):
         out = out + _term(mode, f"{where}.modes").evaluate(grid)
     return out

@@ -93,19 +93,19 @@ class TorusGrid:
         return tuple(np.meshgrid(*self.wavenumbers, indexing="ij"))
 
     @cached_property
-    def grad_symbols(self) -> tuple[np.ndarray, ...]:
-        """First-derivative symbols 2 pi i k per axis, zeroed at Nyquist.
+    def grad_symbols(self) -> np.ndarray:
+        """First-derivative symbols 2 pi i k per axis, zeroed at Nyquist,
+        stacked into one read-only array of shape (d, *shape).
 
         Zeroing the unpaired Nyquist mode keeps d/dx of a real field real
         and makes each symbol an odd function of k, so the matrix of the
         derivative is exactly antisymmetric.
         """
-        out = []
+        out = 2j * np.pi * np.stack(self._k_mesh).astype(float)
         for ax, kk in enumerate(self._k_mesh):
-            sym = 2j * np.pi * kk.astype(float)
-            sym[np.abs(kk) == self.shape[ax] // 2] = 0.0
-            out.append(sym)
-        return tuple(out)
+            out[ax][np.abs(kk) == self.shape[ax] // 2] = 0.0
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def laplacian_symbol(self) -> np.ndarray:
@@ -122,6 +122,15 @@ class TorusGrid:
         for g in self.grad_symbols:
             s += (g.imag) ** 2
         return -s
+
+    @cached_property
+    def half_inverse_divgrad_symbol(self) -> np.ndarray:
+        """Read-only symbol of (-div grad)^{-1/2}, zero where div grad is."""
+        sym = -self.divgrad_symbol
+        with np.errstate(invalid="ignore", divide="ignore"):
+            half = np.where(sym > 0.0, 1.0 / np.sqrt(np.where(sym > 0.0, sym, 1.0)), 0.0)
+        half.flags.writeable = False
+        return half
 
     def __repr__(self) -> str:
         return f"TorusGrid(shape={self.shape})"

@@ -94,12 +94,17 @@ class Coupling:
         p = np.array(self.poly)
         object.__setattr__(self, "_derivs", (p, c.polyder(p), c.polyder(p, 2)))
         object.__setattr__(self, "_antider", c.polyint(p))
+        object.__setattr__(self, "_spatial", {})
 
     def spatial(self, grid: TorusGrid) -> np.ndarray:
-        s = np.zeros(grid.shape)
-        for term in self.terms:
-            s = s + term.evaluate(grid)
-        return s
+        """s(x) on ``grid``, built once per grid and returned read-only."""
+        if grid not in self._spatial:
+            s = np.zeros(grid.shape)
+            for term in self.terms:
+                s = s + term.evaluate(grid)
+            s.flags.writeable = False
+            self._spatial[grid] = s
+        return self._spatial[grid]
 
     def _poly_val(self, m, deriv: int = 0):
         """p(m), p'(m) or p''(m) for deriv 0, 1 or 2."""

@@ -101,9 +101,7 @@ def _half_inverse_divgrad(grid: TorusGrid, f: np.ndarray) -> np.ndarray:
     identically zero gradient, so they cannot influence any objective
     that sees the potential only through its gradient.
     """
-    sym = -grid.divgrad_symbol
-    with np.errstate(invalid="ignore", divide="ignore"):
-        half = np.where(sym > 0.0, 1.0 / np.sqrt(np.where(sym > 0.0, sym, 1.0)), 0.0)
+    half = grid.half_inverse_divgrad_symbol
     return spectral._ifft_real(grid, half * spectral._fft(grid, f))
 
 

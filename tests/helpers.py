@@ -12,6 +12,9 @@ are built from dense matrices of the grid operators of
 ``mfgkit.spectral``. The periodic residual and its Jacobian action,
 written out with those grid operators, are the oracle for their symbol
 form, and a dense DFT matrix is the oracle for ``spectral.modewise``.
+The per-component vector operators below, one ``np.fft.fftn``/``ifftn``
+call per component, are the bit-for-bit oracles of ``spectral``'s
+batched transforms.
 """
 
 import itertools
@@ -239,6 +242,67 @@ def modewise_dense(full_blocks, arr):
     blocks = full_blocks.reshape(N, k, k)
     out = np.einsum("nij,...jn->...in", blocks, hat)
     return (out @ F.conj().T / N).real.reshape(arr.shape)
+
+
+def fftn_space(grid, arr):
+    """np.fft.fftn over the trailing spatial axes."""
+    return np.fft.fftn(arr, axes=tuple(range(arr.ndim - grid.dim, arr.ndim)))
+
+
+def ifftn_space_real(grid, hat):
+    """Real part of np.fft.ifftn over the trailing spatial axes."""
+    return np.fft.ifftn(hat, axes=tuple(range(hat.ndim - grid.dim, hat.ndim))).real
+
+
+def grad_symbols_per_axis(grid):
+    """2 pi i k per axis with the Nyquist mode zeroed, one array per axis."""
+    out = []
+    for ax, kk in enumerate(np.meshgrid(*grid.wavenumbers, indexing="ij")):
+        sym = 2j * np.pi * kk.astype(float)
+        sym[np.abs(kk) == grid.shape[ax] // 2] = 0.0
+        out.append(sym)
+    return out
+
+
+def gradient_per_component(grid, arr):
+    """One forward transform, one inverse transform per component."""
+    hat = fftn_space(grid, arr)
+    return np.stack([ifftn_space_real(grid, sym * hat) for sym in grad_symbols_per_axis(grid)])
+
+
+def divergence_per_component(grid, vec):
+    """Sum over components, in axis order, of the transformed derivatives."""
+    out = None
+    for v, sym in zip(vec, grad_symbols_per_axis(grid)):
+        term = ifftn_space_real(grid, sym * fftn_space(grid, v))
+        out = term if out is None else out + term
+    return out
+
+
+def project_div_free_per_component(grid, vec):
+    """Leray projector I - s s^T / |s|^2 per mode, one transform pair per component."""
+    syms = [g.imag for g in grad_symbols_per_axis(grid)]
+    s2 = np.zeros(grid.shape)
+    for s in syms:
+        s2 += s * s
+    hats = [fftn_space(grid, v) for v in vec]
+    dot = None
+    for s, h in zip(syms, hats):
+        term = s * h
+        dot = term if dot is None else dot + term
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(s2 > 0.0, dot / np.where(s2 > 0.0, s2, 1.0), 0.0)
+    return np.stack([ifftn_space_real(grid, h - s * scale) for s, h in zip(syms, hats)])
+
+
+def half_inverse_divgrad_per_component(grid, f):
+    """(-div grad)^{-1/2} with its symbol built on the spot, zero where |s| = 0."""
+    sym = np.zeros(grid.shape)
+    for g in grad_symbols_per_axis(grid):
+        sym += g.imag**2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        half = np.where(sym > 0.0, 1.0 / np.sqrt(np.where(sym > 0.0, sym, 1.0)), 0.0)
+    return ifftn_space_real(grid, half * fftn_space(grid, f))
 
 
 def dense_grid_operators(grid):

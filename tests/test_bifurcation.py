@@ -23,6 +23,12 @@ def test_critical_period_value_and_overtones():
     )
 
 
+@pytest.mark.parametrize("fprime1", [np.nan, np.inf, -np.inf])
+def test_critical_period_rejects_a_non_finite_fprime1(fprime1):
+    with pytest.raises(ModelError, match=f"fprime1 must be finite, got {fprime1}"):
+        bf.critical_period(fprime1)
+
+
 def test_critical_period_window_bounds():
     with pytest.raises(ModelError, match="lower window bound"):
         bf.critical_period(-9.0 * np.pi**2)

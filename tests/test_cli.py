@@ -528,6 +528,8 @@ NON_FINITE_COUPLING = [
      "cubic must be finite, got nan"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", float("inf"),
      "f1 must be finite, got inf"),
+    ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", float("nan"),
+     "fprime1 must be finite, got nan"),
 ]
 
 
@@ -543,6 +545,21 @@ def test_non_finite_coupling_exits_two_before_solving(
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", out]) == 2
     assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("initial.m0.base", float("nan")), ("initial.uT.base", float("nan")),
+     ("initial.uT.base", float("inf"))],
+)
+def test_non_finite_profile_base_exits_two_before_solving(
+    tmp_path, capsys, solvers_forbidden, key, value
+):
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "bad.json", _with(SEP_CFG, key, value))
+    assert run(["solve-mfg", cfg, "--output-dir", out]) == 2
+    assert f"'{key}' must be a finite number (got {value})" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -266,3 +266,15 @@ def test_separable_kinetic_part_is_quadratic(g1):
     hess = model.hess_pp(g1, p, m)
     assert hess.shape[:2] == (2, 2)
     assert np.allclose(hess[:, :, 0], np.eye(2))
+
+
+def test_coupling_spatial_is_built_once_per_grid_and_read_only(g1, g2):
+    coupling = Coupling(terms=(SpatialTerm(0.2, (1,)),))
+    s = coupling.spatial(g1)
+    assert s is coupling.spatial(g1) and s is coupling.spatial(TorusGrid((16,)))
+    assert coupling.spatial(TorusGrid((32,))) is not s
+    assert not s.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        s[0] = 1.0
+    plain = Coupling().spatial(g2)
+    assert np.array_equal(plain, np.zeros(g2.shape)) and not plain.flags.writeable

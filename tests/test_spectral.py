@@ -13,6 +13,7 @@ from mfgkit import (
     load_field,
     save_field,
     spectral,
+    stationary,
 )
 
 
@@ -241,3 +242,55 @@ def test_rfft_modes_keeps_the_half_rfftn_keeps():
 def test_space_time_grid_rejects_a_horizon_outside_0_inf(horizon):
     with pytest.raises(GridError, match="horizon must be positive and finite"):
         SpaceTimeGrid(TorusGrid((8,)), n_t=8, horizon=horizon)
+
+
+BIT_GRIDS = [(16,), (8, 12), (4, 6, 8)]
+
+
+def _bit_field(grid, lead, kind, rng):
+    """A random field of shape lead + grid.shape; "nyquist" adds every
+    axis's Nyquist line and the Nyquist corner."""
+    out = rng.standard_normal(lead + grid.shape)
+    if kind == "nyquist":
+        idx = np.indices(grid.shape)
+        for i in idx:
+            out = out + rng.standard_normal() * (-1.0) ** i
+        out = out + (-1.0) ** idx.sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["random", "nyquist"])
+@pytest.mark.parametrize("lead", [(), (6,)], ids=["space", "space-time"])
+@pytest.mark.parametrize("shape", BIT_GRIDS, ids=["1d", "2d", "3d"])
+def test_batched_transforms_match_per_component_fftn_bit_for_bit(shape, lead, kind):
+    """Stationary outcomes near tol flip at roundoff, so the batched,
+    per-axis transforms must give exactly the bits of one fftn/ifftn call
+    per component."""
+    grid = TorusGrid(shape)
+    rng = np.random.default_rng(sum(shape) + len(lead))
+    f = _bit_field(grid, lead, kind, rng)
+    vec = np.stack([_bit_field(grid, lead, kind, rng) for _ in range(grid.dim)])
+    hat = helpers.fftn_space(grid, f)
+    assert np.array_equal(spectral._fft(grid, f), hat)
+    assert np.array_equal(spectral._ifft_real(grid, hat), helpers.ifftn_space_real(grid, hat))
+    assert np.array_equal(spectral.gradient(grid, f), helpers.gradient_per_component(grid, f))
+    assert np.array_equal(
+        spectral.divergence(grid, vec), helpers.divergence_per_component(grid, vec)
+    )
+    assert np.array_equal(
+        spectral.project_div_free(grid, vec), helpers.project_div_free_per_component(grid, vec)
+    )
+    assert np.array_equal(
+        stationary._half_inverse_divgrad(grid, f),
+        helpers.half_inverse_divgrad_per_component(grid, f),
+    )
+
+
+def test_grid_symbol_stacks_are_built_once_and_read_only(g2):
+    assert g2.grad_symbols.shape == (2, 16, 16)
+    for name in ("grad_symbols", "half_inverse_divgrad_symbol"):
+        sym = getattr(g2, name)
+        assert sym is getattr(g2, name)
+        assert not sym.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sym[0] = 1.0

@@ -292,3 +292,24 @@ def test_every_route_enforces_the_hbar_crosscheck(
     monkeypatch.setattr(stationary, "psi2_hat", shifted)
     with pytest.raises(SolverError, match="crosscheck failed"):
         solver(model, g)
+
+
+def test_stream_objective_makes_eight_transforms(congestion_2d_model, monkeypatch):
+    """Per objective evaluation: (-div grad)^{-1/2} twice, gradient and
+    divergence, one forward and one inverse n-D transform each."""
+    counts = {"transforms": 0, "evaluations": 0}
+
+    def counted(fun, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fun(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(spectral, "_fft", counted(spectral._fft, "transforms"))
+    monkeypatch.setattr(spectral, "_ifft_real", counted(spectral._ifft_real, "transforms"))
+    monkeypatch.setattr(stationary, "phi_stream", counted(stationary.phi_stream, "evaluations"))
+    with pytest.raises(SolverError, match="no convergence in 3 iterations"):
+        solve_bb_2d_stream(congestion_2d_model, TorusGrid((8, 8)), max_iter=3)
+    assert counts["evaluations"] >= 3
+    assert counts["transforms"] == 8 * counts["evaluations"]
