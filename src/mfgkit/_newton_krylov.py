@@ -4,37 +4,178 @@
 :mod:`mfgkit.bifurcation`: ``residual(z)``, ``linearize(z, res) -> (jvp,
 precond)`` applied at FFT cost, and the optional hooks ``feasible(z)`` and
 ``measure(z, res)``.
+
+Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
+GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
+KRYLOV_RESTART inner iterations (or n, if smaller). The Arnoldi basis is
+built by modified Gram–Schmidt, and the Hessenberg matrix is reduced by
+Givens rotations as LAPACK ``dlartg`` computes them. The inner loop stops
+when the preconditioned residual estimate falls below an adaptive tolerance
+(SciPy gh-8400) or the Krylov space is exhausted. Each cycle ends with the
+true residual: the solve stops when ||rhs - A x|| <= KRYLOV_RTOL ||rhs||,
+and raises SolverError if that still fails after an exhausted Krylov space
+or the last cycle. The routine is a port of SciPy 1.17.1's
+``sparse.linalg.gmres`` and returns the same bits for the same operators,
+without SciPy's ``LinearOperator`` wrapping; SciPy's license notice stands
+beside it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.sparse.linalg as sparse_linalg
 
 from .errors import SolverError
 
 # GMRES stops at ||A x - b|| <= KRYLOV_RTOL ||b||: tight enough for Newton to take
 # a direct solve's steps, above the FFT matvec's roundoff floor (~1e-12 at n = 64).
 KRYLOV_RTOL = 1e-10
+# Inner iterations per restart cycle, and cycles per solve.
+KRYLOV_RESTART = 40
+KRYLOV_CYCLES = 5
+
+_EPS = float(np.finfo(float).eps)
+# dlartg's safe range (LAPACK 3.10+): the plain formula below it and above it
+# would underflow or overflow, so those entries are scaled first.
+_SAFMIN = 2.0**-1022
+_SAFMAX = 2.0**1022
+_RTMIN = math.sqrt(_SAFMIN)
+_RTMAX = math.sqrt(_SAFMAX / 2)
 
 
+def _rotation(f, g):
+    """(c, s, r) with [[c, s], [-s, c]] @ [f, g] = [r, 0], as LAPACK dlartg."""
+    f, g = float(f), float(g)
+    f1, g1 = abs(f), abs(g)
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), g1
+    if _RTMIN < f1 < _RTMAX and _RTMIN < g1 < _RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    u = min(_SAFMAX, max(_SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
+
+
+# gmres below is ported from SciPy 1.17.1's sparse.linalg.gmres, under
+# this notice:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 def gmres(matvec, precond, rhs, where: str):
     """Solve matvec(x) = rhs by preconditioned GMRES to KRYLOV_RTOL; returns
     (x, iterations), or raises SolverError naming ``where``."""
+    b_norm = np.linalg.norm(rhs)
+    if b_norm == 0:
+        return rhs.copy(), 0
     n = rhs.size
-    residuals = []
-    x, info = sparse_linalg.gmres(
-        sparse_linalg.LinearOperator((n, n), matvec=matvec), rhs,
-        M=sparse_linalg.LinearOperator((n, n), matvec=precond), rtol=KRYLOV_RTOL, atol=0.0,
-        restart=40, maxiter=5, callback=residuals.append, callback_type="pr_norm",
-    )
-    if info != 0:
-        rel = float(np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs))
+    atol = KRYLOV_RTOL * float(b_norm)
+    restart = min(KRYLOV_RESTART, n)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))  # row j holds column j of the Hessenberg matrix
+    rotations = [None] * restart
+    x = np.zeros(n)
+    # M rhs is both the first cycle's start vector and the inner tolerance's scale.
+    z = precond(rhs)
+    ptol_factor = 1.0
+    ptol = np.linalg.norm(z) * min(ptol_factor, atol / b_norm)
+    iterations = 0
+    for cycle in range(KRYLOV_CYCLES):
+        if cycle:
+            z = precond(r)
+        v[0] = z
+        beta = np.linalg.norm(v[0])
+        v[0] *= 1 / beta
+        g = np.zeros(restart + 1)  # rotated right-hand side of the least-squares problem
+        g[0] = beta
+        breakdown = False
+        for col in range(restart):
+            w = precond(matvec(v[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                hk = np.dot(v[k], w)
+                h[col, k] = hk
+                w -= hk * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= _EPS * h0:  # the Krylov space is invariant: the exact solution is in it
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = rotations[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, h[col, col] = _rotation(h[col, col], h[col, col + 1])
+            rotations[col] = c, s
+            h[col, col + 1] = 0
+            tail = -s * g[col]
+            g[col], g[col + 1] = c * g[col], tail
+            presid = abs(tail)
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        # Back-substitution on the triangular factor, skipping zero entries so
+        # that a singular one gives a pseudo-solution.
+        if h[col, col] == 0:
+            g[col] = 0
+        y = g[: col + 1].copy()
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        x += y @ v[: col + 1]
+        r = rhs - matvec(x)
+        r_norm = np.linalg.norm(r)
+        if r_norm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the inner loop passed but the true residual did not
+            ptol_factor = max(_EPS, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / r_norm)
+    if not r_norm <= atol:
         raise SolverError(
             f"GMRES missed its relative tolerance {KRYLOV_RTOL:.0e} at {where}: "
-            f"relative residual {rel:.3e} after {len(residuals)} iterations"
+            f"relative residual {float(r_norm / b_norm):.3e} after {iterations} iterations"
         )
-    return x, len(residuals)
+    return x, iterations
 
 
 def newton(system, z, tol: float, budget: int, where: str = ""):

@@ -94,6 +94,7 @@ class Coupling:
         p = np.array(self.poly)
         object.__setattr__(self, "_derivs", (p, c.polyder(p), c.polyder(p, 2)))
         object.__setattr__(self, "_antider", c.polyint(p))
+        object.__setattr__(self, "_antider_at_1", c.polyval(1.0, self._antider))
         object.__setattr__(self, "_spatial", {})
 
     def spatial(self, grid: TorusGrid) -> np.ndarray:
@@ -122,7 +123,7 @@ class Coupling:
     def F(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """Normalized antiderivative, F(x, m) = int_1^m f(x, z) dz."""
         pv = np.polynomial.polynomial.polyval
-        return (pv(m, self._antider) - pv(1.0, self._antider)) + self.spatial(grid) * (m - 1.0)
+        return (pv(m, self._antider) - self._antider_at_1) + self.spatial(grid) * (m - 1.0)
 
     def conjugate(self, grid: TorusGrid, w: np.ndarray) -> np.ndarray:
         """Fenchel conjugate F*(x, w) = sup_{z >= 0} (w z - F(x, z)).

@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -593,3 +596,12 @@ def test_uncreatable_output_dir_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "r.json", {"model": {"kind": "separable"}})
     assert run(["report", cfg, "--output-dir", target]) == 2
     assert f"cannot create output directory {target}" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.sparse.linalg alone costs a CLI process about 0.3 s and 24 MB.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import mfgkit.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -278,3 +278,16 @@ def test_coupling_spatial_is_built_once_per_grid_and_read_only(g1, g2):
         s[0] = 1.0
     plain = Coupling().spatial(g2)
     assert np.array_equal(plain, np.zeros(g2.shape)) and not plain.flags.writeable
+
+
+def test_coupling_F_keeps_the_per_call_normalization_bits(g1):
+    # P(1) is taken once at construction; F must equal the expression that
+    # evaluated it on every call, bit for bit, and vanish exactly at m = 1.
+    poly = (0.3, -1.7, 0.25, 0.9)
+    coupling = Coupling(poly=poly, terms=(SpatialTerm(-0.4, (2,), kind="sin"),))
+    pv, antider = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyint(poly)
+    rng = np.random.default_rng(11)
+    for m in (0.1 + 3.0 * rng.random(16), 0.1 + 3.0 * rng.random((5, 16)), 0.7):
+        per_call = (pv(m, antider) - pv(1.0, antider)) + coupling.spatial(g1) * (m - 1.0)
+        assert np.array_equal(coupling.F(g1, m), per_call)
+    assert np.all(coupling.F(g1, 1) == 0.0)

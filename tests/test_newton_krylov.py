@@ -1,0 +1,117 @@
+"""Bit-identity oracles for the in-repo GMRES against scipy.sparse.linalg.gmres."""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as sparse_linalg
+from scipy.linalg.lapack import dlartg
+
+from mfgkit import SolverError, _newton_krylov
+from mfgkit._newton_krylov import KRYLOV_CYCLES, KRYLOV_RESTART, KRYLOV_RTOL, gmres
+
+
+def scipy_gmres(matvec, precond, rhs):
+    """(x, info, iterations) of scipy's gmres with the settings the port fixes."""
+    n = rhs.size
+    residuals = []
+    x, info = sparse_linalg.gmres(
+        sparse_linalg.LinearOperator((n, n), matvec=matvec), rhs,
+        M=sparse_linalg.LinearOperator((n, n), matvec=precond), rtol=KRYLOV_RTOL, atol=0.0,
+        restart=KRYLOV_RESTART, maxiter=KRYLOV_CYCLES, callback=residuals.append,
+        callback_type="pr_norm",
+    )
+    return x, info, len(residuals)
+
+
+def dense_system(n, spread, seed):
+    """A random nonsymmetric A = D + spread * G / sqrt(n) with the Jacobi
+    preconditioner 1 / D, and a random right-hand side."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(1.0, 4.0, n)
+    a = np.diag(d) + spread * rng.standard_normal((n, n)) / np.sqrt(n)
+    return (lambda x: a @ x), (lambda x: x / d), rng.standard_normal(n)
+
+
+def assert_same_solve(matvec, precond, rhs):
+    want, info, want_its = scipy_gmres(matvec, precond, rhs)
+    assert info == 0
+    with np.errstate(divide="raise", invalid="raise"):
+        got, its = gmres(matvec, precond, rhs, "a test step")
+    assert np.array_equal(got, want)
+    assert its == want_its
+    return its
+
+
+def test_converges_within_one_cycle():
+    assert assert_same_solve(*dense_system(120, 1.0, 0)) < KRYLOV_RESTART
+
+
+def test_converges_after_restarts():
+    assert assert_same_solve(*dense_system(200, 1.8, 1)) > 2 * KRYLOV_RESTART
+
+
+def test_small_system_restarts_at_n():
+    # n < KRYLOV_RESTART: the cycle length is n.
+    assert assert_same_solve(*dense_system(24, 3.0, 2)) <= 24
+
+
+def test_breakdown_on_an_invariant_krylov_space():
+    # M A x = x[shift], a 12-cycle on the first 12 of 24 coordinates, and
+    # M rhs = e_0 / 2, so the Krylov vectors are e_0 ... e_11, exactly, and the
+    # 12th has nothing left after Gram-Schmidt. Normalizing it would divide by zero.
+    n = 24
+    perm = np.random.default_rng(3).permutation(n)
+    inverse = np.argsort(perm)
+    shift = np.r_[np.roll(np.arange(12), 1), np.arange(12, n)]
+
+    def matvec(x):
+        return 2.0 * x[perm]
+
+    def precond(y):
+        return 0.5 * y[inverse][shift]
+
+    rhs = np.zeros(n)
+    rhs[inverse[shift[0]]] = 1.0
+    assert assert_same_solve(matvec, precond, rhs) == 12
+
+
+def test_zero_rhs_returns_zero_without_iterations():
+    matvec, precond, _ = dense_system(16, 1.0, 4)
+    rhs = np.zeros(16)
+    want, info, want_its = scipy_gmres(matvec, precond, rhs)
+    got, its = gmres(matvec, precond, rhs, "a test step")
+    assert info == 0 and np.array_equal(got, want)
+    assert its == want_its == 0
+
+
+def test_miss_raises_with_scipys_relative_residual():
+    # Eigenvalues around the origin and no preconditioning: GMRES stagnates.
+    rng = np.random.default_rng(5)
+    n = 300
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    rhs = rng.standard_normal(n)
+    matvec, precond = (lambda x: a @ x), (lambda x: x.copy())
+    x, info, its = scipy_gmres(matvec, precond, rhs)
+    assert info != 0
+    rel = float(np.linalg.norm(rhs - matvec(x)) / np.linalg.norm(rhs))
+    pattern = (
+        f"GMRES missed its relative tolerance 1e-10 at a test step: "
+        f"relative residual {rel:.3e} after {its} iterations"
+    )
+    with pytest.raises(SolverError, match=pattern):
+        gmres(matvec, precond, rhs, "a test step")
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_rotation_matches_lapack_dlartg():
+    rng = np.random.default_rng(6)
+    pairs = [
+        tuple(rng.standard_normal(2) * 10.0 ** rng.uniform(-8, 8, 2)) for _ in range(2000)
+    ]
+    specials = (0.0, -0.0, 1.0, -1.0, 3.5, -2.25, 1e-200, -1e-200, 1e200, -1e200)
+    pairs += [(f, g) for f in specials for g in specials]
+    pairs += [tuple(rng.standard_normal(2) * scale) for scale in (1e-200, 1e200) for _ in range(200)]
+    for f, g in pairs:
+        assert _bits(_newton_krylov._rotation(f, g)) == _bits(dlartg(f, g)), (f, g)
