@@ -1,9 +1,10 @@
-"""The one damped Newton–Krylov solve of the space-time systems.
+"""The one damped Newton–Krylov solve of the space-time and stationary systems.
 
-:func:`newton` runs on a system from :mod:`mfgkit.dynamics` or
-:mod:`mfgkit.bifurcation`: ``residual(z)``, ``linearize(z, res) -> (jvp,
-precond)`` applied at FFT cost, and the optional hooks ``feasible(z)`` and
-``measure(z, res)``.
+:func:`newton` runs on a system from :mod:`mfgkit.dynamics`,
+:mod:`mfgkit.bifurcation` or :mod:`mfgkit.stationary`: ``residual(z)``,
+``linearize(z, res) -> (jvp, precond)`` applied at FFT cost, the optional
+hooks ``feasible(z)`` and ``measure(z, res)``, and an optional
+``krylov_rtol`` attribute.
 
 Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
 GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
@@ -12,12 +13,12 @@ built by modified Gram–Schmidt, and the Hessenberg matrix is reduced by
 Givens rotations as LAPACK ``dlartg`` computes them. The inner loop stops
 when the preconditioned residual estimate falls below an adaptive tolerance
 (SciPy gh-8400) or the Krylov space is exhausted. Each cycle ends with the
-true residual: the solve stops when ||rhs - A x|| <= KRYLOV_RTOL ||rhs||,
-and raises SolverError if that still fails after an exhausted Krylov space
-or the last cycle. The routine is a port of SciPy 1.17.1's
-``sparse.linalg.gmres`` and returns the same bits for the same operators,
-without SciPy's ``LinearOperator`` wrapping; SciPy's license notice stands
-beside it.
+true residual: the solve stops when ||rhs - A x|| <= rtol ||rhs|| (rtol is
+KRYLOV_RTOL unless the caller passes its own), and raises SolverError if
+that still fails after an exhausted Krylov space or the last cycle. The
+routine is a port of SciPy 1.17.1's ``sparse.linalg.gmres`` and returns
+the same bits for the same operators, without SciPy's ``LinearOperator``
+wrapping; SciPy's license notice stands beside it.
 """
 
 from __future__ import annotations
@@ -96,14 +97,17 @@ def _rotation(f, g):
 # THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
 # (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
 # OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
-def gmres(matvec, precond, rhs, where: str):
-    """Solve matvec(x) = rhs by preconditioned GMRES to KRYLOV_RTOL; returns
-    (x, iterations), or raises SolverError naming ``where``."""
+def gmres(matvec, precond, rhs, where: str, rtol: float | None = None):
+    """Solve matvec(x) = rhs by preconditioned GMRES to the relative tolerance
+    ``rtol`` (default KRYLOV_RTOL, read at call time); returns (x, iterations),
+    or raises SolverError naming ``where``."""
+    if rtol is None:
+        rtol = KRYLOV_RTOL
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0:
         return rhs.copy(), 0
     n = rhs.size
-    atol = KRYLOV_RTOL * float(b_norm)
+    atol = rtol * float(b_norm)
     restart = min(KRYLOV_RESTART, n)
     v = np.empty((restart + 1, n))
     h = np.zeros((restart, restart + 1))  # row j holds column j of the Hessenberg matrix
@@ -172,7 +176,7 @@ def gmres(matvec, precond, rhs, where: str):
         ptol = presid * min(ptol_factor, atol / r_norm)
     if not r_norm <= atol:
         raise SolverError(
-            f"GMRES missed its relative tolerance {KRYLOV_RTOL:.0e} at {where}: "
+            f"GMRES missed its relative tolerance {rtol:.0e} at {where}: "
             f"relative residual {float(r_norm / b_norm):.3e} after {iterations} iterations"
         )
     return x, iterations
@@ -180,14 +184,16 @@ def gmres(matvec, precond, rhs, where: str):
 
 def newton(system, z, tol: float, budget: int, where: str = ""):
     """Damped Newton on system.residual(z) = 0, Armijo on |res|^2, each step
-    a GMRES solve labelled "Newton step <i><where>". Trial points that fail
-    ``feasible`` are halved unevaluated; converged means ``measure(z, res)
-    <= tol`` (default: sup-norm of res). Returns (z, measure, GMRES iterations
+    a GMRES solve labelled "Newton step <i><where>", to the relative tolerance
+    ``system.krylov_rtol`` if the system sets one (else KRYLOV_RTOL). Trial
+    points that fail ``feasible`` are halved unevaluated; converged means
+    ``measure(z, res) <= tol`` (default: sup-norm of res). Returns (z, measure, GMRES iterations
     per step, measure after each step); raises SolverError "no
     convergence<where>" if the line search stalls or the budget runs out.
     """
     feasible = getattr(system, "feasible", None)
     measure = getattr(system, "measure", lambda z, res: float(np.max(np.abs(res))))
+    rtol = getattr(system, "krylov_rtol", None)
     res = system.residual(z)
     rn = measure(z, res)
     krylov, history = [], []
@@ -196,7 +202,7 @@ def newton(system, z, tol: float, budget: int, where: str = ""):
             break
         # The linearization (its preconditioner holds a dense block per Fourier
         # mode) is dropped once its step is solved.
-        delta, k = gmres(*system.linearize(z, res), -res, f"Newton step {it}{where}")
+        delta, k = gmres(*system.linearize(z, res), -res, f"Newton step {it}{where}", rtol)
         krylov.append(k)
         phi0 = float(res @ res)
         step = 1.0

@@ -17,7 +17,8 @@ solve-stationary
     Stationary congestion solve. ``solver.formulation`` picks the route:
     ``bb`` (flux variables), ``stream2d`` (stream function, 2-D only),
     ``potential`` (alpha > 1), or ``auto`` (potential iff alpha > 1,
-    else bb).
+    else bb). The route's descent hands over to a Newton polish of the
+    PDE rows, which stops at ``solver.tol``.
 solve-mfg / solve-mfc
     Finite-horizon equilibrium / planner solve.
 compare
@@ -161,6 +162,9 @@ def cmd_solve_stationary(cfg, out_dir):
         "value": res.value,
         "iterations": res.iterations,
         "grad_inf": res.grad_inf,
+        "newton_iterations": res.newton_iterations,
+        "krylov_iterations": sum(res.krylov_iterations),
+        "handoff_curl_inf": res.handoff_curl_inf,
         "duality_gap": res.duality_gap,
         "hbar_crosscheck_gap": res.hbar_crosscheck_gap,
         "residual_hjb_inf": res.residual_hjb_inf,

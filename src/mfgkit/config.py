@@ -20,7 +20,10 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
       },
       "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon finite, > 0
       "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},  // finite base
-      "solver": {"tol": ...,          // finite, > 0
+      "solver": {"tol": ...,          // finite, > 0; Newton stops at rows <= tol
+                                      // (sup-norm): finite-horizon solves and the
+                                      // stationary polish; the gamma = 1 route's
+                                      // descent stops at projected gradient <= tol
                  "max_iter": ...,     // >= 1; stationary descent budget
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
                  "formulation": ...,  // bb | stream2d | potential | auto

@@ -103,6 +103,59 @@ def test_solve_stationary_routes(tmp_path):
     assert payload["residual_hjb_inf"] <= 1e-6
 
 
+def stream_cfg(Q, alpha, gamma, f_spatial, n):
+    model = {
+        "kind": "congestion", "Q": Q, "alpha": alpha, "gamma": gamma,
+        "f_poly": [0.0, 1.0], "f_spatial": f_spatial,
+    }
+    return {"model": model, "grid": {"dim": 2, "n": n}, "solver": {"formulation": "stream2d"}}
+
+
+# Stream instances whose descent stalls above the default tol of 1e-9 (the
+# conftest 2-D instance on 8^2) or whose hand-off flux has a solenoidal
+# residual above 1e-6 (the 16^2 instance); the polish certifies all three.
+STALLING_STREAM_CFGS = {
+    "conftest-8x8": stream_cfg([1.0, 0.0], 0.5, 2.0, [{"amp": 0.1, "k": [1, 0], "kind": "cos"}], 8),
+    "32x32": stream_cfg(
+        [-0.9949446508000014, -0.034413235149745036], 0.20359275663536125, 1.853531074728838,
+        [
+            {"amp": -0.05150060954141253, "k": [-2, 3], "kind": "sin"},
+            {"amp": 0.1785307930944081, "k": [2, -2], "kind": "cos"},
+            {"amp": 0.27517409912371654, "k": [1, 3], "kind": "sin"},
+        ],
+        [32, 32],
+    ),
+    "16x16-curl": stream_cfg(
+        [0.49546307014830315, 0.7603349123761074], 0.3140376825390941, 1.8097870761148556,
+        [
+            {"amp": -0.15544618271909702, "k": [-1, -3], "kind": "cos"},
+            {"amp": 0.08711141967383984, "k": [-2, 1], "kind": "cos"},
+            {"amp": 0.15419547097132102, "k": [-2, 2], "kind": "cos"},
+        ],
+        [16, 16],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLING_STREAM_CFGS))
+def test_stream_instances_certify_through_the_polish(tmp_path, name):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "s.json", dict(STALLING_STREAM_CFGS[name], output_dir=str(out)))
+    assert run(["solve-stationary", cfg]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    assert payload["residual_hjb_inf"] <= 1e-9
+    assert payload["residual_fp_inf"] <= 1e-9
+    assert payload["hbar_crosscheck_gap"] <= 1e-9
+    assert abs(payload["duality_gap"]) <= 1e-9
+    assert payload["diagnostics"]["transform_curl_residual_inf"] <= 1e-6
+    assert payload["grad_inf"] <= 1e-7
+    assert payload["krylov_iterations"] >= payload["newton_iterations"] >= 0
+    assert payload["handoff_curl_inf"] >= 0.0
+    if name == "16x16-curl":
+        assert payload["handoff_curl_inf"] > 1e-6
+        assert payload["newton_iterations"] > 0
+
+
 def test_crosscheck_follows_the_configured_route(tmp_path):
     # alpha > 1 has only the potential route; crosscheck must pick it as
     # solve-stationary does, not fall back to the flux route.

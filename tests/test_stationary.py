@@ -24,7 +24,7 @@ from mfgkit import (
     solve_potential_a_gt_1,
     spectral,
 )
-from mfgkit import stationary
+from mfgkit import _newton_krylov, stationary
 from mfgkit.stationary import perp, u_from_w, w_from_u
 
 
@@ -209,9 +209,10 @@ def test_potential_route_alpha_above_one():
     model = CongestionHamiltonian(Q=(1.0,), alpha=1.5, gamma=2.0, coupling=coupling)
     g = TorusGrid((32,))
     res = solve_potential_a_gt_1(model, g, tol=1e-10)
-    assert res.grad_inf <= 1e-9
-    assert res.residual_hjb_inf <= 1e-6
-    assert res.residual_fp_inf <= 1e-6
+    # The descent stops at the hand-off; the polish reaches tol on the rows.
+    assert res.grad_inf <= stationary.HANDOFF_TOL
+    assert res.residual_hjb_inf <= 1e-10
+    assert res.residual_fp_inf <= 1e-10
     assert res.hbar_crosscheck_gap <= 1e-6
     assert abs(res.duality_gap) <= 1e-10
     assert res.diagnostics["min_m"] > 0.0
@@ -251,8 +252,9 @@ def test_transforms_reject_a_drift_of_the_wrong_length():
 
 
 def test_stalled_descent_raises_with_its_floor():
-    # A 1-D flux instance whose projected gradient floors above the default
-    # tolerance: the descent must stop with the floor, not run to max_iter.
+    # A 1-D flux instance whose projected gradient floors above 1e-9: the
+    # route certifies through the polish, and the descent alone, run to
+    # 1e-9, stops with its floor instead of running to max_iter.
     coupling = Coupling(
         poly=(0.0, 1.0),
         terms=(
@@ -267,9 +269,20 @@ def test_stalled_descent_raises_with_its_floor():
         gamma=2.4003855392394886,
         coupling=coupling,
     )
+    g = TorusGrid((64,))
+    res = solve_bb(model, g)
+    assert res.residual_hjb_inf <= 1e-9
+    assert res.residual_fp_inf <= 1e-9
+
+    def objective(m, w):
+        rep = phi_bb(g, m, w, model)
+        return rep.value, rep.dm, rep.dw
+
+    w0 = np.broadcast_to(model.drift(np.zeros((1, 64))), (1, 64))
+    project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
     t0 = time.perf_counter()
     with pytest.raises(SolverError, match="stalled at iteration .* floor"):
-        solve_bb(model, TorusGrid((64,)))
+        stationary._descend(model, g, None, np.array(w0), objective, project, 1e-9, 50000)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -313,3 +326,44 @@ def test_stream_objective_makes_eight_transforms(congestion_2d_model, monkeypatc
         solve_bb_2d_stream(congestion_2d_model, TorusGrid((8, 8)), max_iter=3)
     assert counts["evaluations"] >= 3
     assert counts["transforms"] == 8 * counts["evaluations"]
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8)])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_polish_jacobian_matches_central_differences(shape, alpha):
+    g = TorusGrid(shape)
+    rng = np.random.default_rng(len(shape))
+    Q = (0.8, -0.5)[: len(shape)]
+    model = CongestionHamiltonian(Q=Q, alpha=alpha, gamma=2.4, coupling=Coupling(poly=(0.0, 1.0)))
+    system = stationary._Stationary(model, g)
+    for _ in range(3):
+        u = spectral.random_band_limited(g, rng, amplitude=0.2)
+        m = 1.0 + spectral.random_band_limited(g, rng, amplitude=0.3)
+        z = system.pack(u, m, rng.standard_normal())
+        dz = system.pack(
+            spectral.random_band_limited(g, rng),
+            spectral.random_band_limited(g, rng),
+            rng.standard_normal(),
+        )
+        jvp, _ = system.linearize(z, system.residual(z))
+        h = 1e-6
+        fd = (system.residual(z + h * dz) - system.residual(z - h * dz)) / (2.0 * h)
+        exact = jvp(dz)
+        assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+
+def test_polish_preconditioner_is_exact_at_constant_states():
+    # Acceptance criterion 2's instance from a constant start: every iterate
+    # is constant, so every Newton step takes one GMRES iteration.
+    model = CongestionHamiltonian(
+        Q=(1.0, 0.0), alpha=0.5, gamma=2.0, coupling=Coupling(poly=(0.0, 1.0))
+    )
+    g = TorusGrid((16, 16))
+    system = stationary._Stationary(model, g)
+    start = system.pack(np.full(g.shape, 0.3), np.full(g.shape, 1.2), 0.0)
+    z, rn, krylov, _ = _newton_krylov.newton(system, start, 1e-12, 10)
+    assert len(krylov) >= 2 and set(krylov) == {1}
+    u, m, hbar = system.fields(z)
+    assert np.max(np.abs(m - 1.0)) <= 1e-12
+    assert abs(hbar + 0.5) <= 1e-12
+    assert rn <= 1e-12
