@@ -167,8 +167,10 @@ def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> 
     """
     ubar, mbar = 0.5 * (u0 + u1), 0.5 * (m0 + m1)
     p = spectral.gradient(sp, ubar)
-    adv = -(u1 - u0) / dt - eps * spectral.laplacian(sp, ubar)
-    trans = (m1 - m0) / dt - eps * spectral.laplacian(sp, mbar)
+    adv, trans = -(u1 - u0) / dt, (m1 - m0) / dt
+    if eps != 0.0:  # at eps = 0 the two Laplacians would only be scaled by 0
+        adv = adv - eps * spectral.laplacian(sp, ubar)
+        trans = trans - eps * spectral.laplacian(sp, mbar)
     hv = model.eval(sp, p, mbar)
     hjb = adv + hv.H
     if which == "psi1":

@@ -32,32 +32,36 @@ minimizing ``j_functional`` (= -psi1_hat, convex there); see
 
 All three routes run on one engine, ``_descend``: projected
 Barzilai-Borwein with a monotone Armijo backtracking safeguard, so the
-recorded objective trace is strictly non-increasing. It owns the density
-block (unit-mass recentering, the m > m_min guard, the mean-zero
-gradient projection, optional log-barrier rounds); a route supplies its
-start point, objective, the projector of its own block (Leray for w,
-identity for the stream and potential coordinates) and its recovery of
-(u, w, Hbar). A descent whose best projected-gradient norm has not
-improved for ``STALL_WINDOW`` iterations, or whose line search fails,
-raises :class:`SolverError`; it is never accepted as converged.
+recorded objective trace is strictly non-increasing. It owns the whole
+loop and the density block (unit-mass recentering, the m > m_min guard,
+the mean-zero gradient projection, optional log-barrier rounds); a route
+supplies its start point, objective and the projector of its own block
+(Leray for w, identity for the stream and potential coordinates). A
+descent whose best projected-gradient norm has not improved for
+``STALL_WINDOW`` iterations, or whose line search fails, raises
+:class:`SolverError`; it is never accepted as converged. ``_descend``
+returns the plain objective's gradient at its last iterate, so no route
+evaluates its objective again: Hbar = -mean(dm) is read from it.
 
 BB converges only linearly, and near 1e-9 roundoff decides whether it
 gets there. So each certified route stops its descent at the hand-off
-tolerance ``HANDOFF_TOL`` (1e-7 on the projected gradient), recovers
-(u, m, Hbar) and hands them to ``_certify``. That runs a Newton-Krylov
-polish (:func:`mfgkit._newton_krylov.newton` on ``_Stationary``) on the
-PDE rows of psi1_hat until each certificate (the HJB row, the flux
-divergence and the mass defect) is <= ``tol``; that is what ``tol``
-means for these routes. A flux route starts the polish from the Poisson
-potential of its hand-off flux whatever that flux's curl defect, which
-it reports; the final flux must pass ``u_from_w`` at ``CURL_TOL``.
-``_certify`` then reads every certificate on the polished state: PDE
-residuals, the duality gap of the primal value (phi_bb or j, recomputed
-there) against psi1_hat, and the crosscheck of Hbar against psi2_hat,
-which fails the run above ``HBAR_CROSSCHECK_TOL``. The exception is the
-regularized gamma = 1 flux solve: it has no PDE to polish, so its
-``tol`` stays the descent tolerance, and it is uncertified (see
-``solve_bb``; its weight ``w_reg`` must be a number in [0, inf)).
+tolerance ``HANDOFF_TOL`` (1e-7 on the projected gradient) and hands m,
+dm and its potential u (potential route) or flux w (flux routes) to
+``_certify``. That runs a Newton-Krylov polish
+(:func:`mfgkit._newton_krylov.newton` on ``_Stationary``) on the PDE rows
+of psi1_hat until each certificate (the HJB row, the flux divergence and
+the mass defect) is <= ``tol``; that is what ``tol`` means for these
+routes. A flux is turned into the Poisson potential of
+``model.momentum(w, m)`` whatever its curl defect, which is reported; the
+final flux must pass ``u_from_w`` at ``CURL_TOL``. ``_certify`` then
+reads every certificate on the polished state: PDE residuals, the duality
+gap of the primal value (phi_bb or j, evaluated there once) against
+psi1_hat, and the crosscheck of Hbar against psi2_hat, which fails the
+run above ``HBAR_CROSSCHECK_TOL``. The exception is the regularized
+gamma = 1 flux solve: it has no PDE to polish, so its ``tol`` stays the
+descent tolerance, it reads Hbar and its potential from the descent's
+last gradient, and it is uncertified (see ``solve_bb``; its weight
+``w_reg`` must be a number in [0, inf)).
 
 The stream and potential routes optimize a scalar potential whose
 Hessian block is a weighted Laplacian, which would give the joint
@@ -229,88 +233,6 @@ class StationaryResult:
     handoff_curl_inf: float | None = None
 
 
-def _bb_loop(
-    x0: np.ndarray,
-    value_and_grad,
-    project,
-    recenter,
-    feasible,
-    cell_volume: float,
-    tol: float,
-    max_iter: int,
-):
-    """Projected BB descent with monotone Armijo backtracking.
-
-    ``value_and_grad`` maps a packed vector to (value, field-gradient);
-    ``project`` maps a gradient onto the constraint tangent space;
-    ``recenter`` snaps an iterate back onto the constraint manifold;
-    ``feasible`` guards backtracking trials (positivity floor).
-    Inner products carry the node quadrature weight so tolerances are
-    mesh independent.
-    """
-
-    def dot(a, b):
-        return cell_volume * float(a @ b)
-
-    x = recenter(x0.copy())
-    val, grad = value_and_grad(x)
-    pg = project(grad)
-    trace = [val]
-    step = 1.0 / max(1.0, np.sqrt(dot(pg, pg)))
-    prev_x = prev_pg = None
-    best, best_it = np.inf, 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(pg)))
-        if gnorm <= tol:
-            return x, val, tuple(trace), gnorm, it - 1
-        if gnorm < best:
-            best, best_it = gnorm, it
-        elif it - best_it >= STALL_WINDOW:
-            raise SolverError(
-                f"descent stalled at iteration {it}: the projected gradient "
-                f"sup-norm has not improved on its floor {best:.3e} for "
-                f"{STALL_WINDOW} iterations (tol {tol:.1e})"
-            )
-        if prev_x is not None:
-            s = x - prev_x
-            y = pg - prev_pg
-            sy = dot(s, y)
-            if sy > 0.0:
-                # alternate BB1/BB2 for robustness
-                if it % 2 == 0:
-                    step = dot(s, s) / sy
-                else:
-                    yy = dot(y, y)
-                    step = sy / yy if yy > 0.0 else step
-            step = float(np.clip(step, 1e-12, 1e6))
-        direction = -pg
-        slope = dot(pg, pg)
-        tau = step
-        accepted = False
-        for _ in range(60):
-            x_new = recenter(x + tau * direction)
-            if feasible(x_new):
-                val_new, grad_new = value_and_grad(x_new)
-                if val_new <= val - 1e-4 * tau * slope:
-                    accepted = True
-                    break
-            tau *= 0.5
-        if not accepted:
-            raise SolverError(
-                f"line search failed at iteration {it} "
-                f"(projected gradient sup-norm {gnorm:.3e})"
-            )
-        prev_x, prev_pg = x, pg
-        x, val, grad = x_new, val_new, grad_new
-        pg = project(grad)
-        trace.append(val)
-    raise SolverError(
-        f"no convergence in {max_iter} iterations "
-        f"(projected gradient sup-norm {float(np.max(np.abs(pg))):.3e})"
-    )
-
-
 def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_stages=()):
     """Minimize ``objective`` over unit-mass m > m_min and a route block y.
 
@@ -319,8 +241,19 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_s
     ``m0 = None`` starts from the uniform density. Each ``barrier_stages``
     entry mu runs a round on objective - mu mean(log m) to tolerance
     max(tol, mu / 100) before the final round on the plain objective.
-    Returns m, y and the round's value, phi_trace, grad_inf and
-    iterations, keyed as in :class:`StationaryResult`.
+
+    A round is projected BB (alternating BB1/BB2 steps) with a monotone
+    Armijo backtracking search whose trials keep m > m_min. Iterates are
+    recentered onto unit mass and the y constraints, and inner products
+    carry the node quadrature weight, so tolerances are mesh independent.
+    A round whose best projected-gradient sup-norm has not improved for
+    ``STALL_WINDOW`` iterations, whose line search fails, or which does not
+    reach its tolerance in ``max_iter`` iterations raises
+    :class:`SolverError`.
+
+    Returns m, y, the plain objective's gradient (dm, dy) there, and the
+    final round's value, phi_trace, grad_inf and iterations, keyed as in
+    :class:`StationaryResult`.
     """
     K = grid.num_nodes
 
@@ -330,16 +263,12 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_s
     def pack(mv, yv):
         return np.concatenate([mv.ravel(), yv.ravel()])
 
+    def dot(a, b):
+        return grid.cell_volume * float(a @ b)
+
     def recenter(x):
         mv, yv = unpack(x)
         return pack(mv + (1.0 - mv.mean()), project_y(yv))
-
-    def feasible(x):
-        return float(x[:K].min()) > model.m_min
-
-    def project(g):
-        gm, gy = unpack(g)
-        return pack(gm - gm.mean(), project_y(gy))
 
     def value_and_grad(x, mu):
         mv, yv = unpack(x)
@@ -349,21 +278,70 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_s
             dm = dm - mu / mv
         return val, pack(dm, dy)
 
+    def project(g):
+        gm, gy = unpack(g)
+        return pack(gm - gm.mean(), project_y(gy))
+
     m0 = np.ones(grid.shape) if m0 is None else np.asarray(m0, dtype=float)
     x = pack(m0, y0)
     for mu in (*barrier_stages, 0.0):
-        x, *run = _bb_loop(
-            x,
-            lambda xv, mu=mu: value_and_grad(xv, mu),
-            project,
-            recenter,
-            feasible,
-            grid.cell_volume,
-            tol=max(tol, 1e-2 * mu),
-            max_iter=max_iter,
-        )
-    m, y = unpack(x)
-    return m, y, dict(zip(("value", "phi_trace", "grad_inf", "iterations"), run))
+        round_tol = max(tol, 1e-2 * mu)
+        x = recenter(x)
+        val, grad = value_and_grad(x, mu)
+        pg = project(grad)
+        trace = [val]
+        step = 1.0 / max(1.0, np.sqrt(dot(pg, pg)))
+        prev_x = prev_pg = None
+        best, best_it = np.inf, 0
+        for it in range(1, max_iter + 1):
+            gnorm = float(np.max(np.abs(pg)))
+            if gnorm <= round_tol:
+                break
+            if gnorm < best:
+                best, best_it = gnorm, it
+            elif it - best_it >= STALL_WINDOW:
+                raise SolverError(
+                    f"descent stalled at iteration {it}: the projected gradient "
+                    f"sup-norm has not improved on its floor {best:.3e} for "
+                    f"{STALL_WINDOW} iterations (tol {round_tol:.1e})"
+                )
+            if prev_x is not None:
+                s = x - prev_x
+                y = pg - prev_pg
+                sy = dot(s, y)
+                if sy > 0.0:
+                    # alternate BB1/BB2 for robustness
+                    if it % 2 == 0:
+                        step = dot(s, s) / sy
+                    else:
+                        yy = dot(y, y)
+                        step = sy / yy if yy > 0.0 else step
+                step = float(np.clip(step, 1e-12, 1e6))
+            slope = dot(pg, pg)
+            tau = step
+            for _ in range(60):
+                x_new = recenter(x - tau * pg)
+                if float(x_new[:K].min()) > model.m_min:
+                    trial = value_and_grad(x_new, mu)
+                    if trial[0] <= val - 1e-4 * tau * slope:
+                        break
+                tau *= 0.5
+            else:
+                raise SolverError(
+                    f"line search failed at iteration {it} "
+                    f"(projected gradient sup-norm {gnorm:.3e})"
+                )
+            prev_x, prev_pg = x, pg
+            x, (val, grad) = x_new, trial
+            pg = project(grad)
+            trace.append(val)
+        else:
+            raise SolverError(
+                f"no convergence in {max_iter} iterations "
+                f"(projected gradient sup-norm {float(np.max(np.abs(pg))):.3e})"
+            )
+    run = dict(value=val, phi_trace=tuple(trace), grad_inf=gnorm, iterations=it - 1)
+    return (*unpack(x), *unpack(grad), run)
 
 
 class _Stationary:
@@ -461,26 +439,56 @@ class _Stationary:
         return jvp, precond
 
 
-def _certify(model, grid, m, u, hbar, run, tol, extras, handoff_curl=None):
-    """Polish a hand-off (m, u, Hbar) on the PDE rows, then certify it.
+def _result(state, w, diagnostics, fields) -> StationaryResult:
+    """The result of a solved ``state`` and its flux ``w``. The fields
+    every route fills alike (div w, mass error, min m and the multiplier
+    Hbar) come first; a route adds its own ``diagnostics`` and the other
+    ``StationaryResult`` ``fields``."""
+    div_w = float(np.max(np.abs(spectral.divergence(state.grid, w))))
+    return StationaryResult(
+        state=state,
+        w=w,
+        **fields,
+        residual_fp_inf=div_w,
+        diagnostics={
+            "mass_error": abs(float(np.mean(state.m)) - 1.0),
+            "div_w_inf": div_w,
+            "min_m": float(state.m.min()),
+            "hbar_from_multiplier": state.Hbar,
+            **diagnostics,
+        },
+    )
 
-    Newton on :class:`_Stationary` runs until every certificate row is
-    <= ``tol``. The certificates are the same for every route, all read
-    on the polished state: the PDE residuals (the Hamilton-Jacobi
-    equation, psi1_hat's value row, and the divergence of the flux
-    transform of (m, u)), the duality gap of the primal value (phi_bb or
-    j, recomputed there) against psi1_hat, and the crosscheck of Hbar
-    against psi2_hat, which raises :class:`SolverError` above
-    ``HBAR_CROSSCHECK_TOL``. A flux route passes the curl defect of its
-    hand-off flux as ``handoff_curl``: its final flux must pass
-    ``u_from_w`` at ``CURL_TOL``, and a failed polish from a hand-off
-    above ``CURL_TOL`` raises :class:`CurlError` naming both.
+
+def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
+    """Polish a descent's hand-off on the PDE rows, then certify it.
+
+    The hand-off is the density m, the plain objective's m-gradient dm
+    there (Hbar = -mean(dm) is the multiplier of the mass constraint) and
+    either the potential ``u`` or a flux ``w``. A flux route's u is the
+    Poisson potential of ``model.momentum(w, m)`` whatever its curl
+    defect, which is reported as ``handoff_curl_inf``.
+
+    Newton on :class:`_Stationary` runs from (u, m, Hbar) until every
+    certificate row is <= ``tol``. The certificates are the same for
+    every route, all read on the polished state: the PDE residuals (the
+    Hamilton-Jacobi equation, psi1_hat's value row, and the divergence of
+    the flux transform of (m, u)), the duality gap of the primal value
+    (phi_bb or j, the only objective evaluation after the descent)
+    against psi1_hat, and the crosscheck of Hbar against psi2_hat, which
+    raises :class:`SolverError` above ``HBAR_CROSSCHECK_TOL``. On a flux
+    route the final flux must pass ``u_from_w`` at ``CURL_TOL``, and a
+    failed polish from a hand-off above ``CURL_TOL`` raises
+    :class:`CurlError` naming both.
     """
+    handoff_curl = None
+    if w is not None:
+        u, report = u_from_w(model, grid, m, w, curl_tol=np.inf)
+        handoff_curl = report["curl_residual_inf"]
     system = _Stationary(model, grid)
+    start = system.pack(u, m, -float(np.mean(dm)))
     try:
-        z, _, krylov, _ = newton(
-            system, system.pack(u, m, hbar), tol, POLISH_STEPS, " in the stationary polish"
-        )
+        z, _, krylov, _ = newton(system, start, tol, POLISH_STEPS, " in the stationary polish")
     except SolverError as err:
         if handoff_curl is not None and handoff_curl > CURL_TOL:
             raise CurlError(
@@ -498,13 +506,6 @@ def _certify(model, grid, m, u, hbar, run, tol, extras, handoff_curl=None):
         value = phi_bb(grid, m, w, model).value
         _, transform_report = u_from_w(model, grid, m, w, curl_tol=CURL_TOL)
         extras = {**{f"transform_{k}": v for k, v in transform_report.items()}, **extras}
-    run = dict(
-        run,
-        value=value,
-        newton_iterations=len(krylov),
-        krylov_iterations=krylov,
-        handoff_curl_inf=handoff_curl,
-    )
     state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
     hbar_psi2 = psi2_hat(state, model).value
     hbar_gap = abs(hbar - hbar_psi2)
@@ -514,33 +515,18 @@ def _certify(model, grid, m, u, hbar, run, tol, extras, handoff_curl=None):
             f"psi2_hat {hbar_psi2:.10f} (gap {hbar_gap:.3e})"
         )
     psi1 = psi1_hat(state, model)
-    div_w = float(np.max(np.abs(spectral.divergence(grid, w))))
-    return StationaryResult(
-        state=state,
-        w=w,
-        **run,
+    fields = dict(
+        run,
+        value=value,
+        newton_iterations=len(krylov),
+        krylov_iterations=krylov,
+        handoff_curl_inf=handoff_curl,
         duality_gap=value + psi1.value,
         hbar_crosscheck_gap=hbar_gap,
         residual_hjb_inf=float(np.max(np.abs(psi1.dm - hbar))),
-        residual_fp_inf=div_w,
-        diagnostics={
-            "mass_error": abs(float(np.mean(m)) - 1.0),
-            "div_w_inf": div_w,
-            "min_m": float(m.min()),
-            "hbar_from_multiplier": hbar,
-            "hbar_from_psi2_hat": hbar_psi2,
-            "psi1_hat_value": psi1.value,
-            **extras,
-        },
     )
-
-
-def _handoff_from_flux(model, grid, m, w):
-    """(u, Hbar, curl defect) at a hand-off flux pair (m, w): u is the
-    Poisson potential of ``model.momentum(w, m)``, whatever its curl."""
-    hbar = -float(np.mean(phi_bb(grid, m, w, model).dm))
-    u, report = u_from_w(model, grid, m, w, curl_tol=np.inf)
-    return u, hbar, report["curl_residual_inf"]
+    diagnostics = {"hbar_from_psi2_hat": hbar_psi2, "psi1_hat_value": psi1.value, **extras}
+    return _result(state, w, diagnostics, fields)
 
 
 def _require_bb_model(model: CongestionHamiltonian, w_reg: float = 0.0, barrier_stages=()):
@@ -616,7 +602,7 @@ def solve_bb(
         w0 = np.zeros((grid.dim,) + grid.shape)
         if not gamma1:
             w0 = np.broadcast_to(model.drift(w0), w0.shape)
-    m, w, run = _descend(
+    m, w, dm, dw, run = _descend(
         model,
         grid,
         m0,
@@ -628,34 +614,28 @@ def solve_bb(
         barrier_stages,
     )
     if not gamma1:
-        u, hbar, curl = _handoff_from_flux(model, grid, m, w)
-        return _certify(model, grid, m, u, hbar, run, tol, {}, curl)
-    _, dm, dw = objective(m, w)
+        return _certify(model, grid, m, dm, run, tol, {}, w=w)
     hbar = -float(np.mean(dm))
     # At the optimum dw has no divergence-free component, so it is the
     # gradient of a potential; integrate it back and undo the 1/(1-a)
     # scaling of the transform to land on the value-function gauge.
     pot = spectral.solve_poisson(grid, spectral.divergence(grid, dw))
-    div_w = float(np.max(np.abs(spectral.divergence(grid, w))))
-    return StationaryResult(
-        state=StationaryState(grid, m, (1.0 - a) * pot, eps=0.0, Hbar=hbar),
-        w=w,
-        **run,
-        duality_gap=None,
-        hbar_crosscheck_gap=None,
-        residual_hjb_inf=float(np.max(np.abs(dm + hbar))),
-        residual_fp_inf=div_w,
-        diagnostics={
-            "mass_error": abs(float(np.mean(m)) - 1.0),
-            "div_w_inf": div_w,
-            "min_m": float(m.min()),
-            "hbar_from_multiplier": hbar,
+    return _result(
+        StationaryState(grid, m, (1.0 - a) * pot, eps=0.0, Hbar=hbar),
+        w,
+        {
             "route": "bb-gamma1-regularized",
             "regularization_w_reg": w_reg,
             "w_optimality_inf": float(np.max(np.abs(dw - spectral.gradient(grid, pot)))),
             "hbar_crosscheck": "skipped: the crosscheck functional evaluates "
             "the unregularized Hamiltonian",
         },
+        dict(
+            run,
+            duality_gap=None,
+            hbar_crosscheck_gap=None,
+            residual_hjb_inf=float(np.max(np.abs(dm + hbar))),
+        ),
     )
 
 
@@ -692,14 +672,13 @@ def solve_bb_2d_stream(
     # R starts where perp(R) = Q, read through the model's checked drift.
     q = model.drift(np.zeros(2))
     y0 = np.concatenate([np.zeros(K), np.array([q[1], -q[0]]) * r_scale])
-    m, y, run = _descend(
+    m, y, dm, _, run = _descend(
         model, grid, None, y0, objective, lambda yv: yv, HANDOFF_TOL, max_iter
     )
     v, R = stream(y)
     w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))
-    u, hbar, curl = _handoff_from_flux(model, grid, m, w)
     extras = {"stream_R": tuple(float(r) for r in R)}
-    return _certify(model, grid, m, u, hbar, run, tol, extras, curl)
+    return _certify(model, grid, m, dm, run, tol, extras, w=w)
 
 
 def solve_potential_a_gt_1(
@@ -727,9 +706,7 @@ def solve_potential_a_gt_1(
         return rep.value, rep.dm, _half_inverse_divgrad(grid, rep.du)
 
     phi0 = np.zeros(grid.shape)
-    m, phi, run = _descend(
+    m, phi, dm, _, run = _descend(
         model, grid, None, phi0, objective, lambda yv: yv, HANDOFF_TOL, max_iter
     )
-    u = _half_inverse_divgrad(grid, phi)
-    hbar = -float(np.mean(j_functional(grid, m, u, model).dm))
-    return _certify(model, grid, m, u, hbar, run, tol, {})
+    return _certify(model, grid, m, dm, run, tol, {}, u=_half_inverse_divgrad(grid, phi))

@@ -290,6 +290,27 @@ def test_crosscheck_passes_and_fails(tmp_path, capsys, monkeypatch):
     assert "checks failed" in capsys.readouterr().err
 
 
+def test_congestion_crosscheck_scores_a_curl_defect(tmp_path, capsys, monkeypatch):
+    # A flux with solenoidal content must be scored by transforms:curl (exit
+    # 3 with a verdict), not stop the crosscheck with a CurlError (exit 1).
+    honest = cli.w_from_u
+
+    def with_curl(model, grid, m, u):
+        v = np.sin(2.0 * np.pi * grid.coords[0]) * np.sin(2.0 * np.pi * grid.coords[1])
+        s = cli.spectral.gradient(grid, v)
+        return honest(model, grid, m, u) + 1e-6 * np.stack([-s[1], s[0]])
+
+    monkeypatch.setattr(cli, "w_from_u", with_curl)
+    out = tmp_path / "curl"
+    cfg = dict(CONG_CFG, model=dict(CONG_CFG["model"], Q=[1.0, 0.0], f_spatial=[]))
+    cfg = dict(cfg, grid={"dim": 2, "n": 16}, checks=["transforms"], output_dir=str(out))
+    assert run(["crosscheck", write_cfg(tmp_path, "curl.json", cfg)]) == 3
+    assert "checks failed" in capsys.readouterr().err
+    payload = json.loads((out / "crosscheck.json").read_text())
+    failed = {e["name"] for e in payload["checks"] if not e["pass"]}
+    assert failed == {"transforms:curl", "transforms:roundtrip"}
+
+
 def test_duality_crosscheck_command(tmp_path):
     out = tmp_path / "dual"
     cfg = write_cfg(tmp_path, "d.json", dict(SEP_CFG, output_dir=str(out)))

@@ -286,6 +286,63 @@ def test_stalled_descent_raises_with_its_floor():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.parametrize("barrier_stages", [(), (0.1, 0.01)])
+def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model, barrier_stages):
+    model, g = congestion_1d_model, TorusGrid((32,))
+
+    def objective(m, w):
+        rep = phi_bb(g, m, w, model)
+        return rep.value, rep.dm, rep.dw
+
+    w0 = np.broadcast_to(model.drift(np.zeros((1, 32))), (1, 32))
+    project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
+    m, w, dm, dw, run = stationary._descend(
+        model, g, None, np.array(w0), objective, project, 1e-7, 50000, barrier_stages
+    )
+    _, dm_plain, dw_plain = objective(m, w)
+    assert np.array_equal(dm, dm_plain) and np.array_equal(dw, dw_plain)
+    assert run["grad_inf"] <= 1e-7
+
+
+def test_flux_route_evaluates_phi_bb_once_after_the_descent(congestion_1d_model, monkeypatch):
+    # The descent's last gradient carries Hbar; the only later evaluation
+    # is the certificate's primal value at the polished state.
+    calls = {"descended": False, "after": 0}
+    descend, honest = stationary._descend, stationary.phi_bb
+
+    def recorded_descend(*args, **kwargs):
+        out = descend(*args, **kwargs)
+        calls["descended"] = True
+        return out
+
+    def counted_phi_bb(*args):
+        calls["after"] += calls["descended"]
+        return honest(*args)
+
+    monkeypatch.setattr(stationary, "_descend", recorded_descend)
+    monkeypatch.setattr(stationary, "phi_bb", counted_phi_bb)
+    res = solve_bb(congestion_1d_model, TorusGrid((32,)))
+    assert calls == {"descended": True, "after": 1}
+    assert res.value == honest(res.state.grid, res.state.m, res.w, congestion_1d_model).value
+
+
+def test_stationary_residual_makes_two_forward_transforms(congestion_2d_model, monkeypatch):
+    # At eps = 0 the rows need grad u and div W only: no Laplacians.
+    g = TorusGrid((8, 8))
+    system = stationary._Stationary(congestion_2d_model, g)
+    rng = np.random.default_rng(0)
+    z = system.pack(
+        spectral.random_band_limited(g, rng, amplitude=0.2),
+        1.0 + spectral.random_band_limited(g, rng, amplitude=0.3),
+        0.1,
+    )
+    calls = []
+    fft = spectral._fft
+    monkeypatch.setattr(spectral, "_fft", lambda *args: calls.append(1) or fft(*args))
+    system.residual(z)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("solver", [solve_bb, solve_bb_2d_stream, solve_potential_a_gt_1])
 def test_every_route_enforces_the_hbar_crosscheck(
     solver, congestion_1d_model, congestion_2d_model, monkeypatch
