@@ -3,8 +3,8 @@
 :func:`newton` runs on a system from :mod:`mfgkit.dynamics`,
 :mod:`mfgkit.bifurcation` or :mod:`mfgkit.stationary`: ``residual(z)``,
 ``linearize(z, res) -> (jvp, precond)`` applied at FFT cost, the optional
-hooks ``feasible(z)`` and ``measure(z, res)``, and an optional
-``krylov_rtol`` attribute.
+hooks ``feasible(z)`` and ``measure(z, res)``, an optional ``krylov_rtol``
+attribute and an optional ``forcing`` switch.
 
 Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
 GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
@@ -19,6 +19,14 @@ that still fails after an exhausted Krylov space or the last cycle. The
 routine is a port of SciPy 1.17.1's ``sparse.linalg.gmres`` and returns
 the same bits for the same operators, without SciPy's ``LinearOperator``
 wrapping; SciPy's license notice stands beside it.
+
+A system that sets ``forcing`` gets inexact Newton steps (Dembo, Eisenstat
+& Steihaug, SINUM 1982): step k's GMRES runs to the relative tolerance
+eta_k of Eisenstat & Walker's choice 2 (SISC 1996), eta_0 = 0.5 and
+eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 in the 2-norm of the residual, raised to
+0.9 eta_{k-1}^2 whenever that exceeds 0.1, capped at 0.5 and floored at
+max(KRYLOV_RTOL, tol / (2 |F_k|)), below which a step would only solve
+past the Newton stopping test. The stopping test itself is unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ KRYLOV_RTOL = 1e-10
 # Inner iterations per restart cycle, and cycles per solve.
 KRYLOV_RESTART = 40
 KRYLOV_CYCLES = 5
+# The loosest forcing term of an inexact Newton step (Eisenstat & Walker 1996).
+ETA_MAX = 0.5
 
 _EPS = float(np.finfo(float).eps)
 # dlartg's safe range (LAPACK 3.10+): the plain formula below it and above it
@@ -182,29 +192,52 @@ def gmres(matvec, precond, rhs, where: str, rtol: float | None = None):
     return x, iterations
 
 
+def _forcing_term(fn: float, fn_prev: float | None, eta_prev: float | None, tol: float) -> float:
+    """Eisenstat–Walker choice 2 for the residual 2-norm ``fn``, after a step
+    that left ``fn_prev`` and used ``eta_prev`` (both None at the first step)."""
+    if fn_prev is None:
+        eta = ETA_MAX
+    else:
+        eta = 0.9 * (fn / fn_prev) ** 2
+        safeguard = 0.9 * eta_prev**2
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
+    return max(KRYLOV_RTOL, tol / (2.0 * fn), min(ETA_MAX, eta))
+
+
 def newton(system, z, tol: float, budget: int, where: str = ""):
     """Damped Newton on system.residual(z) = 0, Armijo on |res|^2, each step
-    a GMRES solve labelled "Newton step <i><where>", to the relative tolerance
-    ``system.krylov_rtol`` if the system sets one (else KRYLOV_RTOL). Trial
-    points that fail ``feasible`` are halved unevaluated; converged means
-    ``measure(z, res) <= tol`` (default: sup-norm of res). Returns (z, measure, GMRES iterations
-    per step, measure after each step); raises SolverError "no
-    convergence<where>" if the line search stalls or the budget runs out.
+    a GMRES solve labelled "Newton step <i><where>". The step's relative
+    tolerance is ``system.krylov_rtol`` if the system sets one (else
+    KRYLOV_RTOL), or, if ``system.forcing`` is true, the Eisenstat–Walker
+    forcing term of the module docstring; the terms used are then left on
+    ``system.forcing_terms``. Trial points that fail ``feasible`` are halved
+    unevaluated; converged means ``measure(z, res) <= tol`` (default:
+    sup-norm of res). Returns (z, measure, GMRES iterations per step,
+    measure after each step); raises SolverError "no convergence<where>" if
+    the line search stalls or the budget runs out.
     """
     feasible = getattr(system, "feasible", None)
     measure = getattr(system, "measure", lambda z, res: float(np.max(np.abs(res))))
     rtol = getattr(system, "krylov_rtol", None)
+    forcing = getattr(system, "forcing", False)
     res = system.residual(z)
     rn = measure(z, res)
-    krylov, history = [], []
+    krylov, history, etas = [], [], []
+    fn_prev = eta = None
     for it in range(1, budget + 1):
         if rn <= tol:
             break
-        # The linearization (its preconditioner holds a dense block per Fourier
-        # mode) is dropped once its step is solved.
+        phi0 = float(res @ res)
+        if forcing:
+            fn = math.sqrt(phi0)
+            rtol = eta = _forcing_term(fn, fn_prev, eta, tol)
+            etas.append(eta)
+            fn_prev = fn
+        # No reference to the linearization outlives its step, so a system that
+        # keeps its preconditioner for the next step holds the only copy.
         delta, k = gmres(*system.linearize(z, res), -res, f"Newton step {it}{where}", rtol)
         krylov.append(k)
-        phi0 = float(res @ res)
         step = 1.0
         while step >= 1e-6:
             z_try = z + step * delta
@@ -226,4 +259,6 @@ def newton(system, z, tol: float, budget: int, where: str = ""):
             f"no convergence{where}: residual {rn:.3e} after {budget} Newton "
             f"iterations, the whole budget"
         )
+    if forcing:
+        system.forcing_terms = tuple(etas)
     return z, rn, tuple(krylov), tuple(history)

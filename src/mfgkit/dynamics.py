@@ -30,8 +30,14 @@ space-time system from the data rows (u = uT and m = m0 on every slice).
 :meth:`_System.linearize`, the Jacobian applied at FFT cost and its
 preconditioner, the Jacobian at mean density, zero drift and mean
 coupling slope: one real 2N x 2N time system per spatial Fourier mode,
-inverted once per Newton step and applied by :func:`spectral.modewise`
-(see :meth:`_System.preconditioner`). A Newton solve whose line search
+inverted again only when its (mean density, mean g') pair changes from
+one Newton step to the next, and applied by :func:`spectral.modewise`
+(see :meth:`_System.preconditioner`). A Newton step keeps each slice's
+mass up to its GMRES error, and g' is affine in m when f is a polynomial
+of degree <= 2 in m, so the pair often repeats bit for bit.
+With ``inexact=True`` each Newton step's GMRES solve runs to an
+Eisenstat–Walker forcing term instead of KRYLOV_RTOL; the stopping test
+and the certificates are the same. A Newton solve whose line search
 stalls or whose step budget runs out, or a GMRES solve that misses its
 tolerance, raises :class:`SolverError`. The separable rows hold at any
 density; the solved node densities are checked once against the model's
@@ -57,7 +63,9 @@ __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_equilibrium_vs_plan
 
 @dataclass
 class SolveResult:
-    """Converged state plus solver diagnostics (GMRES iterations per Newton step)."""
+    """Converged state plus solver diagnostics: GMRES iterations and forcing
+    terms per Newton step (no forcing terms in exact mode), and the number of
+    preconditioner stacks built."""
 
     state: GameState
     newton_iterations: int
@@ -67,6 +75,8 @@ class SolveResult:
     psi2_du_inf: float
     history: tuple[float, ...] = field(default_factory=tuple)
     krylov_iterations: tuple[int, ...] = field(default_factory=tuple)
+    forcing_terms: tuple[float, ...] = field(default_factory=tuple)
+    preconditioner_builds: int = 0
     picard_sweeps: int = 0  # always 0; bench/tracer.py still reads it
 
 
@@ -77,9 +87,10 @@ def _check_model(model) -> None:
 
 class _System:
     """Residual, Jacobian action and preconditioner of the midpoint system on
-    N time slabs of width dt over the space grid sp."""
+    N time slabs of width dt over the space grid sp. ``inexact`` sets
+    ``forcing``, which switches :func:`newton` to inexact steps."""
 
-    def __init__(self, model, sp, N, dt, m0, uT, eps, planner):
+    def __init__(self, model, sp, N, dt, m0, uT, eps, planner, inexact=False):
         self.model = model
         self.sp = sp
         self.N = N
@@ -89,6 +100,11 @@ class _System:
         self.eps = float(eps)
         self.planner = planner
         self.K = sp.num_nodes
+        self.forcing = inexact
+        self.forcing_terms = ()
+        # The last preconditioner's (mbar, gpbar) and its application.
+        self._key = self._precond = None
+        self.preconditioner_builds = 0
 
     def fields(self, z, data=True):
         """Unknown vector -> (u, m) stacks with data rows uT, m0 (zero if not ``data``)."""
@@ -113,7 +129,9 @@ class _System:
 
     def linearize(self, z, res):
         """The derivative of :meth:`residual` at z as an action dz -> J dz,
-        and :meth:`preconditioner` at the state's mean density and mean g'."""
+        and :meth:`preconditioner` at the state's mean density and mean g',
+        rebuilt only when that pair changes (compared exactly, so a kept one
+        is the same bits)."""
         sp, dt, eps = self.sp, self.dt, self.eps
         u, m = self.fields(z)
         mbar = 0.5 * (m[:-1] + m[1:])
@@ -141,7 +159,13 @@ class _System:
             )
             return np.concatenate([dS.ravel(), dP.ravel()])
 
-        return jvp, self.preconditioner(float(mbar.mean()), float(gp.mean()))
+        key = (float(mbar.mean()), float(gp.mean()))
+        if key != self._key:
+            self._key = self._precond = None  # never hold two stacks
+            self._precond = self.preconditioner(*key)
+            self._key = key
+            self.preconditioner_builds += 1
+        return jvp, self._precond
 
     def preconditioner(self, mbar: float, gpbar: float):
         """Inverse of the Jacobian at constant density mbar, zero drift and
@@ -172,13 +196,14 @@ def _solve(
     planner: bool,
     tol: float,
     max_newton: int,
+    inexact: bool,
 ) -> SolveResult:
     _check_model(model)
     if grid.periodic_time:
         raise ModelError("finite-horizon solvers need an interval time axis")
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ModelError(f"the viscosity eps must be finite and >= 0 (got {eps})")
-    sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
+    sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner, inexact)
 
     start = np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)])
     z, rn, krylov, history = newton(sys, start, tol, max_newton)
@@ -208,6 +233,8 @@ def _solve(
         psi2_du_inf=du_inf,
         history=history,
         krylov_iterations=krylov,
+        forcing_terms=sys.forcing_terms,
+        preconditioner_builds=sys.preconditioner_builds,
     )
 
 
@@ -219,10 +246,13 @@ def solve_mfg(
     eps: float = 1.0,
     tol: float = 1e-9,
     max_newton: int = 40,
+    *,
+    inexact: bool = False,
 ) -> SolveResult:
     """Solve the equilibrium system; derivative fields of psi1 (in m) and
-    psi2 (in u) vanish at the returned state to solver tolerance."""
-    return _solve(model, grid, m0, uT, eps, False, tol, max_newton)
+    psi2 (in u) vanish at the returned state to solver tolerance.
+    ``inexact=True`` runs each Newton step to its forcing term."""
+    return _solve(model, grid, m0, uT, eps, False, tol, max_newton, inexact)
 
 
 def solve_mfc(
@@ -233,10 +263,13 @@ def solve_mfc(
     eps: float = 1.0,
     tol: float = 1e-9,
     max_newton: int = 40,
+    *,
+    inexact: bool = False,
 ) -> SolveResult:
     """Solve the planner first-order system (critical point of psi2); the
-    value row carries the extra m df/dm term."""
-    return _solve(model, grid, m0, uT, eps, True, tol, max_newton)
+    value row carries the extra m df/dm term.
+    ``inexact=True`` runs each Newton step to its forcing term."""
+    return _solve(model, grid, m0, uT, eps, True, tol, max_newton, inexact)
 
 
 def compare_equilibrium_vs_planner(mfg_state, mfc_state, model, tol: float = 1e-8) -> dict:

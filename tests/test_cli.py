@@ -219,6 +219,20 @@ def test_gamma_one_crosscheck_names_the_check_before_solving(
     assert not any(out.iterdir())
 
 
+def test_solve_mfg_runs_inexact_newton(tmp_path):
+    # The CLI passes inexact=True: fewer GMRES iterations than the library's
+    # exact default on the same problem, to the same tol.
+    out = tmp_path / "mfg"
+    cfg = write_cfg(tmp_path, "m.json", dict(SEP_CFG, output_dir=str(out)))
+    assert run(["solve-mfg", cfg]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    model, st, m0, uT, eps, _ = cli._separable_problem(cli.load_config(cfg), "")
+    exact = cli.solve_mfg(model, st, m0, uT, eps=eps, tol=SEP_CFG["solver"]["tol"])
+    assert payload["residual_inf"] <= 1e-10 and exact.residual_inf <= 1e-10
+    assert payload["krylov_iterations"] < sum(exact.krylov_iterations)
+    assert 0 < payload["preconditioner_builds"] <= payload["newton_iterations"]
+
+
 def test_solve_mfg_and_compare(tmp_path):
     out = tmp_path / "mfg"
     cfg = write_cfg(tmp_path, "m.json", dict(SEP_CFG, output_dir=str(out)))

@@ -332,3 +332,54 @@ def test_krylov_newton_matches_dense_newton(shape, n_t, planner):
     assert res.newton_iterations == steps
     assert np.max(np.abs(res.state.u - u)) <= 1e-12
     assert np.max(np.abs(res.state.m - m)) <= 1e-12
+
+
+def test_preconditioner_is_rebuilt_only_when_its_key_changes(sep_model, monkeypatch):
+    # f = m keeps g' = 1 and every Newton step keeps the mass, so the
+    # (mean density, mean g') key repeats after the first step.
+    st = SpaceTimeGrid(TorusGrid((16,)), 16, T)
+    m0, uT = perturbed_data(16)
+    build = _System.preconditioner
+    calls = []
+
+    def counted(self, mbar, gpbar):
+        calls.append((mbar, gpbar))
+        return build(self, mbar, gpbar)
+
+    monkeypatch.setattr(_System, "preconditioner", counted)
+    res = solve_mfg(sep_model, st, m0, uT, eps=1.0, tol=1e-11)
+    assert res.preconditioner_builds == len(calls) < res.newton_iterations
+    assert res.forcing_terms == ()
+
+    linearize = _System.linearize
+
+    def unmemoized(self, z, r):
+        self._key = None
+        return linearize(self, z, r)
+
+    monkeypatch.setattr(_System, "linearize", unmemoized)
+    calls.clear()
+    fresh = solve_mfg(sep_model, st, m0, uT, eps=1.0, tol=1e-11)
+    assert fresh.preconditioner_builds == len(calls) == fresh.newton_iterations
+    assert np.array_equal(fresh.state.u, res.state.u)
+    assert np.array_equal(fresh.state.m, res.state.m)
+
+
+@pytest.mark.parametrize("shape, n_t, planner", CASES)
+def test_inexact_newton_certifies_with_fewer_krylov_iterations(shape, n_t, planner):
+    system, _, _ = _system_case(shape, n_t, planner)
+    solver = solve_mfc if planner else solve_mfg
+    st = SpaceTimeGrid(system.sp, n_t, 0.5)
+    exact, inexact = (
+        solver(system.model, st, system.m0, system.uT, eps=0.7, inexact=flag)
+        for flag in (False, True)
+    )
+    for res in (exact, inexact):
+        assert res.residual_inf <= 1e-9
+        assert res.psi1_dm_inf <= 1e-7
+        assert res.psi2_du_inf <= 1e-7
+    assert sum(inexact.krylov_iterations) < sum(exact.krylov_iterations)
+    assert inexact.newton_iterations <= exact.newton_iterations + 2
+    etas = inexact.forcing_terms
+    assert len(etas) == inexact.newton_iterations and etas[0] == 0.5
+    assert all(_newton_krylov.KRYLOV_RTOL <= eta <= 0.5 for eta in etas)

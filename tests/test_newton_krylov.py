@@ -115,3 +115,17 @@ def test_rotation_matches_lapack_dlartg():
     pairs += [tuple(rng.standard_normal(2) * scale) for scale in (1e-200, 1e200) for _ in range(200)]
     for f, g in pairs:
         assert _bits(_newton_krylov._rotation(f, g)) == _bits(dlartg(f, g)), (f, g)
+
+
+def test_forcing_terms_follow_eisenstat_walker_choice_2():
+    forcing = _newton_krylov._forcing_term
+    assert forcing(1.0, None, None, 1e-9) == 0.5
+    # 0.9 (|F_k| / |F_k-1|)^2, with the safeguard 0.9 * 0.5^2 = 0.225 > 0.1.
+    assert forcing(0.1, 1.0, 0.5, 1e-9) == 0.225
+    assert forcing(0.5, 1.0, 0.5, 1e-9) == 0.225
+    # Safeguard 0.9 * 0.3^2 = 0.081 <= 0.1 is not applied.
+    assert forcing(0.1, 1.0, 0.3, 1e-9) == pytest.approx(0.009, rel=1e-15)
+    # Capped at 0.5, floored at KRYLOV_RTOL and at tol / (2 |F_k|).
+    assert forcing(2.0, 1.0, 0.5, 1e-9) == 0.5
+    assert forcing(1e-6, 1.0, 1e-6, 1e-20) == KRYLOV_RTOL
+    assert forcing(1e-6, 1.0, 1e-6, 1e-9) == 1e-9 / 2e-6
