@@ -146,10 +146,9 @@ def _header_for(fld: ScalarField | VectorField) -> str:
 
 def save_field(path, fld: ScalarField | VectorField) -> None:
     """Write a field to ``path`` in the text format described above."""
+    values = fld.values.ravel(order="C").tolist()
     with open(path, "w") as fh:
-        fh.write(_header_for(fld))
-        for v in fld.values.ravel(order="C"):
-            fh.write(f"{v:.17g}\n")
+        fh.write(_header_for(fld) + ("%.17g\n" * len(values)) % tuple(values))
 
 
 def _parse_header(line: str) -> dict:

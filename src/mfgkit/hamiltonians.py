@@ -115,10 +115,15 @@ class Coupling:
         return self._poly_val(m) + self.spatial(grid)
 
     def df_dm(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return self._poly_val(m, deriv=1) + np.zeros(grid.shape)
+        return self._on_grid(grid, self._poly_val(m, deriv=1))
 
     def d2f_dm2(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return self._poly_val(m, deriv=2) + np.zeros(grid.shape)
+        return self._on_grid(grid, self._poly_val(m, deriv=2))
+
+    @staticmethod
+    def _on_grid(grid: TorusGrid, v):
+        """v broadcast against the grid shape, read-only and without a copy."""
+        return np.broadcast_to(v, np.broadcast_shapes(np.shape(v), grid.shape))
 
     def F(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """Normalized antiderivative, F(x, m) = int_1^m f(x, z) dz."""

@@ -43,25 +43,27 @@ descent whose best projected-gradient norm has not improved for
 returns the plain objective's gradient at its last iterate, so no route
 evaluates its objective again: Hbar = -mean(dm) is read from it.
 
-BB converges only linearly, and near 1e-9 roundoff decides whether it
-gets there. So each certified route stops its descent at the hand-off
-tolerance ``HANDOFF_TOL`` (1e-7 on the projected gradient) and hands m,
-dm and its potential u (potential route) or flux w (flux routes) to
-``_certify``. That runs a Newton-Krylov polish
+The problem is convex, so any positive solution of the PDE rows is the
+minimizer, and the descent is only the globalization that brings Newton
+into its basin. BB converges only linearly, and near 1e-9 roundoff
+decides whether it gets there. So each certified route stops its descent
+at the hand-off tolerance ``HANDOFF_TOL`` (1e-2 on the projected
+gradient) and hands m, dm and its potential u (potential route) or flux
+w (flux routes) to ``_certify``. That runs a Newton-Krylov polish
 (:func:`mfgkit._newton_krylov.newton` on ``_Stationary``) on the PDE rows
 of psi1_hat until each certificate (the HJB row, the flux divergence and
 the mass defect) is <= ``tol``; that is what ``tol`` means for these
 routes. A flux is turned into the Poisson potential of
-``model.momentum(w, m)`` whatever its curl defect, which is reported; the
-final flux must pass ``u_from_w`` at ``CURL_TOL``. ``_certify`` then
-reads every certificate on the polished state: PDE residuals, the duality
-gap of the primal value (phi_bb or j, evaluated there once) against
-psi1_hat, and the crosscheck of Hbar against psi2_hat, which fails the
-run above ``HBAR_CROSSCHECK_TOL``. The exception is the regularized
-gamma = 1 flux solve: it has no PDE to polish, so its ``tol`` stays the
-descent tolerance, it reads Hbar and its potential from the descent's
-last gradient, and it is uncertified (see ``solve_bb``; its weight
-``w_reg`` must be a number in [0, inf)).
+``model.momentum(w, m)`` whatever its curl defect, which is reported and
+named in any polish failure; the final flux must pass ``u_from_w`` at
+``CURL_TOL``. ``_certify`` then reads every certificate on the polished
+state: PDE residuals, the duality gap of the primal value (phi_bb or j,
+evaluated there once) against psi1_hat, and the crosscheck of Hbar
+against psi2_hat, which fails the run above ``HBAR_CROSSCHECK_TOL``. The
+exception is the regularized gamma = 1 flux solve: it has no PDE to
+polish, so its ``tol`` stays the descent tolerance, it reads Hbar and its
+potential from the descent's last gradient, and it is uncertified (see
+``solve_bb``; its weight ``w_reg`` must be a number in [0, inf)).
 
 The stream and potential routes optimize a scalar potential whose
 Hessian block is a weighted Laplacian, which would give the joint
@@ -106,12 +108,14 @@ __all__ = [
 
 HBAR_CROSSCHECK_TOL = 1e-6
 # Projected-gradient sup-norm at which a certified route hands its descent
-# over to the Newton polish. BB converges only linearly, and below about
-# 1e-8 roundoff decides whether it converges at all.
-HANDOFF_TOL = 1e-7
+# over to the Newton polish. The descent only has to bring Newton into its
+# basin: with no descent at all the polish fails on stronger data, and BB's
+# linear tail below 1e-2 costs more than the Newton steps it saves.
+HANDOFF_TOL = 1e-2
 # Solenoidal residual of u_from_w above which a flux is not a gradient flux.
 CURL_TOL = 1e-6
-# Newton budget of the polish, which takes 1-2 steps from the hand-off.
+# Newton budget of the polish, which takes 2-3 steps from the hand-off on the
+# benchmark's stationary pool.
 POLISH_STEPS = 10
 # Iterations without a new best projected-gradient norm after which the
 # descent counts as stalled. Certified solves set a new best at least
@@ -477,26 +481,19 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     (phi_bb or j, the only objective evaluation after the descent)
     against psi1_hat, and the crosscheck of Hbar against psi2_hat, which
     raises :class:`SolverError` above ``HBAR_CROSSCHECK_TOL``. On a flux
-    route the final flux must pass ``u_from_w`` at ``CURL_TOL``, and a
-    failed polish from a hand-off above ``CURL_TOL`` raises
-    :class:`CurlError` naming both.
+    route the final flux must pass ``u_from_w`` at ``CURL_TOL``; a failed
+    polish raises the polish's :class:`SolverError`, whose message names the
+    hand-off flux's curl defect.
     """
     handoff_curl = None
+    where = " in the stationary polish"
     if w is not None:
         u, report = u_from_w(model, grid, m, w, curl_tol=np.inf)
         handoff_curl = report["curl_residual_inf"]
+        where += f" from a hand-off flux of curl defect {handoff_curl:.3e}"
     system = _Stationary(model, grid)
     start = system.pack(u, m, -float(np.mean(dm)))
-    try:
-        z, _, krylov, _ = newton(system, start, tol, POLISH_STEPS, " in the stationary polish")
-    except SolverError as err:
-        if handoff_curl is not None and handoff_curl > CURL_TOL:
-            raise CurlError(
-                f"flux is not gradient-consistent at the hand-off: solenoidal residual "
-                f"{handoff_curl:.3e} exceeds {CURL_TOL:.1e}, and the Newton polish "
-                f"failed: {err}"
-            ) from err
-        raise
+    z, _, krylov, _ = newton(system, start, tol, POLISH_STEPS, where)
     u, m, hbar = system.fields(z)
     w = w_from_u(model, grid, m, u)
     if model.alpha > 1.0:

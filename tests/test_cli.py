@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import mfgkit.cli as cli
+from mfgkit import stationary
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -148,12 +149,39 @@ def test_stream_instances_certify_through_the_polish(tmp_path, name):
     assert payload["hbar_crosscheck_gap"] <= 1e-9
     assert abs(payload["duality_gap"]) <= 1e-9
     assert payload["diagnostics"]["transform_curl_residual_inf"] <= 1e-6
-    assert payload["grad_inf"] <= 1e-7
+    assert payload["grad_inf"] <= stationary.HANDOFF_TOL
     assert payload["krylov_iterations"] >= payload["newton_iterations"] >= 0
     assert payload["handoff_curl_inf"] >= 0.0
     if name == "16x16-curl":
         assert payload["handoff_curl_inf"] > 1e-6
         assert payload["newton_iterations"] > 0
+
+
+# A 1-D flux instance with Q and the spatial forcing scaled up fourfold: a
+# descent to a projected gradient of 1e-7 stalls at a floor of 1.1e-7 and
+# exits 1; from the hand-off the polish certifies it at the default tol.
+STRONG_FLUX_CFG = {
+    "model": {
+        "kind": "congestion", "Q": [3.655830556919483], "alpha": 0.7199281345560515,
+        "gamma": 2.2195403846630612, "f_poly": [0.0, 1.0],
+        "f_spatial": [
+            {"amp": -0.7450951351638174, "k": [-1], "kind": "sin"},
+            {"amp": 1.0626034866327634, "k": [-3], "kind": "sin"},
+        ],
+    },
+    "grid": {"dim": 1, "n": [64]},
+}
+
+
+def test_strong_flux_instance_certifies_at_the_default_tol(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "strong.json", dict(STRONG_FLUX_CFG, output_dir=str(out)))
+    assert run(["solve-stationary", cfg]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    for key in ("residual_hjb_inf", "residual_fp_inf", "hbar_crosscheck_gap"):
+        assert payload[key] <= 1e-9
+    assert abs(payload["duality_gap"]) <= 1e-9
+    assert payload["newton_iterations"] >= 1
 
 
 def test_crosscheck_follows_the_configured_route(tmp_path):

@@ -233,6 +233,19 @@ def test_coupling_normalization_and_derivatives(g1):
     assert np.max(np.abs(df_fd - coupling.df_dm(g1, m))) < 1e-9
 
 
+def test_coupling_derivatives_broadcast_to_the_grid(g1):
+    # The same bits as p'(m), p''(m) on array densities, and a scalar
+    # density fills the grid.
+    coupling = Coupling(poly=(0.3, 1.0, 0.2, -0.4))
+    m = 0.5 + np.random.default_rng(9).random((3, 16))
+    pv = np.polynomial.polynomial
+    p1 = pv.polyder(coupling.poly)
+    assert np.array_equal(coupling.df_dm(g1, m), pv.polyval(m, p1))
+    assert np.array_equal(coupling.d2f_dm2(g1, m), pv.polyval(m, pv.polyder(p1)))
+    assert coupling.df_dm(g1, 1.5).shape == g1.shape
+    assert np.all(coupling.d2f_dm2(g1, 1.5) == pv.polyval(1.5, pv.polyder(p1)))
+
+
 def test_conjugate_against_sup_oracle(g1):
     coupling = Coupling(poly=(0.2, 1.0, 0.5), terms=(SpatialTerm(0.1, (1,)),))
     rng = np.random.default_rng(6)

@@ -10,6 +10,7 @@ from mfgkit import (
     SpaceTimeGrid,
     TorusGrid,
     VectorField,
+    fields,
     load_field,
     save_field,
     spectral,
@@ -182,6 +183,20 @@ def test_field_roundtrip_space_time(tmp_path):
     assert loaded.grid.n_t == 4
     assert loaded.grid.horizon == 0.25
     assert np.array_equal(loaded.values, vals)
+
+
+def test_save_field_writes_the_per_value_bytes(tmp_path):
+    # One formatted write must give the bytes of one f"{v:.17g}" line per
+    # value, on normal draws and on the special values.
+    g = TorusGrid((64,))
+    special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e308, -1.5e-310]
+    vals = np.random.default_rng(12).standard_normal(64) * 10.0 ** np.arange(-32, 32)
+    vals[: len(special)] = special
+    fld = ScalarField(g, vals)
+    path = tmp_path / "s.field"
+    save_field(path, fld)
+    expected = fields._header_for(fld) + "".join(f"{v:.17g}\n" for v in fld.values.ravel())
+    assert path.read_bytes() == expected.encode()
 
 
 def test_density_field_validation(g1):

@@ -1,6 +1,7 @@
 """Stationary congestion solvers: transforms, flux/stream/potential routes."""
 
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_solve_bb_trivial_instance_exact():
 
 def test_solve_bb_certificates(bb_solved):
     res, model, g = bb_solved
-    assert res.grad_inf <= 1e-6
+    assert res.grad_inf <= stationary.HANDOFF_TOL
     assert abs(res.duality_gap) <= 1e-6
     assert res.hbar_crosscheck_gap <= 1e-6
     assert res.residual_hjb_inf <= 1e-6
@@ -132,10 +133,19 @@ def test_solve_bb_residuals_are_pde_residuals(bb_solved):
 
 
 def test_solve_bb_warm_start_is_fixed_point(bb_solved):
+    # A warm start from a solution takes no descent iteration and no Newton
+    # step, and returns the same density. The flux hands over through its
+    # Poisson potential, which recovers u to roundoff only, and Hbar is read
+    # from the descent's gradient, which is the polished multiplier up to
+    # the HJB residual; so u, Hbar and the value agree to those levels.
     res, model, g = bb_solved
     res2 = solve_bb(model, g, m0=res.state.m, w0=res.w, tol=1e-10)
     assert res2.iterations == 0
-    assert res2.value == res.value
+    assert res2.newton_iterations == 0
+    assert np.array_equal(res2.state.m, res.state.m)
+    assert np.max(np.abs(res2.state.u - res.state.u)) <= 1e-12
+    assert abs(res2.state.Hbar - res.state.Hbar) <= res.residual_hjb_inf
+    assert res2.value == pytest.approx(res.value, rel=1e-14)
 
 
 def test_solve_bb_barrier_stages_reach_same_optimum(bb_solved):
@@ -156,7 +166,7 @@ def test_stream_route_matches_flux_route(bb2d_pair):
     assert abs(res_bb.value - res_stream.value) <= 1e-8
     assert abs(res_bb.state.Hbar - res_stream.state.Hbar) <= 1e-6
     assert np.max(np.abs(spectral.divergence(g, res_stream.w))) <= 1e-10
-    assert res_stream.grad_inf <= 1e-6
+    assert res_stream.grad_inf <= stationary.HANDOFF_TOL
     assert res_stream.residual_hjb_inf <= 1e-6
     assert abs(res_stream.duality_gap) <= 1e-6
 
@@ -364,6 +374,19 @@ def test_every_route_enforces_the_hbar_crosscheck(
         solver(model, g)
 
 
+@pytest.mark.parametrize("solver", [solve_bb, solve_bb_2d_stream])
+def test_failed_flux_polish_names_the_handoff_curl(congestion_2d_model, monkeypatch, solver):
+    # With no Newton budget the polish fails. The error is the polish's own
+    # SolverError, not a CurlError, even from a hand-off whose curl defect is
+    # above CURL_TOL; its message carries that defect.
+    monkeypatch.setattr(stationary, "POLISH_STEPS", 0)
+    with pytest.raises(SolverError, match="after 0 Newton iterations") as info:
+        solver(congestion_2d_model, TorusGrid((8, 8)))
+    assert not isinstance(info.value, CurlError)
+    defect = re.search(r"polish from a hand-off flux of curl defect (\S+):", str(info.value))
+    assert float(defect.group(1)) > stationary.CURL_TOL
+
+
 def test_stream_objective_makes_eight_transforms(congestion_2d_model, monkeypatch):
     """Per objective evaluation: (-div grad)^{-1/2} twice, gradient and
     divergence, one forward and one inverse n-D transform each."""
@@ -379,6 +402,8 @@ def test_stream_objective_makes_eight_transforms(congestion_2d_model, monkeypatc
     monkeypatch.setattr(spectral, "_fft", counted(spectral._fft, "transforms"))
     monkeypatch.setattr(spectral, "_ifft_real", counted(spectral._ifft_real, "transforms"))
     monkeypatch.setattr(stationary, "phi_stream", counted(stationary.phi_stream, "evaluations"))
+    # No hand-off, so the three iterations are all descent and no polish runs.
+    monkeypatch.setattr(stationary, "HANDOFF_TOL", 0.0)
     with pytest.raises(SolverError, match="no convergence in 3 iterations"):
         solve_bb_2d_stream(congestion_2d_model, TorusGrid((8, 8)), max_iter=3)
     assert counts["evaluations"] >= 3
