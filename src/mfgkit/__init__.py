@@ -20,12 +20,15 @@ Modules
     The two payoff forms and their stationary/multiplier variants, the
     convex congestion objectives, and the cost functionals.
 ``stationary``
-    Projected Barzilai-Borwein solvers for the stationary congestion
-    problem (flux form, 2-D stream form, and the concave-exponent
-    potential route).
+    Solvers for the stationary congestion problem (flux form, 2-D stream
+    form, and the concave-exponent potential route): a projected
+    Barzilai-Borwein descent brings the state into Newton's basin, and a
+    Newton-Krylov polish of the PDE rows produces the certified solution
+    (the regularized gamma = 1 flux solve stops at its descent).
 ``dynamics``
-    Matrix-free Newton-Krylov solvers for the finite-horizon equilibrium
-    and planner systems on an implicit-midpoint time grid.
+    Matrix-free Newton-Krylov solvers, with Eisenstat-Walker forcing
+    terms, for the finite-horizon equilibrium and planner systems on an
+    implicit-midpoint time grid.
 ``bifurcation``
     Linearized analysis at the uniform state and amplitude continuation
     of time-periodic branches.

@@ -4,7 +4,10 @@
 :mod:`mfgkit.bifurcation` or :mod:`mfgkit.stationary`: ``residual(z)``,
 ``linearize(z, res) -> (jvp, precond)`` applied at FFT cost, the optional
 hooks ``feasible(z)`` and ``measure(z, res)``, an optional ``krylov_rtol``
-attribute and an optional ``forcing`` switch.
+attribute and an optional ``forcing`` switch. The finite-horizon system
+of :mod:`mfgkit.dynamics` sets ``forcing``; the stationary polish keeps a
+fixed ``krylov_rtol`` of 1e-6, and the periodic branch runs every step to
+KRYLOV_RTOL.
 
 Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
 GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
@@ -20,13 +23,14 @@ routine is a port of SciPy 1.17.1's ``sparse.linalg.gmres`` and returns
 the same bits for the same operators, without SciPy's ``LinearOperator``
 wrapping; SciPy's license notice stands beside it.
 
-A system that sets ``forcing`` gets inexact Newton steps (Dembo, Eisenstat
-& Steihaug, SINUM 1982): step k's GMRES runs to the relative tolerance
-eta_k of Eisenstat & Walker's choice 2 (SISC 1996), eta_0 = 0.5 and
-eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 in the 2-norm of the residual, raised to
-0.9 eta_{k-1}^2 whenever that exceeds 0.1, capped at 0.5 and floored at
-max(KRYLOV_RTOL, tol / (2 |F_k|)), below which a step would only solve
-past the Newton stopping test. The stopping test itself is unchanged.
+A system that sets ``forcing`` has each Newton step solved only to a
+forcing term (Dembo, Eisenstat & Steihaug, SINUM 1982): step k's GMRES
+runs to the relative tolerance eta_k of Eisenstat & Walker's choice 2
+(SISC 1996), eta_0 = 0.5 and eta_k = 0.9 (|F_k| / |F_{k-1}|)^2 in the
+2-norm of the residual, raised to 0.9 eta_{k-1}^2 whenever that exceeds
+0.1, capped at 0.5 and floored at max(KRYLOV_RTOL, tol / (2 |F_k|)),
+below which a step would only solve past the Newton stopping test. The
+stopping test itself is unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ KRYLOV_RTOL = 1e-10
 # Inner iterations per restart cycle, and cycles per solve.
 KRYLOV_RESTART = 40
 KRYLOV_CYCLES = 5
-# The loosest forcing term of an inexact Newton step (Eisenstat & Walker 1996).
+# The loosest forcing term of a Newton step (Eisenstat & Walker 1996).
 ETA_MAX = 0.5
 
 _EPS = float(np.finfo(float).eps)

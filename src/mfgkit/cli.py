@@ -178,8 +178,7 @@ def cmd_solve_stationary(cfg, out_dir):
 def _separable_problem(cfg, needs: str):
     """The configured finite-horizon problem: (model, time grid, m0, uT,
     eps, solve), where solve(planner) runs the equilibrium or planner
-    solver with ``solver.tol`` and ``solver.max_newton``, in inexact Newton
-    steps (Eisenstat–Walker forcing terms). A model that is
+    solver with ``solver.tol`` and ``solver.max_newton``. A model that is
     not separable raises ``ConfigError("<needs> model.kind = 'separable'")``."""
     model = build_model(cfg)
     if not isinstance(model, SeparableHamiltonian):
@@ -191,9 +190,7 @@ def _separable_problem(cfg, needs: str):
 
     def solve(planner: bool):
         solver = solve_mfc if planner else solve_mfg
-        return solver(
-            model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"], inexact=True
-        )
+        return solver(model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"])
 
     return model, st, m0, uT, eps, solve
 
@@ -211,7 +208,6 @@ def _dynamic_solve(cfg, out_dir, planner: bool):
         "eps": eps,
         "newton_iterations": res.newton_iterations,
         "krylov_iterations": sum(res.krylov_iterations),
-        "preconditioner_builds": res.preconditioner_builds,
         "residual_inf": res.residual_inf,
         "m_min": res.min_m,
         "psi1": psi1(state, model).value,

@@ -8,7 +8,7 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
       "task": ...,          // informational; the subcommand wins
       "seed": ...,          // RNG seed for crosscheck probes, >= 0
       "output_dir": ...,    // see resolve_output_dir for precedence
-      "eps": ...,           // viscosity of the dynamic solvers
+      "eps": ...,           // viscosity of the dynamic solvers, in [0, inf)
       "model": {
         "kind": ...,        // "separable" or "congestion"
         "f_poly": [...],    // coupling f(m) = sum_j c_j m^j, finite c_j ...
@@ -150,12 +150,13 @@ def _positive(v: float) -> bool:
 
 
 _POSITIVE = {"ok": _positive, "rule": "a number in (0, inf) (got {value})"}
+_NON_NEGATIVE = {"ok": lambda v: 0.0 <= v < math.inf, "rule": "a number in [0, inf) (got {value})"}
 _LIST_RULE = "a list of numbers in (0, inf) (got {value})"
 
 
 _FORMULATIONS = ("auto", "bb", "stream2d", "potential")
 
-_TOP = {"seed": _Key(_int, 0, **_at_least(0)), "eps": _Key(_number, 1.0)}
+_TOP = {"seed": _Key(_int, 0, **_at_least(0)), "eps": _Key(_number, 1.0, **_NON_NEGATIVE)}
 _MODEL = {
     "kind": _Key(_text, "separable"),
     "f_poly": _Key(_numbers, (0.0, 1.0)),
@@ -181,9 +182,7 @@ _SOLVER = {
         f"one of {', '.join(_FORMULATIONS)}; got '{{value}}'",
     ),
     "barrier_stages": _Key(_numbers, (), lambda v: all(map(_positive, v)), _LIST_RULE),
-    "w_reg": _Key(
-        _number, 0.0, lambda v: 0.0 <= v < math.inf, "a number in [0, inf) (got {value})"
-    ),
+    "w_reg": _Key(_number, 0.0, **_NON_NEGATIVE),
 }
 _BIFURCATION = {
     "fprime1": _Key(_number, -6.0 * np.pi**2),

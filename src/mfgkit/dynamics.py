@@ -30,20 +30,18 @@ space-time system from the data rows (u = uT and m = m0 on every slice).
 :meth:`_System.linearize`, the Jacobian applied at FFT cost and its
 preconditioner, the Jacobian at mean density, zero drift and mean
 coupling slope: one real 2N x 2N time system per spatial Fourier mode,
-inverted again only when its (mean density, mean g') pair changes from
-one Newton step to the next, and applied by :func:`spectral.modewise`
-(see :meth:`_System.preconditioner`). A Newton step keeps each slice's
-mass up to its GMRES error, and g' is affine in m when f is a polynomial
-of degree <= 2 in m, so the pair often repeats bit for bit.
-With ``inexact=True`` each Newton step's GMRES solve runs to an
-Eisenstat–Walker forcing term instead of KRYLOV_RTOL; the stopping test
-and the certificates are the same. A Newton solve whose line search
-stalls or whose step budget runs out, or a GMRES solve that misses its
-tolerance, raises :class:`SolverError`. The separable rows hold at any
-density; the solved node densities are checked once against the model's
-``m_min``, before the certificates, and a density below it raises
-:class:`PositivityError`. A negative or non-finite eps raises
-:class:`ModelError` before any work.
+inverted once per solve, at the start state, and applied by
+:func:`spectral.modewise` (see :meth:`_System.preconditioner`). Each
+Newton step's GMRES solve runs to an Eisenstat–Walker forcing term; the
+Newton stopping test is the sup-norm of the rows against ``tol``. A
+Newton solve whose line search stalls or whose step budget runs out, or
+a GMRES solve that misses its tolerance, raises :class:`SolverError`.
+The separable rows hold at any density; the solved node densities are
+checked once against the model's ``m_min``, before the certificates, and
+a density below it raises :class:`PositivityError`. Data rows m0 and uT
+off the space grid's shape raise :class:`GridError`, and non-finite data
+rows or a negative or non-finite eps raise :class:`ModelError`, before
+any work.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._newton_krylov import newton
-from .errors import ModelError, PositivityError
+from .errors import GridError, ModelError, PositivityError
 from .grids import SpaceTimeGrid
 from . import spectral
 from .functionals import GameState, _slab_rows, psi1, psi2
@@ -64,8 +62,7 @@ __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_equilibrium_vs_plan
 @dataclass
 class SolveResult:
     """Converged state plus solver diagnostics: GMRES iterations and forcing
-    terms per Newton step (no forcing terms in exact mode), and the number of
-    preconditioner stacks built."""
+    terms per Newton step."""
 
     state: GameState
     newton_iterations: int
@@ -76,7 +73,6 @@ class SolveResult:
     history: tuple[float, ...] = field(default_factory=tuple)
     krylov_iterations: tuple[int, ...] = field(default_factory=tuple)
     forcing_terms: tuple[float, ...] = field(default_factory=tuple)
-    preconditioner_builds: int = 0
     picard_sweeps: int = 0  # always 0; bench/tracer.py still reads it
 
 
@@ -87,10 +83,12 @@ def _check_model(model) -> None:
 
 class _System:
     """Residual, Jacobian action and preconditioner of the midpoint system on
-    N time slabs of width dt over the space grid sp. ``inexact`` sets
-    ``forcing``, which switches :func:`newton` to inexact steps."""
+    N time slabs of width dt over the space grid sp. ``forcing`` has
+    :func:`newton` solve each step to its Eisenstat–Walker forcing term."""
 
-    def __init__(self, model, sp, N, dt, m0, uT, eps, planner, inexact=False):
+    forcing = True
+
+    def __init__(self, model, sp, N, dt, m0, uT, eps, planner):
         self.model = model
         self.sp = sp
         self.N = N
@@ -100,11 +98,7 @@ class _System:
         self.eps = float(eps)
         self.planner = planner
         self.K = sp.num_nodes
-        self.forcing = inexact
-        self.forcing_terms = ()
-        # The last preconditioner's (mbar, gpbar) and its application.
-        self._key = self._precond = None
-        self.preconditioner_builds = 0
+        self._precond = None
 
     def fields(self, z, data=True):
         """Unknown vector -> (u, m) stacks with data rows uT, m0 (zero if not ``data``)."""
@@ -129,9 +123,8 @@ class _System:
 
     def linearize(self, z, res):
         """The derivative of :meth:`residual` at z as an action dz -> J dz,
-        and :meth:`preconditioner` at the state's mean density and mean g',
-        rebuilt only when that pair changes (compared exactly, so a kept one
-        is the same bits)."""
+        and :meth:`preconditioner` at the mean density and mean g' of the
+        first state linearized, kept for the rest of the solve."""
         sp, dt, eps = self.sp, self.dt, self.eps
         u, m = self.fields(z)
         mbar = 0.5 * (m[:-1] + m[1:])
@@ -159,12 +152,8 @@ class _System:
             )
             return np.concatenate([dS.ravel(), dP.ravel()])
 
-        key = (float(mbar.mean()), float(gp.mean()))
-        if key != self._key:
-            self._key = self._precond = None  # never hold two stacks
-            self._precond = self.preconditioner(*key)
-            self._key = key
-            self.preconditioner_builds += 1
+        if self._precond is None:
+            self._precond = self.preconditioner(float(mbar.mean()), float(gp.mean()))
         return jvp, self._precond
 
     def preconditioner(self, mbar: float, gpbar: float):
@@ -196,14 +185,19 @@ def _solve(
     planner: bool,
     tol: float,
     max_newton: int,
-    inexact: bool,
 ) -> SolveResult:
     _check_model(model)
     if grid.periodic_time:
         raise ModelError("finite-horizon solvers need an interval time axis")
     if not (np.isfinite(eps) and eps >= 0.0):
         raise ModelError(f"the viscosity eps must be finite and >= 0 (got {eps})")
-    sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner, inexact)
+    for name, data in (("m0", m0), ("uT", uT)):
+        shape = np.shape(data)
+        if shape != grid.space.shape:
+            raise GridError(f"{name} has shape {shape}, not the space grid's {grid.space.shape}")
+        if not np.all(np.isfinite(data)):
+            raise ModelError(f"{name} must be finite")
+    sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
 
     start = np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)])
     z, rn, krylov, history = newton(sys, start, tol, max_newton)
@@ -234,7 +228,6 @@ def _solve(
         history=history,
         krylov_iterations=krylov,
         forcing_terms=sys.forcing_terms,
-        preconditioner_builds=sys.preconditioner_builds,
     )
 
 
@@ -246,13 +239,10 @@ def solve_mfg(
     eps: float = 1.0,
     tol: float = 1e-9,
     max_newton: int = 40,
-    *,
-    inexact: bool = False,
 ) -> SolveResult:
     """Solve the equilibrium system; derivative fields of psi1 (in m) and
-    psi2 (in u) vanish at the returned state to solver tolerance.
-    ``inexact=True`` runs each Newton step to its forcing term."""
-    return _solve(model, grid, m0, uT, eps, False, tol, max_newton, inexact)
+    psi2 (in u) vanish at the returned state to solver tolerance."""
+    return _solve(model, grid, m0, uT, eps, False, tol, max_newton)
 
 
 def solve_mfc(
@@ -263,13 +253,10 @@ def solve_mfc(
     eps: float = 1.0,
     tol: float = 1e-9,
     max_newton: int = 40,
-    *,
-    inexact: bool = False,
 ) -> SolveResult:
     """Solve the planner first-order system (critical point of psi2); the
-    value row carries the extra m df/dm term.
-    ``inexact=True`` runs each Newton step to its forcing term."""
-    return _solve(model, grid, m0, uT, eps, True, tol, max_newton, inexact)
+    value row carries the extra m df/dm term."""
+    return _solve(model, grid, m0, uT, eps, True, tol, max_newton)
 
 
 def compare_equilibrium_vs_planner(mfg_state, mfc_state, model, tol: float = 1e-8) -> dict:

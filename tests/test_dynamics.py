@@ -14,6 +14,7 @@ import helpers
 from mfgkit import (
     Coupling,
     GameState,
+    GridError,
     ModelError,
     PositivityError,
     SeparableHamiltonian,
@@ -26,6 +27,7 @@ from mfgkit import (
     psi2,
     solve_mfc,
     solve_mfg,
+    dynamics,
     spectral,
     _newton_krylov,
 )
@@ -180,6 +182,31 @@ def test_model_guards(sep_model, congestion_1d_model):
     with pytest.raises(ModelError, match="interval time axis"):
         solve_mfg(sep_model, st_per, m0, uT)
 
+    for eps in (-0.5, np.nan):
+        with pytest.raises(ModelError, match="viscosity eps must be finite and >= 0"):
+            solve_mfg(sep_model, st, m0, uT, eps=eps)
+
+
+@pytest.mark.parametrize(
+    "m0, uT, error, message",
+    [
+        (np.ones(8), np.zeros(16), GridError, r"m0 has shape \(8,\), not the space grid's"),
+        (np.ones(16), np.zeros((16, 1)), GridError, r"uT has shape \(16, 1\)"),
+        (np.full(16, np.nan), np.zeros(16), ModelError, "m0 must be finite"),
+        (np.ones(16), np.full(16, np.inf), ModelError, "uT must be finite"),
+    ],
+    ids=["short-m0", "column-uT", "nan-m0", "inf-uT"],
+)
+def test_data_rows_are_checked_before_any_work(sep_model, monkeypatch, m0, uT, error, message):
+    def no_newton(*args):
+        raise AssertionError("Newton ran on rejected data rows")
+
+    monkeypatch.setattr(dynamics, "newton", no_newton)
+    st = SpaceTimeGrid(TorusGrid((16,)), 8, T)
+    for solver in (solve_mfg, solve_mfc):
+        with pytest.raises(error, match=message):
+            solver(sep_model, st, m0, uT)
+
 
 def _system_case(shape, n_t, planner, seed=0):
     """A _System on random data plus a random nearby state vector."""
@@ -195,6 +222,15 @@ def _system_case(shape, n_t, planner, seed=0):
     u = 0.3 * rng.standard_normal(n_t * K)
     z = np.concatenate([u, 1.0 + 0.1 * rng.standard_normal(n_t * K)])
     return system, z, rng
+
+
+def exact_newton(system, tol=1e-9, budget=40):
+    """:func:`newton` on ``system`` with every step solved to KRYLOV_RTOL
+    (forcing off), from the data rows as the solvers start: (z, measure,
+    GMRES iterations per step, history)."""
+    system.forcing = False
+    start = np.concatenate([np.tile(d.ravel(), system.N) for d in (system.uT, system.m0)])
+    return _newton_krylov.newton(system, start, tol, budget)
 
 
 CASES = [((16,), 8, False), ((16,), 8, True), ((8, 8), 4, False), ((8, 8), 4, True)]
@@ -252,19 +288,19 @@ def test_preconditioner_inverts_the_flat_jacobian():
 
 def test_krylov_iterations_are_recorded_per_newton_step(mfg_solved):
     res, _ = mfg_solved
-    assert len(res.krylov_iterations) == res.newton_iterations == 3
+    assert len(res.krylov_iterations) == res.newton_iterations == 4
     assert all(0 < k <= 40 for k in res.krylov_iterations)
 
 
 def test_newton_counts_no_higher_than_direct_solves(sep_model):
-    # Counts of the direct-factorization solver on the same instances.
+    # Counts of the direct-factorization solver on the same instances, for
+    # Newton steps solved to KRYLOV_RTOL.
     g = TorusGrid((16,))
     m0, uT = perturbed_data(16)
-    for n_t, tol in ((8, 1e-10), (16, 1e-12), (128, 1e-12)):
-        res = solve_mfg(sep_model, SpaceTimeGrid(g, n_t, T), m0, uT, eps=1.0, tol=tol)
-        assert res.newton_iterations <= 3
-    res = solve_mfc(sep_model, SpaceTimeGrid(g, 8, T), m0, uT, eps=1.0, tol=1e-10)
-    assert res.newton_iterations <= 3
+    for n_t, tol, planner in ((8, 1e-10, False), (16, 1e-12, False), (128, 1e-12, False),
+                              (8, 1e-10, True)):
+        system = _System(sep_model, g, n_t, T / n_t, m0, uT, 1.0, planner)
+        assert len(exact_newton(system, tol)[2]) <= 3
 
 
 def test_missed_krylov_tolerance_raises(sep_model, monkeypatch):
@@ -272,7 +308,7 @@ def test_missed_krylov_tolerance_raises(sep_model, monkeypatch):
     st = SpaceTimeGrid(g, 8, T)
     m0, uT = perturbed_data(16)
     # No residual reaches 1e-30 relative to a right-hand side of order 1.
-    monkeypatch.setattr(_newton_krylov, "KRYLOV_RTOL", 1e-30)
+    monkeypatch.setattr(_newton_krylov, "_forcing_term", lambda *args: 1e-30)
     pattern = r"at Newton step 1: relative residual \S+ after \d+ iterations"
     with pytest.raises(SolverError, match=pattern):
         solve_mfg(sep_model, st, m0, uT)
@@ -323,22 +359,19 @@ def test_krylov_newton_matches_dense_newton(shape, n_t, planner):
 
     dense = SimpleNamespace(residual=system.residual, linearize=linearize)
     z, _, krylov, _ = _newton_krylov.newton(dense, start, 1e-9, 40)
-    steps = len(krylov)
-    solver = solve_mfc if planner else solve_mfg
-    res = solver(
-        system.model, SpaceTimeGrid(system.sp, n_t, 0.5), system.m0, system.uT, eps=0.7
-    )
-    u, m = system.fields(z)
-    assert res.newton_iterations == steps
-    assert np.max(np.abs(res.state.u - u)) <= 1e-12
-    assert np.max(np.abs(res.state.m - m)) <= 1e-12
+    z_krylov, _, krylov_steps, _ = exact_newton(system)
+    assert len(krylov_steps) == len(krylov)
+    for got, ref in zip(system.fields(z_krylov), system.fields(z)):
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
 
-def test_preconditioner_is_rebuilt_only_when_its_key_changes(sep_model, monkeypatch):
-    # f = m keeps g' = 1 and every Newton step keeps the mass, so the
-    # (mean density, mean g') key repeats after the first step.
+@pytest.mark.parametrize("poly", [(0.0, 1.0), (0.0, 1.0, 0.0, 1.0)], ids=["linear", "cubic"])
+def test_preconditioner_is_built_once_per_solve(monkeypatch, poly):
+    # g' = 1 + 3 m^2 moves with every Newton step of the cubic coupling; the
+    # preconditioner stays the one built at the start state all the same.
     st = SpaceTimeGrid(TorusGrid((16,)), 16, T)
     m0, uT = perturbed_data(16)
+    model = SeparableHamiltonian(Coupling(poly=poly))
     build = _System.preconditioner
     calls = []
 
@@ -347,22 +380,9 @@ def test_preconditioner_is_rebuilt_only_when_its_key_changes(sep_model, monkeypa
         return build(self, mbar, gpbar)
 
     monkeypatch.setattr(_System, "preconditioner", counted)
-    res = solve_mfg(sep_model, st, m0, uT, eps=1.0, tol=1e-11)
-    assert res.preconditioner_builds == len(calls) < res.newton_iterations
-    assert res.forcing_terms == ()
-
-    linearize = _System.linearize
-
-    def unmemoized(self, z, r):
-        self._key = None
-        return linearize(self, z, r)
-
-    monkeypatch.setattr(_System, "linearize", unmemoized)
-    calls.clear()
-    fresh = solve_mfg(sep_model, st, m0, uT, eps=1.0, tol=1e-11)
-    assert fresh.preconditioner_builds == len(calls) == fresh.newton_iterations
-    assert np.array_equal(fresh.state.u, res.state.u)
-    assert np.array_equal(fresh.state.m, res.state.m)
+    res = solve_mfg(model, st, m0, uT, eps=1.0, tol=1e-11)
+    assert res.newton_iterations > 1
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shape, n_t, planner", CASES)
@@ -370,16 +390,18 @@ def test_inexact_newton_certifies_with_fewer_krylov_iterations(shape, n_t, plann
     system, _, _ = _system_case(shape, n_t, planner)
     solver = solve_mfc if planner else solve_mfg
     st = SpaceTimeGrid(system.sp, n_t, 0.5)
-    exact, inexact = (
-        solver(system.model, st, system.m0, system.uT, eps=0.7, inexact=flag)
-        for flag in (False, True)
-    )
-    for res in (exact, inexact):
-        assert res.residual_inf <= 1e-9
-        assert res.psi1_dm_inf <= 1e-7
-        assert res.psi2_du_inf <= 1e-7
-    assert sum(inexact.krylov_iterations) < sum(exact.krylov_iterations)
-    assert inexact.newton_iterations <= exact.newton_iterations + 2
+    inexact = solver(system.model, st, system.m0, system.uT, eps=0.7)
+    z, rn, krylov, _ = exact_newton(system)
+    u, m = system.fields(z)
+    exact = GameState(st, m, u, system.m0, system.uT, eps=0.7)
+    assert rn <= 1e-9
+    assert np.max(np.abs((psi2 if planner else psi1)(exact, system.model).dm)) <= 1e-7
+    assert np.max(np.abs(psi2(exact, system.model).du)) <= 1e-7
+    assert inexact.residual_inf <= 1e-9
+    assert inexact.psi1_dm_inf <= 1e-7
+    assert inexact.psi2_du_inf <= 1e-7
+    assert sum(inexact.krylov_iterations) < sum(krylov)
+    assert inexact.newton_iterations <= len(krylov) + 2
     etas = inexact.forcing_terms
     assert len(etas) == inexact.newton_iterations and etas[0] == 0.5
     assert all(_newton_krylov.KRYLOV_RTOL <= eta <= 0.5 for eta in etas)

@@ -60,24 +60,3 @@ def test_steep_case_ends_certified_or_typed(grid, eps, amp, horizon, planner):
     assert res.psi1_dm_inf <= 1e-7
     assert res.psi2_du_inf <= 1e-7
 
-
-@pytest.mark.parametrize(
-    "grid, eps, amp, horizon, planner",
-    CASES,
-    ids=[
-        f"{g}-eps{e}-amp{a:g}-T{h:g}-{'planner' if p else 'equilibrium'}"
-        for g, e, a, h, p in CASES
-    ],
-)
-def test_steep_case_ends_certified_or_typed_in_inexact_newton(grid, eps, amp, horizon, planner):
-    shape, n_t = GRIDS[grid]
-    model, st, m0, uT = steep_problem(shape, n_t, amp, horizon)
-    solver = solve_mfc if planner else solve_mfg
-    try:
-        res = solver(model, st, m0, uT, eps=eps, inexact=True)
-    except (PositivityError, SolverError):
-        return
-    assert res.residual_inf <= 1e-9
-    assert res.min_m >= model.m_min
-    assert res.psi1_dm_inf <= 1e-7
-    assert res.psi2_du_inf <= 1e-7
