@@ -66,7 +66,15 @@ the Jacobian applied at FFT cost, preconditioned by the bordered
 linearization frozen at the trivial state: per-mode 2x2 blocks on the
 complement of the null space, closed by a small dense Schur complement
 (see :class:`_Branch`, which also supplies the feasibility test and the
-convergence measure). The residual (whose linear part is
+convergence measure). The border columns that do not change, the mass
+field and the q_j, go through the frozen pseudo-inverse once per branch,
+so a step transforms only its T column. The half-period time shift maps
+the branch point at a to the one at -a, so T - T_bar and Hbar are even in
+a, and the part of (U, M) off z1 is even to leading order (Golubitsky,
+Stewart & Schaeffer 1988). Each continued point is therefore predicted by
+keeping a z1 and scaling those parts and lam by (a / a_prev)^2, an
+O(a^3) guess (Allgower & Georg 2003): on fine amplitude ladders it
+converges in one Newton step. The residual (whose linear part is
 :func:`_linear_blocks`), its Jacobian action, the frozen preconditioner,
 the kernel and the spectrum all read the per-mode blocks of
 :func:`_mode_blocks`. The kernel of A(T) and this null space come from
@@ -151,12 +159,12 @@ def critical_period(fprime1: float, overtone: int = 1) -> float:
         raise ModelError(f"fprime1 must be finite, got {fprime1}")
     if not fprime1 > -8.0 * np.pi**2:
         raise ModelError(
-            f"f'(1) = {fprime1:.6f} violates the lower window bound -8 pi^2 "
+            f"f'(1) = {fprime1:.6g} violates the lower window bound -8 pi^2 "
             f"= {-8.0 * np.pi**2:.6f}"
         )
     if not fprime1 < -4.0 * np.pi**2:
         raise ModelError(
-            f"f'(1) = {fprime1:.6f} violates the upper window bound -4 pi^2 "
+            f"f'(1) = {fprime1:.6g} violates the upper window bound -4 pi^2 "
             f"= {-4.0 * np.pi**2:.6f}"
         )
     return overtone / np.sqrt(-4.0 * np.pi**2 - fprime1)
@@ -520,8 +528,16 @@ class _Branch:
         sqK = np.sqrt(K)
         q = _orthonormal_span((null - np.outer(null @ z1 / K, z1)) / sqK, len(null) - 1) * sqK
         self.psi = np.vstack([z1, q])
+        # Freed before the pseudo-inverse pass below, which sets the peak memory
+        # of a branch.
+        del null, q
         self.rows = np.vstack([np.concatenate([np.zeros(K), np.ones(K)]), self.psi])
         self.target = np.zeros(len(self.rows))
+        # The images under the frozen pseudo-inverse of the bordered columns
+        # Hbar (the mass field), T and lam (the q_j). Only the T column changes
+        # between steps; :meth:`preconditioner` writes its image into row 1.
+        self.pcols = self.apply_pinv(np.vstack([self.rows[0], np.zeros(2 * K), self.psi[1:]]))
+        self._last = None
 
     def split(self, z):
         """z -> (U, M, Hbar, T, lam)."""
@@ -530,11 +546,14 @@ class _Branch:
         return U, M, z[2 * K], z[2 * K + 1], z[2 * K + 2 :]
 
     def unbordered(self, z):
-        """(G1, G2) flattened and the border rows, without lam."""
+        """(G1, G2) flattened and the border rows, without lam. The last
+        evaluation is kept with its z and target for :meth:`measure`."""
         U, M, Hbar, T, _ = self.split(z)
         G1, G2 = _residual(self.st, self.coupling, U, M, Hbar, T)
         border = self.rows @ z[: 2 * self.K] / self.K - self.target
-        return np.concatenate([G1.ravel(), G2.ravel()]), border
+        G = np.concatenate([G1.ravel(), G2.ravel()])
+        self._last = (z.copy(), self.target.copy(), G, border)
+        return G, border
 
     def residual(self, z):
         G, border = self.unbordered(z)
@@ -547,8 +566,14 @@ class _Branch:
 
     def measure(self, z, res) -> float:
         """Sup-norm of the unbordered rows at z; the bordered ``res`` is not
-        used, so lam never enters the convergence test."""
-        return float(max(np.max(np.abs(part)) for part in self.unbordered(z)))
+        used, so lam never enters the convergence test. The rows of the last
+        evaluation are reused when it was at this z and this target."""
+        last = self._last
+        if last is not None and np.array_equal(last[0], z) and np.array_equal(last[1], self.target):
+            parts = last[2:]
+        else:
+            parts = self.unbordered(z)
+        return float(max(np.max(np.abs(part)) for part in parts))
 
     def linearize(self, z, res):
         """The derivative of :meth:`residual` at z as an action dz -> J dz and
@@ -595,12 +620,15 @@ class _Branch:
         null space psi, so x = A0^+ (r - C y) + psi^T c, where C holds the
         Hbar, T and lam columns and y their values. Solvability
         psi (r - C y) = 0 and the border rows fix (y, c) by a dense
-        (2p + 1)-square Schur complement, p = len(psi).
+        (2p + 1)-square Schur complement, p = len(psi). Only the T column is
+        transformed here: its image overwrites row 1 of ``self.pcols``, so
+        the returned action is valid until the next call, as within one
+        Newton step.
         """
-        K, psi, rows = self.K, self.psi, self.rows
+        K, psi, rows, pcols = self.K, self.psi, self.rows, self.pcols
         p = len(psi)
         cols = np.vstack([rows[0], t_col, psi[1:]])  # the Hbar column is the mass field
-        pcols = self.apply_pinv(cols)
+        pcols[1] = self.apply_pinv(t_col)
         schur = np.linalg.inv(np.block([
             [psi @ cols.T / K, np.zeros((p, p))],
             [rows @ pcols.T / K, -rows @ psi.T / K],
@@ -637,7 +665,9 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
     """Follow the nontrivial periodic branch at the given pin amplitudes.
 
     Amplitudes must be finite and positive, at least one, and are processed in the
-    given order; each solution warm-starts the next. Each point solves the
+    given order. The first point starts from a z1 at (Hbar, T) = (0, T_bar);
+    each later one from the previous solution, with the part of (U, M) off
+    z1, Hbar, T - T_bar and lam scaled by (a / a_prev)^2. Each point solves the
     bordered system of :class:`_Branch` by :func:`mfgkit._newton_krylov.newton`,
     preconditioned by the bordered frozen linearization; it has converged
     when the unbordered rows (G1, G2, mass, pin, orthogonality) are below
@@ -657,11 +687,19 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
     system = _Branch(coupling, st)
     K = system.K
     points: list[BranchPoint] = []
+    z1 = system.psi[0]
     z = np.concatenate([np.zeros(2 * K), [0.0, Tbar], np.zeros(len(system.psi) - 1)])
     prev_a = None
     for a in amplitudes:
-        x = system.psi[0] * a if prev_a is None else z[: 2 * K] * (a / prev_a)
-        z = np.concatenate([x, z[2 * K :]])
+        if prev_a is None:
+            z[: 2 * K] = a * z1
+        else:
+            # The part of (U, M) off z1, T - Tbar, Hbar and lam are even in a
+            # to leading order: scaling them by (a / prev_a)^2 predicts O(a^3).
+            r2 = (a / prev_a) ** 2
+            _, _, Hbar, T, lam = system.split(z)
+            x = a * z1 + r2 * (z[: 2 * K] - prev_a * z1)
+            z = np.concatenate([x, [r2 * Hbar, Tbar + r2 * (T - Tbar)], r2 * lam])
         system.target[1] = a
         z, res_inf, krylov, _ = newton(system, z, _BRANCH_TOL, _MAX_NEWTON, f" at amplitude {a:g}")
         U, M, Hbar, T, lam = system.split(z)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -485,6 +485,7 @@ _EXIT_CODES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="mfgkit",
         description="Variational solvers for crowd-interaction games on the torus.",
@@ -502,8 +503,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     run, summary = _COMMANDS[args.command]
     try:
         cfg = load_config(args.config)

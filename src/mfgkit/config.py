@@ -37,6 +37,11 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
       "checks": [...]       // crosscheck names; empty or absent: all
     }
 
+Integer keys (``seed``, ``grid.dim``, ``grid.n``, ``grid.n_t``,
+``solver.max_iter``, ``solver.max_newton``, ``bifurcation.dim``, ``.n``,
+``.n_t``, ``.spectrum_points`` and a mode's ``k``) take integers or
+integral numbers such as 16.0; fractions and booleans are rejected.
+
 Each key's converter, default and allowed range is its row in the section
 tables below (``_TOP``, ``_MODEL``, ``_GRID``, ``_SOLVER``,
 ``_BIFURCATION``, ``_MODE``). A command reads a key when it needs it, and
@@ -106,8 +111,23 @@ def _numbers(values, where: str, kind=float) -> tuple:
         raise ConfigError(f"'{where}' must be a list of numbers")
 
 
-_int = partial(_number, kind=int)
-_ints = partial(_numbers, kind=int)
+def _int(value, where: str) -> int:
+    """An integer config value: a JSON integer, or a number with an integral
+    value such as 16.0. Booleans and fractions raise ConfigError naming the key."""
+    if isinstance(value, bool):
+        raise ConfigError(f"'{where}' must be a number, not a boolean (got {value!r})")
+    if isinstance(value, int):
+        return value
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"'{where}' must be a number with an integer value (got {value!r})")
+    return int(number)
+
+
+def _ints(values, where: str) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"'{where}' must be a list of numbers")
+    return tuple(_int(v, where) for v in values)
 
 
 def _text(value, where: str) -> str:
@@ -151,6 +171,7 @@ def _positive(v: float) -> bool:
 
 _POSITIVE = {"ok": _positive, "rule": "a number in (0, inf) (got {value})"}
 _NON_NEGATIVE = {"ok": lambda v: 0.0 <= v < math.inf, "rule": "a number in [0, inf) (got {value})"}
+_FINITE = {"ok": math.isfinite, "rule": "a number in (-inf, inf) (got {value})"}
 _LIST_RULE = "a list of numbers in (0, inf) (got {value})"
 
 
@@ -185,9 +206,9 @@ _SOLVER = {
     "w_reg": _Key(_number, 0.0, **_NON_NEGATIVE),
 }
 _BIFURCATION = {
-    "fprime1": _Key(_number, -6.0 * np.pi**2),
-    "cubic": _Key(_number, 1.0),
-    "f1": _Key(_number, 0.0),
+    "fprime1": _Key(_number, -6.0 * np.pi**2, **_FINITE),
+    "cubic": _Key(_number, 1.0, **_FINITE),
+    "f1": _Key(_number, 0.0, **_FINITE),
     "amplitudes": _Key(
         _numbers, (1e-3, 3e-3, 1e-2), lambda v: bool(v) and all(map(_positive, v)),
         "a nonempty " + _LIST_RULE,

@@ -193,8 +193,15 @@ def modewise(blocks: np.ndarray, arr: np.ndarray) -> np.ndarray:
     axes = tuple(range(-ndim, 0))
     hat = np.fft.rfftn(arr, axes=axes)  # (..., k, *half)
     if np.iscomplexobj(blocks):
+        # Row i is B_i0 h_0 + B_i1 h_1 + ..., summed in j order as np.sum of
+        # the (k, k) broadcast product would, without building that product.
         rows = np.moveaxis(blocks, (-2, -1), (0, 1))  # (k, k, *half)
-        out = np.sum(rows * np.expand_dims(hat, -ndim - 2), axis=-ndim - 1)
+        hats = np.moveaxis(hat, -ndim - 1, 0)  # (k, ..., *half)
+        out = np.empty(hat.shape, dtype=complex)
+        for b_i, out_i in zip(rows, np.moveaxis(out, -ndim - 1, 0)):
+            out_i[...] = b_i[0] * hats[0]
+            for b_ij, h_j in zip(b_i[1:], hats[1:]):
+                out_i += b_ij * h_j
     else:
         hat = np.moveaxis(hat, -ndim - 1, -1)  # (..., *half, k)
         x = blocks @ np.stack([hat.real, hat.imag], axis=-1)

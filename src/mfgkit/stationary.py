@@ -432,11 +432,20 @@ class _Stationary:
             d_transport = -spectral.divergence(grid, dW) + du.mean()
             return self.pack(d_hjb, d_transport, dm.mean())
 
+        grad = grid.grad_symbols
+
         def precond(r):
+            # One forward transform of (r_transport, c r_hjb) and one inverse
+            # of (du, grad du): the divergence and the gradient act on symbols.
             r_hjb, r_transport, r_mass = self.fields(r)
-            rhs = r_transport + spectral.divergence(grid, c * r_hjb)
-            du = spectral._ifft_real(grid, inv_sym * spectral._fft(grid, rhs))
-            dm = (r_hjb - np.sum(Hp * spectral.gradient(grid, du), axis=0)) / Hm
+            hats = spectral._fft(grid, np.concatenate([r_transport[None], c * r_hjb]))
+            rhs = hats[0]
+            for g, h in zip(grad, hats[1:]):
+                rhs = rhs + g * h
+            du_hat = inv_sym * rhs
+            back = spectral._ifft_real(grid, np.concatenate([du_hat[None], grad * du_hat]))
+            du, grad_du = back[0], back[1:]
+            dm = (r_hjb - np.sum(Hp * grad_du, axis=0)) / Hm
             dh = (r_mass - float(dm.mean())) / inv_Hm_mean
             return self.pack(du, dm + dh / Hm, dh)
 

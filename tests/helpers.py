@@ -11,7 +11,10 @@ Newton-Krylov paths of ``mfgkit.dynamics`` and ``continue_branch``; all
 are built from dense matrices of the grid operators of
 ``mfgkit.spectral``. The periodic residual and its Jacobian action,
 written out with those grid operators, are the oracle for their symbol
-form, and a dense DFT matrix is the oracle for ``spectral.modewise``.
+form, and a dense DFT matrix is the oracle for ``spectral.modewise``;
+its broadcast-product form and a branch preconditioner that transforms
+every border column on every build are the bit-for-bit oracles of the
+row-by-row sums and of the once-per-branch border columns.
 The per-component vector operators below, one ``np.fft.fftn``/``ifftn``
 call per component, are the bit-for-bit oracles of ``spectral``'s
 batched transforms.
@@ -545,3 +548,38 @@ def dense_branch(coupling, st, amplitudes, tol=1e-12, max_newton=80):
         out.append((U, M, Hbar, T))
         prev = a
     return out
+
+
+def modewise_broadcast(blocks, arr):
+    """The complex-block path of ``spectral.modewise`` as the (k, k, ...)
+    broadcast product summed over its column axis: the bit-for-bit oracle of
+    the library's row-by-row sums."""
+    ndim = blocks.ndim - 2
+    axes = tuple(range(-ndim, 0))
+    hat = np.fft.rfftn(arr, axes=axes)
+    rows = np.moveaxis(blocks, (-2, -1), (0, 1))
+    out = np.sum(rows * np.expand_dims(hat, -ndim - 2), axis=-ndim - 1)
+    return np.fft.irfftn(out, s=arr.shape[arr.ndim - ndim :], axes=axes)
+
+
+def branch_preconditioner_per_step(system, t_col):
+    """The bordered frozen preconditioner of a ``bifurcation._Branch`` built
+    by pushing all p + 2 border columns (mass field, T column, q_j) through
+    the frozen pseudo-inverse on every call: the bit-for-bit oracle of the
+    build that transforms the constant columns once per branch."""
+    K, psi, rows = system.K, system.psi, system.rows
+    p = len(psi)
+    cols = np.vstack([rows[0], t_col, psi[1:]])
+    pcols = system.apply_pinv(cols)
+    schur = np.linalg.inv(np.block([
+        [psi @ cols.T / K, np.zeros((p, p))],
+        [rows @ pcols.T / K, -rows @ psi.T / K],
+    ]))
+
+    def apply(r):
+        a = system.apply_pinv(r[: 2 * K])
+        w = schur @ np.concatenate([psi @ r[: 2 * K] / K, rows @ a / K - r[2 * K :]])
+        y, c = w[: p + 1], w[p + 1 :]
+        return np.concatenate([a - y @ pcols + c @ psi, y])
+
+    return apply

@@ -463,3 +463,106 @@ def test_periodic_coupling_rejects_non_finite_coefficients(name, value):
     args = {"fprime1": FPRIME1, "cubic": 1.0, "f1": 0.0, name: value}
     with pytest.raises(ModelError, match=f"{name} must be finite, got {value}"):
         bf.default_periodic_coupling(**args)
+
+
+@pytest.mark.parametrize("dim, n, n_t", [(1, 16, 16), (2, 8, 8)])
+def test_preconditioner_equals_a_build_that_transforms_every_column(dim, n, n_t, periodic_setup):
+    # The mass field and the q_j go through the frozen pseudo-inverse once per
+    # branch; every build after that transforms only the T column.
+    _, coupling = periodic_setup
+    st = bf.periodic_grid(dim, n, n_t)
+    system = bf._Branch(coupling, st)
+    system.target[1] = 0.01
+    rng = np.random.default_rng(13)
+    ddt = spectral.time_derivative_periodic
+    for _ in range(2):
+        z = _random_branch_state(system, rng)
+        U, M, _, T, _ = system.split(z)
+        t_col = np.concatenate([-ddt(st, M), ddt(st, U)], axis=None) / T**2
+        _, precond = system.linearize(z, system.residual(z))
+        oracle = helpers.branch_preconditioner_per_step(system, t_col)
+        for _ in range(3):
+            r = rng.standard_normal(z.size)
+            assert np.array_equal(precond(r), oracle(r))
+
+
+def test_a_newton_iterate_evaluates_the_residual_once(monkeypatch, periodic_setup):
+    st, coupling = periodic_setup
+    calls = []
+    residual = bf._residual
+    monkeypatch.setattr(bf, "_residual", lambda *args: calls.append(1) or residual(*args))
+    system = bf._Branch(coupling, st)
+    system.target[1] = 0.002
+    K = system.K
+    z = np.concatenate([0.002 * system.psi[0], [0.0, TBAR], np.zeros(len(system.psi) - 1)])
+    z, _, krylov, _ = _newton_krylov.newton(system, z, bf._BRANCH_TOL, bf._MAX_NEWTON)
+    # One evaluation at the start, then one per accepted full step: measure
+    # reuses the rows that residual evaluated at the same z.
+    assert len(krylov) >= 1
+    assert len(calls) == 1 + len(krylov)
+    res = system.residual(z)
+    before = len(calls)
+    assert system.measure(z, res) <= bf._BRANCH_TOL
+    assert len(calls) == before
+    # A new target invalidates the kept rows: the pin row now misses by 1e-3.
+    system.target[1] = 0.003
+    assert system.measure(z, res) == pytest.approx(1e-3, rel=1e-6)
+    assert len(calls) == before + 1
+    assert np.max(np.abs(system.residual(z)[2 * K :])) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_continued_points_take_one_newton_step_on_a_fine_ladder():
+    # The even-in-a predictor scales the part of (U, M) off z1, T - T_bar,
+    # Hbar and lam by (a / a_prev)^2: an O(a^3) guess. The linear predictor
+    # z * (a / a_prev) took 2 steps on every point of this ladder.
+    coupling = bf.default_periodic_coupling(FPRIME1, cubic=1.0, f1=0.0)
+    amplitudes = (0.002, 0.004, 0.006, 0.008, 0.01)
+    branch = bf.continue_branch(coupling, bf.periodic_grid(1, 24, 24), amplitudes)
+    assert [p.newton_iterations for p in branch.points[1:]] == [1, 1, 1, 1]
+    for p in branch.points:
+        assert p.residual_inf <= 1e-12
+        assert p.solvability_inf <= 1e-12
+
+
+def _ladder(lo, hi, k):
+    return tuple(np.round(np.linspace(lo, hi, k), 12))
+
+
+# Eight amplitude ladders per coupling f'(1) / pi^2, and the final period
+# each reached with the linear predictor z * (a / a_prev); None marks the
+# ladders that stall at the roundoff floor at a = 0.1.
+BRANCH_LADDERS = [
+    ((1, 16, 16), _ladder(0.002, 0.01, 5)),
+    ((1, 24, 24), _ladder(0.002, 0.01, 5)),
+    ((1, 32, 32), _ladder(0.05, 0.3, 6)),
+    ((1, 64, 64), _ladder(0.025, 0.1, 4)),
+    ((2, 8, 8), _ladder(0.002, 0.01, 5)),
+    ((2, 16, 8), (0.005, 0.01, 0.02)),
+    ((2, 16, 16), _ladder(0.025, 0.1, 4)),
+    ((1, 16, 16), _ladder(0.02, 0.1, 5)),
+]
+LADDER_PERIODS = {
+    -6.0: (0.225082124491666, 0.22508212449166576, 0.22798263485565826, None,
+           0.2250821244916685, 0.22509126317692768, 0.22538555216032655,
+           0.22538555216032638),
+    -5.2: (0.29058422769674697, 0.2905842276967464, 0.29866847110404376, None,
+           0.29058422769674797, 0.29060939370524863, 0.29142077789876975,
+           0.2914207778987697),
+    -6.9: (0.18691911246785245, 0.18691911246785203, 0.18799012182954433, None,
+           0.18691911246785436, 0.18692244720038795, 0.187029988000268,
+           0.1870299880002679),
+}
+
+
+@pytest.mark.parametrize("ratio", sorted(LADDER_PERIODS))
+def test_branch_ladders_keep_their_outcomes_and_periods(ratio):
+    coupling = bf.default_periodic_coupling(ratio * np.pi**2, cubic=1.0, f1=0.0)
+    for ((dim, n, n_t), amplitudes), period in zip(BRANCH_LADDERS, LADDER_PERIODS[ratio]):
+        st = bf.periodic_grid(dim, n, n_t)
+        if period is None:
+            with pytest.raises(SolverError, match="no convergence at amplitude 0.1: the line search"):
+                bf.continue_branch(coupling, st, amplitudes)
+            continue
+        branch = bf.continue_branch(coupling, st, amplitudes)
+        assert all(p.residual_inf <= 1e-12 for p in branch.points)
+        assert abs(branch.points[-1].state.T - period) <= 1e-12 * period

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mfgkit.cli as cli
-from mfgkit import stationary
+from mfgkit import config, stationary
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -553,6 +553,24 @@ MALFORMED = [
     ("solve-stationary", GAMMA1_CFG, "solver.w_reg", float("nan")),
     ("solve-stationary", CONG_CFG, "solver.w_reg", -1.0),
     ("solve-mfg", SEP_CFG, "grid.horizon", float("inf")),
+    # Integer keys take integral numbers only: no fraction, no boolean.
+    ("solve-mfg", SEP_CFG, "grid.n", 16.5),
+    ("solve-mfg", SEP_CFG, "grid.n", [16.5]),
+    ("report", SEP_CFG, "grid.dim", True),
+    ("solve-mfg", SEP_CFG, "grid.n_t", 8.5),
+    ("solve-stationary", CONG_CFG, "solver.max_iter", 10.5),
+    ("solve-mfg", SEP_CFG, "solver.max_newton", 3.7),
+    ("solve-mfg", SEP_CFG, "solver.max_newton", True),
+    ("crosscheck", SEP_CFG, "seed", 2.5),
+    ("crosscheck", SEP_CFG, "seed", False),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.dim", 1.5),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n", 8.5),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n_t", True),
+    ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.spectrum_points", 2.5),
+    # The periodic coupling coefficients must be finite on every command.
+    ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.cubic", float("nan")),
+    ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.f1", float("-inf")),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", float("inf")),
 ]
 
 
@@ -565,6 +583,45 @@ def test_malformed_config_scalar_exits_two(
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 2
     assert f"'{key}' must be a number" in capsys.readouterr().err
+
+
+def test_integral_numbers_are_accepted_as_integers(tmp_path):
+    cfg = _with(_with(SEP_CFG, "grid.n", 16.0), "grid.dim", 1.0)
+    cfg["solver"]["max_newton"] = 40.0
+    cfg["seed"] = 7.0
+    assert type(config._setting(cfg, "grid.n")) is int
+    assert config._setting(cfg, "grid.n") == 16
+    assert config._setting(cfg, "solver.max_newton") == 40
+    assert config._setting(cfg, "seed") == 7
+    out = tmp_path / "o"
+    assert run(["report", write_cfg(tmp_path, "ok.json", cfg), "--output-dir", out]) == 0
+    assert json.loads((out / "report.json").read_text())["grid"] == {"dim": 1, "n": [16]}
+
+
+def test_out_of_window_fprime1_message_is_short(tmp_path, capsys, solvers_forbidden):
+    cfg = write_cfg(tmp_path, "bad.json", {"bifurcation": dict(BIF_CFG, fprime1=-1e308)})
+    assert run(["spectrum", cfg, "--output-dir", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "f'(1) = -1e+308 violates the lower window bound" in err
+    assert len(err) < 120
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built, original = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    cfg = write_cfg(tmp_path, "ok.json", CONG_CFG)
+    for tag in ("a", "b"):
+        assert run(["report", cfg, "--output-dir", tmp_path / tag]) == 0
+    assert len(built) == 1
+    cli._parser.cache_clear()
+    # build_parser itself still returns a new parser on every call.
+    assert original() is not original()
 
 
 @pytest.mark.parametrize("command", ["crosscheck", "solve-mfg"])
@@ -648,11 +705,11 @@ NON_FINITE_COUPLING = [
     ("solve-mfg", SEP_CFG, "model.f_spatial", [{"amp": float("nan"), "k": [1]}],
      "amp must be finite, got nan"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", float("nan"),
-     "cubic must be finite, got nan"),
+     "'bifurcation.cubic' must be a number in (-inf, inf) (got nan)"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", float("inf"),
-     "f1 must be finite, got inf"),
+     "'bifurcation.f1' must be a number in (-inf, inf) (got inf)"),
     ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", float("nan"),
-     "fprime1 must be finite, got nan"),
+     "'bifurcation.fprime1' must be a number in (-inf, inf) (got nan)"),
 ]
 
 

@@ -309,3 +309,16 @@ def test_grid_symbol_stacks_are_built_once_and_read_only(g2):
         assert not sym.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             sym[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "shape, k", [((16,), 2), ((6, 8), 2), ((4, 6, 8), 3), ((8, 4, 4), 2)],
+    ids=["1d", "2d", "space-time-1d-k3", "space-time-2d"],
+)
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["single", "batched"])
+def test_modewise_complex_rows_equal_the_broadcast_product_bit_for_bit(shape, k, batch):
+    rng = np.random.default_rng(3 * sum(shape) + k)
+    full = _conjugate_symmetric(rng, shape, k, complex_blocks=True)
+    arr = rng.standard_normal(batch + (k,) + shape)
+    blocks = spectral.rfft_modes(full)
+    assert np.array_equal(spectral.modewise(blocks, arr), helpers.modewise_broadcast(blocks, arr))
