@@ -202,7 +202,6 @@ def _dynamic_solve(cfg, out_dir, planner: bool):
     save_field(out_dir / "m.field", DensityField(st, state.m))
     save_field(out_dir / "u.field", ScalarField(st, state.u))
     cost = social_cost(state, model)
-    val2 = psi2(state, model).value
     payload = {
         "problem": "planner" if planner else "equilibrium",
         "eps": eps,
@@ -210,21 +209,21 @@ def _dynamic_solve(cfg, out_dir, planner: bool):
         "krylov_iterations": sum(res.krylov_iterations),
         "residual_inf": res.residual_inf,
         "m_min": res.min_m,
-        "psi1": psi1(state, model).value,
-        "psi2": val2,
+        "psi1": res.psi1,
+        "psi2": res.psi2,
         "psi1_dm_inf": res.psi1_dm_inf,
         "psi2_du_inf": res.psi2_du_inf,
         "social_cost": cost,
     }
     if not planner:
-        payload["cost_identity_gap"] = abs(cost + val2)
+        payload["cost_identity_gap"] = abs(cost + res.psi2)
     return payload
 
 
 def cmd_compare(cfg, out_dir):
     model, _, _, _, _, solve = _separable_problem(cfg, "compare needs")
     res_g, res_c = solve(False), solve(True)
-    cmp = compare_equilibrium_vs_planner(res_g.state, res_c.state, model)
+    cmp = compare_equilibrium_vs_planner(res_g, res_c, model)
     return {
         "psi2_equilibrium": cmp["psi2_mfg"],
         "psi2_planner": cmp["psi2_mfc"],
@@ -313,14 +312,11 @@ def _fd_directional(fun, h):
 
 
 def _random_game_state(model, st, m0, uT, eps, rng):
-    sp = st.space
-    nt = st.num_time_nodes
-    m = np.empty(st.field_shape)
-    u = np.empty(st.field_shape)
-    for j in range(nt):
-        m[j] = 1.0 + spectral.random_band_limited(sp, rng, amplitude=0.3)
-        u[j] = spectral.random_band_limited(sp, rng, amplitude=0.5)
-    return GameState(st, m, u, m0, uT, eps=eps)
+    # Per time slice an m field, then a u field, as slice-by-slice draws would.
+    mu = spectral.random_band_limited_stack(
+        st.space, rng, (st.num_time_nodes, 2), amplitude=(0.3, 0.5)
+    )
+    return GameState(st, 1.0 + mu[:, 0], mu[:, 1], m0, uT, eps=eps)
 
 
 def _check_separable(cfg, checks, rng):
@@ -328,14 +324,14 @@ def _check_separable(cfg, checks, rng):
     results = []
     if "derivatives" in checks or "two-forms" in checks:
         state = _random_game_state(model, st, m0, uT, eps, rng)
-        dm = np.stack([spectral.random_band_limited(st.space, rng) for _ in range(st.n_t + 1)])
-        du = np.stack([spectral.random_band_limited(st.space, rng) for _ in range(st.n_t + 1)])
+        dm = spectral.random_band_limited_stack(st.space, rng, (st.n_t + 1,))
+        du = spectral.random_band_limited_stack(st.space, rng, (st.n_t + 1,))
+        reports = {"psi1": psi1(state, model), "psi2": psi2(state, model)}
         if "derivatives" in checks:
-            for name, fn, direction, key in (
-                ("psi1_dm", psi1, dm, "dm"),
-                ("psi2_du", psi2, du, "du"),
+            for name, fn, rep, direction, key in (
+                ("psi1_dm", psi1, reports["psi1"], dm, "dm"),
+                ("psi2_du", psi2, reports["psi2"], du, "du"),
             ):
-                rep = fn(state, model)
                 grad_field = getattr(rep, key)
                 analytic = spectral.integrate_space_time(st, grad_field * direction)
 
@@ -349,8 +345,7 @@ def _check_separable(cfg, checks, rng):
                 scale = max(abs(analytic), abs(fd), 1e-12)
                 results.append((f"derivative:{name}", abs(fd - analytic) / scale, 1e-6))
         if "two-forms" in checks:
-            for name, fn in (("psi1", psi1), ("psi2", psi2)):
-                rep = fn(state, model)
+            for name, rep in reports.items():
                 gap = abs(rep.value - rep.extras["value_u_weighted"])
                 scale = max(1.0, abs(rep.value))
                 results.append((f"two-forms:{name}", gap / scale, 1e-10))
@@ -358,9 +353,8 @@ def _check_separable(cfg, checks, rng):
         res = solve(False)
         if "duality" in checks:
             cost = social_cost(res.state, model)
-            val = psi2(res.state, model).value
-            scale = max(1.0, abs(val))
-            results.append(("duality:cost", abs(cost + val) / scale, 1e-8))
+            scale = max(1.0, abs(res.psi2))
+            results.append(("duality:cost", abs(cost + res.psi2) / scale, 1e-8))
         if "mass" in checks:
             masses = res.state.m.reshape(st.num_time_nodes, -1).mean(axis=1)
             results.append(("mass:slices", float(np.max(np.abs(masses - 1.0))), 1e-8))
@@ -438,7 +432,7 @@ def duality_crosscheck(cfg, out_dir=None) -> dict:
             "the saddle identities need a tighter solve"
         )
     state = res.state
-    val1 = psi1(state, model).value
+    val1 = res.psi1
     bval = b_cost(state, model)
     aval = a_cost(state, model)
     scale = max(1.0, abs(val1))

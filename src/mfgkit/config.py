@@ -95,28 +95,33 @@ __all__ = [
 ]
 
 
-def _number(value, where: str, kind=float):
-    """``kind(value)`` for the scalar config value at key ``where``; a value
-    that does not convert raises ConfigError naming the key."""
+def _number(value, where: str) -> float:
+    """The scalar config value at key ``where`` as a float. A boolean, a
+    string or a value that does not convert raises ConfigError naming the key."""
+    if isinstance(value, (bool, str)):
+        kind = "boolean" if isinstance(value, bool) else "string"
+        raise ConfigError(f"'{where}' must be a number, not a {kind} (got {value!r})")
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{where}' must be a number (got {value!r})")
 
 
-def _numbers(values, where: str, kind=float) -> tuple:
-    try:
-        return tuple(kind(v) for v in values)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"'{where}' must be a list of numbers")
+def _number_list(values, where: str):
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"'{where}' must be a number list (got {values!r})")
+    return values
+
+
+def _numbers(values, where: str) -> tuple:
+    return tuple(_number(v, where) for v in _number_list(values, where))
 
 
 def _int(value, where: str) -> int:
     """An integer config value: a JSON integer, or a number with an integral
-    value such as 16.0. Booleans and fractions raise ConfigError naming the key."""
-    if isinstance(value, bool):
-        raise ConfigError(f"'{where}' must be a number, not a boolean (got {value!r})")
-    if isinstance(value, int):
+    value such as 16.0. Booleans, strings and fractions raise ConfigError
+    naming the key."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     number = _number(value, where)
     if not number.is_integer():
@@ -125,9 +130,7 @@ def _int(value, where: str) -> int:
 
 
 def _ints(values, where: str) -> tuple:
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"'{where}' must be a list of numbers")
-    return tuple(_int(v, where) for v in values)
+    return tuple(_int(v, where) for v in _number_list(values, where))
 
 
 def _text(value, where: str) -> str:

@@ -150,6 +150,7 @@ class _Slabs(NamedTuple):
     ubar: np.ndarray
     mbar: np.ndarray
     trans: np.ndarray
+    p: np.ndarray  # grad ubar
 
 
 def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> _Slabs:
@@ -166,11 +167,13 @@ def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> 
     stationary rows.
     """
     ubar, mbar = 0.5 * (u0 + u1), 0.5 * (m0 + m1)
-    p = spectral.gradient(sp, ubar)
     adv, trans = -(u1 - u0) / dt, (m1 - m0) / dt
     if eps != 0.0:  # at eps = 0 the two Laplacians would only be scaled by 0
-        adv = adv - eps * spectral.laplacian(sp, ubar)
-        trans = trans - eps * spectral.laplacian(sp, mbar)
+        p, lap_u, lap_m = spectral.gradient_laplacians(sp, np.stack([ubar, mbar]))
+        adv = adv - eps * lap_u
+        trans = trans - eps * lap_m
+    else:
+        p = spectral.gradient(sp, ubar)
     hv = model.eval(sp, p, mbar)
     hjb = adv + hv.H
     if which == "psi1":
@@ -182,7 +185,7 @@ def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> 
     else:  # pragma: no cover
         raise ValueError(which)
     transport = trans - spectral.divergence(sp, W)
-    return _Slabs(value, transport, hjb, running, cost, ubar, mbar, trans)
+    return _Slabs(value, transport, hjb, running, cost, ubar, mbar, trans, p)
 
 
 def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:

@@ -26,9 +26,20 @@ after the inverse transform, so every bit equals one ``fftn``/``ifftn``
 call per component. ``tests/test_spectral.py`` pins this with
 ``np.array_equal`` against per-component oracles on 1-D, 2-D and 3-D
 grids, space-time stacks and Nyquist-carrying fields.
+
+:func:`gradient_laplacians` returns grad u, lap u and lap m from one
+forward transform of the (u, m) stack and one inverse transform of the
+three results, with the symbol products of :func:`gradient` and
+:func:`laplacian`, so its bits are those of the three calls.
+
+:func:`random_band_limited_stack` draws a stack of the fields that
+:func:`random_band_limited` draws one at a time, with the same bits: the
+normals in one call, in the same order, and one inverse transform.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +48,7 @@ from .grids import SpaceTimeGrid, TorusGrid
 
 __all__ = [
     "gradient",
+    "gradient_laplacians",
     "divergence",
     "laplacian",
     "div_grad",
@@ -49,6 +61,7 @@ __all__ = [
     "rfft_modes",
     "modewise",
     "random_band_limited",
+    "random_band_limited_stack",
 ]
 
 
@@ -86,6 +99,18 @@ def gradient(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
     # A contiguous copy: downstream sums then reduce a plain array, and the
     # complex transform is freed.
     return np.ascontiguousarray(_ifft_real(grid, syms * _fft(grid, arr)))
+
+
+def gradient_laplacians(grid: TorusGrid, um: np.ndarray):
+    """(gradient(u), laplacian(u), laplacian(m)) of the stack um = (u, m),
+    from one forward and one inverse transform."""
+    d = grid.dim
+    hat = _fft(grid, um)
+    prod = np.empty((d + 2,) + hat.shape[1:], dtype=complex)
+    prod[:d] = _per_component(grid.grad_symbols, um.ndim) * hat[0]
+    np.multiply(grid.laplacian_symbol, hat, out=prod[d:])
+    out = np.ascontiguousarray(_ifft_real(grid, prod))
+    return out[:d], out[d], out[d + 1]
 
 
 def divergence(grid: TorusGrid, vec: np.ndarray) -> np.ndarray:
@@ -209,6 +234,18 @@ def modewise(blocks: np.ndarray, arr: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(out, s=arr.shape[arr.ndim - ndim :], axes=axes)
 
 
+@lru_cache(maxsize=16)
+def _band_index(grid: TorusGrid, kmax: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of the modes with |k_i| <= min(kmax, n_i / 2 - 1)."""
+    mesh = np.meshgrid(*grid.wavenumbers, indexing="ij")
+    keep = np.ones(grid.shape, dtype=bool)
+    for kk, nv in zip(mesh, grid.shape):
+        keep &= np.abs(kk) <= min(kmax, nv // 2 - 1)
+    index = np.argwhere(keep).T
+    index.flags.writeable = False
+    return tuple(index)
+
+
 def random_band_limited(
     grid: TorusGrid,
     rng: np.random.Generator,
@@ -216,17 +253,29 @@ def random_band_limited(
     amplitude: float = 1.0,
 ) -> np.ndarray:
     """Smooth random real mean-zero field built from modes with |k_i| <= kmax."""
-    hat = np.zeros(grid.shape, dtype=complex)
-    mesh = np.meshgrid(*grid.wavenumbers, indexing="ij")
-    keep = np.ones(grid.shape, dtype=bool)
-    for kk, nv in zip(mesh, grid.shape):
-        keep &= np.abs(kk) <= min(kmax, nv // 2 - 1)
-    idx = np.argwhere(keep)
-    vals = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-    hat[tuple(idx.T)] = vals
-    field = np.fft.ifftn(hat).real
-    field -= field.mean()
-    scale = np.max(np.abs(field))
-    if scale > 0:
-        field *= amplitude / scale
-    return field
+    return random_band_limited_stack(grid, rng, (), kmax, amplitude)
+
+
+def random_band_limited_stack(
+    grid: TorusGrid,
+    rng: np.random.Generator,
+    lead: tuple[int, ...],
+    kmax: int = 3,
+    amplitude=1.0,
+) -> np.ndarray:
+    """Fields of shape lead + grid.shape, each the :func:`random_band_limited`
+    field that calls in the C order of ``lead`` would draw; ``amplitude``
+    broadcasts against ``lead``."""
+    idx = _band_index(grid, kmax)
+    normals = rng.standard_normal(tuple(lead) + (2, len(idx[0])))
+    hat = np.zeros(tuple(lead) + grid.shape, dtype=complex)
+    hat[(...,) + idx] = normals[..., 0, :] + 1j * normals[..., 1, :]
+    fields = np.fft.ifftn(hat, axes=tuple(range(-grid.dim, 0))).real
+    amplitude = np.broadcast_to(amplitude, lead)
+    for index in np.ndindex(*lead):
+        field = fields[index]
+        field -= field.mean()
+        scale = np.max(np.abs(field))
+        if scale > 0:
+            field *= amplitude[index] / scale
+    return fields

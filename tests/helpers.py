@@ -17,7 +17,9 @@ every border column on every build are the bit-for-bit oracles of the
 row-by-row sums and of the once-per-branch border columns.
 The per-component vector operators below, one ``np.fft.fftn``/``ifftn``
 call per component, are the bit-for-bit oracles of ``spectral``'s
-batched transforms.
+batched transforms. The finite-horizon time systems assembled densely
+and inverted with ``np.linalg.inv`` are the oracle of the block sweep in
+``mfgkit.dynamics``.
 """
 
 import itertools
@@ -365,6 +367,30 @@ def dynamics_jacobian(system, z):
             put(j, N + j - 1, coupling)
             put(N + j, N + j - 1, -eyedt + fp_half)
     return J
+
+
+def dense_time_inverse(sp, N, dt, eps, mbar, gpbar):
+    """Oracle of ``dynamics._time_inverse``: per spatial mode, the 2N x 2N
+    midpoint time system of ``_System.preconditioner`` assembled with
+    ``np.block`` and inverted with ``np.linalg.inv``, then refined once,
+    X + X (I - A X): on 16 x 128 the refinement moves the inverse by up to
+    2e-11 relative in max-norm, while the sweep sits within 6e-15 of the
+    refined inverse for g' >= 0. Equal modes share one inversion."""
+    lam = spectral.rfft_modes(sp.laplacian_symbol[..., None, None])[..., 0, 0]
+    dg = spectral.rfft_modes(sp.divgrad_symbol[..., None, None])[..., 0, 0]
+    symbols, where = np.unique(
+        np.stack([lam.ravel(), dg.ravel()], axis=1), axis=0, return_inverse=True
+    )
+    lam, dg = symbols[:, 0, None, None], symbols[:, 1, None, None]
+    eye, up, lo = np.eye(N), np.eye(N, k=1), np.eye(N, k=-1)
+    au, am = 0.5 * (eye + up), 0.5 * (eye + lo)
+    A = np.block([
+        [(eye - up) / dt - eps * lam * au, -gpbar * am * np.ones_like(lam)],
+        [-mbar * dg * au, (eye - lo) / dt - eps * lam * am],
+    ])
+    X = np.linalg.inv(A)
+    X = X + X @ (np.eye(2 * N) - A @ X)
+    return X[where.ravel()].reshape(sp.shape[:-1] + (sp.shape[-1] // 2 + 1, 2 * N, 2 * N))
 
 
 @lru_cache(maxsize=4)

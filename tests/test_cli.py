@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mfgkit.cli as cli
-from mfgkit import config, stationary
+from mfgkit import config, functionals, stationary
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -257,6 +257,26 @@ def test_solve_mfg_payload_reports_the_library_solve(tmp_path):
     assert payload["newton_iterations"] == res.newton_iterations
     assert payload["krylov_iterations"] == sum(res.krylov_iterations)
     assert payload["residual_inf"] == res.residual_inf
+
+
+@pytest.mark.parametrize(
+    "command, solves",
+    [("solve-mfg", 1), ("solve-mfc", 1), ("compare", 2), ("duality-crosscheck", 1)],
+)
+def test_each_payoff_is_evaluated_once_per_solved_state(tmp_path, monkeypatch, command, solves):
+    # The solve evaluates psi1 and psi2 at its state; the payload, the
+    # comparison and the saddle checks read those values.
+    seen, report = [], functionals._dynamic_report
+
+    def counting(state, model, which):
+        seen.append((state, which))
+        return report(state, model, which)
+
+    monkeypatch.setattr(functionals, "_dynamic_report", counting)
+    cfg = write_cfg(tmp_path, "c.json", SEP_CFG)
+    assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 0
+    keys = [(id(state), which) for state, which in seen]
+    assert len(keys) == len(set(keys)) == 2 * solves
 
 
 def test_solve_mfg_and_compare(tmp_path):
@@ -567,6 +587,14 @@ MALFORMED = [
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n", 8.5),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.n_t", True),
     ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.spectrum_points", 2.5),
+    # Float keys take numbers only: no boolean, no string, and no string for a list.
+    ("solve-mfg", SEP_CFG, "eps", True),
+    ("solve-mfg", SEP_CFG, "solver.tol", True),
+    ("solve-mfg", SEP_CFG, "eps", "0.5"),
+    ("report", SEP_CFG, "model.f_poly", "12"),
+    ("report", SEP_CFG, "model.f_poly", [0.0, "1"]),
+    ("report", CONG_CFG, "model.Q", [True]),
+    ("solve-mfg", SEP_CFG, "initial.m0.base", False),
     # The periodic coupling coefficients must be finite on every command.
     ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.cubic", float("nan")),
     ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.f1", float("-inf")),

@@ -102,6 +102,11 @@ def test_compare_equilibrium_vs_planner_payload(sep_model):
     assert cmp["inequality_holds"]
     assert cmp["gap"] == pytest.approx(cmp["psi2_mfc"] - cmp["psi2_mfg"])
     assert cmp["psi2_mfg"] <= cmp["psi2_mfc"] + 1e-8
+    # The results carry the values the states give.
+    for res in (res_g, res_c):
+        assert res.psi1 == psi1(res.state, sep_model).value
+        assert res.psi2 == psi2(res.state, sep_model).value
+    assert compare_equilibrium_vs_planner(res_g, res_c, sep_model) == cmp
 
 
 def test_compare_rejects_mismatched_data(sep_model):
@@ -405,3 +410,80 @@ def test_inexact_newton_certifies_with_fewer_krylov_iterations(shape, n_t, plann
     etas = inexact.forcing_terms
     assert len(etas) == inexact.newton_iterations and etas[0] == 0.5
     assert all(_newton_krylov.KRYLOV_RTOL <= eta <= 0.5 for eta in etas)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 32, 128])
+@pytest.mark.parametrize("shape", [(16,), (8, 8)], ids=["1d", "2d"])
+def test_time_inverse_matches_the_dense_oracle(shape, N):
+    # Horizon 0.25. For g' >= 0 the sweep agrees with the refined dense
+    # inverse to 6e-15. For g' = -40 (a non-monotone coupling) a pivot of
+    # the unpivoted sweep can pass near zero: on 8^2 x 128 at eps = 1e-2
+    # and mbar = 0.5 the sweep is off by 1.4e-11.
+    sp = TorusGrid(shape)
+    dt = 0.25 / N
+    for eps in (0.0, 1e-2, 1.0):
+        for gpbar in (-40.0, 0.0, 1.0, 10.0):
+            for mbar in (0.5, 1.0):
+                ref = helpers.dense_time_inverse(sp, N, dt, eps, mbar, gpbar)
+                got = dynamics._time_inverse(sp, N, dt, eps, mbar, gpbar)
+                assert got.shape == ref.shape
+                gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert gap <= (1e-12 if gpbar >= 0.0 else 1e-10), (eps, gpbar, mbar, gap)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends its calls to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_linearize_reuses_the_residual_it_follows(monkeypatch):
+    system, z, rng = _system_case((8, 8), 4, True)
+    res = system.residual(z)
+    keys = ("model", "sp", "N", "dt", "m0", "uT", "eps", "planner")
+    fresh = _System(*(getattr(system, k) for k in keys))
+    rows = _counted(monkeypatch, dynamics, "_slab_rows")
+    jvp, _ = system.linearize(z.copy(), res)
+    assert rows == []
+    dz = rng.standard_normal(z.size)
+    assert np.array_equal(jvp(dz), fresh.linearize(z, res)[0](dz))
+    assert len(rows) == 1  # the fresh system evaluated its residual first
+    # A kept copy decides, not the caller's array: z changed in place misses.
+    res = system.residual(z)
+    z[0] += 1e-3
+    system.linearize(z, res)
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("planner", [False, True], ids=["equilibrium", "planner"])
+def test_one_grad_ubar_transform_per_residual_evaluation(monkeypatch, planner):
+    # grad ubar is transformed only inside the slab rows, and linearize reads
+    # the rows of the residual evaluated at its iterate: the rows are built
+    # once per residual evaluation, line-search trials included.
+    st = SpaceTimeGrid(TorusGrid((16,)), 16, T)
+    m0, uT = perturbed_data(16)
+    model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0, 0.0, 1.0)))
+    residuals = _counted(monkeypatch, _System, "residual")
+    rows = _counted(monkeypatch, dynamics, "_slab_rows")
+    res = (solve_mfc if planner else solve_mfg)(model, st, m0, uT, eps=1.0, tol=1e-11)
+    assert res.newton_iterations > 1
+    assert len(rows) == len(residuals) > res.newton_iterations
+
+
+def test_jacobian_action_transforms_one_pair_plus_the_divergence(monkeypatch):
+    # One forward and one inverse transform of the (du, dm) midpoint stack,
+    # and the divergence's pair: 4 transform calls in 1-D, 8 in 2-D.
+    for shape, calls in (((16,), 4), ((8, 8), 8)):
+        system, z, rng = _system_case(shape, 4, False)
+        jvp, _ = system.linearize(z, system.residual(z))
+        ffts = _counted(monkeypatch, np.fft, "fft")
+        iffts = _counted(monkeypatch, np.fft, "ifft")
+        jvp(rng.standard_normal(z.size))
+        assert len(ffts) + len(iffts) == calls
+        monkeypatch.undo()

@@ -301,6 +301,44 @@ def test_batched_transforms_match_per_component_fftn_bit_for_bit(shape, lead, ki
     )
 
 
+@pytest.mark.parametrize("kind", ["random", "nyquist"])
+@pytest.mark.parametrize("lead", [(), (6,)], ids=["space", "space-time"])
+@pytest.mark.parametrize("shape", BIT_GRIDS, ids=["1d", "2d", "3d"])
+def test_gradient_laplacians_equal_the_three_calls_bit_for_bit(shape, lead, kind):
+    grid = TorusGrid(shape)
+    rng = np.random.default_rng(sum(shape) + len(lead) + 1)
+    um = np.stack([_bit_field(grid, lead, kind, rng) for _ in range(2)])
+    grad, lap_u, lap_m = spectral.gradient_laplacians(grid, um)
+    assert np.array_equal(grad, spectral.gradient(grid, um[0]))
+    assert np.array_equal(lap_u, spectral.laplacian(grid, um[0]))
+    assert np.array_equal(lap_m, spectral.laplacian(grid, um[1]))
+
+
+@pytest.mark.parametrize(
+    "lead, amplitude",
+    [((5,), 1.0), ((3, 2), (0.3, 0.5)), ((1,), 0.2)],
+    ids=["stack", "pairs", "one"],
+)
+@pytest.mark.parametrize("shape", BIT_GRIDS + [(6, 6)], ids=["1d", "2d", "3d", "2d-small"])
+def test_random_band_limited_stack_equals_per_slice_draws(shape, lead, amplitude):
+    grid = TorusGrid(shape)
+    amps = np.broadcast_to(amplitude, lead)
+    batched_rng, sliced_rng = np.random.default_rng(11), np.random.default_rng(11)
+    stack = spectral.random_band_limited_stack(grid, batched_rng, lead, amplitude=amplitude)
+    assert stack.shape == lead + grid.shape
+    for index in np.ndindex(*lead):
+        one = spectral.random_band_limited(grid, sliced_rng, amplitude=float(amps[index]))
+        assert np.array_equal(stack[index], one)
+    # Both generators drew the same normals: their next draws agree.
+    assert batched_rng.standard_normal() == sliced_rng.standard_normal()
+
+
+def test_band_index_is_built_once_per_grid_and_kmax():
+    grid = TorusGrid((12,))
+    assert spectral._band_index(grid, 3) is spectral._band_index(TorusGrid((12,)), 3)
+    assert spectral._band_index(grid, 2) is not spectral._band_index(grid, 3)
+
+
 def test_grid_symbol_stacks_are_built_once_and_read_only(g2):
     assert g2.grad_symbols.shape == (2, 16, 16)
     for name in ("grad_symbols", "half_inverse_divgrad_symbol"):
