@@ -24,7 +24,7 @@ Modules
     form, and the concave-exponent potential route): a projected
     Barzilai-Borwein descent brings the state into Newton's basin, and a
     Newton-Krylov polish of the PDE rows produces the certified solution
-    (the regularized gamma = 1 flux solve stops at its descent).
+    (every route needs gamma > 1).
 ``dynamics``
     Matrix-free Newton-Krylov solvers, with Eisenstat-Walker forcing
     terms, for the finite-horizon equilibrium and planner systems on an

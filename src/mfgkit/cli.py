@@ -18,7 +18,7 @@ solve-stationary
     ``bb`` (flux variables), ``stream2d`` (stream function, 2-D only),
     ``potential`` (alpha > 1), or ``auto`` (potential iff alpha > 1,
     else bb). The route's descent hands over to a Newton polish of the
-    PDE rows, which stops at ``solver.tol``.
+    PDE rows, which stops at ``solver.tol``. Every route needs gamma > 1.
 solve-mfg / solve-mfc
     Finite-horizon equilibrium / planner solve.
 compare
@@ -143,11 +143,10 @@ def _congestion_problem(cfg, needs: str):
     route = s["formulation"]
     if route == "auto":
         route = "potential" if model.alpha > 1.0 else "bb"
-    kw = {"tol": s["tol"], "max_iter": s["max_iter"]}
-    if route == "bb":
-        kw.update(barrier_stages=s["barrier_stages"], w_reg=s["w_reg"])
     solver = {"bb": solve_bb, "stream2d": solve_bb_2d_stream, "potential": solve_potential_a_gt_1}
-    return model, grid, route, partial(solver[route], model, grid, **kw)
+    return model, grid, route, partial(
+        solver[route], model, grid, tol=s["tol"], max_iter=s["max_iter"]
+    )
 
 
 def cmd_solve_stationary(cfg, out_dir):
@@ -365,8 +364,8 @@ def _check_congestion(cfg, checks, rng):
     model, grid, _, solve = _congestion_problem(cfg, "crosscheck needs")
     if model.gamma == 1.0:
         raise ModelError(
-            f"crosscheck '{checks[0]}' does not apply at gamma = 1: gamma' is undefined, "
-            "and the regularized solve has no duality or hbar certificate"
+            f"crosscheck '{checks[0]}' does not apply at gamma = 1: it needs gamma > 1, "
+            "since gamma' is undefined"
         )
     results = []
     if "transforms" in checks:

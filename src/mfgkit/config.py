@@ -16,19 +16,17 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
           {"amp": 0.1, "k": [1], "kind": "cos"}   // finite amp
         ],
         "Q": [...],         // congestion only: one entry per grid.dim,
-        "alpha": ..., "gamma": ...   // all finite; gamma >= 1, alpha >= 0, != 1
+        "alpha": ..., "gamma": ...   // all finite; gamma >= 1, alpha >= 0, != 1;
+                                     // stationary solves need gamma > 1
       },
       "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon finite, > 0
       "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},  // finite base
       "solver": {"tol": ...,          // finite, > 0; Newton stops at rows <= tol
                                       // (sup-norm): finite-horizon solves and the
-                                      // stationary polish; the gamma = 1 route's
-                                      // descent stops at projected gradient <= tol
+                                      // stationary polish
                  "max_iter": ...,     // >= 1; stationary descent budget
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
-                 "formulation": ...,  // bb | stream2d | potential | auto
-                 "barrier_stages": [...],   // each finite, > 0
-                 "w_reg": ...},       // in [0, inf); > 0 needed at gamma = 1
+                 "formulation": ...}, // bb | stream2d | potential | auto
       "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,   // finite
                       "amplitudes": [...],   // at least one; each finite, > 0
                       "dim": ..., "n": ..., "n_t": ...,
@@ -205,8 +203,6 @@ _SOLVER = {
         lambda v: v in _FORMULATIONS,
         f"one of {', '.join(_FORMULATIONS)}; got '{{value}}'",
     ),
-    "barrier_stages": _Key(_numbers, (), lambda v: all(map(_positive, v)), _LIST_RULE),
-    "w_reg": _Key(_number, 0.0, **_NON_NEGATIVE),
 }
 _BIFURCATION = {
     "fprime1": _Key(_number, -6.0 * np.pi**2, **_FINITE),

@@ -298,9 +298,8 @@ def phi_bb(
         raise ModelError("phi_bb requires alpha < 1")
     if model.gamma == 1.0:
         raise ModelError(
-            "phi_bb is undefined at gamma = 1: the flux power term "
-            "degenerates to the constraint |w| <= m^{1-alpha}; "
-            "solve_bb handles gamma = 1 through its regularized route"
+            "phi_bb requires gamma > 1: at gamma = 1 the flux power term "
+            "degenerates to the constraint |w| <= m^{1-alpha}"
         )
     gp = model.gamma_prime
     a = model.alpha

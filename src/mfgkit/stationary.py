@@ -14,6 +14,9 @@ div w = 0, with the flux transform
     w = m^{1-alpha} |grad u + Q|^{gamma-2} (grad u + Q),
     grad u + Q = m^{-beta} |w|^{gamma'-2} w,   beta = (gamma'-1)(1-alpha).
 
+The conjugate exponent gamma' = gamma/(gamma-1) makes every route need
+gamma > 1; at gamma = 1 each raises :class:`ModelError` before any descent.
+
 Both directions are stated once, as ``CongestionHamiltonian.flux`` and
 ``CongestionHamiltonian.momentum``; ``w_from_u`` and ``u_from_w`` apply
 them to a potential u.
@@ -34,19 +37,19 @@ All three routes run on one engine, ``_descend``: projected
 Barzilai-Borwein with a monotone Armijo backtracking safeguard, so the
 recorded objective trace is strictly non-increasing. It owns the whole
 loop and the density block (unit-mass recentering, the m > m_min guard,
-the mean-zero gradient projection, optional log-barrier rounds); a route
-supplies its start point, objective and the projector of its own block
-(Leray for w, identity for the stream and potential coordinates). A
+the mean-zero gradient projection); a route supplies its start point,
+objective and the projector of its own block (Leray for w, identity for
+the stream and potential coordinates). A
 descent whose best projected-gradient norm has not improved for
 ``STALL_WINDOW`` iterations, or whose line search fails, raises
 :class:`SolverError`; it is never accepted as converged. ``_descend``
-returns the plain objective's gradient at its last iterate, so no route
+returns the objective's gradient at its last iterate, so no route
 evaluates its objective again: Hbar = -mean(dm) is read from it.
 
 The problem is convex, so any positive solution of the PDE rows is the
 minimizer, and the descent is only the globalization that brings Newton
 into its basin. BB converges only linearly, and near 1e-9 roundoff
-decides whether it gets there. So each certified route stops its descent
+decides whether it gets there. So each route stops its descent
 at the hand-off tolerance ``HANDOFF_TOL`` (1e-2 on the projected
 gradient) and hands m, dm and its potential u (potential route) or flux
 w (flux routes) to ``_certify``. That runs a Newton-Krylov polish
@@ -59,11 +62,8 @@ named in any polish failure; the final flux must pass ``u_from_w`` at
 ``CURL_TOL``. ``_certify`` then reads every certificate on the polished
 state: PDE residuals, the duality gap of the primal value (phi_bb or j,
 evaluated there once) against psi1_hat, and the crosscheck of Hbar
-against psi2_hat, which fails the run above ``HBAR_CROSSCHECK_TOL``. The
-exception is the regularized gamma = 1 flux solve: it has no PDE to
-polish, so its ``tol`` stays the descent tolerance, it reads Hbar and its
-potential from the descent's last gradient, and it is uncertified (see
-``solve_bb``; its weight ``w_reg`` must be a number in [0, inf)).
+against psi2_hat, which fails the run above ``HBAR_CROSSCHECK_TOL``. So
+every returned result carries both gaps.
 
 The stream and potential routes optimize a scalar potential whose
 Hessian block is a weighted Laplacian, which would give the joint
@@ -213,12 +213,12 @@ class StationaryResult:
     """Solution of a stationary congestion problem plus diagnostics.
 
     ``phi_trace``, ``grad_inf`` and ``iterations`` are the descent's (its
-    last round's objective trace, final projected-gradient sup-norm and
-    iteration count). ``value`` is the primal value (phi_bb or j) at the
-    returned state. ``newton_iterations`` and ``krylov_iterations`` (GMRES
+    objective trace, final projected-gradient sup-norm and iteration
+    count). ``value`` is the primal value (phi_bb or j) at the returned
+    state, and ``duality_gap`` and ``hbar_crosscheck_gap`` are its two
+    certificates. ``newton_iterations`` and ``krylov_iterations`` (GMRES
     iterations per Newton step) are the polish's, and ``handoff_curl_inf``
-    is the curl defect of the flux at the hand-off (flux routes only);
-    the regularized gamma = 1 route runs no polish.
+    is the curl defect of the flux at the hand-off (flux routes only).
     """
 
     state: StationaryState
@@ -227,8 +227,8 @@ class StationaryResult:
     phi_trace: tuple[float, ...]
     grad_inf: float
     iterations: int
-    duality_gap: float | None
-    hbar_crosscheck_gap: float | None
+    duality_gap: float
+    hbar_crosscheck_gap: float
     residual_hjb_inf: float
     residual_fp_inf: float
     diagnostics: dict = field(default_factory=dict)
@@ -237,27 +237,23 @@ class StationaryResult:
     handoff_curl_inf: float | None = None
 
 
-def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_stages=()):
+def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter):
     """Minimize ``objective`` over unit-mass m > m_min and a route block y.
 
     ``objective(m, y)`` returns (value, dm, dy); ``project_y`` projects
     both iterates and gradients of y onto the route's constraint space.
-    ``m0 = None`` starts from the uniform density. Each ``barrier_stages``
-    entry mu runs a round on objective - mu mean(log m) to tolerance
-    max(tol, mu / 100) before the final round on the plain objective.
+    ``m0 = None`` starts from the uniform density.
 
-    A round is projected BB (alternating BB1/BB2 steps) with a monotone
+    The descent is projected BB (alternating BB1/BB2 steps) with a monotone
     Armijo backtracking search whose trials keep m > m_min. Iterates are
     recentered onto unit mass and the y constraints, and inner products
     carry the node quadrature weight, so tolerances are mesh independent.
-    A round whose best projected-gradient sup-norm has not improved for
+    A descent whose best projected-gradient sup-norm has not improved for
     ``STALL_WINDOW`` iterations, whose line search fails, or which does not
-    reach its tolerance in ``max_iter`` iterations raises
-    :class:`SolverError`.
+    reach ``tol`` in ``max_iter`` iterations raises :class:`SolverError`.
 
-    Returns m, y, the plain objective's gradient (dm, dy) there, and the
-    final round's value, phi_trace, grad_inf and iterations, keyed as in
-    :class:`StationaryResult`.
+    Returns m, y, the objective's gradient (dm, dy) there, and the
+    phi_trace, grad_inf and iterations, keyed as in :class:`StationaryResult`.
     """
     K = grid.num_nodes
 
@@ -274,12 +270,8 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_s
         mv, yv = unpack(x)
         return pack(mv + (1.0 - mv.mean()), project_y(yv))
 
-    def value_and_grad(x, mu):
-        mv, yv = unpack(x)
-        val, dm, dy = objective(mv, yv)
-        if mu > 0.0:
-            val -= mu * float(np.mean(np.log(mv)))
-            dm = dm - mu / mv
+    def value_and_grad(x):
+        val, dm, dy = objective(*unpack(x))
         return val, pack(dm, dy)
 
     def project(g):
@@ -287,64 +279,61 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter, barrier_s
         return pack(gm - gm.mean(), project_y(gy))
 
     m0 = np.ones(grid.shape) if m0 is None else np.asarray(m0, dtype=float)
-    x = pack(m0, y0)
-    for mu in (*barrier_stages, 0.0):
-        round_tol = max(tol, 1e-2 * mu)
-        x = recenter(x)
-        val, grad = value_and_grad(x, mu)
-        pg = project(grad)
-        trace = [val]
-        step = 1.0 / max(1.0, np.sqrt(dot(pg, pg)))
-        prev_x = prev_pg = None
-        best, best_it = np.inf, 0
-        for it in range(1, max_iter + 1):
-            gnorm = float(np.max(np.abs(pg)))
-            if gnorm <= round_tol:
-                break
-            if gnorm < best:
-                best, best_it = gnorm, it
-            elif it - best_it >= STALL_WINDOW:
-                raise SolverError(
-                    f"descent stalled at iteration {it}: the projected gradient "
-                    f"sup-norm has not improved on its floor {best:.3e} for "
-                    f"{STALL_WINDOW} iterations (tol {round_tol:.1e})"
-                )
-            if prev_x is not None:
-                s = x - prev_x
-                y = pg - prev_pg
-                sy = dot(s, y)
-                if sy > 0.0:
-                    # alternate BB1/BB2 for robustness
-                    if it % 2 == 0:
-                        step = dot(s, s) / sy
-                    else:
-                        yy = dot(y, y)
-                        step = sy / yy if yy > 0.0 else step
-                step = float(np.clip(step, 1e-12, 1e6))
-            slope = dot(pg, pg)
-            tau = step
-            for _ in range(60):
-                x_new = recenter(x - tau * pg)
-                if float(x_new[:K].min()) > model.m_min:
-                    trial = value_and_grad(x_new, mu)
-                    if trial[0] <= val - 1e-4 * tau * slope:
-                        break
-                tau *= 0.5
-            else:
-                raise SolverError(
-                    f"line search failed at iteration {it} "
-                    f"(projected gradient sup-norm {gnorm:.3e})"
-                )
-            prev_x, prev_pg = x, pg
-            x, (val, grad) = x_new, trial
-            pg = project(grad)
-            trace.append(val)
+    x = recenter(pack(m0, y0))
+    val, grad = value_and_grad(x)
+    pg = project(grad)
+    trace = [val]
+    step = 1.0 / max(1.0, np.sqrt(dot(pg, pg)))
+    prev_x = prev_pg = None
+    best, best_it = np.inf, 0
+    for it in range(1, max_iter + 1):
+        gnorm = float(np.max(np.abs(pg)))
+        if gnorm <= tol:
+            break
+        if gnorm < best:
+            best, best_it = gnorm, it
+        elif it - best_it >= STALL_WINDOW:
+            raise SolverError(
+                f"descent stalled at iteration {it}: the projected gradient "
+                f"sup-norm has not improved on its floor {best:.3e} for "
+                f"{STALL_WINDOW} iterations (tol {tol:.1e})"
+            )
+        if prev_x is not None:
+            s = x - prev_x
+            y = pg - prev_pg
+            sy = dot(s, y)
+            if sy > 0.0:
+                # alternate BB1/BB2 for robustness
+                if it % 2 == 0:
+                    step = dot(s, s) / sy
+                else:
+                    yy = dot(y, y)
+                    step = sy / yy if yy > 0.0 else step
+            step = float(np.clip(step, 1e-12, 1e6))
+        slope = dot(pg, pg)
+        tau = step
+        for _ in range(60):
+            x_new = recenter(x - tau * pg)
+            if float(x_new[:K].min()) > model.m_min:
+                trial = value_and_grad(x_new)
+                if trial[0] <= val - 1e-4 * tau * slope:
+                    break
+            tau *= 0.5
         else:
             raise SolverError(
-                f"no convergence in {max_iter} iterations "
-                f"(projected gradient sup-norm {float(np.max(np.abs(pg))):.3e})"
+                f"line search failed at iteration {it} "
+                f"(projected gradient sup-norm {gnorm:.3e})"
             )
-    run = dict(value=val, phi_trace=tuple(trace), grad_inf=gnorm, iterations=it - 1)
+        prev_x, prev_pg = x, pg
+        x, (val, grad) = x_new, trial
+        pg = project(grad)
+        trace.append(val)
+    else:
+        raise SolverError(
+            f"no convergence in {max_iter} iterations "
+            f"(projected gradient sup-norm {float(np.max(np.abs(pg))):.3e})"
+        )
+    run = dict(phi_trace=tuple(trace), grad_inf=gnorm, iterations=it - 1)
     return (*unpack(x), *unpack(grad), run)
 
 
@@ -452,31 +441,10 @@ class _Stationary:
         return jvp, precond
 
 
-def _result(state, w, diagnostics, fields) -> StationaryResult:
-    """The result of a solved ``state`` and its flux ``w``. The fields
-    every route fills alike (div w, mass error, min m and the multiplier
-    Hbar) come first; a route adds its own ``diagnostics`` and the other
-    ``StationaryResult`` ``fields``."""
-    div_w = float(np.max(np.abs(spectral.divergence(state.grid, w))))
-    return StationaryResult(
-        state=state,
-        w=w,
-        **fields,
-        residual_fp_inf=div_w,
-        diagnostics={
-            "mass_error": abs(float(np.mean(state.m)) - 1.0),
-            "div_w_inf": div_w,
-            "min_m": float(state.m.min()),
-            "hbar_from_multiplier": state.Hbar,
-            **diagnostics,
-        },
-    )
-
-
 def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     """Polish a descent's hand-off on the PDE rows, then certify it.
 
-    The hand-off is the density m, the plain objective's m-gradient dm
+    The hand-off is the density m, the objective's m-gradient dm
     there (Hbar = -mean(dm) is the multiplier of the mass constraint) and
     either the potential ``u`` or a flux ``w``. A flux route's u is the
     Poisson potential of ``model.momentum(w, m)`` whatever its curl
@@ -521,8 +489,11 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
             f"psi2_hat {hbar_psi2:.10f} (gap {hbar_gap:.3e})"
         )
     psi1 = psi1_hat(state, model)
-    fields = dict(
-        run,
+    div_w = float(np.max(np.abs(spectral.divergence(grid, w))))
+    return StationaryResult(
+        state=state,
+        w=w,
+        **run,
         value=value,
         newton_iterations=len(krylov),
         krylov_iterations=krylov,
@@ -530,25 +501,28 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
         duality_gap=value + psi1.value,
         hbar_crosscheck_gap=hbar_gap,
         residual_hjb_inf=float(np.max(np.abs(psi1.dm - hbar))),
+        residual_fp_inf=div_w,
+        diagnostics={
+            "mass_error": abs(float(np.mean(m)) - 1.0),
+            "div_w_inf": div_w,
+            "min_m": float(m.min()),
+            "hbar_from_multiplier": hbar,
+            "hbar_from_psi2_hat": hbar_psi2,
+            "psi1_hat_value": psi1.value,
+            **extras,
+        },
     )
-    diagnostics = {"hbar_from_psi2_hat": hbar_psi2, "psi1_hat_value": psi1.value, **extras}
-    return _result(state, w, diagnostics, fields)
 
 
-def _require_bb_model(model: CongestionHamiltonian, w_reg: float = 0.0, barrier_stages=()):
-    if not 0.0 <= w_reg < np.inf:
-        raise ModelError(f"w_reg must be a number in [0, inf), got {w_reg}")
-    for mu in barrier_stages:
-        if not 0.0 < mu < np.inf:
-            raise ModelError(f"barrier_stages entries must be numbers in (0, inf), got {mu}")
+def _require_bb_model(model: CongestionHamiltonian):
     if not isinstance(model, CongestionHamiltonian):
         raise ModelError("stationary congestion solvers need a congestion model")
     if model.alpha >= 1.0:
         raise ModelError("the convex route requires alpha < 1 (see solve_potential_a_gt_1)")
-    if model.gamma == 1.0 and w_reg <= 0.0:
+    if model.gamma == 1.0:
         raise ModelError(
-            "gamma = 1 makes the flux term non-differentiable; pass w_reg > 0 "
-            "to add a quadratic regularization"
+            "the convex route requires gamma > 1: at gamma = 1 the conjugate "
+            "exponent gamma' is undefined"
         )
 
 
@@ -559,90 +533,34 @@ def solve_bb(
     w0: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 50000,
-    barrier_stages: tuple[float, ...] = (),
-    w_reg: float = 0.0,
 ) -> StationaryResult:
     """Minimize phi_bb over unit-mass m > 0 and divergence-free w.
 
-    Optional ``barrier_stages`` prepend log-barrier continuation rounds
-    (useful when the minimizer grazes the positivity floor); the final
-    round always runs on the plain objective, so the returned trace is
-    the plain-phi trace. ``w_reg > 0`` adds (w_reg/2) mean |w|^2. For
-    gamma > 1 ``tol`` bounds the polished PDE rows (see ``_certify``);
-    the descent stops at ``HANDOFF_TOL``.
-
-    ``gamma == 1`` is rejected unless ``w_reg > 0``. At gamma = 1 the
-    dual flux exponent blows up and the power term of phi_bb degenerates
-    to the hard constraint |w| <= m^{1-alpha} (its pointwise limit is
-    zero inside that set), so the quadratic energy stands in for it,
-    which keeps the problem strictly convex. That solve reports the
-    regularized system honestly: ``residual_hjb_inf`` is the sup-norm of
-    f(x, m) + Hbar (the density optimality of the regularized problem,
-    which has no kinetic term), ``residual_fp_inf`` is the divergence of
-    w, and ``duality_gap`` and ``hbar_crosscheck_gap`` are None: the
-    ergodic-constant crosscheck is skipped because psi2_hat evaluates
-    the unregularized Hamiltonian.
-    The diagnostics carry the regularization weight and a route tag so
-    downstream code can tell this run apart from a certified solve.
+    The descent starts from (m0, w0), by default the uniform density and
+    the constant flux Q, and stops at ``HANDOFF_TOL``; ``tol`` bounds the
+    polished PDE rows (see ``_certify``). The model needs alpha < 1 and
+    gamma > 1, since phi_bb carries the conjugate exponent gamma'.
     """
-    _require_bb_model(model, w_reg, barrier_stages)
-    a = model.alpha
-    gamma1 = model.gamma == 1.0
+    _require_bb_model(model)
 
     def objective(m, w):
-        if gamma1:
-            Qarr = model.drift(w)
-            value = float(
-                np.mean(-np.sum(w * Qarr, axis=0) / (1.0 - a) + model.coupling.F(grid, m))
-            )
-            dm, dw = model.coupling.f(grid, m), -Qarr / (1.0 - a)
-        else:
-            rep = phi_bb(grid, m, w, model)
-            value, dm, dw = rep.value, rep.dm, rep.dw
-        if w_reg > 0.0:
-            value += 0.5 * w_reg * float(np.mean(np.sum(w * w, axis=0)))
-            dw = dw + w_reg * w
-        return value, dm, dw
+        rep = phi_bb(grid, m, w, model)
+        return rep.value, rep.dm, rep.dw
 
     if w0 is None:
         w0 = np.zeros((grid.dim,) + grid.shape)
-        if not gamma1:
-            w0 = np.broadcast_to(model.drift(w0), w0.shape)
-    m, w, dm, dw, run = _descend(
+        w0 = np.broadcast_to(model.drift(w0), w0.shape)
+    m, w, dm, _, run = _descend(
         model,
         grid,
         m0,
         np.array(w0, dtype=float),
         objective,
         lambda wv: spectral.project_div_free(grid, wv),
-        tol if gamma1 else HANDOFF_TOL,
+        HANDOFF_TOL,
         max_iter,
-        barrier_stages,
     )
-    if not gamma1:
-        return _certify(model, grid, m, dm, run, tol, {}, w=w)
-    hbar = -float(np.mean(dm))
-    # At the optimum dw has no divergence-free component, so it is the
-    # gradient of a potential; integrate it back and undo the 1/(1-a)
-    # scaling of the transform to land on the value-function gauge.
-    pot = spectral.solve_poisson(grid, spectral.divergence(grid, dw))
-    return _result(
-        StationaryState(grid, m, (1.0 - a) * pot, eps=0.0, Hbar=hbar),
-        w,
-        {
-            "route": "bb-gamma1-regularized",
-            "regularization_w_reg": w_reg,
-            "w_optimality_inf": float(np.max(np.abs(dw - spectral.gradient(grid, pot)))),
-            "hbar_crosscheck": "skipped: the crosscheck functional evaluates "
-            "the unregularized Hamiltonian",
-        },
-        dict(
-            run,
-            duality_gap=None,
-            hbar_crosscheck_gap=None,
-            residual_hjb_inf=float(np.max(np.abs(dm + hbar))),
-        ),
-    )
+    return _certify(model, grid, m, dm, run, tol, {}, w=w)
 
 
 def solve_bb_2d_stream(

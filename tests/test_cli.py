@@ -79,9 +79,20 @@ def test_invalid_formulation_exits_two(tmp_path, capsys):
 
 
 def test_unknown_key_exits_two(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "bad.json", dict(SEP_CFG, fpoly=[1.0]))
-    assert run(["report", cfg]) == 2
-    assert "unknown key 'fpoly'" in capsys.readouterr().err
+    # The retired stationary knobs solver.w_reg and solver.barrier_stages
+    # are unknown keys like any typo.
+    for name, cfg_dict, command, message in (
+        ("bad.json", dict(SEP_CFG, fpoly=[1.0]), "report", "unknown key 'fpoly'"),
+        ("w_reg.json", _with(CONG_CFG, "solver.w_reg", 1e-3), "solve-stationary",
+         "unknown key 'w_reg' in 'solver'"),
+        ("barrier.json", _with(CONG_CFG, "solver.barrier_stages", [0.1]), "solve-stationary",
+         "unknown key 'barrier_stages' in 'solver'"),
+    ):
+        out = tmp_path / name.removesuffix(".json")
+        cfg = write_cfg(tmp_path, name, dict(cfg_dict, output_dir=str(out)))
+        assert run([command, cfg]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "result.json").exists()
 
 
 def test_solve_stationary_routes(tmp_path):
@@ -199,25 +210,44 @@ def test_crosscheck_follows_the_configured_route(tmp_path):
 GAMMA1_CFG = dict(
     CONG_CFG,
     model=dict(CONG_CFG["model"], gamma=1.0),
-    solver={"tol": 1e-10, "w_reg": 1e-4},
+    solver={"tol": 1e-10},
 )
 
 
 def test_gamma_one_hbar_crosscheck_exits_two(tmp_path, capsys, monkeypatch):
-    # The regularized gamma = 1 solve skips the ergodic-constant
-    # crosscheck, so asking for it must not pass.
+    # No route solves at gamma = 1, so neither the solve nor the
+    # ergodic-constant crosscheck can pass.
     out = tmp_path / "g1"
     cfg = write_cfg(tmp_path, "g1.json", dict(GAMMA1_CFG, checks=["hbar"], output_dir=str(out)))
-    assert run(["solve-stationary", cfg]) == 0
-    payload = json.loads((out / "result.json").read_text())
-    assert payload["hbar_crosscheck_gap"] is None
-    assert payload["duality_gap"] is None
-    capsys.readouterr()
+    assert run(["solve-stationary", cfg]) == 2
+    assert "requires gamma > 1" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
     for name in SOLVERS:
         monkeypatch.setattr(cli, name, _no_solve)
     assert run(["crosscheck", cfg]) == 2
     assert "crosscheck 'hbar' does not apply at gamma = 1" in capsys.readouterr().err
     assert not (out / "crosscheck.json").exists()
+
+
+def _no_descent(*args, **kwargs):
+    raise AssertionError("a descent ran before gamma = 1 was rejected")
+
+
+@pytest.mark.parametrize("formulation, dim", [("bb", 1), ("stream2d", 2), ("auto", 1)])
+def test_gamma_one_solve_stationary_exits_two_before_any_descent(
+    tmp_path, capsys, monkeypatch, formulation, dim
+):
+    monkeypatch.setattr(stationary, "_descend", _no_descent)
+    out = tmp_path / "g1"
+    model = dict(GAMMA1_CFG["model"], Q=[1.0] * dim)
+    model["f_spatial"] = [{"amp": 0.1, "k": [1] + [0] * (dim - 1), "kind": "cos"}]
+    cfg = dict(
+        GAMMA1_CFG, model=model, grid={"dim": dim, "n": 8},
+        solver={"formulation": formulation}, output_dir=str(out),
+    )
+    assert run(["solve-stationary", write_cfg(tmp_path, "g1.json", cfg)]) == 2
+    assert "requires gamma > 1" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_gamma_one_duality_crosscheck_exits_two(tmp_path, capsys, solvers_forbidden):
@@ -555,7 +585,6 @@ MALFORMED = [
     ("solve-mfg", SEP_CFG, "grid.horizon", "x"),
     ("solve-stationary", CONG_CFG, "solver.max_iter", "x"),
     ("solve-mfg", SEP_CFG, "solver.max_newton", "x"),
-    ("solve-stationary", CONG_CFG, "solver.w_reg", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", "x"),
@@ -570,8 +599,6 @@ MALFORMED = [
     ("solve-mfg", SEP_CFG, "solver.max_newton", -3),
     ("duality-crosscheck", SEP_CFG, "solver.max_newton", 0),
     ("solve-stationary", CONG_CFG, "solver.max_iter", 0),
-    ("solve-stationary", GAMMA1_CFG, "solver.w_reg", float("nan")),
-    ("solve-stationary", CONG_CFG, "solver.w_reg", -1.0),
     ("solve-mfg", SEP_CFG, "grid.horizon", float("inf")),
     # Integer keys take integral numbers only: no fraction, no boolean.
     ("solve-mfg", SEP_CFG, "grid.n", 16.5),
@@ -772,10 +799,6 @@ def test_non_finite_profile_base_exits_two_before_solving(
 
 
 BAD_LISTS = [
-    ("solve-stationary", CONG_CFG, "solver.barrier_stages", [1e-2, 0.0]),
-    ("solve-stationary", CONG_CFG, "solver.barrier_stages", [-1e-2]),
-    ("solve-stationary", CONG_CFG, "solver.barrier_stages", [float("nan")]),
-    ("crosscheck", CONG_CFG, "solver.barrier_stages", [float("inf")]),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [1e-3, float("inf")]),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [float("nan")]),
 ]

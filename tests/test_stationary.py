@@ -148,19 +148,6 @@ def test_solve_bb_warm_start_is_fixed_point(bb_solved):
     assert res2.value == pytest.approx(res.value, rel=1e-14)
 
 
-def test_solve_bb_barrier_stages_reach_same_optimum(bb_solved):
-    res, model, g = bb_solved
-    res3 = solve_bb(model, g, barrier_stages=(1e-2, 1e-4), tol=1e-10)
-    assert abs(res3.value - res.value) < 1e-10
-    assert res3.residual_hjb_inf <= 1e-6
-
-
-@pytest.mark.parametrize("stage", [0.0, -1e-2, np.nan, np.inf])
-def test_solve_bb_rejects_a_barrier_stage_outside_0_inf(congestion_1d_model, stage):
-    with pytest.raises(ModelError, match=f"barrier_stages entries .* got {stage}"):
-        solve_bb(congestion_1d_model, TorusGrid((16,)), barrier_stages=(1e-2, stage), max_iter=1)
-
-
 def test_stream_route_matches_flux_route(bb2d_pair):
     res_bb, res_stream, model, g = bb2d_pair
     assert abs(res_bb.value - res_stream.value) <= 1e-8
@@ -184,34 +171,14 @@ def test_flux_route_rejects_alpha_at_least_one():
         solve_bb(model, TorusGrid((16,)))
 
 
-def test_gamma_one_rejected_without_regularization():
+def test_gamma_one_rejected():
     model = plain_model(gamma=1.0)
-    with pytest.raises(ModelError, match="pass w_reg > 0"):
+    with pytest.raises(ModelError, match="requires gamma > 1"):
         solve_bb(model, TorusGrid((16,)))
-    with pytest.raises(ModelError, match="gamma = 1"):
+    with pytest.raises(ModelError, match="requires gamma > 1"):
+        solve_bb_2d_stream(plain_model(gamma=1.0, Q=(1.0, 0.0)), TorusGrid((8, 8)))
+    with pytest.raises(ModelError, match="requires gamma > 1"):
         phi_bb(TorusGrid((16,)), np.ones(16), np.zeros((1, 16)), model)
-
-
-def test_gamma_one_regularized_route():
-    # With the quadratic energy in place the optimum is closed-form:
-    # f(x, m) constant in x and w the divergence-free part of Q/(w_reg (1-a)).
-    coupling = Coupling(poly=(0.0, 1.0), terms=(SpatialTerm(0.1, (1,)),))
-    model = CongestionHamiltonian(Q=(1.0,), alpha=0.5, gamma=1.0, coupling=coupling)
-    g = TorusGrid((32,))
-    w_reg = 1e-4
-    res = solve_bb(model, g, w_reg=w_reg, tol=1e-10)
-    assert res.diagnostics["route"] == "bb-gamma1-regularized"
-    assert res.diagnostics["regularization_w_reg"] == w_reg
-    assert res.duality_gap is None
-    x = np.arange(32) / 32
-    m_exact = 1.0 - 0.1 * np.cos(2.0 * np.pi * x)
-    assert np.max(np.abs(res.state.m - m_exact)) < 1e-8
-    w_exact = 1.0 / (w_reg * 0.5)
-    assert np.max(np.abs(res.w - w_exact)) < 1e-6 * w_exact
-    assert abs(res.state.Hbar + 1.0) < 1e-10
-    assert res.residual_hjb_inf < 1e-9
-    assert res.residual_fp_inf < 1e-12
-    assert res.diagnostics["w_optimality_inf"] < 1e-9
 
 
 def test_potential_route_alpha_above_one():
@@ -296,8 +263,7 @@ def test_stalled_descent_raises_with_its_floor():
     assert time.perf_counter() - t0 < 10.0
 
 
-@pytest.mark.parametrize("barrier_stages", [(), (0.1, 0.01)])
-def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model, barrier_stages):
+def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model):
     model, g = congestion_1d_model, TorusGrid((32,))
 
     def objective(m, w):
@@ -307,7 +273,7 @@ def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model, 
     w0 = np.broadcast_to(model.drift(np.zeros((1, 32))), (1, 32))
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
     m, w, dm, dw, run = stationary._descend(
-        model, g, None, np.array(w0), objective, project, 1e-7, 50000, barrier_stages
+        model, g, None, np.array(w0), objective, project, 1e-7, 50000
     )
     _, dm_plain, dw_plain = objective(m, w)
     assert np.array_equal(dm, dm_plain) and np.array_equal(dw, dw_plain)
