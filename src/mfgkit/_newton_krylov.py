@@ -3,11 +3,10 @@
 :func:`newton` runs on a system from :mod:`mfgkit.dynamics`,
 :mod:`mfgkit.bifurcation` or :mod:`mfgkit.stationary`: ``residual(z)``,
 ``linearize(z, res) -> (jvp, precond)`` applied at FFT cost, the optional
-hooks ``feasible(z)`` and ``measure(z, res)``, an optional ``krylov_rtol``
-attribute and an optional ``forcing`` switch. The finite-horizon system
-of :mod:`mfgkit.dynamics` sets ``forcing``; the stationary polish keeps a
-fixed ``krylov_rtol`` of 1e-6, and the periodic branch runs every step to
-KRYLOV_RTOL.
+hooks ``feasible(z)`` and ``measure(z, res)``, and an optional ``forcing``
+switch. The finite-horizon system of :mod:`mfgkit.dynamics` and the
+stationary polish set ``forcing`` and stop on the default sup-norm of
+their rows; the periodic branch runs every step to KRYLOV_RTOL.
 
 Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
 GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
@@ -212,23 +211,22 @@ def _forcing_term(fn: float, fn_prev: float | None, eta_prev: float | None, tol:
 def newton(system, z, tol: float, budget: int, where: str = ""):
     """Damped Newton on system.residual(z) = 0, Armijo on |res|^2, each step
     a GMRES solve labelled "Newton step <i><where>". The step's relative
-    tolerance is ``system.krylov_rtol`` if the system sets one (else
-    KRYLOV_RTOL), or, if ``system.forcing`` is true, the Eisenstat–Walker
-    forcing term of the module docstring; the terms used are then left on
-    ``system.forcing_terms``. Trial points that fail ``feasible`` are halved
-    unevaluated; converged means ``measure(z, res) <= tol`` (default:
-    sup-norm of res). Returns (z, measure, GMRES iterations per step,
-    measure after each step); raises SolverError "no convergence<where>" if
-    the line search stalls or the budget runs out.
+    tolerance is KRYLOV_RTOL, or, if ``system.forcing`` is true, the
+    Eisenstat–Walker forcing term of the module docstring; the terms used
+    are then left on ``system.forcing_terms``. Trial points that fail
+    ``feasible`` are halved unevaluated; converged means
+    ``measure(z, res) <= tol`` (default: sup-norm of res). Returns (z,
+    measure, GMRES iterations per step, measure after each step); raises
+    SolverError "no convergence<where>" if the line search stalls or the
+    budget runs out.
     """
     feasible = getattr(system, "feasible", None)
     measure = getattr(system, "measure", lambda z, res: float(np.max(np.abs(res))))
-    rtol = getattr(system, "krylov_rtol", None)
     forcing = getattr(system, "forcing", False)
     res = system.residual(z)
     rn = measure(z, res)
     krylov, history, etas = [], [], []
-    fn_prev = eta = None
+    fn_prev = eta = rtol = None
     for it in range(1, budget + 1):
         if rn <= tol:
             break

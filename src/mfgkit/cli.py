@@ -79,7 +79,7 @@ from .fields import DensityField, ScalarField, VectorField, save_field
 from .functionals import (
     GameState,
     StationaryState,
-    a_cost,
+    _a_cost,
     b_cost,
     psi1,
     psi1_hat,
@@ -433,19 +433,9 @@ def duality_crosscheck(cfg, out_dir=None) -> dict:
     state = res.state
     val1 = res.psi1
     bval = b_cost(state, model)
-    aval = a_cost(state, model)
+    aval, mbar, sloc, fstar = _a_cost(state, model)
     scale = max(1.0, abs(val1))
-    sp = st.space
-    mbar = 0.5 * (state.m[:-1] + state.m[1:])
-    sloc = model.coupling.f(sp, mbar)
-    conj_gap = float(
-        np.max(
-            np.abs(
-                model.coupling.conjugate(sp, sloc)
-                - (mbar * sloc - model.coupling.F(sp, mbar))
-            )
-        )
-    )
+    conj_gap = float(np.max(np.abs(fstar - (mbar * sloc - model.coupling.F(st.space, mbar)))))
     checks = [
         ("saddle:bcost", abs(bval + val1) / scale, 1e-6),
         ("saddle:acost", abs(aval - val1) / scale, 1e-6),

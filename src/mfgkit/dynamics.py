@@ -16,12 +16,14 @@ g(m) = f(x, m) for the equilibrium problem or g(m) = f + m df/dm for the
 planner (control) problem, whose solution is a critical point of psi2.
 
 The code does not restate these rows: :meth:`_System.residual` returns the
-slab rows of :mod:`mfgkit.functionals` (psi1's for the equilibrium,
-psi2's for the planner), so at a solved state every reported derivative
-field vanishes (data rows included). The slab structure is the implicit
-midpoint step of the Hamiltonian flow generated by psi1_hat, so that
-quantity is conserved along solutions up to an O(dt^2) wobble with no
-secular drift.
+game's slab rows from one psi2 evaluation in :mod:`mfgkit.functionals`,
+the value row of the payoff whose critical point in m is solved (psi1's
+HJB row for the equilibrium, psi2's for the planner) and psi2's transport
+row, which for separable models is psi1's bit for bit. So at a solved
+state every reported derivative field vanishes (data rows included). The
+slab structure is the implicit midpoint step of the Hamiltonian flow
+generated by psi1_hat, so that quantity is conserved along solutions up
+to an O(dt^2) wobble with no secular drift.
 
 The solver is :func:`mfgkit._newton_krylov.newton`, the damped
 Newton–Krylov loop shared with the periodic branch, run on the full
@@ -37,10 +39,11 @@ coupling slope: one real 2N x 2N time system per spatial Fourier mode,
 block tridiagonal in time with constant 2 x 2 blocks. Its inverse is
 built once per solve, at the start state, by a block LU sweep over the
 slabs (:func:`_time_inverse`), and applied by :func:`spectral.modewise`.
-The solve evaluates psi1 and psi2 once at the solved state, and
-:class:`SolveResult` carries their values. Each Newton step's GMRES
-solve runs to an Eisenstat–Walker forcing term; the Newton stopping
-test is the sup-norm of the rows against ``tol``. A Newton solve whose
+The solve evaluates psi1 and psi2 once at the solved state, psi2 from
+the rows of the last residual evaluation, and :class:`SolveResult`
+carries their values. Each Newton step's GMRES solve runs to an
+Eisenstat–Walker forcing term; the Newton stopping test is the sup-norm
+of the rows against ``tol``. A Newton solve whose
 line search stalls or whose step budget runs out, or a GMRES solve that
 misses its tolerance, raises :class:`SolverError`.
 The separable rows hold at any density; the solved node densities are
@@ -60,7 +63,7 @@ import numpy as np
 from ._newton_krylov import newton
 from .errors import GridError, ModelError, PositivityError
 from .grids import SpaceTimeGrid
-from . import spectral
+from . import functionals, spectral
 from .functionals import GameState, _slab_rows, psi1, psi2
 from .hamiltonians import SeparableHamiltonian
 
@@ -110,7 +113,7 @@ class _System:
         self.planner = planner
         self.K = sp.num_nodes
         self._precond = None
-        self._last = None  # (z, mbar, grad ubar) of the last residual evaluation
+        self._last = None  # (z, psi2 slab rows) of the last residual evaluation
 
     def fields(self, z):
         """Unknown vector -> (u, m) stacks with data rows uT, m0."""
@@ -124,16 +127,17 @@ class _System:
         return u, m
 
     def residual(self, z):
-        """The slab rows of the payoff whose critical point is solved: psi1's
-        for the equilibrium, psi2's for the planner. The midpoint density and
-        grad ubar are kept, with a copy of z, for :meth:`linearize`."""
+        """The game's slab rows, from one psi2 evaluation: the value row is
+        psi1's (the HJB row) for the equilibrium and psi2's for the planner,
+        and the transport row is psi2's. The rows are kept, with a copy of z,
+        for :meth:`linearize` and the psi2 report of the solved state."""
         u, m = self.fields(z)
-        which = "psi2" if self.planner else "psi1"
         rows = _slab_rows(
-            self.sp, self.model, which, u[:-1], u[1:], m[:-1], m[1:], self.dt, self.eps
+            self.sp, self.model, "psi2", u[:-1], u[1:], m[:-1], m[1:], self.dt, self.eps
         )
-        self._last = (z.copy(), rows.mbar, rows.p)
-        return np.concatenate([rows.value.ravel(), rows.transport.ravel()])
+        self._last = (z.copy(), rows)
+        value = rows.value if self.planner else rows.hjb
+        return np.concatenate([value.ravel(), rows.transport.ravel()])
 
     def linearize(self, z, res):
         """The derivative of :meth:`residual` at z as an action dz -> J dz,
@@ -144,7 +148,7 @@ class _System:
         residual is evaluated first."""
         if self._last is None or not np.array_equal(self._last[0], z):
             self.residual(z)
-        _, mbar, V = self._last
+        mbar, V = self._last[1].mbar, self._last[1].p
         sp, dt, eps, N = self.sp, self.dt, self.eps, self.N
         c = self.model.coupling  # g' = f' (equilibrium) or (m f)'' (planner)
         gp = c.df_dm(sp, mbar)
@@ -285,7 +289,13 @@ def _solve(
             f"{model.m_min:.1e}"
         )
     state = GameState(grid, m, u, m0=sys.m0, uT=sys.uT, eps=eps)
-    rep1, rep2 = psi1(state, model), psi2(state, model)
+    # newton's last residual evaluation is at the z it returns, so its psi2
+    # rows are this state's.
+    kept, rows = sys._last
+    rep1 = psi1(state, model)
+    rep2 = functionals._dynamic_report(
+        state, model, "psi2", rows if np.array_equal(kept, z) else None
+    )
     # The planner's value row is psi2's, so its m-derivative certifies it.
     dm = rep2.dm if planner else rep1.dm
     return SolveResult(

@@ -198,11 +198,16 @@ def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
     return out
 
 
-def _dynamic_report(state: GameState, model, which: str) -> FunctionalReport:
+def _dynamic_report(
+    state: GameState, model, which: str, s: _Slabs | None = None
+) -> FunctionalReport:
+    """The report of payoff ``which`` at ``state``, from its slab rows ``s``
+    if the caller already holds them."""
     grid = state.grid
     dt = grid.dt
     u, m = state.u, state.m
-    s = _slab_rows(grid.space, model, which, u[:-1], u[1:], m[:-1], m[1:], dt, state.eps)
+    if s is None:
+        s = _slab_rows(grid.space, model, which, u[:-1], u[1:], m[:-1], m[1:], dt, state.eps)
 
     initial_pairing = float(np.mean(state.m0 * u[0]))
     terminal_cost = float(np.mean(m[-1] * state.uT))
@@ -392,6 +397,11 @@ def a_cost(state: GameState, model: SeparableHamiltonian) -> float:
     midpoints. At states satisfying the discrete HJB rows with
     u(T) = uT, A = +psi1 exactly.
     """
+    return _a_cost(state, model)[0]
+
+
+def _a_cost(state: GameState, model: SeparableHamiltonian):
+    """:func:`a_cost` with what it reads: (A, mbar, s, F*(x, s))."""
     if not isinstance(model, SeparableHamiltonian):
         raise ModelError("a_cost is defined for separable models")
     grid = state.grid
@@ -399,9 +409,8 @@ def a_cost(state: GameState, model: SeparableHamiltonian) -> float:
     mbar = 0.5 * (state.m[:-1] + state.m[1:])
     s = model.coupling.f(sp, mbar)
     fstar = model.coupling.conjugate(sp, s)
-    return grid.dt * float(np.sum(_xmean(fstar))) - float(
-        np.mean(state.u[0] * state.m0)
-    )
+    value = grid.dt * float(np.sum(_xmean(fstar))) - float(np.mean(state.u[0] * state.m0))
+    return value, mbar, s, fstar
 
 
 def hamiltonian_profile(state: GameState, model) -> np.ndarray:

@@ -195,6 +195,41 @@ def test_strong_flux_instance_certifies_at_the_default_tol(tmp_path):
     assert payload["newton_iterations"] >= 1
 
 
+# Stationary pool op 1 of the benchmark (2-D 32^2, flux route); pool op 38 is
+# the 16x16-curl stream instance above. At solver.tol 1e-11 the polish's last
+# steps start from residuals near the matvec's roundoff, where a fixed GMRES
+# tolerance of a relative 1e-6 cannot be met (both missed it at Newton step
+# 3). The forcing terms are floored at tol / (2 |F|), so no step asks for
+# more than the Newton test needs.
+POOL_OP1_CFG = {
+    "model": {
+        "kind": "congestion", "Q": [-0.3229315655628493, -0.36049197515973974],
+        "alpha": 0.4406716982429118, "gamma": 1.8421977297715744, "f_poly": [0.0, 1.0],
+        "f_spatial": [
+            {"amp": -0.26859846023959627, "k": [-3, 2], "kind": "sin"},
+            {"amp": 0.24336861091922662, "k": [2, -3], "kind": "cos"},
+            {"amp": 0.03130504345538615, "k": [-3, 3], "kind": "cos"},
+        ],
+    },
+    "grid": {"dim": 2, "n": [32, 32]},
+    "solver": {"formulation": "bb"},
+}
+
+
+@pytest.mark.parametrize(
+    "cfg", [POOL_OP1_CFG, STALLING_STREAM_CFGS["16x16-curl"]], ids=["op1-bb", "op38-stream2d"]
+)
+def test_polish_certifies_at_a_tight_tol(tmp_path, cfg):
+    out = tmp_path / "out"
+    cfg = dict(cfg, solver=dict(cfg["solver"], tol=1e-11), output_dir=str(out))
+    assert run(["solve-stationary", write_cfg(tmp_path, "tight.json", cfg)]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    for key in ("residual_hjb_inf", "residual_fp_inf", "hbar_crosscheck_gap"):
+        assert payload[key] <= 1e-11
+    assert payload["diagnostics"]["mass_error"] <= 1e-11
+    assert payload["newton_iterations"] > 0
+
+
 def test_crosscheck_follows_the_configured_route(tmp_path):
     # alpha > 1 has only the potential route; crosscheck must pick it as
     # solve-stationary does, not fall back to the flux route.
@@ -298,9 +333,9 @@ def test_each_payoff_is_evaluated_once_per_solved_state(tmp_path, monkeypatch, c
     # comparison and the saddle checks read those values.
     seen, report = [], functionals._dynamic_report
 
-    def counting(state, model, which):
+    def counting(state, model, which, *slabs):
         seen.append((state, which))
-        return report(state, model, which)
+        return report(state, model, which, *slabs)
 
     monkeypatch.setattr(functionals, "_dynamic_report", counting)
     cfg = write_cfg(tmp_path, "c.json", SEP_CFG)

@@ -12,6 +12,7 @@ from mfgkit import (
     Coupling,
     CurlError,
     ModelError,
+    SeparableHamiltonian,
     SolverError,
     SpatialTerm,
     StationaryState,
@@ -415,3 +416,64 @@ def test_polish_preconditioner_is_exact_at_constant_states():
     assert np.max(np.abs(m - 1.0)) <= 1e-12
     assert abs(hbar + 0.5) <= 1e-12
     assert rn <= 1e-12
+
+
+def test_stationary_rows_are_the_game_rows(congestion_2d_model):
+    # Bit for bit: psi1_hat's value row - Hbar, psi2_hat's transport row +
+    # mean(u) (the Fokker-Planck row, not psi1_hat's (1 - alpha)-scaled
+    # one) and the mass defect.
+    g = TorusGrid((8, 8))
+    system = stationary._Stationary(congestion_2d_model, g)
+    rng = np.random.default_rng(5)
+    u = spectral.random_band_limited(g, rng, amplitude=0.2)
+    m = 1.0 + spectral.random_band_limited(g, rng, amplitude=0.3)
+    state = StationaryState(g, m, u, eps=0.0, Hbar=0.3)
+    hjb, transport, mass = system.fields(system.residual(system.pack(u, m, 0.3)))
+    assert np.array_equal(hjb, psi1_hat(state, congestion_2d_model).dm - 0.3)
+    assert np.array_equal(transport, psi2_hat(state, congestion_2d_model).du + u.mean())
+    assert mass == m.mean() - 1.0
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 16)])
+@pytest.mark.parametrize("poly, steps", [((0.0, 1.0), 1), ((0.0, 0.5, 0.5), 3)])
+def test_polish_solves_a_separable_game(shape, poly, steps):
+    # The rows and the Jacobian read only the model's derivatives, so a
+    # separable monotone model solves from the uniform state. For f = m the
+    # rows are linear at u = 0 and one step lands on m = 1 - 0.3 cos 2 pi x,
+    # Hbar = -1.
+    g = TorusGrid(shape)
+    term = SpatialTerm(0.3, (1,) + (0,) * (len(shape) - 1))
+    model = SeparableHamiltonian(Coupling(poly=poly, terms=(term,)))
+    system = stationary._Stationary(model, g)
+    start = system.pack(np.zeros(g.shape), np.ones(g.shape), 0.0)
+    z, rn, krylov, _ = _newton_krylov.newton(system, start, 1e-10, stationary.POLISH_STEPS)
+    assert rn <= 1e-10 and len(krylov) == steps
+    u, m, hbar = system.fields(z)
+    state = StationaryState(g, m, u, eps=0.0, Hbar=hbar)
+    assert abs(psi2_hat(state, model).value - hbar) <= 1e-10
+    if poly == (0.0, 1.0):
+        assert np.max(np.abs(m - (1.0 - term.evaluate(g)))) <= 1e-12
+        assert abs(hbar + 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8)])
+def test_separable_polish_jacobian_matches_central_differences(shape):
+    g = TorusGrid(shape)
+    rng = np.random.default_rng(7)
+    model = SeparableHamiltonian(Coupling(poly=(0.0, 0.5, 0.5)))
+    system = stationary._Stationary(model, g)
+    z = system.pack(
+        spectral.random_band_limited(g, rng, amplitude=0.2),
+        1.0 + spectral.random_band_limited(g, rng, amplitude=0.3),
+        rng.standard_normal(),
+    )
+    dz = system.pack(
+        spectral.random_band_limited(g, rng),
+        spectral.random_band_limited(g, rng),
+        rng.standard_normal(),
+    )
+    jvp, _ = system.linearize(z, system.residual(z))
+    h = 1e-6
+    fd = (system.residual(z + h * dz) - system.residual(z - h * dz)) / (2.0 * h)
+    exact = jvp(dz)
+    assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
