@@ -1,12 +1,16 @@
 """The one damped Newton–Krylov solve of the space-time and stationary systems.
 
 :func:`newton` runs on a system from :mod:`mfgkit.dynamics`,
-:mod:`mfgkit.bifurcation` or :mod:`mfgkit.stationary`: ``residual(z)``,
-``linearize(z, res) -> (jvp, precond)`` applied at FFT cost, the optional
-hooks ``feasible(z)`` and ``measure(z, res)``, and an optional ``forcing``
-switch. The finite-horizon system of :mod:`mfgkit.dynamics` and the
-stationary polish set ``forcing`` and stop on the default sup-norm of
-their rows; the periodic branch runs every step to KRYLOV_RTOL.
+:mod:`mfgkit.bifurcation` or :mod:`mfgkit.stationary`. The system's
+``evaluate(z)`` returns an :class:`Evaluation`: the rows (the Armijo merit's
+vector and the GMRES right-hand side), the norm Newton stops on, and the
+data its linearization reuses. ``linearize(z, ev) -> (jvp, precond)`` is
+called only with the evaluation of the same iterate, reads what it needs
+from ``ev`` and applies the Jacobian at FFT cost. A system may add
+``feasible(z)``, and sets ``forcing`` to have each step solved to a forcing
+term: the finite-horizon system of :mod:`mfgkit.dynamics` and the
+stationary polish do, and the periodic branch runs every step to
+KRYLOV_RTOL. :func:`newton` returns a :class:`NewtonRun`.
 
 Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
 GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
@@ -35,6 +39,7 @@ stopping test itself is unchanged.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +53,27 @@ KRYLOV_RESTART = 40
 KRYLOV_CYCLES = 5
 # The loosest forcing term of a Newton step (Eisenstat & Walker 1996).
 ETA_MAX = 0.5
+
+
+class Evaluation(NamedTuple):
+    """A system's evaluation at one iterate: its rows, the norm Newton stops
+    on, and whatever its linearization at that iterate reuses."""
+
+    rows: np.ndarray
+    norm: float
+    data: object
+
+
+class NewtonRun(NamedTuple):
+    """A converged solve: the iterate and its evaluation, GMRES iterations,
+    norm after each step and forcing terms used (empty without ``forcing``)."""
+
+    z: np.ndarray
+    ev: Evaluation
+    krylov: tuple[int, ...]
+    history: tuple[float, ...]
+    forcing_terms: tuple[float, ...]
+
 
 _EPS = float(np.finfo(float).eps)
 # dlartg's safe range (LAPACK 3.10+): the plain formula below it and above it
@@ -208,29 +234,25 @@ def _forcing_term(fn: float, fn_prev: float | None, eta_prev: float | None, tol:
     return max(KRYLOV_RTOL, tol / (2.0 * fn), min(ETA_MAX, eta))
 
 
-def newton(system, z, tol: float, budget: int, where: str = ""):
-    """Damped Newton on system.residual(z) = 0, Armijo on |res|^2, each step
-    a GMRES solve labelled "Newton step <i><where>". The step's relative
-    tolerance is KRYLOV_RTOL, or, if ``system.forcing`` is true, the
-    Eisenstat–Walker forcing term of the module docstring; the terms used
-    are then left on ``system.forcing_terms``. Trial points that fail
-    ``feasible`` are halved unevaluated; converged means
-    ``measure(z, res) <= tol`` (default: sup-norm of res). Returns (z,
-    measure, GMRES iterations per step, measure after each step); raises
-    SolverError "no convergence<where>" if the line search stalls or the
-    budget runs out.
+def newton(system, z, tol: float, budget: int, where: str = "") -> NewtonRun:
+    """Damped Newton on the rows of system.evaluate(z), Armijo on |rows|^2,
+    each step a GMRES solve labelled "Newton step <i><where>" of the
+    linearization at the iterate's evaluation. The step's relative tolerance
+    is KRYLOV_RTOL, or, if ``system.forcing`` is true, the Eisenstat–Walker
+    forcing term of the module docstring. Trial points that fail
+    ``feasible`` are halved unevaluated; converged means ``ev.norm <= tol``.
+    Returns the :class:`NewtonRun`; raises SolverError "no
+    convergence<where>" if the line search stalls or the budget runs out.
     """
     feasible = getattr(system, "feasible", None)
-    measure = getattr(system, "measure", lambda z, res: float(np.max(np.abs(res))))
     forcing = getattr(system, "forcing", False)
-    res = system.residual(z)
-    rn = measure(z, res)
+    ev = system.evaluate(z)
     krylov, history, etas = [], [], []
     fn_prev = eta = rtol = None
     for it in range(1, budget + 1):
-        if rn <= tol:
+        if ev.norm <= tol:
             break
-        phi0 = float(res @ res)
+        phi0 = float(ev.rows @ ev.rows)
         if forcing:
             fn = math.sqrt(phi0)
             rtol = eta = _forcing_term(fn, fn_prev, eta, tol)
@@ -238,29 +260,26 @@ def newton(system, z, tol: float, budget: int, where: str = ""):
             fn_prev = fn
         # No reference to the linearization outlives its step, so a system that
         # keeps its preconditioner for the next step holds the only copy.
-        delta, k = gmres(*system.linearize(z, res), -res, f"Newton step {it}{where}", rtol)
+        delta, k = gmres(*system.linearize(z, ev), -ev.rows, f"Newton step {it}{where}", rtol)
         krylov.append(k)
         step = 1.0
         while step >= 1e-6:
             z_try = z + step * delta
             if feasible is None or feasible(z_try):
-                res_try = system.residual(z_try)
-                if float(res_try @ res_try) <= (1.0 - 1e-4 * step) * phi0:
+                ev_try = system.evaluate(z_try)
+                if float(ev_try.rows @ ev_try.rows) <= (1.0 - 1e-4 * step) * phi0:
                     break
             step *= 0.5
         else:
             raise SolverError(
                 f"no convergence{where}: the line search stalled at Newton step {it}, "
-                f"residual {rn:.3e}"
+                f"residual {ev.norm:.3e}"
             )
-        z, res = z_try, res_try
-        rn = measure(z, res)
-        history.append(rn)
-    if not rn <= tol:
+        z, ev = z_try, ev_try
+        history.append(ev.norm)
+    if not ev.norm <= tol:
         raise SolverError(
-            f"no convergence{where}: residual {rn:.3e} after {budget} Newton "
+            f"no convergence{where}: residual {ev.norm:.3e} after {budget} Newton "
             f"iterations, the whole budget"
         )
-    if forcing:
-        system.forcing_terms = tuple(etas)
-    return z, rn, tuple(krylov), tuple(history)
+    return NewtonRun(z, ev, tuple(krylov), tuple(history), tuple(etas))

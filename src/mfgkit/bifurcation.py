@@ -66,7 +66,7 @@ the Jacobian applied at FFT cost, preconditioned by the bordered
 linearization frozen at the trivial state: per-mode 2x2 blocks on the
 complement of the null space, closed by a small dense Schur complement
 (see :class:`_Branch`, which also supplies the feasibility test and the
-convergence measure). The border columns that do not change, the mass
+stopping norm). The border columns that do not change, the mass
 field and the q_j, go through the frozen pseudo-inverse once per branch,
 so a step transforms only its T column. The half-period time shift maps
 the branch point at a to the one at -a, so T - T_bar and Hbar are even in
@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton_krylov import newton
+from ._newton_krylov import Evaluation, newton
 from .errors import CheckError, ModelError, PositivityError, SolverError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
@@ -212,20 +212,22 @@ def _linear_blocks(st: SpaceTimeGrid, T: float) -> np.ndarray:
 
 
 def _residual(st: SpaceTimeGrid, coupling: Coupling, U, M, Hbar: float, T: float):
-    """(G1, G2) of the rescaled periodic system on raw fields."""
+    """(G1, G2) of the rescaled periodic system on raw fields, with the
+    grad U and :func:`_linear_blocks` they were built from."""
     sp = st.space
     gradU = spectral.gradient(sp, U)
-    G1, G2 = spectral.modewise(_linear_blocks(st, T), np.stack([U, M]))
+    blocks = _linear_blocks(st, T)
+    G1, G2 = spectral.modewise(blocks, np.stack([U, M]))
     f1 = float(coupling._poly_val(1.0))
     G1 = G1 - spectral.divergence(sp, M * gradU)
     G2 = G2 + 0.5 * np.sum(gradU * gradU, axis=0) - (coupling._poly_val(1.0 + M) - f1) + Hbar
-    return G1, G2
+    return G1, G2, gradU, blocks
 
 
 def eval_G(state: PeriodicState, coupling: Coupling):
     """Residual triple (G1, G2, G3) of the rescaled periodic system."""
     _fprime1(coupling)
-    G1, G2 = _residual(state.grid, coupling, state.U, state.M, state.Hbar, state.T)
+    G1, G2, _, _ = _residual(state.grid, coupling, state.U, state.M, state.Hbar, state.T)
     return G1, G2, float(state.M.mean())
 
 
@@ -537,7 +539,6 @@ class _Branch:
         # Hbar (the mass field), T and lam (the q_j). Only the T column changes
         # between steps; :meth:`preconditioner` writes its image into row 1.
         self.pcols = self.apply_pinv(np.vstack([self.rows[0], np.zeros(2 * K), self.psi[1:]]))
-        self._last = None
 
     def split(self, z):
         """z -> (U, M, Hbar, T, lam)."""
@@ -545,54 +546,39 @@ class _Branch:
         U, M = z[:K].reshape(shape), z[K : 2 * K].reshape(shape)
         return U, M, z[2 * K], z[2 * K + 1], z[2 * K + 2 :]
 
-    def unbordered(self, z):
-        """(G1, G2) flattened and the border rows, without lam. The last
-        evaluation is kept with its z and target for :meth:`measure`."""
-        U, M, Hbar, T, _ = self.split(z)
-        G1, G2 = _residual(self.st, self.coupling, U, M, Hbar, T)
+    def evaluate(self, z) -> Evaluation:
+        """The bordered rows. Newton stops on the sup-norm of (G1, G2) and the
+        border rows without lam, so lam never enters the convergence test;
+        grad U and the linear blocks at T are the data :meth:`linearize` reads."""
+        U, M, Hbar, T, lam = self.split(z)
+        G1, G2, gradU, blocks = _residual(self.st, self.coupling, U, M, Hbar, T)
         border = self.rows @ z[: 2 * self.K] / self.K - self.target
         G = np.concatenate([G1.ravel(), G2.ravel()])
-        self._last = (z.copy(), self.target.copy(), G, border)
-        return G, border
-
-    def residual(self, z):
-        G, border = self.unbordered(z)
-        return np.concatenate([G + z[2 * self.K + 2 :] @ self.psi[1:], border])
+        norm = float(max(np.max(np.abs(G)), np.max(np.abs(border))))
+        return Evaluation(np.concatenate([G + lam @ self.psi[1:], border]), norm, (gradU, blocks))
 
     def feasible(self, z) -> bool:
         """A positive period and a positive density 1 + M."""
         _, M, _, T, _ = self.split(z)
         return T > 0.0 and float(M.min()) > -1.0
 
-    def measure(self, z, res) -> float:
-        """Sup-norm of the unbordered rows at z; the bordered ``res`` is not
-        used, so lam never enters the convergence test. The rows of the last
-        evaluation are reused when it was at this z and this target."""
-        last = self._last
-        if last is not None and np.array_equal(last[0], z) and np.array_equal(last[1], self.target):
-            parts = last[2:]
-        else:
-            parts = self.unbordered(z)
-        return float(max(np.max(np.abs(part)) for part in parts))
-
-    def linearize(self, z, res):
-        """The derivative of :meth:`residual` at z as an action dz -> J dz and
-        :meth:`preconditioner` with its T column; raises SolverError when ``res``
-        is solved but the unbordered rows are not (the grid does not resolve
-        the branch)."""
-        if float(np.max(np.abs(res))) <= _BRANCH_TOL:
+    def linearize(self, z, ev: Evaluation):
+        """The derivative of :meth:`evaluate`'s rows at z as an action
+        dz -> J dz, from ``ev``, the evaluation at z, and :meth:`preconditioner`
+        with its T column; raises SolverError when the bordered rows are solved
+        but ``ev.norm`` is not (the grid does not resolve the branch)."""
+        if float(np.max(np.abs(ev.rows))) <= _BRANCH_TOL:
             raise SolverError(
                 f"the branch equations are not solvable to {_BRANCH_TOL:g} on grid "
                 f"{self.st.field_shape} at amplitude {self.target[1]:g}: the bordered system "
                 f"is solved, but the unfolding parameters reach "
                 f"{np.max(np.abs(self.split(z)[4])):.3e} and the residual stays at "
-                f"{self.measure(z, res):.3e}; the grid does not resolve the branch"
+                f"{ev.norm:.3e}; the grid does not resolve the branch"
             )
         st, sp, K = self.st, self.st.space, self.K
         U, M, _, T, _ = self.split(z)
-        gradU = spectral.gradient(sp, U)
+        gradU, blocks = ev.data
         fp = self.coupling._poly_val(1.0 + M, deriv=1)
-        blocks = _linear_blocks(st, T)
         ddt = spectral.time_derivative_periodic
         t_col = np.concatenate([-ddt(st, M), ddt(st, U)], axis=None) / T**2
 
@@ -701,7 +687,8 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
             x = a * z1 + r2 * (z[: 2 * K] - prev_a * z1)
             z = np.concatenate([x, [r2 * Hbar, Tbar + r2 * (T - Tbar)], r2 * lam])
         system.target[1] = a
-        z, res_inf, krylov, _ = newton(system, z, _BRANCH_TOL, _MAX_NEWTON, f" at amplitude {a:g}")
+        run = newton(system, z, _BRANCH_TOL, _MAX_NEWTON, f" at amplitude {a:g}")
+        z = run.z
         U, M, Hbar, T, lam = system.split(z)
         state = PeriodicState(st, U - U.mean(), M, Hbar=float(Hbar), T=float(T))
         energy = float(np.mean(U * U) + np.mean(M * M))
@@ -712,11 +699,11 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
             BranchPoint(
                 state=state,
                 amplitude=a,
-                residual_inf=res_inf,
+                residual_inf=run.ev.norm,
                 kernel_energy_fraction=span / energy if energy > 0 else 0.0,
                 dtM_over_M=ratio,
-                newton_iterations=len(krylov),
-                krylov_iterations=krylov,
+                newton_iterations=len(run.krylov),
+                krylov_iterations=run.krylov,
                 solvability_inf=float(np.max(np.abs(lam))),
             )
         )

@@ -15,7 +15,7 @@ with ub/mb the slab midpoints, u_N = uT and m_0 = m0 held as data, and
 g(m) = f(x, m) for the equilibrium problem or g(m) = f + m df/dm for the
 planner (control) problem, whose solution is a critical point of psi2.
 
-The code does not restate these rows: :meth:`_System.residual` returns the
+The code does not restate these rows: :meth:`_System.evaluate` returns the
 game's slab rows from one psi2 evaluation in :mod:`mfgkit.functionals`,
 the value row of the payoff whose critical point in m is solved (psi1's
 HJB row for the equilibrium, psi2's for the planner) and psi2's transport
@@ -28,24 +28,23 @@ to an O(dt^2) wobble with no secular drift.
 The solver is :func:`mfgkit._newton_krylov.newton`, the damped
 Newton–Krylov loop shared with the periodic branch, run on the full
 space-time system from the data rows (u = uT and m = m0 on every slice).
-:class:`_System` supplies the residual and, through
-:meth:`_System.linearize`, the Jacobian applied at FFT cost and its
-preconditioner. The Jacobian action reuses the midpoint density and
-grad ubar of the residual last evaluated at its iterate, and transforms
-the (du, dm) midpoint stack in one forward and one inverse call
-(:func:`spectral.gradient_laplacians`) plus the divergence's pair. The
+:class:`_System` evaluates the rows, their sup-norm and the psi2 slab
+terms at an iterate; :meth:`_System.linearize` reads the midpoint density
+and grad ubar from that evaluation, which the engine hands it with the
+iterate. Its Jacobian action, at FFT cost, transforms the (du, dm)
+midpoint stack in one forward and one inverse call
+(:func:`spectral.gradient_laplacians`) plus the divergence's pair. Its
 preconditioner is the Jacobian at mean density, zero drift and mean
 coupling slope: one real 2N x 2N time system per spatial Fourier mode,
 block tridiagonal in time with constant 2 x 2 blocks. Its inverse is
 built once per solve, at the start state, by a block LU sweep over the
 slabs (:func:`_time_inverse`), and applied by :func:`spectral.modewise`.
-The solve evaluates psi1 and psi2 once at the solved state, psi2 from
-the rows of the last residual evaluation, and :class:`SolveResult`
-carries their values. Each Newton step's GMRES solve runs to an
-Eisenstat–Walker forcing term; the Newton stopping test is the sup-norm
-of the rows against ``tol``. A Newton solve whose
-line search stalls or whose step budget runs out, or a GMRES solve that
-misses its tolerance, raises :class:`SolverError`.
+The solve evaluates psi1 once at the solved state and builds psi2 from the
+slab terms of its evaluation; :class:`SolveResult` carries both values.
+Each Newton step's GMRES solve runs to an Eisenstat–Walker forcing term;
+the Newton stopping test is the sup-norm of the rows against ``tol``. A
+Newton solve whose line search stalls or whose step budget runs out, or a
+GMRES solve that misses its tolerance, raises :class:`SolverError`.
 The separable rows hold at any density; the solved node densities are
 checked once against the model's ``m_min``, before the certificates, and
 a density below it raises :class:`PositivityError`. Data rows m0 and uT
@@ -60,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton_krylov import newton
+from ._newton_krylov import Evaluation, newton
 from .errors import GridError, ModelError, PositivityError
 from .grids import SpaceTimeGrid
 from . import functionals, spectral
@@ -113,7 +112,6 @@ class _System:
         self.planner = planner
         self.K = sp.num_nodes
         self._precond = None
-        self._last = None  # (z, psi2 slab rows) of the last residual evaluation
 
     def fields(self, z):
         """Unknown vector -> (u, m) stacks with data rows uT, m0."""
@@ -126,29 +124,26 @@ class _System:
         m[1:] = z[N * K :].reshape((N,) + self.sp.shape)
         return u, m
 
-    def residual(self, z):
+    def evaluate(self, z) -> Evaluation:
         """The game's slab rows, from one psi2 evaluation: the value row is
         psi1's (the HJB row) for the equilibrium and psi2's for the planner,
-        and the transport row is psi2's. The rows are kept, with a copy of z,
-        for :meth:`linearize` and the psi2 report of the solved state."""
+        and the transport row is psi2's. Newton stops on their sup-norm; the
+        psi2 slab terms are the data, for :meth:`linearize` and the psi2
+        report of the solved state."""
         u, m = self.fields(z)
-        rows = _slab_rows(
+        slabs = _slab_rows(
             self.sp, self.model, "psi2", u[:-1], u[1:], m[:-1], m[1:], self.dt, self.eps
         )
-        self._last = (z.copy(), rows)
-        value = rows.value if self.planner else rows.hjb
-        return np.concatenate([value.ravel(), rows.transport.ravel()])
+        value = slabs.value if self.planner else slabs.hjb
+        rows = np.concatenate([value.ravel(), slabs.transport.ravel()])
+        return Evaluation(rows, float(np.max(np.abs(rows))), slabs)
 
-    def linearize(self, z, res):
-        """The derivative of :meth:`residual` at z as an action dz -> J dz,
-        and :meth:`preconditioner` at the mean density and mean g' of the
-        first state linearized, kept for the rest of the solve. The engine
-        linearizes where it last evaluated the residual, so the midpoint
-        density and grad ubar come from that evaluation; at any other z the
-        residual is evaluated first."""
-        if self._last is None or not np.array_equal(self._last[0], z):
-            self.residual(z)
-        mbar, V = self._last[1].mbar, self._last[1].p
+    def linearize(self, z, ev: Evaluation):
+        """The derivative of the rows at z as an action dz -> J dz, from the
+        midpoint density and grad ubar of ``ev``, the evaluation at z, and
+        :meth:`preconditioner` at the mean density and mean g' of the first
+        state linearized, kept for the rest of the solve."""
+        mbar, V = ev.data.mbar, ev.data.p
         sp, dt, eps, N = self.sp, self.dt, self.eps, self.N
         c = self.model.coupling  # g' = f' (equilibrium) or (m f)'' (planner)
         gp = c.df_dm(sp, mbar)
@@ -278,9 +273,9 @@ def _solve(
     sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
 
     start = np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)])
-    z, rn, krylov, history = newton(sys, start, tol, max_newton)
+    run = newton(sys, start, tol, max_newton)
 
-    u, m = sys.fields(z)
+    u, m = sys.fields(run.z)
     low = m.reshape(sys.N + 1, -1).min(axis=1)
     j = int(np.argmin(low))
     if not low[j] >= model.m_min:
@@ -289,27 +284,22 @@ def _solve(
             f"{model.m_min:.1e}"
         )
     state = GameState(grid, m, u, m0=sys.m0, uT=sys.uT, eps=eps)
-    # newton's last residual evaluation is at the z it returns, so its psi2
-    # rows are this state's.
-    kept, rows = sys._last
     rep1 = psi1(state, model)
-    rep2 = functionals._dynamic_report(
-        state, model, "psi2", rows if np.array_equal(kept, z) else None
-    )
+    rep2 = functionals._dynamic_report(state, model, "psi2", run.ev.data)
     # The planner's value row is psi2's, so its m-derivative certifies it.
     dm = rep2.dm if planner else rep1.dm
     return SolveResult(
         state=state,
-        newton_iterations=len(krylov),
-        residual_inf=rn,
+        newton_iterations=len(run.krylov),
+        residual_inf=run.ev.norm,
         min_m=float(m.min()),
         psi1_dm_inf=float(np.max(np.abs(dm))),
         psi2_du_inf=float(np.max(np.abs(rep2.du))),
         psi1=rep1.value,
         psi2=rep2.value,
-        history=history,
-        krylov_iterations=krylov,
-        forcing_terms=sys.forcing_terms,
+        history=run.history,
+        krylov_iterations=run.krylov,
+        forcing_terms=run.forcing_terms,
     )
 
 

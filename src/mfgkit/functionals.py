@@ -44,7 +44,8 @@ import numpy as np
 from .errors import GridError, ModelError
 from .grids import SpaceTimeGrid, TorusGrid
 from . import spectral
-from .hamiltonians import CongestionHamiltonian, SeparableHamiltonian, _check_floor
+from .hamiltonians import CongestionHamiltonian, HamiltonianValues, SeparableHamiltonian
+from .hamiltonians import _check_floor
 
 __all__ = [
     "GameState",
@@ -151,6 +152,7 @@ class _Slabs(NamedTuple):
     mbar: np.ndarray
     trans: np.ndarray
     p: np.ndarray  # grad ubar
+    hv: HamiltonianValues  # model.eval at (p, mbar)
 
 
 def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> _Slabs:
@@ -185,7 +187,7 @@ def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> 
     else:  # pragma: no cover
         raise ValueError(which)
     transport = trans - spectral.divergence(sp, W)
-    return _Slabs(value, transport, hjb, running, cost, ubar, mbar, trans, p)
+    return _Slabs(value, transport, hjb, running, cost, ubar, mbar, trans, p, hv)
 
 
 def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:

@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._newton_krylov import newton
+from ._newton_krylov import Evaluation, newton
 from .errors import CurlError, ModelError, SolverError
 from .grids import TorusGrid
 from . import spectral
@@ -347,7 +347,9 @@ class _Stationary:
     mean(m) - 1. Newton stops on their sup-norm, and each step's GMRES runs
     to its Eisenstat-Walker forcing term. The rows and the Jacobian read
     only ``model.eval``, ``hess_pp`` and ``dm_dpH``, so a separable model
-    with dH/dm < 0 solves as a congestion model does.
+    with dH/dm < 0 solves as a congestion model does. An evaluation keeps
+    grad u and ``model.eval`` for the Jacobian, and not the rest of its slab
+    terms, which would sit beside the GMRES basis.
     """
 
     forcing = True
@@ -366,15 +368,16 @@ class _Stationary:
     def pack(a, b, scalar):
         return np.concatenate([a.ravel(), b.ravel(), [scalar]])
 
-    def residual(self, z):
+    def evaluate(self, z) -> Evaluation:
         u, m, hbar = self.fields(z)
-        rows = _slab_rows(self.grid, self.model, "psi2", u, u, m, m, 1.0, 0.0)
-        return self.pack(rows.hjb - hbar, rows.transport + u.mean(), m.mean() - 1.0)
+        slabs = _slab_rows(self.grid, self.model, "psi2", u, u, m, m, 1.0, 0.0)
+        rows = self.pack(slabs.hjb - hbar, slabs.transport + u.mean(), m.mean() - 1.0)
+        return Evaluation(rows, float(np.max(np.abs(rows))), (slabs.p, slabs.hv))
 
     def feasible(self, z):
         return float(self.fields(z)[1].min()) > self.model.m_min
 
-    def linearize(self, z, res):
+    def linearize(self, z, ev: Evaluation):
         """J dz at FFT cost, and a preconditioner exact at constant states.
 
         With p = grad u and the flux W = m H_p, whose m-derivative is
@@ -385,9 +388,7 @@ class _Stationary:
         coefficient, and dHbar is taken from the mass row.
         """
         grid, model = self.grid, self.model
-        u, m, _ = self.fields(z)
-        p = spectral.gradient(grid, u)
-        hv = model.eval(grid, p, m)
+        m, (p, hv) = self.fields(z)[1], ev.data
         Hp, Hm = hv.dpH, hv.dmH
         if not float(Hm.max()) < 0.0:
             raise SolverError(
@@ -461,9 +462,9 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
         where += f" from a hand-off flux of curl defect {handoff_curl:.3e}"
     system = _Stationary(model, grid)
     start = system.pack(u, m, -float(np.mean(dm)))
-    z, _, krylov, _ = newton(system, start, tol, POLISH_STEPS, where)
-    u, m, hbar = system.fields(z)
-    w = w_from_u(model, grid, m, u)
+    polish = newton(system, start, tol, POLISH_STEPS, where)
+    u, m, hbar = system.fields(polish.z)
+    w = model.flux(polish.ev.data[0], m)
     if model.alpha > 1.0:
         value = j_functional(grid, m, u, model).value
         extras = {"j_value": value, **extras}
@@ -486,8 +487,8 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
         w=w,
         **run,
         value=value,
-        newton_iterations=len(krylov),
-        krylov_iterations=krylov,
+        newton_iterations=len(polish.krylov),
+        krylov_iterations=polish.krylov,
         handoff_curl_inf=handoff_curl,
         duality_gap=value + psi1.value,
         hbar_crosscheck_gap=hbar_gap,

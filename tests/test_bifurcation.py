@@ -88,10 +88,10 @@ def test_symbol_form_matches_the_explicit_formula(dim, n, n_t, periodic_setup):
     for T in (0.5 * TBAR, TBAR, 3.0):
         U, M = 0.1 * rng.standard_normal((2,) + st.field_shape)
         Hbar = 0.3
-        got = bf._residual(st, coupling, U, M, Hbar, T)
+        got = bf._residual(st, coupling, U, M, Hbar, T)[:2]
         assert rel(got, helpers.periodic_residual(st, coupling, U, M, Hbar, T)) <= 1e-12
         z = np.concatenate([U.ravel(), M.ravel(), [Hbar, T], np.zeros(len(system.psi) - 1)])
-        jvp, _ = system.linearize(z, system.residual(z))
+        jvp, _ = system.linearize(z, system.evaluate(z))
         dU, dM = rng.standard_normal((2,) + st.field_shape)
         dz = np.concatenate([dU.ravel(), dM.ravel(), [0.7, 0.0], np.zeros(len(system.psi) - 1)])
         dG = jvp(dz)[: 2 * K].reshape((2,) + st.field_shape)
@@ -361,7 +361,7 @@ def test_branch_jacobian_action_matches_dense_oracle(dim, n, n_t, periodic_setup
     )
     dz = rng.standard_normal(z.size)
     dz[2 * K + 2 :] = 0.0
-    jvp, _ = system.linearize(z, system.residual(z))
+    jvp, _ = system.linearize(z, system.evaluate(z))
     # Rows G1, G2, mass and pin; the remaining oracle rows span the same
     # null space as the library's orthogonality rows in another basis.
     got = jvp(dz)[: 2 * K + 2]
@@ -386,10 +386,10 @@ def test_bordered_newton_step_matches_direct_solve(periodic_setup):
     bordered[: 2 * K, : 2 * K + 2] = dense[: 2 * K]
     bordered[: 2 * K, 2 * K + 2 :] = system.psi[1:].T
     bordered[2 * K :, : 2 * K] = system.rows / K
-    res = system.residual(z)
-    direct = np.linalg.solve(bordered, -res)
-    jvp, precond = system.linearize(z, res)
-    step, iterations = _newton_krylov.gmres(jvp, precond, -res, "a test step")
+    ev = system.evaluate(z)
+    direct = np.linalg.solve(bordered, -ev.rows)
+    jvp, precond = system.linearize(z, ev)
+    step, iterations = _newton_krylov.gmres(jvp, precond, -ev.rows, "a test step")
     assert 0 < iterations <= 40
     assert np.linalg.norm(step - direct) <= 1e-9 * np.linalg.norm(direct)
 
@@ -479,7 +479,7 @@ def test_preconditioner_equals_a_build_that_transforms_every_column(dim, n, n_t,
         z = _random_branch_state(system, rng)
         U, M, _, T, _ = system.split(z)
         t_col = np.concatenate([-ddt(st, M), ddt(st, U)], axis=None) / T**2
-        _, precond = system.linearize(z, system.residual(z))
+        _, precond = system.linearize(z, system.evaluate(z))
         oracle = helpers.branch_preconditioner_per_step(system, t_col)
         for _ in range(3):
             r = rng.standard_normal(z.size)
@@ -495,20 +495,39 @@ def test_a_newton_iterate_evaluates_the_residual_once(monkeypatch, periodic_setu
     system.target[1] = 0.002
     K = system.K
     z = np.concatenate([0.002 * system.psi[0], [0.0, TBAR], np.zeros(len(system.psi) - 1)])
-    z, _, krylov, _ = _newton_krylov.newton(system, z, bf._BRANCH_TOL, bf._MAX_NEWTON)
-    # One evaluation at the start, then one per accepted full step: measure
-    # reuses the rows that residual evaluated at the same z.
-    assert len(krylov) >= 1
-    assert len(calls) == 1 + len(krylov)
-    res = system.residual(z)
-    before = len(calls)
-    assert system.measure(z, res) <= bf._BRANCH_TOL
-    assert len(calls) == before
-    # A new target invalidates the kept rows: the pin row now misses by 1e-3.
+    run = _newton_krylov.newton(system, z, bf._BRANCH_TOL, bf._MAX_NEWTON)
+    # One evaluation at the start, then one per accepted full step: the stopping
+    # norm comes with the rows of the same evaluation.
+    assert len(run.krylov) >= 1
+    assert len(calls) == 1 + len(run.krylov)
+    assert run.ev.norm <= bf._BRANCH_TOL
+    # The norm is read on the border rows too: at a new target the pin row,
+    # and so the norm, misses by 1e-3.
     system.target[1] = 0.003
-    assert system.measure(z, res) == pytest.approx(1e-3, rel=1e-6)
-    assert len(calls) == before + 1
-    assert np.max(np.abs(system.residual(z)[2 * K :])) == pytest.approx(1e-3, rel=1e-6)
+    ev = system.evaluate(run.z)
+    assert len(calls) == 2 + len(run.krylov)
+    assert ev.norm == pytest.approx(1e-3, rel=1e-6)
+    assert np.max(np.abs(ev.rows[2 * K :])) == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_branch_norm_leaves_out_the_unfolding_parameters(periodic_setup):
+    # lam enters the bordered rows but not the stopping norm, which is the
+    # sup-norm of (G1, G2) and the border rows.
+    st, coupling = periodic_setup
+    system = bf._Branch(coupling, st)
+    system.target[1] = 0.002
+    K = system.K
+    rng = np.random.default_rng(17)
+    z = _random_branch_state(system, rng)
+    z[2 * K + 2 :] = rng.standard_normal(len(system.psi) - 1)
+    U, M, Hbar, T, lam = system.split(z)
+    G1, G2, _, _ = bf._residual(st, coupling, U, M, Hbar, T)
+    G = np.concatenate([G1.ravel(), G2.ravel()])
+    border = system.rows @ z[: 2 * K] / K - system.target
+    ev = system.evaluate(z)
+    assert ev.norm == max(np.max(np.abs(G)), np.max(np.abs(border)))
+    assert np.array_equal(ev.rows, np.concatenate([G + lam @ system.psi[1:], border]))
+    assert ev.norm < np.max(np.abs(ev.rows))
 
 
 def test_continued_points_take_one_newton_step_on_a_fine_ladder():

@@ -231,8 +231,7 @@ def _system_case(shape, n_t, planner, seed=0):
 
 def exact_newton(system, tol=1e-9, budget=40):
     """:func:`newton` on ``system`` with every step solved to KRYLOV_RTOL
-    (forcing off), from the data rows as the solvers start: (z, measure,
-    GMRES iterations per step, history)."""
+    (forcing off), from the data rows as the solvers start: its NewtonRun."""
     system.forcing = False
     start = np.concatenate([np.tile(d.ravel(), system.N) for d in (system.uT, system.m0)])
     return _newton_krylov.newton(system, start, tol, budget)
@@ -249,7 +248,7 @@ def test_residual_rows_are_the_payoff_rows(shape, n_t, planner):
     u, m = system.fields(z)
     state = GameState(SpaceTimeGrid(system.sp, n_t, 0.5), m, u, system.m0, system.uT, eps=0.7)
     rep = (psi2 if planner else psi1)(state, system.model)
-    S, P = system.residual(z).reshape((2, n_t) + shape)
+    S, P = system.evaluate(z).rows.reshape((2, n_t) + shape)
     for rows, nodes in ((S, rep.dm), (P, rep.du)):
         assert np.array_equal(nodes[0], rows[0])
         assert np.array_equal(nodes[1:-1], 0.5 * (rows[:-1] + rows[1:]))
@@ -260,7 +259,7 @@ def test_residual_rows_are_the_payoff_rows(shape, n_t, planner):
 def test_jacobian_action_matches_dense_oracle(shape, n_t, planner):
     system, z, rng = _system_case(shape, n_t, planner)
     J = helpers.dynamics_jacobian(system, z)
-    jvp = system.linearize(z, system.residual(z))[0]
+    jvp = system.linearize(z, system.evaluate(z))[0]
     for _ in range(3):
         dz = rng.standard_normal(z.size)
         ref = J @ dz
@@ -270,10 +269,10 @@ def test_jacobian_action_matches_dense_oracle(shape, n_t, planner):
 @pytest.mark.parametrize("shape, n_t, planner", CASES)
 def test_preconditioned_newton_step_matches_direct_solve(shape, n_t, planner):
     system, z, _ = _system_case(shape, n_t, planner)
-    res = system.residual(z)
-    direct = splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-res)
-    jvp, precond = system.linearize(z, res)
-    step, iterations = _newton_krylov.gmres(jvp, precond, -res, "a test step")
+    ev = system.evaluate(z)
+    direct = splu(csc_matrix(helpers.dynamics_jacobian(system, z))).solve(-ev.rows)
+    jvp, precond = system.linearize(z, ev)
+    step, iterations = _newton_krylov.gmres(jvp, precond, -ev.rows, "a test step")
     assert 0 < iterations <= 40
     assert np.linalg.norm(step - direct) <= 1e-10 * np.linalg.norm(direct)
 
@@ -305,7 +304,7 @@ def test_newton_counts_no_higher_than_direct_solves(sep_model):
     for n_t, tol, planner in ((8, 1e-10, False), (16, 1e-12, False), (128, 1e-12, False),
                               (8, 1e-10, True)):
         system = _System(sep_model, g, n_t, T / n_t, m0, uT, 1.0, planner)
-        assert len(exact_newton(system, tol)[2]) <= 3
+        assert len(exact_newton(system, tol).krylov) <= 3
 
 
 def test_missed_krylov_tolerance_raises(sep_model, monkeypatch):
@@ -358,15 +357,15 @@ def test_krylov_newton_matches_dense_newton(shape, n_t, planner):
     system, _, _ = _system_case(shape, n_t, planner)
     start = np.concatenate([np.tile(d.ravel(), n_t) for d in (system.uT, system.m0)])
 
-    def linearize(z, res):
+    def linearize(z, ev):
         J = helpers.dynamics_jacobian(system, z)
         return J.__matmul__, splu(csc_matrix(J)).solve
 
-    dense = SimpleNamespace(residual=system.residual, linearize=linearize)
-    z, _, krylov, _ = _newton_krylov.newton(dense, start, 1e-9, 40)
-    z_krylov, _, krylov_steps, _ = exact_newton(system)
-    assert len(krylov_steps) == len(krylov)
-    for got, ref in zip(system.fields(z_krylov), system.fields(z)):
+    dense = SimpleNamespace(evaluate=system.evaluate, linearize=linearize)
+    run = _newton_krylov.newton(dense, start, 1e-9, 40)
+    krylov_run = exact_newton(system)
+    assert len(krylov_run.krylov) == len(run.krylov)
+    for got, ref in zip(system.fields(krylov_run.z), system.fields(run.z)):
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 
@@ -396,17 +395,17 @@ def test_inexact_newton_certifies_with_fewer_krylov_iterations(shape, n_t, plann
     solver = solve_mfc if planner else solve_mfg
     st = SpaceTimeGrid(system.sp, n_t, 0.5)
     inexact = solver(system.model, st, system.m0, system.uT, eps=0.7)
-    z, rn, krylov, _ = exact_newton(system)
-    u, m = system.fields(z)
+    run = exact_newton(system)
+    u, m = system.fields(run.z)
     exact = GameState(st, m, u, system.m0, system.uT, eps=0.7)
-    assert rn <= 1e-9
+    assert run.ev.norm <= 1e-9
     assert np.max(np.abs((psi2 if planner else psi1)(exact, system.model).dm)) <= 1e-7
     assert np.max(np.abs(psi2(exact, system.model).du)) <= 1e-7
     assert inexact.residual_inf <= 1e-9
     assert inexact.psi1_dm_inf <= 1e-7
     assert inexact.psi2_du_inf <= 1e-7
-    assert sum(inexact.krylov_iterations) < sum(krylov)
-    assert inexact.newton_iterations <= len(krylov) + 2
+    assert sum(inexact.krylov_iterations) < sum(run.krylov)
+    assert inexact.newton_iterations <= len(run.krylov) + 2
     etas = inexact.forcing_terms
     assert len(etas) == inexact.newton_iterations and etas[0] == 0.5
     assert all(_newton_krylov.KRYLOV_RTOL <= eta <= 0.5 for eta in etas)
@@ -445,20 +444,20 @@ def _counted(monkeypatch, module, name):
 
 def test_linearize_reuses_the_residual_it_follows(monkeypatch):
     system, z, rng = _system_case((8, 8), 4, True)
-    res = system.residual(z)
+    ev = system.evaluate(z)
     keys = ("model", "sp", "N", "dt", "m0", "uT", "eps", "planner")
     fresh = _System(*(getattr(system, k) for k in keys))
     rows = _counted(monkeypatch, dynamics, "_slab_rows")
-    jvp, _ = system.linearize(z.copy(), res)
+    jvp, _ = system.linearize(z, ev)
     assert rows == []
     dz = rng.standard_normal(z.size)
-    assert np.array_equal(jvp(dz), fresh.linearize(z, res)[0](dz))
-    assert len(rows) == 1  # the fresh system evaluated its residual first
-    # A kept copy decides, not the caller's array: z changed in place misses.
-    res = system.residual(z)
+    assert np.array_equal(jvp(dz), fresh.linearize(z, fresh.evaluate(z))[0](dz))
+    assert len(rows) == 1  # the fresh system's own evaluation
+    # The evaluation decides, not z: linearize reads the terms it is handed
+    # and evaluates nothing at the z it is given.
     z[0] += 1e-3
-    system.linearize(z, res)
-    assert len(rows) == 3
+    assert np.array_equal(system.linearize(z, ev)[0](dz), jvp(dz))
+    assert len(rows) == 1
 
 
 @pytest.mark.parametrize("planner", [False, True], ids=["equilibrium", "planner"])
@@ -469,7 +468,7 @@ def test_one_grad_ubar_transform_per_residual_evaluation(monkeypatch, planner):
     st = SpaceTimeGrid(TorusGrid((16,)), 16, T)
     m0, uT = perturbed_data(16)
     model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0, 0.0, 1.0)))
-    residuals = _counted(monkeypatch, _System, "residual")
+    residuals = _counted(monkeypatch, _System, "evaluate")
     rows = _counted(monkeypatch, dynamics, "_slab_rows")
     res = (solve_mfc if planner else solve_mfg)(model, st, m0, uT, eps=1.0, tol=1e-11)
     assert res.newton_iterations > 1
@@ -481,7 +480,7 @@ def test_jacobian_action_transforms_one_pair_plus_the_divergence(monkeypatch):
     # and the divergence's pair: 4 transform calls in 1-D, 8 in 2-D.
     for shape, calls in (((16,), 4), ((8, 8), 8)):
         system, z, rng = _system_case(shape, 4, False)
-        jvp, _ = system.linearize(z, system.residual(z))
+        jvp, _ = system.linearize(z, system.evaluate(z))
         ffts = _counted(monkeypatch, np.fft, "fft")
         iffts = _counted(monkeypatch, np.fft, "ifft")
         jvp(rng.standard_normal(z.size))

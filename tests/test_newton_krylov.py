@@ -5,8 +5,21 @@ import pytest
 import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg.lapack import dlartg
 
-from mfgkit import SolverError, _newton_krylov
+from mfgkit import (
+    CongestionHamiltonian,
+    Coupling,
+    SeparableHamiltonian,
+    SolverError,
+    SpatialTerm,
+    TorusGrid,
+    _newton_krylov,
+    dynamics,
+    spectral,
+    stationary,
+)
+from mfgkit import bifurcation as bf
 from mfgkit._newton_krylov import KRYLOV_CYCLES, KRYLOV_RESTART, KRYLOV_RTOL, gmres
+from conftest import FPRIME1
 
 
 def scipy_gmres(matvec, precond, rhs):
@@ -129,3 +142,99 @@ def test_forcing_terms_follow_eisenstat_walker_choice_2():
     assert forcing(2.0, 1.0, 0.5, 1e-9) == 0.5
     assert forcing(1e-6, 1.0, 1e-6, 1e-20) == KRYLOV_RTOL
     assert forcing(1e-6, 1.0, 1e-6, 1e-9) == 1e-9 / 2e-6
+
+
+def _finite_horizon_case():
+    sp = TorusGrid((16,))
+    x = sp.coords[0]
+    model = SeparableHamiltonian(Coupling(poly=(0.0, 1.0, 0.0, 1.0)))
+    m0, uT = 1.0 + 0.3 * np.cos(2.0 * np.pi * x), 0.2 * np.sin(2.0 * np.pi * x)
+    system = dynamics._System(model, sp, 8, 0.5 / 8, m0, uT, 1.0, False)
+    start = np.concatenate([np.tile(d.ravel(), system.N) for d in (system.uT, system.m0)])
+    return system, start, 1e-11, 40, dynamics, "_slab_rows"
+
+
+def _stationary_case():
+    term = SpatialTerm(0.3, (1,))
+    model = CongestionHamiltonian(
+        Q=(1.0,), alpha=0.5, gamma=2.0, coupling=Coupling(poly=(0.0, 1.0), terms=(term,))
+    )
+    system = stationary._Stationary(model, TorusGrid((32,)))
+    start = system.pack(np.zeros(32), np.ones(32), 0.0)
+    return system, start, 1e-10, stationary.POLISH_STEPS, stationary, "_slab_rows"
+
+
+def _branch_case():
+    coupling = bf.default_periodic_coupling(FPRIME1, cubic=1.0, f1=0.0)
+    system = bf._Branch(coupling, bf.periodic_grid(1, 16, 16))
+    system.target[1] = 0.01
+    start = np.concatenate(
+        [0.01 * system.psi[0], [0.0, bf.critical_period(FPRIME1)], np.zeros(len(system.psi) - 1)]
+    )
+    return system, start, bf._BRANCH_TOL, bf._MAX_NEWTON, bf, "_residual"
+
+
+# Each case: (system, start, tol, budget, module, name of its rows' routine).
+CASES = {
+    "finite-horizon": _finite_horizon_case,
+    "stationary": _stationary_case,
+    "branch": _branch_case,
+}
+
+
+def _log_calls(monkeypatch, owner, name, log):
+    original = getattr(owner, name)
+
+    def logged(*args, **kwargs):
+        log.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logged)
+
+
+@pytest.mark.parametrize("overshoot", [False, True], ids=["newton", "overshoot"])
+@pytest.mark.parametrize("case", CASES)
+def test_one_evaluation_per_tried_iterate(monkeypatch, case, overshoot):
+    # The start and each line-search trial are evaluated once, each by one
+    # call of the rows' routine, and the run hands back the last evaluation:
+    # the engine asks for nothing else, and linearize evaluates nothing. An
+    # overshoot quarters the Jacobian, so each step is four times too long
+    # and the line search halves it before a trial passes.
+    system, start, tol, budget, module, rows = CASES[case]()
+    if overshoot:
+        linearize = type(system).linearize
+
+        def quartered(self, z, ev):
+            jvp, precond = linearize(self, z, ev)
+            return (lambda dz: 0.25 * jvp(dz)), (lambda r: 4.0 * precond(r))
+
+        monkeypatch.setattr(type(system), "linearize", quartered)
+    evaluations, low = [], []
+    _log_calls(monkeypatch, type(system), "evaluate", evaluations)
+    _log_calls(monkeypatch, module, rows, low)
+    run = _newton_krylov.newton(system, start, tol, budget)
+    tried = [args[1] for args in evaluations]
+    assert len(run.krylov) >= 1
+    if overshoot:
+        assert len(tried) > 1 + len(run.krylov)
+    else:
+        assert len(tried) == 1 + len(run.krylov)
+    assert len(low) == len(tried)
+    assert np.array_equal(tried[0], start) and np.array_equal(tried[-1], run.z)
+    assert len({z.tobytes() for z in tried}) == len(tried)
+    assert run.ev.norm <= tol and run.history[-1] == run.ev.norm
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_linearize_reads_the_evaluation_it_is_handed(monkeypatch, case):
+    system, start, _, _, module, rows = CASES[case]()
+    ev = system.evaluate(start)
+    calls = []
+    _log_calls(monkeypatch, module, rows, calls)
+    _log_calls(monkeypatch, spectral, "gradient", calls)
+    model = getattr(system, "model", None)
+    if model is not None:
+        _log_calls(monkeypatch, type(model), "eval", calls)
+    for _ in range(2):
+        system.linearize(start, ev)
+    assert calls == []

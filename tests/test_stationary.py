@@ -316,7 +316,7 @@ def test_stationary_residual_makes_two_forward_transforms(congestion_2d_model, m
     calls = []
     fft = spectral._fft
     monkeypatch.setattr(spectral, "_fft", lambda *args: calls.append(1) or fft(*args))
-    system.residual(z)
+    system.evaluate(z)
     assert len(calls) == 2
 
 
@@ -394,9 +394,9 @@ def test_polish_jacobian_matches_central_differences(shape, alpha):
             spectral.random_band_limited(g, rng),
             rng.standard_normal(),
         )
-        jvp, _ = system.linearize(z, system.residual(z))
+        jvp, _ = system.linearize(z, system.evaluate(z))
         h = 1e-6
-        fd = (system.residual(z + h * dz) - system.residual(z - h * dz)) / (2.0 * h)
+        fd = (system.evaluate(z + h * dz).rows - system.evaluate(z - h * dz).rows) / (2.0 * h)
         exact = jvp(dz)
         assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
 
@@ -410,12 +410,12 @@ def test_polish_preconditioner_is_exact_at_constant_states():
     g = TorusGrid((16, 16))
     system = stationary._Stationary(model, g)
     start = system.pack(np.full(g.shape, 0.3), np.full(g.shape, 1.2), 0.0)
-    z, rn, krylov, _ = _newton_krylov.newton(system, start, 1e-12, 10)
-    assert len(krylov) >= 2 and set(krylov) == {1}
-    u, m, hbar = system.fields(z)
+    run = _newton_krylov.newton(system, start, 1e-12, 10)
+    assert len(run.krylov) >= 2 and set(run.krylov) == {1}
+    u, m, hbar = system.fields(run.z)
     assert np.max(np.abs(m - 1.0)) <= 1e-12
     assert abs(hbar + 0.5) <= 1e-12
-    assert rn <= 1e-12
+    assert run.ev.norm <= 1e-12
 
 
 def test_stationary_rows_are_the_game_rows(congestion_2d_model):
@@ -428,7 +428,7 @@ def test_stationary_rows_are_the_game_rows(congestion_2d_model):
     u = spectral.random_band_limited(g, rng, amplitude=0.2)
     m = 1.0 + spectral.random_band_limited(g, rng, amplitude=0.3)
     state = StationaryState(g, m, u, eps=0.0, Hbar=0.3)
-    hjb, transport, mass = system.fields(system.residual(system.pack(u, m, 0.3)))
+    hjb, transport, mass = system.fields(system.evaluate(system.pack(u, m, 0.3)).rows)
     assert np.array_equal(hjb, psi1_hat(state, congestion_2d_model).dm - 0.3)
     assert np.array_equal(transport, psi2_hat(state, congestion_2d_model).du + u.mean())
     assert mass == m.mean() - 1.0
@@ -446,9 +446,9 @@ def test_polish_solves_a_separable_game(shape, poly, steps):
     model = SeparableHamiltonian(Coupling(poly=poly, terms=(term,)))
     system = stationary._Stationary(model, g)
     start = system.pack(np.zeros(g.shape), np.ones(g.shape), 0.0)
-    z, rn, krylov, _ = _newton_krylov.newton(system, start, 1e-10, stationary.POLISH_STEPS)
-    assert rn <= 1e-10 and len(krylov) == steps
-    u, m, hbar = system.fields(z)
+    run = _newton_krylov.newton(system, start, 1e-10, stationary.POLISH_STEPS)
+    assert run.ev.norm <= 1e-10 and len(run.krylov) == steps
+    u, m, hbar = system.fields(run.z)
     state = StationaryState(g, m, u, eps=0.0, Hbar=hbar)
     assert abs(psi2_hat(state, model).value - hbar) <= 1e-10
     if poly == (0.0, 1.0):
@@ -472,8 +472,8 @@ def test_separable_polish_jacobian_matches_central_differences(shape):
         spectral.random_band_limited(g, rng),
         rng.standard_normal(),
     )
-    jvp, _ = system.linearize(z, system.residual(z))
+    jvp, _ = system.linearize(z, system.evaluate(z))
     h = 1e-6
-    fd = (system.residual(z + h * dz) - system.residual(z - h * dz)) / (2.0 * h)
+    fd = (system.evaluate(z + h * dz).rows - system.evaluate(z - h * dz).rows) / (2.0 * h)
     exact = jvp(dz)
     assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
