@@ -15,42 +15,39 @@ with ub/mb the slab midpoints, u_N = uT and m_0 = m0 held as data, and
 g(m) = f(x, m) for the equilibrium problem or g(m) = f + m df/dm for the
 planner (control) problem, whose solution is a critical point of psi2.
 
-The code does not restate these rows: :meth:`_System.evaluate` returns the
-game's slab rows from one psi2 evaluation in :mod:`mfgkit.functionals`,
+The code restates neither these rows nor their Jacobian. ``_System``
+takes the rows from one psi2 evaluation in :mod:`mfgkit.functionals`:
 the value row of the payoff whose critical point in m is solved (psi1's
-HJB row for the equilibrium, psi2's for the planner) and psi2's transport
-row, which for separable models is psi1's bit for bit. So at a solved
-state every reported derivative field vanishes (data rows included). The
-slab structure is the implicit midpoint step of the Hamiltonian flow
-generated by psi1_hat, so that quantity is conserved along solutions up
-to an O(dt^2) wobble with no secular drift.
+HJB row for the equilibrium, psi2's for the planner) and psi2's
+transport row, which for separable models is psi1's bit for bit. It
+applies their Jacobian at that evaluation,
+``functionals._slab_jacobian``, to the midpoints and time differences of
+(du, dm). So at a solved state every reported derivative field vanishes
+(data rows included). The slab structure is the implicit midpoint step
+of the Hamiltonian flow generated by psi1_hat, so that quantity is
+conserved along solutions up to an O(dt^2) wobble with no secular drift.
 
 The solver is :func:`mfgkit._newton_krylov.newton`, the damped
 Newton–Krylov loop shared with the periodic branch, run on the full
 space-time system from the data rows (u = uT and m = m0 on every slice).
 :class:`_System` evaluates the rows, their sup-norm and the psi2 slab
-terms at an iterate; :meth:`_System.linearize` reads the midpoint density
-and grad ubar from that evaluation, which the engine hands it with the
-iterate. Its Jacobian action, at FFT cost, transforms the (du, dm)
-midpoint stack in one forward and one inverse call
-(:func:`spectral.gradient_laplacians`) plus the divergence's pair. Its
-preconditioner is the Jacobian at mean density, zero drift and mean
-coupling slope: one real 2N x 2N time system per spatial Fourier mode,
-block tridiagonal in time with constant 2 x 2 blocks. Its inverse is
-built once per solve, at the start state, by a block LU sweep over the
-slabs (:func:`_time_inverse`), and applied by :func:`spectral.modewise`.
-The solve evaluates psi1 once at the solved state and builds psi2 from the
-slab terms of its evaluation; :class:`SolveResult` carries both values.
-Each Newton step's GMRES solve runs to an Eisenstat–Walker forcing term;
-the Newton stopping test is the sup-norm of the rows against ``tol``. A
-Newton solve whose line search stalls or whose step budget runs out, or a
-GMRES solve that misses its tolerance, raises :class:`SolverError`.
-The separable rows hold at any density; the solved node densities are
-checked once against the model's ``m_min``, before the certificates, and
-a density below it raises :class:`PositivityError`. Data rows m0 and uT
-off the space grid's shape raise :class:`GridError`, and non-finite data
-rows or a negative or non-finite eps raise :class:`ModelError`, before
-any work.
+terms at an iterate. The Jacobian's preconditioner is the Jacobian at
+mean density, zero drift and mean coupling slope: one real 2N x 2N time
+system per spatial Fourier mode, block tridiagonal in time with constant
+2 x 2 blocks. Its inverse is built once per solve, at the start state,
+by a block LU sweep over the slabs (:func:`_time_inverse`), and applied
+by :func:`spectral.modewise`. The solve evaluates psi1 once at the
+solved state and builds psi2 from the slab terms of its evaluation;
+:class:`SolveResult` carries both values. Each Newton step's GMRES solve
+runs to an Eisenstat–Walker forcing term; the Newton stopping test is
+the sup-norm of the rows against ``tol``. A Newton solve whose line
+search stalls or whose step budget runs out, or a GMRES solve that
+misses its tolerance, raises :class:`SolverError`. The separable rows
+hold at any density; the solved node densities are checked once against
+the model's ``m_min``, before the certificates, and a density below it
+raises :class:`PositivityError`. Data rows m0 and uT off the space
+grid's shape raise :class:`GridError`, and non-finite data rows or a
+negative or non-finite eps raise :class:`ModelError`, before any work.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from ._newton_krylov import Evaluation, newton
 from .errors import GridError, ModelError, PositivityError
 from .grids import SpaceTimeGrid
 from . import functionals, spectral
-from .functionals import GameState, _slab_rows, psi1, psi2
+from .functionals import GameState, _slab_jacobian, _slab_rows, psi1, psi2
 from .hamiltonians import SeparableHamiltonian
 
 __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_equilibrium_vs_planner"]
@@ -139,49 +136,24 @@ class _System:
         return Evaluation(rows, float(np.max(np.abs(rows))), slabs)
 
     def linearize(self, z, ev: Evaluation):
-        """The derivative of the rows at z as an action dz -> J dz, from the
-        midpoint density and grad ubar of ``ev``, the evaluation at z, and
-        :meth:`preconditioner` at the mean density and mean g' of the first
-        state linearized, kept for the rest of the solve."""
-        mbar, V = ev.data.mbar, ev.data.p
-        sp, dt, eps, N = self.sp, self.dt, self.eps, self.N
-        c = self.model.coupling  # g' = f' (equilibrium) or (m f)'' (planner)
-        gp = c.df_dm(sp, mbar)
+        """J dz from the slab terms of ``ev``, the evaluation at z, with the
+        value row's dmb coefficient -g' (H_m, or 2 H_m - mbar f'' for the
+        planner), and :meth:`preconditioner` at the mean density and mean g'
+        of the first state linearized, kept for the rest of the solve."""
+        s, sp, N = ev.data, self.sp, self.N
+        coef = s.hv.dmH
         if self.planner:
-            gp = 2.0 * gp + mbar * c.d2f_dm2(sp, mbar)
-        shape = (N,) + sp.shape
+            coef = 2.0 * coef - s.mbar * self.model.coupling.d2f_dm2(sp, s.mbar)
+        rows = _slab_jacobian(sp, self.model, s.mbar, s.p, s.hv, self.dt, self.eps, coef)[0]
 
         def jvp(dz):
-            # du_0..du_{N-1} and dm_1..dm_N; du_N = dm_0 = 0 (data rows). The
-            # zero rows enter the sums and differences as 0.0 operands, so
-            # signed zeros come out as from the full (N + 1)-row stacks.
-            du, dm = dz.reshape((2,) + shape)
-            bars = np.empty((2,) + shape)  # slab midpoints of du and dm
-            np.add(du[:-1], du[1:], out=bars[0, :-1])
-            np.add(du[-1], 0.0, out=bars[0, -1])
-            np.add(0.0, dm[0], out=bars[1, 0])
-            np.add(dm[:-1], dm[1:], out=bars[1, 1:])
-            bars *= 0.5
-            dub, dmb = bars
-            G, lap_u, lap_m = spectral.gradient_laplacians(sp, bars)
-            out = np.empty(dz.size)
-            dS, dP = out.reshape((2,) + shape)
-            np.subtract(du[1:], du[:-1], out=dS[:-1])
-            np.subtract(0.0, du[-1], out=dS[-1])
-            np.negative(dS, out=dS)
-            dS /= dt
-            dS -= eps * lap_u
-            dS += np.sum(V * G, axis=0)
-            dS -= gp * dmb
-            np.subtract(dm[0], 0.0, out=dP[0])
-            np.subtract(dm[1:], dm[:-1], out=dP[1:])
-            dP /= dt
-            dP -= eps * lap_m
-            dP -= spectral.divergence(sp, dmb * V + mbar * G)
-            return out
+            # du_0..du_{N-1} and dm_1..dm_N between the zero data rows du_N, dm_0.
+            full = np.zeros((2, N + 1) + sp.shape)
+            full[0, :N], full[1, 1:] = dz.reshape((2, N) + sp.shape)
+            return rows(0.5 * (full[:, :-1] + full[:, 1:]), full[:, 1:] - full[:, :-1]).ravel()
 
         if self._precond is None:
-            self._precond = self.preconditioner(float(mbar.mean()), float(gp.mean()))
+            self._precond = self.preconditioner(float(s.mbar.mean()), -float(coef.mean()))
         return jvp, self._precond
 
     def preconditioner(self, mbar: float, gpbar: float):

@@ -190,6 +190,40 @@ def _slab_rows(sp, model, which: str, u0, u1, m0, m1, dt: float, eps: float) -> 
     return _Slabs(value, transport, hjb, running, cost, ubar, mbar, trans, p, hv)
 
 
+def _slab_jacobian(sp, model, mbar, p, hv, dt: float, eps: float, dm_coef=None):
+    """The derivative of :func:`_slab_rows`' rows hjb and psi2's transport
+    at one evaluation's midpoints mbar, p = grad ubar and values ``hv``:
+
+        d hjb = d adv + H_p . grad dub + c dmb,   c = H_m or ``dm_coef``,
+        d transport = d trans - div(mbar H_pp grad dub + W_m dmb),
+
+    with W_m = H_p + mbar dm_dpH. Returns (rows, mbar H_pp, W_m), where
+    ``rows`` maps the stacked midpoints (dub, dmb) and time differences
+    (du1 - du0, dm1 - dm0), or None for no time terms, to the stacked
+    (d hjb, d transport) with one transform pair plus the divergence's.
+    """
+    coef = hv.dmH if dm_coef is None else dm_coef
+    mHpp = mbar * model.hess_pp(sp, p, mbar)
+    Wm = hv.dpH + mbar * model.dm_dpH(sp, p, mbar)
+
+    def rows(bars, diffs=None):
+        out = np.zeros(bars.shape) if diffs is None else diffs / dt
+        out[0] *= -1.0  # d adv starts at -(du1 - du0)/dt
+        if eps != 0.0:
+            G, lap_u, lap_m = spectral.gradient_laplacians(sp, bars)
+            out[0] -= eps * lap_u
+            out[1] -= eps * lap_m
+        else:
+            G = spectral.gradient(sp, bars[0])
+        out[0] += np.sum(hv.dpH * G, axis=0)
+        out[0] += coef * bars[1]
+        flux = np.einsum("ij...,j...->i...", mHpp, G) + Wm * bars[1]
+        out[1] -= spectral.divergence(sp, flux)
+        return out
+
+    return rows, mHpp, Wm
+
+
 def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:
     """Node field of per-slab rows: end slabs plus ``first``/``last`` at the
     end nodes, the average of the two adjacent slabs inside."""

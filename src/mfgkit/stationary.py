@@ -49,22 +49,13 @@ evaluates its objective again: Hbar = -mean(dm) is read from it.
 The problem is convex, so any positive solution of the PDE rows is the
 minimizer, and the descent is only the globalization that brings Newton
 into its basin. BB converges only linearly, and near 1e-9 roundoff
-decides whether it gets there. So each route stops its descent
-at the hand-off tolerance ``HANDOFF_TOL`` (1e-2 on the projected
-gradient) and hands m, dm and its potential u (potential route) or flux
-w (flux routes) to ``_certify``. That runs a Newton-Krylov polish
-(:func:`mfgkit._newton_krylov.newton` on ``_Stationary``) on the game's
-rows (psi1_hat's HJB row, psi2_hat's Fokker-Planck row and the mass
-defect) until their sup-norm is <= ``tol``, each step's GMRES run to an
-Eisenstat-Walker forcing term as in the finite-horizon solvers; that is
-what ``tol`` means for these routes. A flux is turned into the Poisson
-potential of ``model.momentum(w, m)`` whatever its curl defect, which is
-reported and named in any polish failure; the final flux must pass
-``u_from_w`` at ``CURL_TOL``. ``_certify`` then reads every certificate
-on the polished state: PDE residuals, the duality gap of the primal value
-(phi_bb or j, evaluated there once) against psi1_hat, and the crosscheck
-of Hbar against psi2_hat, which fails the run above
-``HBAR_CROSSCHECK_TOL``. So every returned result carries both gaps.
+decides whether it gets there. So each route stops its descent at the
+hand-off tolerance ``HANDOFF_TOL`` (1e-2 on the projected gradient), and
+``_certify`` polishes the hand-off by Newton-Krylov on the game's rows
+(``_Stationary``, whose Jacobian is ``functionals._slab_jacobian``) until
+their sup-norm is <= ``tol``, as in the finite-horizon solvers; that is
+what ``tol`` means for these routes. It reads every certificate on the
+polished state, so every returned result carries both gaps.
 
 The stream and potential routes optimize a scalar potential whose
 Hessian block is a weighted Laplacian, which would give the joint
@@ -88,6 +79,7 @@ from . import spectral
 from .functionals import (
     FunctionalReport,
     StationaryState,
+    _slab_jacobian,
     _slab_rows,
     j_functional,
     phi_bb,
@@ -217,7 +209,8 @@ class StationaryResult:
     objective trace, final projected-gradient sup-norm and iteration
     count). ``value`` is the primal value (phi_bb or j) at the returned
     state, and ``duality_gap`` and ``hbar_crosscheck_gap`` are its two
-    certificates. ``newton_iterations`` and ``krylov_iterations`` (GMRES
+    certificates; the duality gap is a function of the polished rows (see
+    ``_certify``). ``newton_iterations`` and ``krylov_iterations`` (GMRES
     iterations per Newton step) are the polish's, and ``handoff_curl_inf``
     is the curl defect of the flux at the hand-off (flux routes only).
     """
@@ -380,22 +373,20 @@ class _Stationary:
     def linearize(self, z, ev: Evaluation):
         """J dz at FFT cost, and a preconditioner exact at constant states.
 
-        With p = grad u and the flux W = m H_p, whose m-derivative is
-        W_m = H_p + m dm_dpH, the rows vary as  H_p . grad du + H_m dm - dHbar
-        and  -div(m H_pp grad du + W_m dm) + mean(du).  H_m < 0, so dm is
-        eliminated pointwise; the Schur operator in du, -div(A grad du) with
-        A = m H_pp - W_m H_p^T / H_m, is inverted by the symbol of its mean
-        coefficient, and dHbar is taken from the mass row.
+        The rows vary as :func:`_slab_jacobian`'s without time terms, less
+        dHbar and plus mean(du). H_m < 0, so dm is eliminated pointwise; the
+        Schur operator in du, -div(A grad du) with A = m H_pp - W_m H_p^T /
+        H_m, is inverted by the symbol of its mean coefficient, and dHbar is
+        taken from the mass row.
         """
-        grid, model = self.grid, self.model
+        grid, K = self.grid, self.K
         m, (p, hv) = self.fields(z)[1], ev.data
         Hp, Hm = hv.dpH, hv.dmH
         if not float(Hm.max()) < 0.0:
             raise SolverError(
                 f"the stationary polish needs dH/dm < 0, got max {float(Hm.max()):.3e}"
             )
-        mHpp = m * model.hess_pp(grid, p, m)
-        Wm = Hp + m * model.dm_dpH(grid, p, m)
+        rows, mHpp, Wm = _slab_jacobian(grid, self.model, m, p, hv, 1.0, 0.0)
         A = mHpp - Wm[:, None] * Hp[None, :] / Hm
         A_mean = A.reshape(grid.dim, grid.dim, -1).mean(axis=-1)
         s = grid.grad_symbols.imag
@@ -407,11 +398,8 @@ class _Stationary:
 
         def jvp(dz):
             du, dm, dh = self.fields(dz)
-            G = spectral.gradient(grid, du)
-            dW = np.einsum("ij...,j...->i...", mHpp, G) + Wm * dm
-            d_hjb = np.sum(Hp * G, axis=0) + Hm * dm - dh
-            d_transport = -spectral.divergence(grid, dW) + du.mean()
-            return self.pack(d_hjb, d_transport, dm.mean())
+            d_hjb, d_transport = rows(dz[: 2 * K].reshape((2,) + grid.shape))
+            return self.pack(d_hjb - dh, d_transport + du.mean(), dm.mean())
 
         grad = grid.grad_symbols
 
@@ -449,10 +437,13 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     the flux transform of (m, u)), the duality gap of the primal value
     (phi_bb or j, the only objective evaluation after the descent)
     against psi1_hat, and the crosscheck of Hbar against psi2_hat, which
-    raises :class:`SolverError` above ``HBAR_CROSSCHECK_TOL``. On a flux
-    route the final flux must pass ``u_from_w`` at ``CURL_TOL``; a failed
-    polish raises the polish's :class:`SolverError`, whose message names the
-    hand-off flux's curl defect.
+    raises :class:`SolverError` above ``HBAR_CROSSCHECK_TOL``. The duality
+    gap is not independent of the rows: j = -psi1_hat at every state, so it
+    is 0.0 by construction on the potential route, and on the flux routes it
+    is -mean(u div w) / (1 - alpha), the Fokker-Planck row paired with u. On
+    a flux route the final flux must pass ``u_from_w`` at ``CURL_TOL``; a
+    failed polish raises the polish's :class:`SolverError`, whose message
+    names the hand-off flux's curl defect.
     """
     handoff_curl = None
     where = " in the stationary polish"

@@ -868,3 +868,67 @@ def test_cli_import_loads_no_scipy():
     probe = "import mfgkit.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_FH_GRID = {"dim": 1, "n": 16, "n_t": 8}
+INPUT_CHECKS = [
+    ("report", "{not json", 2, "is not valid JSON"),
+    ("report", [1, 2], 2, "config root must be a JSON object"),
+    ("report", {"grid": 5}, 2, "'grid' must be a JSON object"),
+    ("report", {"initial": {"m0": 3}}, 2, "'initial.m0' must be a JSON object"),
+    ("report", {"checks": "mass"}, 2, "'checks' must be a list of strings"),
+    ("report", {"model": {"f_spatial": [5]}}, 2, "entries of 'model.f_spatial' must be objects"),
+    ("report", {"model": {"Q": [1.0]}}, 2, "'model.Q' only applies to kind 'congestion'"),
+    ("report", {"model": {"kind": "congestion"}}, 2, "congestion models need 'model.Q'"),
+    ("report", {"model": {"kind": "crowd"}}, 2, "unknown model kind 'crowd'"),
+    ("report", {"grid": {"dim": 2, "n": [16]}}, 2, "'grid.n' has 1 entries but dim = 2"),
+    (
+        "solve-mfg",
+        {"grid": _FH_GRID, "initial": {"m0": {"modes": [{"amp": 1.5, "k": [1]}]}}},
+        2,
+        "'initial.m0' must be strictly positive",
+    ),
+    (
+        "solve-mfg",
+        {"grid": _FH_GRID, "initial": {"m0": {"base": 2.0}}},
+        2,
+        "'initial.m0' must have unit mass",
+    ),
+    (
+        "solve-stationary",
+        {"model": {"kind": "separable"}, "grid": {"dim": 1, "n": 16}},
+        2,
+        "solve-stationary needs model.kind = 'congestion'",
+    ),
+    (
+        "solve-mfg",
+        {"model": {"kind": "congestion", "Q": [1.0]}, "grid": _FH_GRID},
+        2,
+        "the dynamic solvers need model.kind = 'separable'",
+    ),
+    # solver.tol 1e-2 stops the solve above the saddle identities' 1e-6.
+    (
+        "duality-crosscheck",
+        {
+            "grid": _FH_GRID,
+            "solver": {"tol": 0.01},
+            "initial": {"uT": {"modes": [{"amp": 0.3, "k": [1], "kind": "sin"}]}},
+        },
+        3,
+        "solved state residual 8.029e-05 is above 1e-6",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code, message", INPUT_CHECKS, ids=[c[3] for c in INPUT_CHECKS]
+)
+def test_input_checks_exit_typed_and_write_nothing(tmp_path, capsys, command, cfg, code, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    out = tmp_path / "o"
+    assert run([command, path, "--output-dir", out]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
+from mfgkit import functionals
 from mfgkit import (
     CongestionHamiltonian,
     Coupling,
@@ -293,3 +294,97 @@ def test_game_state_validation(g1):
         GameState(st, np.ones((9, 16)), np.zeros((9, 16)), np.ones(8), np.zeros(16))
     with pytest.raises(GridError, match="do not match grid"):
         GameState(st, np.ones((5, 16)), np.zeros((9, 16)), np.ones(16), np.zeros(16))
+
+
+def _jacobian_model(kind, d):
+    if kind == "separable":
+        return SeparableHamiltonian(
+            Coupling(poly=(0.0, 0.5, 0.5), terms=(SpatialTerm(0.2, (1,) * d),))
+        )
+    return CongestionHamiltonian(
+        Q=(0.8, -0.5)[:d], alpha=0.5, gamma=2.4, coupling=Coupling(poly=(0.0, 1.0))
+    )
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8)], ids=["1d", "2d"])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["separable", "congestion"])
+def test_slab_jacobian_matches_central_differences_of_the_rows(shape, eps, kind):
+    # The hjb and psi2 transport rows of _slab_rows on 3 slabs, varied in a
+    # random direction of (u0, u1, m0, m1); for the separable model also
+    # psi2's value row under the planner coefficient 2 H_m - mbar f''.
+    sp, dt, h = TorusGrid(shape), 0.1, 1e-6
+    model = _jacobian_model(kind, len(shape))
+    rng = np.random.default_rng(len(shape) + int(10 * eps))
+
+    def draw(amplitude, base=0.0):
+        return base + spectral.random_band_limited_stack(sp, rng, (3,), amplitude=amplitude)
+
+    x = (draw(0.2), draw(0.2), draw(0.3, 1.0), draw(0.3, 1.0))
+    dx = tuple(draw(1.0) for _ in x)
+    s = functionals._slab_rows(sp, model, "psi2", *x, dt, eps)
+    plus, minus = (
+        functionals._slab_rows(sp, model, "psi2", *(a + t * b for a, b in zip(x, dx)), dt, eps)
+        for t in (h, -h)
+    )
+    du0, du1, dm0, dm1 = dx
+    bars = np.stack([0.5 * (du0 + du1), 0.5 * (dm0 + dm1)])
+    diffs = np.stack([du1 - du0, dm1 - dm0])
+    coefs = [None]
+    if kind == "separable":
+        coefs.append(2.0 * s.hv.dmH - s.mbar * model.coupling.d2f_dm2(sp, s.mbar))
+    for coef, value_row in zip(coefs, ("hjb", "value")):
+        rows = functionals._slab_jacobian(sp, model, s.mbar, s.p, s.hv, dt, eps, coef)[0]
+        exact = rows(bars, diffs)
+        for name, got in zip((value_row, "transport"), exact):
+            fd = (getattr(plus, name) - getattr(minus, name)) / (2.0 * h)
+            assert np.linalg.norm(fd - got) <= 1e-6 * np.linalg.norm(got), name
+
+
+@pytest.mark.parametrize("shape", [(16,), (8, 8)], ids=["1d", "2d"])
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_slab_jacobian_without_time_terms_is_the_stationary_derivative(shape, eps):
+    sp, h = TorusGrid(shape), 1e-6
+    model = _jacobian_model("congestion", len(shape))
+    rng = np.random.default_rng(5)
+    u, du = (spectral.random_band_limited(sp, rng, amplitude=a) for a in (0.2, 1.0))
+    m, dm = (spectral.random_band_limited(sp, rng, amplitude=a) for a in (0.3, 1.0))
+    m = 1.0 + m
+    s = functionals._slab_rows(sp, model, "psi2", u, u, m, m, 1.0, eps)
+    rows = functionals._slab_jacobian(sp, model, s.mbar, s.p, s.hv, 1.0, eps)[0]
+
+    def hjb_transport(t):
+        ut, mt = u + t * du, m + t * dm
+        at = functionals._slab_rows(sp, model, "psi2", ut, ut, mt, mt, 1.0, eps)
+        return at.hjb, at.transport
+
+    fd = (np.stack(hjb_transport(h)) - np.stack(hjb_transport(-h))) / (2.0 * h)
+    for fd_row, got in zip(fd, rows(np.stack([du, dm]))):
+        assert np.linalg.norm(fd_row - got) <= 1e-6 * np.linalg.norm(got)
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 16)], ids=["1d", "2d"])
+def test_stationary_duality_gaps_are_functions_of_the_rows(shape):
+    # Neither stationary duality gap is independent of the polished rows:
+    # on the potential route (alpha > 1) j = -psi1_hat at every state, so
+    # the gap is 0.0 by construction, and on the flux routes phi_bb at
+    # w = flux(grad u, m) plus psi1_hat is -mean(u div w) / (1 - alpha), the
+    # Fokker-Planck row paired with u.
+    g = TorusGrid(shape)
+    d = len(shape)
+    rng = np.random.default_rng(17)
+    for alpha in (1.4, 0.5):
+        model = CongestionHamiltonian(
+            Q=(0.8, -0.5)[:d], alpha=alpha, gamma=2.2, coupling=Coupling(poly=(0.0, 1.0))
+        )
+        for _ in range(5):
+            m = 1.0 + spectral.random_band_limited(g, rng, amplitude=0.4)
+            u = spectral.random_band_limited(g, rng, amplitude=0.5)
+            psi1 = psi1_hat(StationaryState(g, m, u), model).value
+            if alpha > 1.0:
+                assert j_functional(g, m, u, model).value + psi1 == 0.0
+                continue
+            w = model.flux(spectral.gradient(g, u), m)
+            gap = phi_bb(g, m, w, model).value + psi1
+            paired = -float(np.mean(u * spectral.divergence(g, w))) / (1.0 - alpha)
+            assert abs(gap - paired) <= 1e-13 * max(1.0, abs(paired))
