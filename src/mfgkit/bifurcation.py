@@ -682,7 +682,9 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
         else:
             # The part of (U, M) off z1, T - Tbar, Hbar and lam are even in a
             # to leading order: scaling them by (a / prev_a)^2 predicts O(a^3).
-            r2 = (a / prev_a) ** 2
+            # numpy's power overflows to inf, which Newton then rejects, where
+            # a float's raises OverflowError.
+            r2 = np.float64(a / prev_a) ** 2
             _, _, Hbar, T, lam = system.split(z)
             x = a * z1 + r2 * (z[: 2 * K] - prev_a * z1)
             z = np.concatenate([x, [r2 * Hbar, Tbar + r2 * (T - Tbar)], r2 * lam])

@@ -19,15 +19,17 @@ solve-stationary
     ``potential`` (alpha > 1), or ``auto`` (potential iff alpha > 1,
     else bb). The route's descent hands over to a Newton polish of the
     PDE rows, which stops at ``solver.tol``. Every route needs gamma > 1.
+    The system is first-order: ``eps`` must be absent or 0.
 solve-mfg / solve-mfc
-    Finite-horizon equilibrium / planner solve.
+    Finite-horizon equilibrium / planner solve at viscosity ``eps``.
 compare
     Both dynamic solves plus the payoff comparison.
 bifurcate
-    Amplitude continuation of the time-periodic branch.
+    Amplitude continuation of the time-periodic branch. The rescaled
+    periodic system has unit viscosity: ``eps`` must be absent or 1.
 spectrum
     Eigenvalue branch of the linearized operator across the critical
-    period, closed form vs numeric, as CSV.
+    period, closed form vs numeric, as CSV; ``eps`` as for ``bifurcate``.
 crosscheck
     Derivative/duality/transform identities on the configured instance
     (solves follow ``solver.formulation``); ``checks`` picks them by the
@@ -36,7 +38,8 @@ duality-crosscheck
     Both dual control costs against psi1 at a solved equilibrium, plus
     the pointwise conjugate consistency of F*; failures exit with 3.
 
-Exit codes (``_EXIT_CODES``): 0 success; 1 solver or runtime failure; 2
+Exit codes (``_EXIT_CODES``): 0 success; 1 solver or runtime failure, a
+singular linear algebra step or running out of memory included; 2
 malformed configuration or model, or an output directory that cannot be
 created; 3 failed crosscheck.
 """
@@ -129,24 +132,29 @@ def cmd_report(cfg, out_dir):
     }
 
 
+def _require_eps(cfg, value: float, reason: str) -> None:
+    """A config's ``eps`` must be absent or ``value``, since ``reason``."""
+    if "eps" in cfg and _setting(cfg, "eps") != value:
+        raise ConfigError(f"'eps' must be {value:g} or absent: {reason} (got {cfg['eps']!r})")
+
+
 def _congestion_problem(cfg, needs: str):
     """The configured stationary problem: (model, grid, route, solve), where
     solve() runs the route that ``solver.formulation`` names; ``auto`` picks
     the potential route iff alpha > 1, else the flux route ``bb``. A model
     that is not congestion raises ``ConfigError("<needs> model.kind =
-    'congestion'")``."""
+    'congestion'")``, and so does an ``eps`` other than 0."""
     model = build_model(cfg)
     if not isinstance(model, CongestionHamiltonian):
         raise ConfigError(f"{needs} model.kind = 'congestion'")
+    _require_eps(cfg, 0.0, "the stationary congestion system is first-order")
     grid = build_space_grid(cfg)
     s = solver_settings(cfg)
     route = s["formulation"]
     if route == "auto":
         route = "potential" if model.alpha > 1.0 else "bb"
     solver = {"bb": solve_bb, "stream2d": solve_bb_2d_stream, "potential": solve_potential_a_gt_1}
-    return model, grid, route, partial(
-        solver[route], model, grid, tol=s["tol"], max_iter=s["max_iter"]
-    )
+    return model, grid, route, partial(solver[route], model, grid, tol=s["tol"])
 
 
 def cmd_solve_stationary(cfg, out_dir):
@@ -239,10 +247,17 @@ def cmd_compare(cfg, out_dir):
     }
 
 
-def cmd_bifurcate(cfg, out_dir):
+def _periodic_problem(cfg):
+    """The ``bifurcation`` settings and their unit-period grid. The rescaled
+    periodic system has unit viscosity, so ``eps`` must be absent or 1."""
+    _require_eps(cfg, 1.0, "the rescaled periodic system has unit viscosity")
     b = bifurcation_settings(cfg)
+    return b, bifurcation.periodic_grid(b["dim"], b["n"], b["n_t"])
+
+
+def cmd_bifurcate(cfg, out_dir):
+    b, st = _periodic_problem(cfg)
     coupling = bifurcation.default_periodic_coupling(b["fprime1"], b["cubic"], b["f1"])
-    st = bifurcation.periodic_grid(b["dim"], b["n"], b["n_t"])
     ker = bifurcation.kernel_at(
         st, bifurcation.critical_period(b["fprime1"]), b["fprime1"], check_trig_span=True
     )
@@ -283,8 +298,7 @@ def cmd_bifurcate(cfg, out_dir):
 
 
 def cmd_spectrum(cfg, out_dir):
-    b = bifurcation_settings(cfg)
-    st = bifurcation.periodic_grid(b["dim"], b["n"], b["n_t"])
+    b, st = _periodic_problem(cfg)
     Tbar = bifurcation.critical_period(b["fprime1"])
     hw = b["spectrum_halfwidth"]
     Ts = np.linspace(Tbar * (1.0 - hw), Tbar * (1.0 + hw), b["spectrum_points"])
@@ -462,7 +476,7 @@ _COMMANDS = {
 # The exit code of each error class; success exits 0.
 _EXIT_CODES = {
     (ConfigError, GridError, ModelError): 2,
-    (SolverError, PositivityError, CurlError): 1,
+    (SolverError, PositivityError, CurlError, np.linalg.LinAlgError, MemoryError): 1,
     CheckError: 3,
 }
 
@@ -499,7 +513,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = resolve_output_dir(args.output_dir, cfg)
         payload = run(cfg, out_dir)
-    except MFGKitError as exc:
+    except (MFGKitError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     sys.stdout.write(dump_json(out_dir / summary, payload))

@@ -5,10 +5,9 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
 (:class:`~mfgkit.errors.ConfigError` names the offending key). The keys:
 
     {
-      "task": ...,          // informational; the subcommand wins
       "seed": ...,          // RNG seed for crosscheck probes, >= 0
       "output_dir": ...,    // see resolve_output_dir for precedence
-      "eps": ...,           // viscosity of the dynamic solvers, in [0, inf)
+      "eps": ...,           // viscosity, in [0, inf); see below
       "model": {
         "kind": ...,        // "separable" or "congestion"
         "f_poly": [...],    // coupling f(m) = sum_j c_j m^j, finite c_j ...
@@ -24,7 +23,6 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
       "solver": {"tol": ...,          // finite, > 0; Newton stops at rows <= tol
                                       // (sup-norm): finite-horizon solves and the
                                       // stationary polish
-                 "max_iter": ...,     // >= 1; stationary descent budget
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
                  "formulation": ...}, // bb | stream2d | potential | auto
       "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,   // finite
@@ -36,9 +34,18 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
     }
 
 Integer keys (``seed``, ``grid.dim``, ``grid.n``, ``grid.n_t``,
-``solver.max_iter``, ``solver.max_newton``, ``bifurcation.dim``, ``.n``,
-``.n_t``, ``.spectrum_points`` and a mode's ``k``) take integers or
-integral numbers such as 16.0; fractions and booleans are rejected.
+``solver.max_newton``, ``bifurcation.dim``, ``.n``, ``.n_t``,
+``.spectrum_points`` and a mode's ``k``) take integers or integral
+numbers such as 16.0; fractions and booleans are rejected.
+
+``eps`` (default 1.0) is the viscosity of the finite-horizon commands
+(``solve-mfg``, ``solve-mfc``, ``compare``, ``duality-crosscheck`` and a
+separable ``crosscheck``). The other systems fix it: ``solve-stationary``
+and a congestion ``crosscheck`` are first-order, so they take no ``eps``
+or 0, and the rescaled periodic system of ``bifurcate`` and ``spectrum``
+has unit viscosity, so they take no ``eps`` or 1. Any other value exits 2.
+``report`` evaluates the payoffs at the uniform state, where ``eps`` drops
+out, and reads none.
 
 Each key's converter, default and allowed range is its row in the section
 tables below (``_TOP``, ``_MODEL``, ``_GRID``, ``_SOLVER``,
@@ -173,7 +180,6 @@ def _positive(v: float) -> bool:
 _POSITIVE = {"ok": _positive, "rule": "a number in (0, inf) (got {value})"}
 _NON_NEGATIVE = {"ok": lambda v: 0.0 <= v < math.inf, "rule": "a number in [0, inf) (got {value})"}
 _FINITE = {"ok": math.isfinite, "rule": "a number in (-inf, inf) (got {value})"}
-_LIST_RULE = "a list of numbers in (0, inf) (got {value})"
 
 
 _FORMULATIONS = ("auto", "bb", "stream2d", "potential")
@@ -195,7 +201,6 @@ _GRID = {
 }
 _SOLVER = {
     "tol": _Key(_number, 1e-9, **_POSITIVE),
-    "max_iter": _Key(_int, 50000, **_at_least(1)),
     "max_newton": _Key(_int, 40, **_at_least(1)),
     "formulation": _Key(
         _text,
@@ -210,7 +215,7 @@ _BIFURCATION = {
     "f1": _Key(_number, 0.0, **_FINITE),
     "amplitudes": _Key(
         _numbers, (1e-3, 3e-3, 1e-2), lambda v: bool(v) and all(map(_positive, v)),
-        "a nonempty " + _LIST_RULE,
+        "a nonempty list of numbers in (0, inf) (got {value})",
     ),
     "dim": _Key(_int, 1),
     "n": _Key(_int, 16),
@@ -220,7 +225,7 @@ _BIFURCATION = {
 }
 _MODE = {"amp": _Key(_number, 0.0), "k": _Key(_ints, ()), "kind": _Key(_text, "cos")}
 _SECTIONS = {"model": _MODEL, "grid": _GRID, "solver": _SOLVER, "bifurcation": _BIFURCATION}
-_TOP_KEYS = {"task", "output_dir", "initial", "checks", *_TOP, *_SECTIONS}
+_TOP_KEYS = {"output_dir", "initial", "checks", *_TOP, *_SECTIONS}
 _INITIAL_KEYS = {"m0", "uT"}
 _PROFILE_KEYS = {"base", "modes"}
 

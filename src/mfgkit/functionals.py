@@ -345,7 +345,7 @@ def phi_bb(
     gp = model.gamma_prime
     a = model.alpha
     beta = model.beta
-    _check_floor(m, model.m_min)
+    _check_floor(m)
     wmag = np.sqrt(np.sum(w * w, axis=0))
     wQ = np.sum(w * model.drift(w), axis=0)
     value = float(
@@ -371,7 +371,7 @@ def j_functional(
         raise ModelError("j_functional needs a congestion model")
     if model.alpha <= 1.0:
         raise ModelError("j_functional requires alpha > 1")
-    _check_floor(m, model.m_min)
+    _check_floor(m)
     a, g = model.alpha, model.gamma
     p = spectral.gradient(grid, u)
     _, rmag = model.shift(p)

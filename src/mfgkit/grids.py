@@ -16,6 +16,7 @@ exact negative adjoint of the discrete gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,12 @@ import numpy as np
 from .errors import GridError
 
 __all__ = ["TorusGrid", "SpaceTimeGrid"]
+
+# Most nodes a grid may have. numpy refuses an array of more than intp-max
+# bytes, and 512 bytes a node leave room for a d x d block of complex128 at
+# every node (144 bytes at d = 3). Smaller grids that do not fit in memory
+# fail at allocation with a MemoryError instead.
+MAX_NODES = np.iinfo(np.intp).max // 512
 
 
 def _as_shape(n) -> tuple[int, ...]:
@@ -58,6 +65,8 @@ class TorusGrid:
                 raise GridError(f"nodes per axis must be even and >= 4, got {shape}")
         if len(shape) > 3:
             raise GridError(f"only d <= 3 is supported, got d = {len(shape)}")
+        if math.prod(shape) > MAX_NODES:
+            raise GridError(f"grid shape {shape} has more nodes than numpy can index")
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -156,6 +165,8 @@ class SpaceTimeGrid:
             raise GridError(f"n_t must be even and >= 4, got {self.n_t}")
         if not 0.0 < self.horizon < np.inf:
             raise GridError(f"horizon must be positive and finite, got {self.horizon}")
+        if math.prod(self.field_shape) > MAX_NODES:
+            raise GridError(f"grid shape {self.field_shape} has more nodes than numpy can index")
 
     @property
     def dim(self) -> int:

@@ -17,12 +17,11 @@ The congestion change of variables lives here and nowhere else:
 (p + Q and its magnitude), ``flux`` (w = m^{1-alpha}|p+Q|^{gamma-2}(p+Q))
 and its inverse ``momentum``.
 
-Evaluating a congestion model at a density entry below ``m_min``
-(default 1e-10) raises :class:`~mfgkit.errors.PositivityError`; its
-power laws are not continued past the floor. Every term of a separable
-model is polynomial in m, so it evaluates at any density; its ``m_min``
-is the floor the finite-horizon solver checks once on the solved
-densities.
+Evaluating a congestion model at a density entry below ``M_FLOOR``
+(1e-10) raises :class:`~mfgkit.errors.PositivityError`; its power laws
+are not continued past the floor. Every term of a separable model is
+polynomial in m, so it evaluates at any density; ``M_FLOOR`` is also the
+floor the finite-horizon solver checks once on the solved densities.
 """
 
 from __future__ import annotations
@@ -169,11 +168,11 @@ class HamiltonianValues:
     dmH: np.ndarray
 
 
-def _check_floor(m: np.ndarray, m_min: float) -> None:
+def _check_floor(m: np.ndarray) -> None:
     mmin = float(np.min(m))
-    if not np.isfinite(mmin) or mmin < m_min:
+    if not np.isfinite(mmin) or mmin < M_FLOOR:
         raise PositivityError(
-            f"density entry {mmin:.3e} below the evaluation floor {m_min:.1e}"
+            f"density entry {mmin:.3e} below the evaluation floor {M_FLOOR:.1e}"
         )
 
 
@@ -183,7 +182,6 @@ class SeparableHamiltonian:
     is L0(q) = |q|^2 / 2."""
 
     coupling: Coupling = field(default_factory=Coupling)
-    m_min: float = M_FLOOR
 
     def eval(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> HamiltonianValues:
         H = 0.5 * np.sum(p * p, axis=0) - self.coupling.f(grid, m)
@@ -218,7 +216,6 @@ class CongestionHamiltonian:
     alpha: float
     gamma: float
     coupling: Coupling = field(default_factory=Coupling)
-    m_min: float = M_FLOOR
 
     def __post_init__(self):
         object.__setattr__(self, "Q", tuple(float(v) for v in self.Q))
@@ -278,7 +275,7 @@ class CongestionHamiltonian:
         return np.where(base > 0.0, safe**expo, 0.0)
 
     def eval(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> HamiltonianValues:
-        _check_floor(m, self.m_min)
+        _check_floor(m)
         r, rmag = self.shift(p)
         g = self.gamma
         H = rmag**g / (g * m**self.alpha) - self.coupling.f(grid, m)
@@ -290,7 +287,7 @@ class CongestionHamiltonian:
         return HamiltonianValues(H=H, dpH=dpH, dmH=dmH)
 
     def eval_F_H(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
-        _check_floor(m, self.m_min)
+        _check_floor(m)
         _, rmag = self.shift(p)
         g, a = self.gamma, self.alpha
         FH = m ** (1.0 - a) * rmag**g / ((1.0 - a) * g) - self.coupling.F(grid, m)
@@ -298,7 +295,7 @@ class CongestionHamiltonian:
 
     def legendre(self, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
         """L(x, q, m) = -q . Q + m^{alpha/(gamma-1)} |q|^{gamma'} / gamma' + f."""
-        _check_floor(m, self.m_min)
+        _check_floor(m)
         gp = self.gamma_prime
         qmag = np.sqrt(np.sum(q * q, axis=0))
         drift_dot = np.sum(q * self.drift(q), axis=0)
@@ -344,7 +341,8 @@ class MonotonicityReport:
 
 def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     """Report the monotonicity indicators above on 256 seeded samples:
-    p standard normal, m uniform in [0.2, 2]."""
+    p standard normal, m uniform in [0.2, 2]. A model whose derivatives
+    overflow there (alpha = 437, say) raises :class:`ModelError`."""
     S = 256
     rng = np.random.default_rng(0)
     d = grid.dim
@@ -355,19 +353,18 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     # derivative sampled here; sampling (p, m) pairs alone suffices.
     hpp = model.hess_pp(grid, p, m)  # (d, d, S)
     dmdp = model.dm_dpH(grid, p, m)  # (d, S)
-    if isinstance(model, SeparableHamiltonian):
-        dmH = -model.coupling._poly_val(m, deriv=1)
-    else:
+    dmH = -model.coupling._poly_val(m, deriv=1)
+    if isinstance(model, CongestionHamiltonian):
         _, rmag = model.shift(p)
-        dmH = -model.alpha * rmag**model.gamma / (
-            model.gamma * m ** (model.alpha + 1.0)
-        ) - model.coupling._poly_val(m, deriv=1)
+        dmH = dmH - model.alpha * rmag**model.gamma / (model.gamma * m ** (model.alpha + 1.0))
 
     block = np.zeros((S, d + 1, d + 1))
     block[:, :d, :d] = 2.0 * np.moveaxis(hpp, -1, 0)
     block[:, :d, d] = dmdp.T
     block[:, d, :d] = dmdp.T
     block[:, d, d] = -(2.0 / m) * dmH
+    if not np.all(np.isfinite(block)):
+        raise ModelError("the model's derivatives overflow at the sampled states")
     eigs_block = np.linalg.eigvalsh(block)
     eigs_pp = np.linalg.eigvalsh(np.moveaxis(hpp, -1, 0))
     return MonotonicityReport(

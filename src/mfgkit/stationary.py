@@ -36,7 +36,7 @@ minimizing ``j_functional`` (= -psi1_hat, convex there); see
 All three routes run on one engine, ``_descend``: projected
 Barzilai-Borwein with a monotone Armijo backtracking safeguard, so the
 recorded objective trace is strictly non-increasing. It owns the whole
-loop and the density block (unit-mass recentering, the m > m_min guard,
+loop and the density block (unit-mass recentering, the m > M_FLOOR guard,
 the mean-zero gradient projection); a route supplies its start point,
 objective and the projector of its own block (Leray for w, identity for
 the stream and potential coordinates). A
@@ -86,7 +86,7 @@ from .functionals import (
     psi1_hat,
     psi2_hat,
 )
-from .hamiltonians import CongestionHamiltonian
+from .hamiltonians import M_FLOOR, CongestionHamiltonian
 
 __all__ = [
     "StationaryResult",
@@ -110,6 +110,11 @@ CURL_TOL = 1e-6
 # Newton budget of the polish, which takes 3-5 steps from the hand-off on the
 # benchmark's stationary pool.
 POLISH_STEPS = 10
+# Iteration budget of the descent. It takes at most 54 iterations to the
+# hand-off on the benchmark's stationary pool and at most 1,597 with the
+# drift and forcing eight times as strong; a stalled descent ends in the
+# stall window long before.
+DESCENT_STEPS = 50000
 # Iterations without a new best projected-gradient norm after which the
 # descent counts as stalled. Certified solves set a new best at least
 # every 25 iterations; stalled ones go hundreds without one.
@@ -231,20 +236,20 @@ class StationaryResult:
     handoff_curl_inf: float | None = None
 
 
-def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter):
-    """Minimize ``objective`` over unit-mass m > m_min and a route block y.
+def _descend(grid, m0, y0, objective, project_y, tol):
+    """Minimize ``objective`` over unit-mass m > ``M_FLOOR`` and a route block y.
 
     ``objective(m, y)`` returns (value, dm, dy); ``project_y`` projects
     both iterates and gradients of y onto the route's constraint space.
     ``m0 = None`` starts from the uniform density.
 
     The descent is projected BB (alternating BB1/BB2 steps) with a monotone
-    Armijo backtracking search whose trials keep m > m_min. Iterates are
+    Armijo backtracking search whose trials keep m > ``M_FLOOR``. Iterates are
     recentered onto unit mass and the y constraints, and inner products
     carry the node quadrature weight, so tolerances are mesh independent.
     A descent whose best projected-gradient sup-norm has not improved for
     ``STALL_WINDOW`` iterations, whose line search fails, or which does not
-    reach ``tol`` in ``max_iter`` iterations raises :class:`SolverError`.
+    reach ``tol`` in ``DESCENT_STEPS`` iterations raises :class:`SolverError`.
 
     Returns m, y, the objective's gradient (dm, dy) there, and the
     phi_trace, grad_inf and iterations, keyed as in :class:`StationaryResult`.
@@ -280,7 +285,7 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter):
     step = 1.0 / max(1.0, np.sqrt(dot(pg, pg)))
     prev_x = prev_pg = None
     best, best_it = np.inf, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DESCENT_STEPS + 1):
         gnorm = float(np.max(np.abs(pg)))
         if gnorm <= tol:
             break
@@ -308,7 +313,7 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter):
         tau = step
         for _ in range(60):
             x_new = recenter(x - tau * pg)
-            if float(x_new[:K].min()) > model.m_min:
+            if float(x_new[:K].min()) > M_FLOOR:
                 trial = value_and_grad(x_new)
                 if trial[0] <= val - 1e-4 * tau * slope:
                     break
@@ -324,7 +329,7 @@ def _descend(model, grid, m0, y0, objective, project_y, tol, max_iter):
         trace.append(val)
     else:
         raise SolverError(
-            f"no convergence in {max_iter} iterations "
+            f"no convergence in {DESCENT_STEPS} iterations "
             f"(projected gradient sup-norm {float(np.max(np.abs(pg))):.3e})"
         )
     run = dict(phi_trace=tuple(trace), grad_inf=gnorm, iterations=it - 1)
@@ -368,7 +373,7 @@ class _Stationary:
         return Evaluation(rows, float(np.max(np.abs(rows))), (slabs.p, slabs.hv))
 
     def feasible(self, z):
-        return float(self.fields(z)[1].min()) > self.model.m_min
+        return float(self.fields(z)[1].min()) > M_FLOOR
 
     def linearize(self, z, ev: Evaluation):
         """J dz at FFT cost, and a preconditioner exact at constant states.
@@ -515,7 +520,6 @@ def solve_bb(
     m0: np.ndarray | None = None,
     w0: np.ndarray | None = None,
     tol: float = 1e-9,
-    max_iter: int = 50000,
 ) -> StationaryResult:
     """Minimize phi_bb over unit-mass m > 0 and divergence-free w.
 
@@ -534,14 +538,12 @@ def solve_bb(
         w0 = np.zeros((grid.dim,) + grid.shape)
         w0 = np.broadcast_to(model.drift(w0), w0.shape)
     m, w, dm, _, run = _descend(
-        model,
         grid,
         m0,
         np.array(w0, dtype=float),
         objective,
         lambda wv: spectral.project_div_free(grid, wv),
         HANDOFF_TOL,
-        max_iter,
     )
     return _certify(model, grid, m, dm, run, tol, {}, w=w)
 
@@ -550,7 +552,6 @@ def solve_bb_2d_stream(
     model: CongestionHamiltonian,
     grid: TorusGrid,
     tol: float = 1e-9,
-    max_iter: int = 50000,
 ) -> StationaryResult:
     """Stream-function variant of :func:`solve_bb` (d = 2 only).
 
@@ -579,9 +580,7 @@ def solve_bb_2d_stream(
     # R starts where perp(R) = Q, read through the model's checked drift.
     q = model.drift(np.zeros(2))
     y0 = np.concatenate([np.zeros(K), np.array([q[1], -q[0]]) * r_scale])
-    m, y, dm, _, run = _descend(
-        model, grid, None, y0, objective, lambda yv: yv, HANDOFF_TOL, max_iter
-    )
+    m, y, dm, _, run = _descend(grid, None, y0, objective, lambda yv: yv, HANDOFF_TOL)
     v, R = stream(y)
     w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))
     extras = {"stream_R": tuple(float(r) for r in R)}
@@ -592,7 +591,6 @@ def solve_potential_a_gt_1(
     model: CongestionHamiltonian,
     grid: TorusGrid,
     tol: float = 1e-9,
-    max_iter: int = 50000,
 ) -> StationaryResult:
     """Minimize j_functional over (m, u) for exponents 1 < alpha <= gamma,
     from the uniform density and u = 0.
@@ -613,7 +611,5 @@ def solve_potential_a_gt_1(
         return rep.value, rep.dm, _half_inverse_divgrad(grid, rep.du)
 
     phi0 = np.zeros(grid.shape)
-    m, phi, dm, _, run = _descend(
-        model, grid, None, phi0, objective, lambda yv: yv, HANDOFF_TOL, max_iter
-    )
+    m, phi, dm, _, run = _descend(grid, None, phi0, objective, lambda yv: yv, HANDOFF_TOL)
     return _certify(model, grid, m, dm, run, tol, {}, u=_half_inverse_divgrad(grid, phi))

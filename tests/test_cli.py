@@ -79,14 +79,18 @@ def test_invalid_formulation_exits_two(tmp_path, capsys):
 
 
 def test_unknown_key_exits_two(tmp_path, capsys):
-    # The retired stationary knobs solver.w_reg and solver.barrier_stages
-    # are unknown keys like any typo.
+    # The retired keys solver.w_reg, solver.barrier_stages, solver.max_iter
+    # and task are unknown keys like any typo.
     for name, cfg_dict, command, message in (
         ("bad.json", dict(SEP_CFG, fpoly=[1.0]), "report", "unknown key 'fpoly'"),
         ("w_reg.json", _with(CONG_CFG, "solver.w_reg", 1e-3), "solve-stationary",
          "unknown key 'w_reg' in 'solver'"),
         ("barrier.json", _with(CONG_CFG, "solver.barrier_stages", [0.1]), "solve-stationary",
          "unknown key 'barrier_stages' in 'solver'"),
+        ("max_iter.json", _with(CONG_CFG, "solver.max_iter", 50000), "solve-stationary",
+         "unknown key 'max_iter' in 'solver'"),
+        ("task.json", dict(CONG_CFG, task="solve-stationary"), "solve-stationary",
+         "unknown key 'task' in the config root"),
     ):
         out = tmp_path / name.removesuffix(".json")
         cfg = write_cfg(tmp_path, name, dict(cfg_dict, output_dir=str(out)))
@@ -618,7 +622,6 @@ MALFORMED = [
     ("report", SEP_CFG, "grid.dim", "x"),
     ("solve-mfg", SEP_CFG, "grid.n_t", "x"),
     ("solve-mfg", SEP_CFG, "grid.horizon", "x"),
-    ("solve-stationary", CONG_CFG, "solver.max_iter", "x"),
     ("solve-mfg", SEP_CFG, "solver.max_newton", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", "x"),
@@ -633,14 +636,12 @@ MALFORMED = [
     ("crosscheck", CONG_CFG, "solver.tol", float("inf")),
     ("solve-mfg", SEP_CFG, "solver.max_newton", -3),
     ("duality-crosscheck", SEP_CFG, "solver.max_newton", 0),
-    ("solve-stationary", CONG_CFG, "solver.max_iter", 0),
     ("solve-mfg", SEP_CFG, "grid.horizon", float("inf")),
     # Integer keys take integral numbers only: no fraction, no boolean.
     ("solve-mfg", SEP_CFG, "grid.n", 16.5),
     ("solve-mfg", SEP_CFG, "grid.n", [16.5]),
     ("report", SEP_CFG, "grid.dim", True),
     ("solve-mfg", SEP_CFG, "grid.n_t", 8.5),
-    ("solve-stationary", CONG_CFG, "solver.max_iter", 10.5),
     ("solve-mfg", SEP_CFG, "solver.max_newton", 3.7),
     ("solve-mfg", SEP_CFG, "solver.max_newton", True),
     ("crosscheck", SEP_CFG, "seed", 2.5),
@@ -861,6 +862,30 @@ def test_uncreatable_output_dir_exits_two(tmp_path, capsys):
     assert f"cannot create output directory {target}" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_one_and_writes_nothing(tmp_path):
+    # The spectrum's mode blocks on 10^8 x 10^8 nodes would take 568 PiB. The
+    # child's address space is capped at 512 MiB, so the grid's 763 MiB
+    # symbol arrays already fail at allocation instead of being written.
+    cfg = write_cfg(tmp_path, "big.json", {"bifurcation": {"n": 10**8, "n_t": 10**8}})
+    out = tmp_path / "o"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import resource, sys; from mfgkit.cli import main; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)); "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "spectrum", cfg, "--output-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+    assert not any(out.iterdir())
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.sparse.linalg alone costs a CLI process about 0.3 s and 24 MB.
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -905,6 +930,54 @@ INPUT_CHECKS = [
         {"model": {"kind": "congestion", "Q": [1.0]}, "grid": _FH_GRID},
         2,
         "the dynamic solvers need model.kind = 'separable'",
+    ),
+    ("report", {"grid": {"dim": 1, "n": 1e20}}, 2, "has more nodes than numpy can index"),
+    (
+        "bifurcate",
+        {"bifurcation": {"amplitudes": []}},
+        2,
+        "'bifurcation.amplitudes' must be a nonempty list of numbers in (0, inf) (got ())",
+    ),
+    # A system that fixes its viscosity takes no other eps.
+    (
+        "solve-stationary",
+        {"eps": 0.5, "model": {"kind": "congestion", "Q": [1.0]}, "grid": {"dim": 1, "n": 16}},
+        2,
+        "'eps' must be 0 or absent: the stationary congestion system is first-order (got 0.5)",
+    ),
+    (
+        "crosscheck",
+        {"eps": 0.5, "model": {"kind": "congestion", "Q": [1.0]}, "grid": {"dim": 1, "n": 16}},
+        2,
+        "'eps' must be 0 or absent",
+    ),
+    (
+        "bifurcate",
+        {"eps": 0.5, "bifurcation": {"n": 8, "n_t": 8}},
+        2,
+        "'eps' must be 1 or absent: the rescaled periodic system has unit viscosity (got 0.5)",
+    ),
+    ("spectrum", {"eps": 0.0, "bifurcation": {"n": 8, "n_t": 8}}, 2, "'eps' must be 1 or absent"),
+    # Escapes the property sweep found with wide draws: an overflowing
+    # monotonicity sample, a singular branch preconditioner and an
+    # overflowing amplitude ratio.
+    (
+        "report",
+        {"model": {"kind": "congestion", "alpha": 437.0, "Q": [0.0]}, "grid": {"n": 4}},
+        2,
+        "the model's derivatives overflow at the sampled states",
+    ),
+    (
+        "bifurcate",
+        {"bifurcation": {"amplitudes": [0.03125, 4.244964710161808e77], "n": 4, "n_t": 6}},
+        1,
+        "error: Singular matrix",
+    ),
+    (
+        "bifurcate",
+        {"bifurcation": {"amplitudes": [1e-3, 1e200], "n": 8, "n_t": 8}},
+        1,
+        "GMRES missed its relative tolerance 1e-10 at Newton step 1 at amplitude 1e+200",
     ),
     # solver.tol 1e-2 stops the solve above the saddle identities' 1e-6.
     (

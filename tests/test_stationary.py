@@ -232,7 +232,7 @@ def test_transforms_reject_a_drift_of_the_wrong_length():
 def test_stalled_descent_raises_with_its_floor():
     # A 1-D flux instance whose projected gradient floors above 1e-9: the
     # route certifies through the polish, and the descent alone, run to
-    # 1e-9, stops with its floor instead of running to max_iter.
+    # 1e-9, stops with its floor instead of running to DESCENT_STEPS.
     coupling = Coupling(
         poly=(0.0, 1.0),
         terms=(
@@ -260,7 +260,7 @@ def test_stalled_descent_raises_with_its_floor():
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
     t0 = time.perf_counter()
     with pytest.raises(SolverError, match="stalled at iteration .* floor"):
-        stationary._descend(model, g, None, np.array(w0), objective, project, 1e-9, 50000)
+        stationary._descend(g, None, np.array(w0), objective, project, 1e-9)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -273,9 +273,7 @@ def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model):
 
     w0 = np.broadcast_to(model.drift(np.zeros((1, 32))), (1, 32))
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
-    m, w, dm, dw, run = stationary._descend(
-        model, g, None, np.array(w0), objective, project, 1e-7, 50000
-    )
+    m, w, dm, dw, run = stationary._descend(g, None, np.array(w0), objective, project, 1e-7)
     _, dm_plain, dw_plain = objective(m, w)
     assert np.array_equal(dm, dm_plain) and np.array_equal(dw, dw_plain)
     assert run["grad_inf"] <= 1e-7
@@ -371,8 +369,9 @@ def test_stream_objective_makes_eight_transforms(congestion_2d_model, monkeypatc
     monkeypatch.setattr(stationary, "phi_stream", counted(stationary.phi_stream, "evaluations"))
     # No hand-off, so the three iterations are all descent and no polish runs.
     monkeypatch.setattr(stationary, "HANDOFF_TOL", 0.0)
+    monkeypatch.setattr(stationary, "DESCENT_STEPS", 3)
     with pytest.raises(SolverError, match="no convergence in 3 iterations"):
-        solve_bb_2d_stream(congestion_2d_model, TorusGrid((8, 8)), max_iter=3)
+        solve_bb_2d_stream(congestion_2d_model, TorusGrid((8, 8)))
     assert counts["evaluations"] >= 3
     assert counts["transforms"] == 8 * counts["evaluations"]
 

@@ -27,6 +27,7 @@ from mfgkit import (
     solve_mfg,
 )
 from mfgkit import cli
+from mfgkit.hamiltonians import M_FLOOR
 
 GRIDS = {"1d-32x16": ((32,), 16), "2d-12x12x8": ((12, 12), 8)}
 CASES = list(itertools.product(GRIDS, (0.1, 0.3), (1.0, 3.0), (1.0, 3.0), (False, True)))
@@ -55,7 +56,7 @@ def test_steep_case_ends_certified_or_typed(grid, eps, amp, horizon, planner):
     except (PositivityError, SolverError):
         return
     assert res.residual_inf <= 1e-9
-    assert res.min_m >= model.m_min
+    assert res.min_m >= M_FLOOR
     assert res.psi1_dm_inf <= 1e-7
     assert res.psi2_du_inf <= 1e-7
 
