@@ -23,8 +23,7 @@ Modules
     Solvers for the stationary congestion problem (flux form, 2-D stream
     form, and the concave-exponent potential route): a projected
     Barzilai-Borwein descent brings the state into Newton's basin, and a
-    Newton-Krylov polish of the PDE rows produces the certified solution
-    (every route needs gamma > 1).
+    Newton-Krylov polish of the PDE rows produces the certified solution.
 ``dynamics``
     Matrix-free Newton-Krylov solvers, with Eisenstat-Walker forcing
     terms, for the finite-horizon equilibrium and planner systems on an

@@ -242,7 +242,8 @@ def newton(system, z, tol: float, budget: int, where: str = "") -> NewtonRun:
     forcing term of the module docstring. Trial points that fail
     ``feasible`` are halved unevaluated; converged means ``ev.norm <= tol``.
     Returns the :class:`NewtonRun`; raises SolverError "no
-    convergence<where>" if the line search stalls or the budget runs out.
+    convergence<where>" if an iterate's norm is nan or inf (before its
+    step is linearized), the line search stalls or the budget runs out.
     """
     feasible = getattr(system, "feasible", None)
     forcing = getattr(system, "forcing", False)
@@ -252,6 +253,10 @@ def newton(system, z, tol: float, budget: int, where: str = "") -> NewtonRun:
     for it in range(1, budget + 1):
         if ev.norm <= tol:
             break
+        if not math.isfinite(ev.norm):
+            raise SolverError(
+                f"no convergence{where}: the residual is {ev.norm} at Newton step {it}"
+            )
         phi0 = float(ev.rows @ ev.rows)
         if forcing:
             fn = math.sqrt(phi0)

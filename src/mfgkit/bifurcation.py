@@ -144,7 +144,7 @@ def _fprime1(coupling: Coupling) -> float:
     """f'(1) of the coupling, which must be x-independent."""
     if coupling.terms:
         raise ModelError("the periodic-branch machinery needs an x-independent coupling")
-    return float(coupling._poly_val(1.0, deriv=1))
+    return float(coupling.polyval(1.0, deriv=1))
 
 
 def critical_period(fprime1: float, overtone: int = 1) -> float:
@@ -218,9 +218,9 @@ def _residual(st: SpaceTimeGrid, coupling: Coupling, U, M, Hbar: float, T: float
     gradU = spectral.gradient(sp, U)
     blocks = _linear_blocks(st, T)
     G1, G2 = spectral.modewise(blocks, np.stack([U, M]))
-    f1 = float(coupling._poly_val(1.0))
+    f1 = float(coupling.polyval(1.0))
     G1 = G1 - spectral.divergence(sp, M * gradU)
-    G2 = G2 + 0.5 * np.sum(gradU * gradU, axis=0) - (coupling._poly_val(1.0 + M) - f1) + Hbar
+    G2 = G2 + 0.5 * np.sum(gradU * gradU, axis=0) - (coupling.polyval(1.0 + M) - f1) + Hbar
     return G1, G2, gradU, blocks
 
 
@@ -239,7 +239,7 @@ def eval_g(state: PeriodicState, coupling: Coupling) -> float:
     U, M, T = state.U, state.M, state.T
     gradU = spectral.gradient(sp, U)
     gradM = spectral.gradient(sp, M)
-    f1 = float(coupling._poly_val(1.0))
+    f1 = float(coupling.polyval(1.0))
     integrand = (
         -spectral.time_derivative_periodic(st, U) * M / T
         + np.sum(gradU * gradM, axis=0)
@@ -578,7 +578,7 @@ class _Branch:
         st, sp, K = self.st, self.st.space, self.K
         U, M, _, T, _ = self.split(z)
         gradU, blocks = ev.data
-        fp = self.coupling._poly_val(1.0 + M, deriv=1)
+        fp = self.coupling.polyval(1.0 + M, deriv=1)
         ddt = spectral.time_derivative_periodic
         t_col = np.concatenate([-ddt(st, M), ddt(st, U)], axis=None) / T**2
 
@@ -722,7 +722,7 @@ def map_to_original(state: PeriodicState, coupling: Coupling) -> dict:
     """
     st = state.grid
     grid_T = SpaceTimeGrid(st.space, n_t=st.n_t, horizon=state.T, periodic_time=True)
-    f1 = float(coupling._poly_val(1.0))
+    f1 = float(coupling.polyval(1.0))
     s_nodes = grid_T.times.reshape((st.n_t,) + (1,) * st.space.dim)
     m = 1.0 + state.M
     u = state.U - s_nodes * f1

@@ -18,7 +18,7 @@ solve-stationary
     ``bb`` (flux variables), ``stream2d`` (stream function, 2-D only),
     ``potential`` (alpha > 1), or ``auto`` (potential iff alpha > 1,
     else bb). The route's descent hands over to a Newton polish of the
-    PDE rows, which stops at ``solver.tol``. Every route needs gamma > 1.
+    PDE rows, which stops at ``solver.tol``.
     The system is first-order: ``eps`` must be absent or 0.
 solve-mfg / solve-mfc
     Finite-horizon equilibrium / planner solve at viscosity ``eps``.
@@ -98,17 +98,15 @@ __all__ = ["build_parser", "duality_crosscheck", "main"]
 
 def _describe_model(model) -> dict:
     if isinstance(model, CongestionHamiltonian):
-        out = {
+        return {
             "kind": "congestion",
             "Q": list(model.Q),
             "alpha": model.alpha,
             "gamma": model.gamma,
             "f_poly": list(model.coupling.poly),
+            "gamma_prime": model.gamma_prime,
+            "beta": model.beta,
         }
-        if model.gamma > 1.0:
-            out["gamma_prime"] = model.gamma_prime
-            out["beta"] = model.beta
-        return out
     return {"kind": "separable", "f_poly": list(model.coupling.poly)}
 
 
@@ -376,11 +374,6 @@ def _check_separable(cfg, checks, rng):
 
 def _check_congestion(cfg, checks, rng):
     model, grid, _, solve = _congestion_problem(cfg, "crosscheck needs")
-    if model.gamma == 1.0:
-        raise ModelError(
-            f"crosscheck '{checks[0]}' does not apply at gamma = 1: it needs gamma > 1, "
-            "since gamma' is undefined"
-        )
     results = []
     if "transforms" in checks:
         m = 1.0 + spectral.random_band_limited(grid, rng, amplitude=0.3)

@@ -15,8 +15,7 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
           {"amp": 0.1, "k": [1], "kind": "cos"}   // finite amp
         ],
         "Q": [...],         // congestion only: one entry per grid.dim,
-        "alpha": ..., "gamma": ...   // all finite; gamma >= 1, alpha >= 0, != 1;
-                                     // stationary solves need gamma > 1
+        "alpha": ..., "gamma": ...   // all finite; gamma > 1, alpha >= 0, != 1
       },
       "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon finite, > 0
       "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},  // finite base

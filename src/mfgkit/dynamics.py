@@ -148,7 +148,7 @@ class _System:
         s, sp, N = ev.data, self.sp, self.N
         coef = s.hv.dmH
         if self.planner:
-            coef = 2.0 * coef - s.mbar * self.model.coupling.d2f_dm2(sp, s.mbar)
+            coef = 2.0 * coef - s.mbar * self.model.coupling.polyval(s.mbar, deriv=2)
         rows = _slab_jacobian(sp, self.model, s.mbar, s.p, s.hv, self.dt, self.eps, coef)[0]
 
         def jvp(dz):

@@ -337,11 +337,6 @@ def phi_bb(
         raise ModelError("phi_bb needs a congestion model")
     if model.alpha >= 1.0:
         raise ModelError("phi_bb requires alpha < 1")
-    if model.gamma == 1.0:
-        raise ModelError(
-            "phi_bb requires gamma > 1: at gamma = 1 the flux power term "
-            "degenerates to the constraint |w| <= m^{1-alpha}"
-        )
     gp = model.gamma_prime
     a = model.alpha
     beta = model.beta

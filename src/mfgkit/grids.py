@@ -98,10 +98,6 @@ class TorusGrid:
         return tuple((np.arange(nv) + nv // 2) % nv - nv // 2 for nv in self.shape)
 
     @cached_property
-    def _k_mesh(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*self.wavenumbers, indexing="ij"))
-
-    @cached_property
     def grad_symbols(self) -> np.ndarray:
         """First-derivative symbols 2 pi i k per axis, zeroed at Nyquist,
         stacked into one read-only array of shape (d, *shape).
@@ -110,9 +106,9 @@ class TorusGrid:
         and makes each symbol an odd function of k, so the matrix of the
         derivative is exactly antisymmetric.
         """
-        out = 2j * np.pi * np.stack(self._k_mesh).astype(float)
-        for ax, kk in enumerate(self._k_mesh):
-            out[ax][np.abs(kk) == self.shape[ax] // 2] = 0.0
+        out = np.empty((self.dim,) + self.shape, dtype=complex)
+        for ax, kk in enumerate(np.ix_(*self.wavenumbers)):
+            out[ax] = np.where(np.abs(kk) == self.shape[ax] // 2, 0.0, 2j * np.pi * kk)
         out.flags.writeable = False
         return out
 
@@ -120,7 +116,7 @@ class TorusGrid:
     def laplacian_symbol(self) -> np.ndarray:
         """Symbol of the Laplacian, -4 pi^2 |k|^2, Nyquist included."""
         k2 = np.zeros(self.shape)
-        for kk in self._k_mesh:
+        for kk in np.ix_(*self.wavenumbers):
             k2 += kk.astype(float) ** 2
         return -4.0 * np.pi**2 * k2
 

@@ -1,7 +1,8 @@
 """Hamiltonian models: separable and congestion families.
 
 A coupling is a local cost f(x, m) = p(m) + s(x) with p polynomial and
-s a finite combination of torus harmonics. Its antiderivative in m is
+s a finite combination of torus harmonics; ``Coupling.polyval`` gives p
+and its m-derivatives. Its antiderivative in m is
 normalized so that F(x, 1) = 0, which fixes the additive constant that
 the payoff functionals would otherwise inherit.
 
@@ -9,8 +10,11 @@ Two model families are provided:
 
 * :class:`SeparableHamiltonian`: H(x, p, m) = |p|^2 / 2 - f(x, m).
 * :class:`CongestionHamiltonian`: H(x, p, m) = |p + Q|^gamma /
-  (gamma m^alpha) - f(x, m) with a constant drift vector Q, gamma >= 1,
-  alpha >= 0, alpha != 1, all finite.
+  (gamma m^alpha) - f(x, m) with a constant drift vector Q, gamma > 1,
+  alpha >= 0, alpha != 1, all finite. Every congestion variational form
+  carries the conjugate exponent gamma' = gamma / (gamma - 1), so the
+  model rejects gamma <= 1 at construction and no other module restates
+  the rule.
 
 The congestion change of variables lives here and nowhere else:
 ``drift`` (Q against a field, with the component-count check), ``shift``
@@ -106,23 +110,13 @@ class Coupling:
             self._spatial[grid] = s
         return self._spatial[grid]
 
-    def _poly_val(self, m, deriv: int = 0):
-        """p(m), p'(m) or p''(m) for deriv 0, 1 or 2."""
+    def polyval(self, m, deriv: int = 0):
+        """p(m), p'(m) or p''(m) for deriv 0, 1 or 2, shaped like m. Since s(x)
+        drops out of every m-derivative, p' and p'' are f_m and f_mm."""
         return np.polynomial.polynomial.polyval(m, self._derivs[deriv])
 
     def f(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return self._poly_val(m) + self.spatial(grid)
-
-    def df_dm(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return self._on_grid(grid, self._poly_val(m, deriv=1))
-
-    def d2f_dm2(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
-        return self._on_grid(grid, self._poly_val(m, deriv=2))
-
-    @staticmethod
-    def _on_grid(grid: TorusGrid, v):
-        """v broadcast against the grid shape, read-only and without a copy."""
-        return np.broadcast_to(v, np.broadcast_shapes(np.shape(v), grid.shape))
+        return self.polyval(m) + self.spatial(grid)
 
     def F(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """Normalized antiderivative, F(x, m) = int_1^m f(x, z) dz."""
@@ -140,11 +134,11 @@ class Coupling:
         target = np.asarray(w, dtype=float) - s
         zhi = 1.0
         for _ in range(200):
-            if self._poly_val(zhi) >= target.max() or zhi > 1e12:
+            if self.polyval(zhi) >= target.max() or zhi > 1e12:
                 break
             zhi *= 2.0
         probe = np.linspace(0.0, zhi, 64)
-        if np.any(self._poly_val(probe, deriv=1) <= 0.0):
+        if np.any(self.polyval(probe, deriv=1) <= 0.0):
             raise ModelError(
                 "conjugate requires a strictly increasing coupling in m"
             )
@@ -152,10 +146,10 @@ class Coupling:
         hi = np.full_like(target, zhi)
         for _ in range(100):
             mid = 0.5 * (lo + hi)
-            low_side = self._poly_val(mid) < target
+            low_side = self.polyval(mid) < target
             lo = np.where(low_side, mid, lo)
             hi = np.where(low_side, hi, mid)
-        z = np.where(target <= self._poly_val(0.0), 0.0, 0.5 * (lo + hi))
+        z = np.where(target <= self.polyval(0.0), 0.0, 0.5 * (lo + hi))
         return np.asarray(w) * z - self.F(grid, z)
 
 
@@ -188,7 +182,7 @@ class SeparableHamiltonian:
         return HamiltonianValues(
             H=H,
             dpH=p,
-            dmH=-self.coupling.df_dm(grid, m) + np.zeros_like(H),
+            dmH=-self.coupling.polyval(m, deriv=1) + np.zeros_like(H),
         )
 
     def eval_F_H(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
@@ -222,8 +216,11 @@ class CongestionHamiltonian:
         for name, value in (("alpha", self.alpha), ("gamma", self.gamma), ("Q", self.Q)):
             if not np.all(np.isfinite(value)):
                 raise ModelError(f"{name} must be finite, got {value}")
-        if not self.gamma >= 1.0:
-            raise ModelError(f"gamma must be >= 1, got {self.gamma}")
+        if not self.gamma > 1.0:
+            raise ModelError(
+                f"the congestion model requires gamma > 1, since its conjugate exponent "
+                f"gamma' = gamma/(gamma - 1) enters every variational form (got {self.gamma})"
+            )
         if not self.alpha >= 0.0:
             raise ModelError(f"alpha must be >= 0, got {self.alpha}")
         if self.alpha == 1.0:
@@ -235,8 +232,6 @@ class CongestionHamiltonian:
 
     @property
     def gamma_prime(self) -> float:
-        if self.gamma == 1.0:
-            raise ModelError("gamma' undefined for gamma = 1")
         return self.gamma / (self.gamma - 1.0)
 
     @property
@@ -282,7 +277,7 @@ class CongestionHamiltonian:
         dpH = self._pow(rmag, g - 2.0) * r / m**self.alpha
         dmH = (
             -self.alpha * rmag**g / (g * m ** (self.alpha + 1.0))
-            - self.coupling.df_dm(grid, m)
+            - self.coupling.polyval(m, deriv=1)
         )
         return HamiltonianValues(H=H, dpH=dpH, dmH=dmH)
 
@@ -353,7 +348,7 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     # derivative sampled here; sampling (p, m) pairs alone suffices.
     hpp = model.hess_pp(grid, p, m)  # (d, d, S)
     dmdp = model.dm_dpH(grid, p, m)  # (d, S)
-    dmH = -model.coupling._poly_val(m, deriv=1)
+    dmH = -model.coupling.polyval(m, deriv=1)
     if isinstance(model, CongestionHamiltonian):
         _, rmag = model.shift(p)
         dmH = dmH - model.alpha * rmag**model.gamma / (model.gamma * m ** (model.alpha + 1.0))

@@ -14,8 +14,9 @@ div w = 0, with the flux transform
     w = m^{1-alpha} |grad u + Q|^{gamma-2} (grad u + Q),
     grad u + Q = m^{-beta} |w|^{gamma'-2} w,   beta = (gamma'-1)(1-alpha).
 
-The conjugate exponent gamma' = gamma/(gamma-1) makes every route need
-gamma > 1; at gamma = 1 each raises :class:`ModelError` before any descent.
+The conjugate exponent gamma' = gamma/(gamma-1) is why a congestion
+model needs gamma > 1, a rule :class:`CongestionHamiltonian` enforces
+when it is built.
 
 Both directions are stated once, as ``CongestionHamiltonian.flux`` and
 ``CongestionHamiltonian.momentum``; ``w_from_u`` and ``u_from_w`` apply
@@ -507,11 +508,6 @@ def _require_bb_model(model: CongestionHamiltonian):
         raise ModelError("stationary congestion solvers need a congestion model")
     if model.alpha >= 1.0:
         raise ModelError("the convex route requires alpha < 1 (see solve_potential_a_gt_1)")
-    if model.gamma == 1.0:
-        raise ModelError(
-            "the convex route requires gamma > 1: at gamma = 1 the conjugate "
-            "exponent gamma' is undefined"
-        )
 
 
 def solve_bb(
@@ -525,8 +521,7 @@ def solve_bb(
 
     The descent starts from (m0, w0), by default the uniform density and
     the constant flux Q, and stops at ``HANDOFF_TOL``; ``tol`` bounds the
-    polished PDE rows (see ``_certify``). The model needs alpha < 1 and
-    gamma > 1, since phi_bb carries the conjugate exponent gamma'.
+    polished PDE rows (see ``_certify``). The model needs alpha < 1.
     """
     _require_bb_model(model)
 

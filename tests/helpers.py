@@ -463,12 +463,12 @@ def periodic_residual(st, coupling, U, M, Hbar, T):
         - spectral.div_grad(sp, U)
         - spectral.divergence(sp, M * gradU)
     )
-    f1 = float(coupling._poly_val(1.0))
+    f1 = float(coupling.polyval(1.0))
     G2 = (
         -spectral.time_derivative_periodic(st, U) / T
         - spectral.div_grad(sp, U)
         + 0.5 * np.sum(gradU * gradU, axis=0)
-        - (coupling._poly_val(1.0 + M) - f1)
+        - (coupling.polyval(1.0 + M) - f1)
         + Hbar
     )
     return G1, G2
@@ -489,7 +489,7 @@ def periodic_jvp(st, coupling, U, M, T, dU, dM, dH):
         -spectral.time_derivative_periodic(st, dU) / T
         - spectral.div_grad(sp, dU)
         + np.sum(gradU * gdU, axis=0)
-        - coupling._poly_val(1.0 + M, deriv=1) * dM
+        - coupling.polyval(1.0 + M, deriv=1) * dM
         + dH
     )
     return dG1, dG2
@@ -513,7 +513,7 @@ def branch_jacobian(st, coupling, U, M, T, dirs):
     Dt, DG, Dx = branch_flat_operators(st)
     gradU = spectral.gradient(sp, U)
     Mf = M.ravel()
-    fp = coupling._poly_val(1.0 + M, deriv=1).ravel()
+    fp = coupling.polyval(1.0 + M, deriv=1).ravel()
     adv_M = sum(Dx[i] * gradU[i].ravel()[None, :] for i in range(sp.dim))
     diff_M = sum(Dx[i] @ (Mf[:, None] * Dx[i]) for i in range(sp.dim))
     transp = sum(gradU[i].ravel()[:, None] * Dx[i] for i in range(sp.dim))
@@ -537,7 +537,7 @@ def dense_branch(coupling, st, amplitudes, tol=1e-12, max_newton=80):
     """Reference continuation: Gauss-Newton on the overdetermined unbordered
     rows, orthogonal to the whole :func:`branch_null_fields` span but the
     pin, with min-norm ``lstsq`` steps. Returns (U, M, Hbar, T) per amplitude."""
-    fprime1 = float(coupling._poly_val(1.0, deriv=1))
+    fprime1 = float(coupling.polyval(1.0, deriv=1))
     dirs = branch_null_fields(st, fprime1)
     K = st.n_t * st.space.num_nodes
     shape = st.field_shape

@@ -67,7 +67,7 @@ def test_invalid_gamma_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "bad.json", dict(bad, output_dir=str(tmp_path / "o")))
     assert run(["report", cfg]) == 2
     err = capsys.readouterr().err
-    assert "gamma must be >= 1, got 0.5" in err
+    assert "requires gamma > 1" in err and "(got 0.5)" in err
 
 
 def test_invalid_formulation_exits_two(tmp_path, capsys):
@@ -253,67 +253,40 @@ GAMMA1_CFG = dict(
 )
 
 
-def test_gamma_one_hbar_crosscheck_exits_two(tmp_path, capsys, monkeypatch):
-    # No route solves at gamma = 1, so neither the solve nor the
-    # ergodic-constant crosscheck can pass.
-    out = tmp_path / "g1"
-    cfg = write_cfg(tmp_path, "g1.json", dict(GAMMA1_CFG, checks=["hbar"], output_dir=str(out)))
-    assert run(["solve-stationary", cfg]) == 2
-    assert "requires gamma > 1" in capsys.readouterr().err
-    assert not (out / "result.json").exists()
-    for name in SOLVERS:
-        monkeypatch.setattr(cli, name, _no_solve)
-    assert run(["crosscheck", cfg]) == 2
-    assert "crosscheck 'hbar' does not apply at gamma = 1" in capsys.readouterr().err
-    assert not (out / "crosscheck.json").exists()
-
-
 def _no_descent(*args, **kwargs):
     raise AssertionError("a descent ran before gamma = 1 was rejected")
 
 
-@pytest.mark.parametrize("formulation, dim", [("bb", 1), ("stream2d", 2), ("auto", 1)])
-def test_gamma_one_solve_stationary_exits_two_before_any_descent(
-    tmp_path, capsys, monkeypatch, formulation, dim
+# Every command that reads a congestion model: report, solve-stationary on
+# each formulation, and crosscheck on each check list (absent runs them all).
+GAMMA1_RUNS = [
+    pytest.param("report", {}, 1, id="report"),
+    *(
+        pytest.param("solve-stationary", {"solver": {"formulation": f}}, dim, id=f"solve-{f}")
+        for f, dim in (("bb", 1), ("stream2d", 2), ("potential", 1), ("auto", 1))
+    ),
+    pytest.param("crosscheck", {}, 1, id="crosscheck-all"),
+    *(
+        pytest.param("crosscheck", {"checks": c}, 1, id="crosscheck-" + "-".join(c))
+        for c in (["transforms"], ["hbar"], ["duality", "hbar"], ["hbar", "duality"])
+    ),
+]
+
+
+@pytest.mark.parametrize("command, extra, dim", GAMMA1_RUNS)
+def test_gamma_one_exits_two_before_any_solve(
+    tmp_path, capsys, monkeypatch, solvers_forbidden, command, extra, dim
 ):
+    # The model rejects gamma = 1 when it is built, so no command reaches a
+    # descent, a solve or an artifact.
     monkeypatch.setattr(stationary, "_descend", _no_descent)
     out = tmp_path / "g1"
     model = dict(GAMMA1_CFG["model"], Q=[1.0] * dim)
     model["f_spatial"] = [{"amp": 0.1, "k": [1] + [0] * (dim - 1), "kind": "cos"}]
-    cfg = dict(
-        GAMMA1_CFG, model=model, grid={"dim": dim, "n": 8},
-        solver={"formulation": formulation}, output_dir=str(out),
-    )
-    assert run(["solve-stationary", write_cfg(tmp_path, "g1.json", cfg)]) == 2
+    cfg = dict(GAMMA1_CFG, model=model, grid={"dim": dim, "n": 8}, output_dir=str(out), **extra)
+    assert run([command, write_cfg(tmp_path, "g1.json", cfg)]) == 2
     assert "requires gamma > 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
-
-
-def test_gamma_one_duality_crosscheck_exits_two(tmp_path, capsys, solvers_forbidden):
-    out = tmp_path / "g1d"
-    checks = ["duality", "hbar"]
-    cfg = write_cfg(tmp_path, "g1d.json", dict(GAMMA1_CFG, checks=checks, output_dir=str(out)))
-    assert run(["crosscheck", cfg]) == 2
-    assert "crosscheck 'duality' does not apply at gamma = 1" in capsys.readouterr().err
-    assert not (out / "crosscheck.json").exists()
-
-
-@pytest.mark.parametrize(
-    "checks, name",
-    [(None, "transforms"), (["transforms"], "transforms"), (["hbar", "duality"], "hbar")],
-)
-def test_gamma_one_crosscheck_names_the_check_before_solving(
-    tmp_path, capsys, solvers_forbidden, checks, name
-):
-    # The default check list starts with transforms, whose inverse flux map
-    # needs gamma'; none of the three applies at gamma = 1.
-    out = tmp_path / "g1"
-    cfg = dict(GAMMA1_CFG, output_dir=str(out))
-    if checks is not None:
-        cfg["checks"] = checks
-    assert run(["crosscheck", write_cfg(tmp_path, "g1.json", cfg)]) == 2
-    assert f"crosscheck '{name}' does not apply at gamma = 1" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_solve_mfg_payload_reports_the_library_solve(tmp_path):
@@ -959,8 +932,8 @@ INPUT_CHECKS = [
     ),
     ("spectrum", {"eps": 0.0, "bifurcation": {"n": 8, "n_t": 8}}, 2, "'eps' must be 1 or absent"),
     # Escapes the property sweep found with wide draws: an overflowing
-    # monotonicity sample, a singular branch preconditioner and an
-    # overflowing amplitude ratio.
+    # monotonicity sample, and two branch starts whose residual is nan,
+    # stopped before any linearization.
     (
         "report",
         {"model": {"kind": "congestion", "alpha": 437.0, "Q": [0.0]}, "grid": {"n": 4}},
@@ -971,13 +944,13 @@ INPUT_CHECKS = [
         "bifurcate",
         {"bifurcation": {"amplitudes": [0.03125, 4.244964710161808e77], "n": 4, "n_t": 6}},
         1,
-        "error: Singular matrix",
+        "error: no convergence at amplitude 4.24496e+77: the residual is nan at Newton step 1",
     ),
     (
         "bifurcate",
         {"bifurcation": {"amplitudes": [1e-3, 1e200], "n": 8, "n_t": 8}},
         1,
-        "GMRES missed its relative tolerance 1e-10 at Newton step 1 at amplitude 1e+200",
+        "error: no convergence at amplitude 1e+200: the residual is nan at Newton step 1",
     ),
     # solver.tol 1e-2 stops the solve above the saddle identities' 1e-6.
     (

@@ -25,8 +25,12 @@ def g2():
 
 
 def test_construction_guards():
-    with pytest.raises(ModelError, match="gamma must be >= 1"):
-        CongestionHamiltonian(Q=(1.0,), alpha=0.5, gamma=0.5)
+    # gamma' = gamma / (gamma - 1) enters every congestion variational form.
+    reason = r"requires gamma > 1, since its conjugate exponent gamma' = gamma/\(gamma - 1\)"
+    for gamma in (0.5, 1.0):
+        with pytest.raises(ModelError, match=reason):
+            CongestionHamiltonian(Q=(1.0,), alpha=0.5, gamma=gamma)
+    assert np.isfinite(CongestionHamiltonian(Q=(1.0,), alpha=0.5, gamma=1.0 + 1e-6).gamma_prime)
     with pytest.raises(ModelError, match="alpha = 1"):
         CongestionHamiltonian(Q=(1.0,), alpha=1.0, gamma=2.0)
     with pytest.raises(ModelError, match="alpha must be >= 0"):
@@ -230,20 +234,19 @@ def test_coupling_normalization_and_derivatives(g1):
     f_fd = (coupling.F(g1, m + h) - coupling.F(g1, m - h)) / (2 * h)
     assert np.max(np.abs(f_fd - coupling.f(g1, m))) < 1e-9
     df_fd = (coupling.f(g1, m + h) - coupling.f(g1, m - h)) / (2 * h)
-    assert np.max(np.abs(df_fd - coupling.df_dm(g1, m))) < 1e-9
+    assert np.max(np.abs(df_fd - coupling.polyval(m, deriv=1))) < 1e-9
 
 
 def test_coupling_derivatives_broadcast_to_the_grid(g1):
-    # The same bits as p'(m), p''(m) on array densities, and a scalar
-    # density fills the grid.
+    # The same bits as p(m), p'(m), p''(m) on array and scalar densities.
     coupling = Coupling(poly=(0.3, 1.0, 0.2, -0.4))
     m = 0.5 + np.random.default_rng(9).random((3, 16))
     pv = np.polynomial.polynomial
     p1 = pv.polyder(coupling.poly)
-    assert np.array_equal(coupling.df_dm(g1, m), pv.polyval(m, p1))
-    assert np.array_equal(coupling.d2f_dm2(g1, m), pv.polyval(m, pv.polyder(p1)))
-    assert coupling.df_dm(g1, 1.5).shape == g1.shape
-    assert np.all(coupling.d2f_dm2(g1, 1.5) == pv.polyval(1.5, pv.polyder(p1)))
+    assert np.array_equal(coupling.polyval(m), pv.polyval(m, coupling.poly))
+    assert np.array_equal(coupling.polyval(m, deriv=1), pv.polyval(m, p1))
+    assert np.array_equal(coupling.polyval(m, deriv=2), pv.polyval(m, pv.polyder(p1)))
+    assert coupling.polyval(1.5, deriv=2) == pv.polyval(1.5, pv.polyder(p1))
 
 
 def test_conjugate_against_sup_oracle(g1):

@@ -114,6 +114,23 @@ def test_miss_raises_with_scipys_relative_residual():
         gmres(matvec, precond, rhs, "a test step")
 
 
+class _NanStart:
+    """A system whose start evaluation has a NaN row; linearizing it fails."""
+
+    def evaluate(self, z):
+        rows = np.array([1.0, np.nan])
+        return _newton_krylov.Evaluation(rows, float(np.max(np.abs(rows))), None)
+
+    def linearize(self, z, ev):
+        raise AssertionError("a non-finite residual was linearized")
+
+
+def test_non_finite_residual_stops_before_any_linearization():
+    message = "^no convergence at a test: the residual is nan at Newton step 1$"
+    with pytest.raises(SolverError, match=message):
+        _newton_krylov.newton(_NanStart(), np.zeros(2), 1e-10, 5, " at a test")
+
+
 def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
