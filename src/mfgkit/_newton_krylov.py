@@ -247,7 +247,10 @@ def newton(system, z, tol: float, budget: int, where: str = "") -> NewtonRun:
     """
     feasible = getattr(system, "feasible", None)
     forcing = getattr(system, "forcing", False)
-    ev = system.evaluate(z)
+    # A non-finite iterate raises below and a non-finite trial fails the
+    # Armijo test, so evaluations overflow without a numpy warning.
+    evaluate = np.errstate(over="ignore", invalid="ignore")(system.evaluate)
+    ev = evaluate(z)
     krylov, history, etas = [], [], []
     fn_prev = eta = rtol = None
     for it in range(1, budget + 1):
@@ -271,7 +274,7 @@ def newton(system, z, tol: float, budget: int, where: str = "") -> NewtonRun:
         while step >= 1e-6:
             z_try = z + step * delta
             if feasible is None or feasible(z_try):
-                ev_try = system.evaluate(z_try)
+                ev_try = evaluate(z_try)
                 if float(ev_try.rows @ ev_try.rows) <= (1.0 - 1e-4 * step) * phi0:
                     break
             step *= 0.5

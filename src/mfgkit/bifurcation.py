@@ -90,7 +90,7 @@ import numpy as np
 
 from ._newton_krylov import Evaluation, newton
 from .errors import CheckError, ModelError, PositivityError, SolverError
-from .grids import SpaceTimeGrid, TorusGrid
+from .grids import SpaceTimeGrid, TorusGrid, read_only
 from . import spectral
 from .hamiltonians import Coupling
 
@@ -188,19 +188,15 @@ class PeriodicState:
     def __post_init__(self):
         if not self.grid.periodic_time or self.grid.horizon != 1.0:
             raise ModelError("PeriodicState lives on a unit-period cylinder grid")
-        U = np.array(self.U, dtype=float, copy=True)
-        M = np.array(self.M, dtype=float, copy=True)
-        U.flags.writeable = False
-        M.flags.writeable = False
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "M", M)
-        if U.shape != self.grid.field_shape or M.shape != self.grid.field_shape:
+        for name in ("U", "M"):
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float)))
+        if self.U.shape != self.grid.field_shape or self.M.shape != self.grid.field_shape:
             raise ModelError("periodic fields must match the cylinder grid")
         if not self.T > 0.0:
             raise ModelError(f"period must be positive, got {self.T}")
-        if abs(float(U.mean())) > 1e-8:
+        if abs(float(self.U.mean())) > 1e-8:
             raise ModelError("U must have zero space-time mean")
-        if float(M.min()) <= -1.0:
+        if float(self.M.min()) <= -1.0:
             raise PositivityError("1 + M must stay positive")
 
 
@@ -682,12 +678,13 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
         else:
             # The part of (U, M) off z1, T - Tbar, Hbar and lam are even in a
             # to leading order: scaling them by (a / prev_a)^2 predicts O(a^3).
-            # numpy's power overflows to inf, which Newton then rejects, where
-            # a float's raises OverflowError.
-            r2 = np.float64(a / prev_a) ** 2
-            _, _, Hbar, T, lam = system.split(z)
-            x = a * z1 + r2 * (z[: 2 * K] - prev_a * z1)
-            z = np.concatenate([x, [r2 * Hbar, Tbar + r2 * (T - Tbar)], r2 * lam])
+            # numpy's power overflows to inf, quietly here, which Newton then
+            # rejects, where a float's raises OverflowError.
+            with np.errstate(over="ignore", invalid="ignore"):
+                r2 = np.float64(a / prev_a) ** 2
+                _, _, Hbar, T, lam = system.split(z)
+                x = a * z1 + r2 * (z[: 2 * K] - prev_a * z1)
+                z = np.concatenate([x, [r2 * Hbar, Tbar + r2 * (T - Tbar)], r2 * lam])
         system.target[1] = a
         run = newton(system, z, _BRANCH_TOL, _MAX_NEWTON, f" at amplitude {a:g}")
         z = run.z

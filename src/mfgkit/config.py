@@ -6,26 +6,26 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
 
     {
       "seed": ...,          // RNG seed for crosscheck probes, >= 0
-      "output_dir": ...,    // see resolve_output_dir for precedence
+      "output_dir": ...,    // a path string; see resolve_output_dir
       "eps": ...,           // viscosity, in [0, inf); see below
       "model": {
         "kind": ...,        // "separable" or "congestion"
-        "f_poly": [...],    // coupling f(m) = sum_j c_j m^j, finite c_j ...
+        "f_poly": [...],    // coupling f(m) = sum_j c_j m^j ...
         "f_spatial": [      // ... + sum of torus harmonics
-          {"amp": 0.1, "k": [1], "kind": "cos"}   // finite amp
+          {"amp": 0.1, "k": [1], "kind": "cos"}
         ],
         "Q": [...],         // congestion only: one entry per grid.dim,
-        "alpha": ..., "gamma": ...   // all finite; gamma > 1, alpha >= 0, != 1
+        "alpha": ..., "gamma": ...   // gamma > 1, alpha >= 0, != 1
       },
-      "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon finite, > 0
-      "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},  // finite base
-      "solver": {"tol": ...,          // finite, > 0; Newton stops at rows <= tol
+      "grid": {"dim": ..., "n": ..., "n_t": ..., "horizon": ...},  // horizon > 0
+      "initial": {"m0": {"base": ..., "modes": [...]}, "uT": {...}},
+      "solver": {"tol": ...,          // > 0; Newton stops at rows <= tol
                                       // (sup-norm): finite-horizon solves and the
                                       // stationary polish
                  "max_newton": ...,   // >= 1; Newton budget of dynamic solves
                  "formulation": ...}, // bb | stream2d | potential | auto
-      "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,   // finite
-                      "amplitudes": [...],   // at least one; each finite, > 0
+      "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,
+                      "amplitudes": [...],   // at least one; each > 0
                       "dim": ..., "n": ..., "n_t": ...,
                       "spectrum_points": ...,      // >= 2
                       "spectrum_halfwidth": ...},  // in (0, 1)
@@ -46,10 +46,16 @@ has unit viscosity, so they take no ``eps`` or 1. Any other value exits 2.
 ``report`` evaluates the payoffs at the uniform state, where ``eps`` drops
 out, and reads none.
 
-Each key's converter, default and allowed range is its row in the section
-tables below (``_TOP``, ``_MODEL``, ``_GRID``, ``_SOLVER``,
-``_BIFURCATION``, ``_MODE``). A command reads a key when it needs it, and
-a value out of range raises ConfigError naming the key, before any solve.
+Each key's converter, default and allowed range is its row in the tables
+below (``_TOP``, ``_MODEL``, ``_GRID``, ``_SOLVER``, ``_BIFURCATION``,
+``_MODE``, ``_PROFILES``, gathered under ``_ROOT``). :func:`load_config`
+reads every key it finds through its row, whatever the command, and
+returns the config with each value converted; a value of the wrong type or
+out of range raises ConfigError naming the key, before any output
+directory is made. Every number must be finite. Rules that relate two keys
+(``model.Q`` against ``grid.dim``, ``grid.n`` against ``grid.dim``, a
+model kind against ``Q``/``alpha``/``gamma``, ``eps`` per command) are
+checked by the builders and the commands.
 
 Crosscheck names per model kind; any other name is rejected:
 
@@ -66,7 +72,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -100,15 +105,19 @@ __all__ = [
 
 
 def _number(value, where: str) -> float:
-    """The scalar config value at key ``where`` as a float. A boolean, a
-    string or a value that does not convert raises ConfigError naming the key."""
+    """The scalar config value at key ``where`` as a finite float. A boolean,
+    a string, a value that does not convert, nan and +-inf raise ConfigError
+    naming the key."""
     if isinstance(value, (bool, str)):
         kind = "boolean" if isinstance(value, bool) else "string"
         raise ConfigError(f"'{where}' must be a number, not a {kind} (got {value!r})")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"'{where}' must be a number (got {value!r})")
+    if not math.isfinite(number):
+        raise ConfigError(f"'{where}' must be a finite number (got {number})")
+    return number
 
 
 def _number_list(values, where: str):
@@ -138,7 +147,15 @@ def _ints(values, where: str) -> tuple:
 
 
 def _text(value, where: str) -> str:
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"'{where}' must be a string (got {value!r})")
+    return value
+
+
+def _names(values, where: str) -> list:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"'{where}' must be a list of strings")
+    return values
 
 
 def _shape(value, where: str):
@@ -147,14 +164,25 @@ def _shape(value, where: str):
 
 
 def _modes(modes, where: str) -> list:
-    """The harmonic modes at key ``where`` must be a list of mode objects."""
+    """The harmonic modes at key ``where``: a list of mode objects, each
+    read through the ``_MODE`` rows."""
     if not isinstance(modes, list):
         raise ConfigError(f"'{where}' must be a list of mode objects (got {modes!r})")
     for mode in modes:
         if not isinstance(mode, dict):
             raise ConfigError(f"entries of '{where}' must be objects")
-        _check_keys(mode, _MODE, f"a mode of '{where}'")
-    return modes
+    return [_fields(mode, _MODE, f"{where}.", f"a mode of '{where}'") for mode in modes]
+
+
+def _object(table: dict) -> Callable:
+    """The reader of a JSON object whose keys are the rows of ``table``."""
+
+    def read(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{where}' must be a JSON object")
+        return _fields(value, table, f"{where}.", f"'{where}'")
+
+    return read
 
 
 class _Key(NamedTuple):
@@ -172,20 +200,20 @@ def _at_least(lo: int) -> dict:
     return {"ok": lambda v: v >= lo, "rule": f"a number >= {lo} (got {{value}})"}
 
 
-def _positive(v: float) -> bool:
-    return 0.0 < v < math.inf
+def _one_of(names: tuple) -> dict:
+    return {"ok": lambda v: v in names, "rule": f"one of {', '.join(names)}; got '{{value}}'"}
 
 
-_POSITIVE = {"ok": _positive, "rule": "a number in (0, inf) (got {value})"}
-_NON_NEGATIVE = {"ok": lambda v: 0.0 <= v < math.inf, "rule": "a number in [0, inf) (got {value})"}
-_FINITE = {"ok": math.isfinite, "rule": "a number in (-inf, inf) (got {value})"}
+_POSITIVE = {"ok": lambda v: v > 0.0, "rule": "a number in (0, inf) (got {value})"}
+_NON_NEGATIVE = {"ok": lambda v: v >= 0.0, "rule": "a number in [0, inf) (got {value})"}
 
 
 _FORMULATIONS = ("auto", "bb", "stream2d", "potential")
+_KINDS = ("separable", "congestion")
 
 _TOP = {"seed": _Key(_int, 0, **_at_least(0)), "eps": _Key(_number, 1.0, **_NON_NEGATIVE)}
 _MODEL = {
-    "kind": _Key(_text, "separable"),
+    "kind": _Key(_text, "separable", **_one_of(_KINDS)),
     "f_poly": _Key(_numbers, (0.0, 1.0)),
     "f_spatial": _Key(_modes, []),
     "Q": _Key(_numbers, None),
@@ -201,19 +229,14 @@ _GRID = {
 _SOLVER = {
     "tol": _Key(_number, 1e-9, **_POSITIVE),
     "max_newton": _Key(_int, 40, **_at_least(1)),
-    "formulation": _Key(
-        _text,
-        "auto",
-        lambda v: v in _FORMULATIONS,
-        f"one of {', '.join(_FORMULATIONS)}; got '{{value}}'",
-    ),
+    "formulation": _Key(_text, "auto", **_one_of(_FORMULATIONS)),
 }
 _BIFURCATION = {
-    "fprime1": _Key(_number, -6.0 * np.pi**2, **_FINITE),
-    "cubic": _Key(_number, 1.0, **_FINITE),
-    "f1": _Key(_number, 0.0, **_FINITE),
+    "fprime1": _Key(_number, -6.0 * np.pi**2),
+    "cubic": _Key(_number, 1.0),
+    "f1": _Key(_number, 0.0),
     "amplitudes": _Key(
-        _numbers, (1e-3, 3e-3, 1e-2), lambda v: bool(v) and all(map(_positive, v)),
+        _numbers, (1e-3, 3e-3, 1e-2), lambda v: bool(v) and min(v) > 0.0,
         "a nonempty list of numbers in (0, inf) (got {value})",
     ),
     "dim": _Key(_int, 1),
@@ -223,44 +246,46 @@ _BIFURCATION = {
     "spectrum_halfwidth": _Key(_number, 0.1, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
 }
 _MODE = {"amp": _Key(_number, 0.0), "k": _Key(_ints, ()), "kind": _Key(_text, "cos")}
+# The profiles of "initial", each with its own base default.
+_PROFILES = {
+    key: {"base": _Key(_number, base), "modes": _Key(_modes, [])}
+    for key, base in (("m0", 1.0), ("uT", 0.0))
+}
+_INITIAL = {key: _Key(_object(table), {}) for key, table in _PROFILES.items()}
 _SECTIONS = {"model": _MODEL, "grid": _GRID, "solver": _SOLVER, "bifurcation": _BIFURCATION}
-_TOP_KEYS = {"output_dir", "initial", "checks", *_TOP, *_SECTIONS}
-_INITIAL_KEYS = {"m0", "uT"}
-_PROFILE_KEYS = {"base", "modes"}
+_ROOT = {
+    **_TOP,
+    "output_dir": _Key(_text, None),
+    "checks": _Key(_names, []),
+    "initial": _Key(_object(_INITIAL), {}),
+    **{name: _Key(_object(table), {}) for name, table in _SECTIONS.items()},
+}
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
-    unknown = sorted(set(obj).difference(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
-
-
-def _section(cfg: dict, name: str, allowed=None) -> dict:
-    """Section ``name`` of cfg; its keys must be in ``allowed`` (default:
-    the section's table)."""
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"'{name}' must be a JSON object")
-    _check_keys(sec, allowed or _SECTIONS[name], f"'{name}'")
-    return sec
-
-
-def _read(obj: dict, table: dict, key: str, where: str):
-    """The value of ``key`` in ``obj`` (or its default), converted and
-    range-checked by its row in ``table``; ``where`` names it in errors."""
-    row = table[key]
-    value = row.read(obj.get(key, row.default), where)
+def _read(row: _Key, value, where: str):
+    """``value``, the key ``where``, converted and range-checked by ``row``."""
+    value = row.read(value, where)
     if row.ok is not None and not row.ok(value):
         raise ConfigError(f"'{where}' must be " + row.rule.format(value=value))
     return value
 
 
+def _fields(obj: dict, table: dict, prefix: str, where: str) -> dict:
+    """The keys of ``obj``, each read through its row in ``table`` and named
+    ``prefix + key`` in errors. A key without a row raises ConfigError
+    "unknown key ... in <where>"."""
+    unknown = sorted(set(obj).difference(table))
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}' in {where}")
+    return {key: _read(table[key], value, prefix + key) for key, value in obj.items()}
+
+
 def _setting(cfg: dict, key: str):
-    """The setting at dotted ``key``: "eps", "solver.tol", ..."""
+    """The setting at dotted ``key`` ("eps", "solver.tol", ...) of a loaded
+    config: its converted value, or its row's default when it is absent."""
     name, _, leaf = key.rpartition(".")
-    if not name:
-        return _read(cfg, _TOP, leaf, key)
-    return _read(_section(cfg, name), _SECTIONS[name], leaf, key)
+    obj, table = (cfg.get(name, {}), _SECTIONS[name]) if name else (cfg, _ROOT)
+    return obj.get(leaf, table[leaf].default)
 
 
 def _settings(cfg: dict, name: str) -> dict:
@@ -268,7 +293,9 @@ def _settings(cfg: dict, name: str) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read and structurally validate one JSON configuration file."""
+    """Read one JSON configuration file and read every key in it through its
+    row, whatever the command. Returns the config with each value converted;
+    the builders below take it."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -278,62 +305,39 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "the config root")
-    # Validate sections eagerly so errors do not depend on the command.
-    for name in _SECTIONS:
-        _section(cfg, name)
-    _setting(cfg, "model.f_spatial")
-    initial = _section(cfg, "initial", _INITIAL_KEYS)
-    for prof_key in initial:
-        prof = initial[prof_key]
-        if not isinstance(prof, dict):
-            raise ConfigError(f"'initial.{prof_key}' must be a JSON object")
-        _check_keys(prof, _PROFILE_KEYS, f"'initial.{prof_key}'")
-        _modes(prof.get("modes", []), f"initial.{prof_key}.modes")
-    checks = cfg.get("checks", [])
-    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-        raise ConfigError("'checks' must be a list of strings")
-    return cfg
+    return _fields(cfg, _ROOT, "", "the config root")
 
 
-def _term(mode: dict, where: str) -> SpatialTerm:
-    return SpatialTerm(
-        amp=_read(mode, _MODE, "amp", f"{where}.amp"),
-        k=_read(mode, _MODE, "k", f"{where}.k"),
-        kind=_read(mode, _MODE, "kind", f"{where}.kind"),
-    )
+def _term(mode: dict) -> SpatialTerm:
+    return SpatialTerm(**{key: mode.get(key, row.default) for key, row in _MODE.items()})
 
 
-def build_coupling(mcfg: dict) -> Coupling:
-    poly = _read(mcfg, _MODEL, "f_poly", "model.f_poly")
-    modes = _read(mcfg, _MODEL, "f_spatial", "model.f_spatial")
-    return Coupling(poly=poly, terms=tuple(_term(mode, "model.f_spatial") for mode in modes))
+def build_coupling(cfg: dict) -> Coupling:
+    modes = _setting(cfg, "model.f_spatial")
+    return Coupling(poly=_setting(cfg, "model.f_poly"), terms=tuple(map(_term, modes)))
 
 
 def build_model(cfg: dict):
     """Instantiate the configured Hamiltonian model. A congestion model's
     ``model.Q`` must have ``grid.dim`` entries."""
-    mcfg = _section(cfg, "model")
-    kind = _setting(cfg, "model.kind")
-    coupling = build_coupling(mcfg)
-    if kind == "separable":
+    mcfg = cfg.get("model", {})
+    coupling = build_coupling(cfg)
+    if _setting(cfg, "model.kind") == "separable":
         for key in ("Q", "alpha", "gamma"):
             if key in mcfg:
                 raise ConfigError(f"'model.{key}' only applies to kind 'congestion'")
         return SeparableHamiltonian(coupling=coupling)
-    if kind == "congestion":
-        if "Q" not in mcfg:
-            raise ConfigError("congestion models need 'model.Q'")
-        Q, dim = _setting(cfg, "model.Q"), _setting(cfg, "grid.dim")
-        if len(Q) != dim:
-            raise ConfigError(f"'model.Q' has {len(Q)} entries but 'grid.dim' = {dim}")
-        return CongestionHamiltonian(
-            Q=Q,
-            alpha=_setting(cfg, "model.alpha"),
-            gamma=_setting(cfg, "model.gamma"),
-            coupling=coupling,
-        )
-    raise ConfigError(f"unknown model kind '{kind}' (use separable or congestion)")
+    if "Q" not in mcfg:
+        raise ConfigError("congestion models need 'model.Q'")
+    Q, dim = _setting(cfg, "model.Q"), _setting(cfg, "grid.dim")
+    if len(Q) != dim:
+        raise ConfigError(f"'model.Q' has {len(Q)} entries but 'grid.dim' = {dim}")
+    return CongestionHamiltonian(
+        Q=Q,
+        alpha=_setting(cfg, "model.alpha"),
+        gamma=_setting(cfg, "model.gamma"),
+        coupling=coupling,
+    )
 
 
 def build_space_grid(cfg: dict) -> TorusGrid:
@@ -354,21 +358,17 @@ def build_time_grid(cfg: dict) -> SpaceTimeGrid:
     )
 
 
-def build_profile(grid: TorusGrid, cfg: dict, key: str, base_default: float) -> np.ndarray:
+def build_profile(grid: TorusGrid, cfg: dict, key: str) -> np.ndarray:
     """The spatial profile ``initial.<key>``: its base plus its modes."""
-    where = f"initial.{key}"
-    pcfg = _section(cfg, "initial", _INITIAL_KEYS).get(key) or {}
-    base = _number(pcfg.get("base", base_default), f"{where}.base")
-    if not math.isfinite(base):
-        raise ConfigError(f"'{where}.base' must be a finite number (got {base})")
-    out = np.full(grid.shape, base)
+    pcfg = cfg.get("initial", {}).get(key, {})
+    out = np.full(grid.shape, pcfg.get("base", _PROFILES[key]["base"].default))
     for mode in pcfg.get("modes", []):
-        out = out + _term(mode, f"{where}.modes").evaluate(grid)
+        out = out + _term(mode).evaluate(grid)
     return out
 
 
 def build_m0(grid: TorusGrid, cfg: dict) -> np.ndarray:
-    m0 = build_profile(grid, cfg, "m0", 1.0)
+    m0 = build_profile(grid, cfg, "m0")
     if float(m0.min()) <= 0.0:
         raise ConfigError(
             f"'initial.m0' must be strictly positive (min = {float(m0.min()):.3e})"
@@ -380,7 +380,7 @@ def build_m0(grid: TorusGrid, cfg: dict) -> np.ndarray:
 
 
 def build_uT(grid: TorusGrid, cfg: dict) -> np.ndarray:
-    return build_profile(grid, cfg, "uT", 0.0)
+    return build_profile(grid, cfg, "uT")
 
 
 def solver_settings(cfg: dict) -> dict:

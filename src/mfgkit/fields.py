@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, PositivityError
-from .grids import SpaceTimeGrid, TorusGrid
+from .grids import SpaceTimeGrid, TorusGrid, read_only
 from . import spectral
 
 __all__ = [
@@ -39,12 +39,6 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-8
-
-
-def _freeze(values) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    arr.flags.writeable = False
-    return arr
 
 
 def _space_of(grid) -> TorusGrid:
@@ -64,7 +58,7 @@ class ScalarField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _freeze(self.values)
+        arr = read_only(np.array(self.values, dtype=float))
         if arr.shape != _expected_shape(self.grid):
             raise GridError(
                 f"scalar values of shape {arr.shape} do not match grid "
@@ -85,7 +79,7 @@ class VectorField:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _freeze(self.values)
+        arr = read_only(np.array(self.values, dtype=float))
         d = _space_of(self.grid).dim
         if arr.shape != _expected_shape(self.grid, components=d):
             raise GridError(

@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import GridError, ModelError
-from .grids import SpaceTimeGrid, TorusGrid
+from .grids import SpaceTimeGrid, TorusGrid, read_only
 from . import spectral
 from .hamiltonians import CongestionHamiltonian, HamiltonianValues, SeparableHamiltonian
 from .hamiltonians import _check_floor
@@ -67,12 +67,6 @@ __all__ = [
 ]
 
 
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class GameState:
     """Fields (m, u) on [0, T] x T^d plus the data they should match.
@@ -93,15 +87,15 @@ class GameState:
         if self.grid.periodic_time:
             raise GridError("GameState requires an interval time axis")
         for name in ("m", "u", "m0", "uT"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float)))
         if self.m.shape != self.grid.field_shape or self.u.shape != self.grid.field_shape:
             raise GridError(
                 f"state fields {self.m.shape} do not match grid {self.grid.field_shape}"
             )
         if self.m0.shape != self.grid.space.shape or self.uT.shape != self.grid.space.shape:
             raise GridError("data fields must be spatial fields")
-        if self.eps < 0.0:
-            raise GridError(f"viscosity must be >= 0, got {self.eps}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ModelError(f"viscosity must be in [0, inf), got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +109,12 @@ class StationaryState:
     Hbar: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _frozen(self.m))
-        object.__setattr__(self, "u", _frozen(self.u))
+        for name in ("m", "u"):
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name), dtype=float)))
         if self.m.shape != self.grid.shape or self.u.shape != self.grid.shape:
             raise GridError("stationary fields must live on the grid")
-        if self.eps < 0.0:
-            raise GridError(f"viscosity must be >= 0, got {self.eps}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ModelError(f"viscosity must be in [0, inf), got {self.eps}")
 
 
 @dataclass

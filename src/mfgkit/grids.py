@@ -33,6 +33,14 @@ __all__ = ["TorusGrid", "SpaceTimeGrid"]
 MAX_NODES = np.iinfo(np.intp).max // 512
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, marked read-only. Every array that a grid caches, or that a
+    state, a field or a coupling keeps, goes through here, so a caller that
+    writes into one gets a ValueError instead of changing later results."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_shape(n) -> tuple[int, ...]:
     if isinstance(n, (int, np.integer)):
         return (int(n),)
@@ -85,22 +93,22 @@ class TorusGrid:
     @cached_property
     def axes(self) -> tuple[np.ndarray, ...]:
         """Node coordinates per axis, x_i = i / n."""
-        return tuple(np.arange(nv) / nv for nv in self.shape)
+        return tuple(read_only(np.arange(nv) / nv) for nv in self.shape)
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
         """Full meshgrid coordinates, ij indexing, each of shape ``self.shape``."""
-        return tuple(np.meshgrid(*self.axes, indexing="ij"))
+        return tuple(map(read_only, np.meshgrid(*self.axes, indexing="ij")))
 
     @cached_property
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         """Integer wavenumbers per axis (1-D arrays)."""
-        return tuple((np.arange(nv) + nv // 2) % nv - nv // 2 for nv in self.shape)
+        return tuple(read_only((np.arange(nv) + nv // 2) % nv - nv // 2) for nv in self.shape)
 
     @cached_property
     def grad_symbols(self) -> np.ndarray:
         """First-derivative symbols 2 pi i k per axis, zeroed at Nyquist,
-        stacked into one read-only array of shape (d, *shape).
+        stacked into one array of shape (d, *shape).
 
         Zeroing the unpaired Nyquist mode keeps d/dx of a real field real
         and makes each symbol an odd function of k, so the matrix of the
@@ -109,8 +117,7 @@ class TorusGrid:
         out = np.empty((self.dim,) + self.shape, dtype=complex)
         for ax, kk in enumerate(np.ix_(*self.wavenumbers)):
             out[ax] = np.where(np.abs(kk) == self.shape[ax] // 2, 0.0, 2j * np.pi * kk)
-        out.flags.writeable = False
-        return out
+        return read_only(out)
 
     @cached_property
     def laplacian_symbol(self) -> np.ndarray:
@@ -118,7 +125,7 @@ class TorusGrid:
         k2 = np.zeros(self.shape)
         for kk in np.ix_(*self.wavenumbers):
             k2 += kk.astype(float) ** 2
-        return -4.0 * np.pi**2 * k2
+        return read_only(-4.0 * np.pi**2 * k2)
 
     @cached_property
     def divgrad_symbol(self) -> np.ndarray:
@@ -126,16 +133,15 @@ class TorusGrid:
         s = np.zeros(self.shape)
         for g in self.grad_symbols:
             s += (g.imag) ** 2
-        return -s
+        return read_only(-s)
 
     @cached_property
     def half_inverse_divgrad_symbol(self) -> np.ndarray:
-        """Read-only symbol of (-div grad)^{-1/2}, zero where div grad is."""
+        """Symbol of (-div grad)^{-1/2}, zero where div grad is."""
         sym = -self.divgrad_symbol
         with np.errstate(invalid="ignore", divide="ignore"):
             half = np.where(sym > 0.0, 1.0 / np.sqrt(np.where(sym > 0.0, sym, 1.0)), 0.0)
-        half.flags.writeable = False
-        return half
+        return read_only(half)
 
     def __repr__(self) -> str:
         return f"TorusGrid(shape={self.shape})"
@@ -183,17 +189,17 @@ class SpaceTimeGrid:
     @cached_property
     def times(self) -> np.ndarray:
         if self.periodic_time:
-            return np.arange(self.n_t) * self.dt
-        return np.linspace(0.0, self.horizon, self.n_t + 1)
+            return read_only(np.arange(self.n_t) * self.dt)
+        return read_only(np.linspace(0.0, self.horizon, self.n_t + 1))
 
     @cached_property
     def time_weights(self) -> np.ndarray:
         """Quadrature weights along the time axis (trapezoid / periodic)."""
         if self.periodic_time:
-            return np.full(self.n_t, self.dt)
+            return read_only(np.full(self.n_t, self.dt))
         w = np.full(self.n_t + 1, self.dt)
         w[0] = w[-1] = 0.5 * self.dt
-        return w
+        return read_only(w)
 
     @cached_property
     def time_derivative_symbol(self) -> np.ndarray:
@@ -203,7 +209,7 @@ class SpaceTimeGrid:
         k = (np.arange(self.n_t) + self.n_t // 2) % self.n_t - self.n_t // 2
         sym = 2j * np.pi * k.astype(float) / self.horizon
         sym[np.abs(k) == self.n_t // 2] = 0.0
-        return sym
+        return read_only(sym)
 
     def __repr__(self) -> str:
         tag = "periodic" if self.periodic_time else "interval"

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, PositivityError
-from .grids import TorusGrid
+from .grids import TorusGrid, read_only
 
 __all__ = [
     "M_FLOOR",
@@ -106,8 +106,7 @@ class Coupling:
             s = np.zeros(grid.shape)
             for term in self.terms:
                 s = s + term.evaluate(grid)
-            s.flags.writeable = False
-            self._spatial[grid] = s
+            self._spatial[grid] = read_only(s)
         return self._spatial[grid]
 
     def polyval(self, m, deriv: int = 0):

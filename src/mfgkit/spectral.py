@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridError
-from .grids import SpaceTimeGrid, TorusGrid
+from .grids import SpaceTimeGrid, TorusGrid, read_only
 
 __all__ = [
     "gradient",
@@ -242,9 +242,7 @@ def _band_index(grid: TorusGrid, kmax: int) -> tuple[np.ndarray, ...]:
     keep = np.ones(grid.shape, dtype=bool)
     for kk, nv in zip(mesh, grid.shape):
         keep &= np.abs(kk) <= min(kmax, nv // 2 - 1)
-    index = np.argwhere(keep).T
-    index.flags.writeable = False
-    return tuple(index)
+    return tuple(read_only(np.argwhere(keep).T))
 
 
 def random_band_limited(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
-from mfgkit import CheckError, ModelError, PositivityError, SolverError, _newton_krylov, spectral
+from mfgkit import ModelError, PositivityError, SolverError, _newton_krylov, spectral
 from mfgkit import bifurcation as bf
 from conftest import FPRIME1
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import mfgkit.cli as cli
 from mfgkit import config, functionals, stationary
+from mfgkit.errors import ConfigError
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -646,19 +648,22 @@ def test_malformed_config_scalar_exits_two(
 ):
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", tmp_path / "o"]) == 2
-    assert f"'{key}' must be a number" in capsys.readouterr().err
+    rule = "a number" if not isinstance(value, float) or np.isfinite(value) else "a finite number"
+    assert f"'{key}' must be {rule}" in capsys.readouterr().err
 
 
 def test_integral_numbers_are_accepted_as_integers(tmp_path):
     cfg = _with(_with(SEP_CFG, "grid.n", 16.0), "grid.dim", 1.0)
     cfg["solver"]["max_newton"] = 40.0
     cfg["seed"] = 7.0
-    assert type(config._setting(cfg, "grid.n")) is int
-    assert config._setting(cfg, "grid.n") == 16
-    assert config._setting(cfg, "solver.max_newton") == 40
-    assert config._setting(cfg, "seed") == 7
+    path = write_cfg(tmp_path, "ok.json", cfg)
+    loaded = config.load_config(path)
+    assert type(config._setting(loaded, "grid.n")) is int
+    assert config._setting(loaded, "grid.n") == 16
+    assert config._setting(loaded, "solver.max_newton") == 40
+    assert config._setting(loaded, "seed") == 7
     out = tmp_path / "o"
-    assert run(["report", write_cfg(tmp_path, "ok.json", cfg), "--output-dir", out]) == 0
+    assert run(["report", path, "--output-dir", out]) == 0
     assert json.loads((out / "report.json").read_text())["grid"] == {"dim": 1, "n": [16]}
 
 
@@ -699,14 +704,16 @@ def test_non_list_modes_exit_two(tmp_path, capsys, command, key):
 @pytest.mark.parametrize("eps", [-0.5, float("nan")])
 def test_bad_viscosity_exits_two_before_solving(tmp_path, capsys, solvers_forbidden, eps):
     # The crosscheck's derivative and two-form checks solve nothing, so only
-    # the config row can stop them.
+    # the config row can stop them; it does so at load, before the output
+    # directory is made.
     checks = ["derivatives", "two-forms"]
     cfg = write_cfg(tmp_path, "bad.json", dict(SEP_CFG, eps=eps, checks=checks))
+    rule = "a finite number" if np.isnan(eps) else "a number in [0, inf)"
     for command in ("solve-mfg", "crosscheck"):
         out = tmp_path / command
         assert run([command, cfg, "--output-dir", out]) == 2
-        assert f"'eps' must be a number in [0, inf) (got {eps})" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert f"'eps' must be {rule} (got {eps})" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -733,9 +740,9 @@ def test_unknown_check_name_exits_two_before_solving(
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("alpha", float("nan"), "alpha must be finite, got nan"),
-        ("gamma", float("nan"), "gamma must be finite, got nan"),
-        ("Q", [float("nan")], "Q must be finite, got (nan,)"),
+        ("alpha", float("nan"), "'model.alpha' must be a finite number (got nan)"),
+        ("gamma", float("nan"), "'model.gamma' must be a finite number (got nan)"),
+        ("Q", [float("nan")], "'model.Q' must be a finite number (got nan)"),
     ],
 )
 def test_nan_model_parameter_exits_two_before_solving(
@@ -745,7 +752,7 @@ def test_nan_model_parameter_exits_two_before_solving(
     cfg = write_cfg(tmp_path, "bad.json", _with(CONG_CFG, f"model.{key}", value))
     assert run([command, cfg, "--output-dir", out]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["report", "solve-stationary", "crosscheck"])
@@ -763,17 +770,17 @@ def test_wrong_length_drift_exits_two_before_solving(
 
 NON_FINITE_COUPLING = [
     ("solve-mfg", SEP_CFG, "model.f_poly", [float("nan"), 1.0],
-     "poly must be finite, got (nan, 1.0)"),
+     "'model.f_poly' must be a finite number (got nan)"),
     ("report", CONG_CFG, "model.f_poly", [0.0, float("inf")],
-     "poly must be finite, got (0.0, inf)"),
+     "'model.f_poly' must be a finite number (got inf)"),
     ("solve-mfg", SEP_CFG, "model.f_spatial", [{"amp": float("nan"), "k": [1]}],
-     "amp must be finite, got nan"),
+     "'model.f_spatial.amp' must be a finite number (got nan)"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", float("nan"),
-     "'bifurcation.cubic' must be a number in (-inf, inf) (got nan)"),
+     "'bifurcation.cubic' must be a finite number (got nan)"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", float("inf"),
-     "'bifurcation.f1' must be a number in (-inf, inf) (got inf)"),
+     "'bifurcation.f1' must be a finite number (got inf)"),
     ("spectrum", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", float("nan"),
-     "'bifurcation.fprime1' must be a number in (-inf, inf) (got nan)"),
+     "'bifurcation.fprime1' must be a finite number (got nan)"),
 ]
 
 
@@ -789,7 +796,7 @@ def test_non_finite_coupling_exits_two_before_solving(
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", out]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -804,27 +811,26 @@ def test_non_finite_profile_base_exits_two_before_solving(
     cfg = write_cfg(tmp_path, "bad.json", _with(SEP_CFG, key, value))
     assert run(["solve-mfg", cfg, "--output-dir", out]) == 2
     assert f"'{key}' must be a finite number (got {value})" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 BAD_LISTS = [
-    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [1e-3, float("inf")]),
-    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [float("nan")]),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [1e-3, float("inf")], "inf"),
+    ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.amplitudes", [float("nan")], "nan"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, base, key, value", BAD_LISTS, ids=[f"{c[2]}={c[3]!r}" for c in BAD_LISTS]
+    "command, base, key, value, entry", BAD_LISTS, ids=[f"{c[2]}={c[3]!r}" for c in BAD_LISTS]
 )
 def test_list_entry_outside_0_inf_exits_two_before_solving(
-    tmp_path, capsys, solvers_forbidden, command, base, key, value
+    tmp_path, capsys, solvers_forbidden, command, base, key, value, entry
 ):
     out = tmp_path / "o"
     cfg = write_cfg(tmp_path, "bad.json", _with(base, key, value))
     assert run([command, cfg, "--output-dir", out]) == 2
-    err = capsys.readouterr().err
-    assert f"'{key}' must be a" in err and "list of numbers in (0, inf)" in err
-    assert not any(out.iterdir())
+    assert f"'{key}' must be a finite number (got {entry})" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_uncreatable_output_dir_exits_two(tmp_path, capsys):
@@ -875,10 +881,12 @@ INPUT_CHECKS = [
     ("report", {"grid": 5}, 2, "'grid' must be a JSON object"),
     ("report", {"initial": {"m0": 3}}, 2, "'initial.m0' must be a JSON object"),
     ("report", {"checks": "mass"}, 2, "'checks' must be a list of strings"),
+    ("report", {"output_dir": 5}, 2, "'output_dir' must be a string (got 5)"),
     ("report", {"model": {"f_spatial": [5]}}, 2, "entries of 'model.f_spatial' must be objects"),
     ("report", {"model": {"Q": [1.0]}}, 2, "'model.Q' only applies to kind 'congestion'"),
     ("report", {"model": {"kind": "congestion"}}, 2, "congestion models need 'model.Q'"),
-    ("report", {"model": {"kind": "crowd"}}, 2, "unknown model kind 'crowd'"),
+    ("report", {"model": {"kind": "crowd"}}, 2,
+     "'model.kind' must be one of separable, congestion; got 'crowd'"),
     ("report", {"grid": {"dim": 2, "n": [16]}}, 2, "'grid.n' has 1 entries but dim = 2"),
     (
         "solve-mfg",
@@ -952,6 +960,27 @@ INPUT_CHECKS = [
         1,
         "error: no convergence at amplitude 1e+200: the residual is nan at Newton step 1",
     ),
+    # Every key is read at load, also one the command does not use.
+    ("bifurcate", {"bifurcation": {"n": 8, "n_t": 8}, "model": {"alpha": "x"}}, 2,
+     "'model.alpha' must be a number, not a string (got 'x')"),
+    (
+        "report",
+        {"model": {"kind": "congestion", "Q": [1.0]}, "grid": {"dim": 1, "n": 16},
+         "solver": {"tol": -1}},
+        2,
+        "'solver.tol' must be a number in (0, inf) (got -1.0)",
+    ),
+    ("spectrum", {"bifurcation": {"n": 8, "n_t": 8}, "grid": {"horizon": float("nan")}}, 2,
+     "'grid.horizon' must be a finite number (got nan)"),
+    ("solve-mfg", {"grid": _FH_GRID, "bifurcation": {"amplitudes": []}}, 2,
+     "'bifurcation.amplitudes' must be a nonempty list of numbers"),
+    (
+        "solve-stationary",
+        {"model": {"kind": "congestion", "Q": [1.0]}, "grid": {"dim": 1, "n": 16},
+         "initial": {"m0": {"base": "x"}}},
+        2,
+        "'initial.m0.base' must be a number, not a string (got 'x')",
+    ),
     # solver.tol 1e-2 stops the solve above the saddle identities' 1e-6.
     (
         "duality-crosscheck",
@@ -967,6 +996,26 @@ INPUT_CHECKS = [
 
 
 @pytest.mark.parametrize(
+    "bif",
+    [
+        {"n": 8, "n_t": 8, "amplitudes": [1e-3, 1e200]},
+        {"n": 4, "n_t": 6, "amplitudes": [0.03125, 4.244964710161808e77]},
+    ],
+    ids=["1e200", "4.2e77"],
+)
+def test_non_finite_branch_exit_prints_one_line(tmp_path, capsys, bif):
+    # The overflowing predictor and the nan residual it leads to are expected:
+    # numpy must not warn about them, so stderr holds only the error line.
+    cfg = write_cfg(tmp_path, "nan.json", {"bifurcation": bif})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["bifurcate", cfg, "--output-dir", tmp_path / "o"]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: no convergence at amplitude") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "command, cfg, code, message", INPUT_CHECKS, ids=[c[3] for c in INPUT_CHECKS]
 )
 def test_input_checks_exit_typed_and_write_nothing(tmp_path, capsys, command, cfg, code, message):
@@ -977,4 +1026,10 @@ def test_input_checks_exit_typed_and_write_nothing(tmp_path, capsys, command, cf
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
-    assert not out.exists() or not any(out.iterdir())
+    try:
+        config.load_config(path)
+    except ConfigError:
+        # Found at load, before the output directory is made.
+        assert not out.exists()
+    else:
+        assert not out.exists() or not any(out.iterdir())

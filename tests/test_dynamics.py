@@ -1,5 +1,6 @@
 """Finite-horizon equilibrium and planner solvers."""
 
+import json
 import operator
 import re
 import time
@@ -32,6 +33,7 @@ from mfgkit import (
     _newton_krylov,
 )
 from mfgkit.cli import _COMMANDS, cmd_compare
+from mfgkit.config import load_config
 from mfgkit.dynamics import _System
 
 T = 0.25
@@ -134,7 +136,9 @@ def test_compare_planner_convenience_payload(tmp_path):
         },
         "solver": {"tol": 1e-10},
     }
-    out = cmd_compare(cfg, tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = cmd_compare(load_config(path), tmp_path)
     assert _COMMANDS["compare"] == (cmd_compare, "result.json")
     assert set(out) == {
         "psi2_equilibrium",

@@ -8,6 +8,7 @@ from mfgkit import (
     Coupling,
     GameState,
     GridError,
+    ModelError,
     SeparableHamiltonian,
     SpaceTimeGrid,
     SpatialTerm,
@@ -294,6 +295,15 @@ def test_game_state_validation(g1):
         GameState(st, np.ones((9, 16)), np.zeros((9, 16)), np.ones(8), np.zeros(16))
     with pytest.raises(GridError, match="do not match grid"):
         GameState(st, np.ones((5, 16)), np.zeros((9, 16)), np.ones(16), np.zeros(16))
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_state_viscosity_must_be_finite_and_non_negative(g1, eps):
+    st = SpaceTimeGrid(g1, 8, 0.25)
+    with pytest.raises(ModelError, match=r"viscosity must be in \[0, inf\)"):
+        GameState(st, np.ones((9, 16)), np.zeros((9, 16)), np.ones(16), np.zeros(16), eps=eps)
+    with pytest.raises(ModelError, match=r"viscosity must be in \[0, inf\)"):
+        StationaryState(g1, np.ones(16), np.zeros(16), eps=eps)
 
 
 def _jacobian_model(kind, d):

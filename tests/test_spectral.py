@@ -1,15 +1,23 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import helpers
 from mfgkit import (
+    Coupling,
     DensityField,
+    GameState,
     GridError,
+    PeriodicState,
     PositivityError,
     ScalarField,
     SpaceTimeGrid,
+    SpatialTerm,
+    StationaryState,
     TorusGrid,
     VectorField,
+    bifurcation,
     fields,
     load_field,
     save_field,
@@ -337,6 +345,47 @@ def test_band_index_is_built_once_per_grid_and_kmax():
     grid = TorusGrid((12,))
     assert spectral._band_index(grid, 3) is spectral._band_index(TorusGrid((12,)), 3)
     assert spectral._band_index(grid, 2) is not spectral._band_index(grid, 3)
+
+
+def _cached_arrays(grid):
+    """Every array that ``grid`` caches, by cached property name."""
+    for name, attr in vars(type(grid)).items():
+        if isinstance(attr, cached_property):
+            try:
+                value = getattr(grid, name)
+            except GridError:  # the d/dt symbol of an interval grid
+                continue
+            for i, arr in enumerate(value if isinstance(value, tuple) else (value,)):
+                yield f"{grid!r}.{name}[{i}]", arr
+
+
+def test_every_kept_array_is_read_only():
+    space = TorusGrid((6, 8))
+    interval = SpaceTimeGrid(space, 4, 0.5)
+    periodic = bifurcation.periodic_grid(2, 6, 4)
+    kept = [*_cached_arrays(space), *_cached_arrays(interval), *_cached_arrays(periodic)]
+    # Space: axes, coords and wavenumbers (two each) and four symbols; time:
+    # times and weights, and on the periodic grid the d/dt symbol.
+    assert len(kept) == 10 + 2 + 3
+    kept += [("band index", index) for index in spectral._band_index(space, 2)]
+    kept.append(("Coupling.spatial", Coupling(terms=(SpatialTerm(0.1, (1, 0)),)).spatial(space)))
+    game = GameState(
+        interval, np.ones(interval.field_shape), np.zeros(interval.field_shape),
+        np.ones(space.shape), np.zeros(space.shape),
+    )
+    stationary_state = StationaryState(space, np.ones(space.shape), np.zeros(space.shape))
+    periodic_state = PeriodicState(periodic, np.zeros(periodic.field_shape), np.zeros(periodic.field_shape))
+    kept += [(f"GameState.{n}", getattr(game, n)) for n in ("m", "u", "m0", "uT")]
+    kept += [(f"StationaryState.{n}", getattr(stationary_state, n)) for n in ("m", "u")]
+    kept += [(f"PeriodicState.{n}", getattr(periodic_state, n)) for n in ("U", "M")]
+    for field in (
+        ScalarField(interval, np.zeros(interval.field_shape)),
+        DensityField(space, np.ones(space.shape)),
+        VectorField(space, np.zeros((2,) + space.shape)),
+    ):
+        kept.append((type(field).__name__, field.values))
+    for name, arr in kept:
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable, name
 
 
 def test_grid_symbol_stacks_are_built_once_and_read_only(g2):
