@@ -531,10 +531,10 @@ class _Branch:
         del null, q
         self.rows = np.vstack([np.concatenate([np.zeros(K), np.ones(K)]), self.psi])
         self.target = np.zeros(len(self.rows))
-        # The images under the frozen pseudo-inverse of the bordered columns
-        # Hbar (the mass field), T and lam (the q_j). Only the T column changes
-        # between steps; :meth:`preconditioner` writes its image into row 1.
-        self.pcols = self.apply_pinv(np.vstack([self.rows[0], np.zeros(2 * K), self.psi[1:]]))
+        # The images under the frozen pseudo-inverse of the fixed bordered
+        # columns Hbar (the mass field) and lam (the q_j). The T column changes
+        # between steps; :meth:`preconditioner` stacks its image per call.
+        self.pcols = self.apply_pinv(np.vstack([self.rows[0], self.psi[1:]]))
 
     def split(self, z):
         """z -> (U, M, Hbar, T, lam)."""
@@ -603,14 +603,14 @@ class _Branch:
         Hbar, T and lam columns and y their values. Solvability
         psi (r - C y) = 0 and the border rows fix (y, c) by a dense
         (2p + 1)-square Schur complement, p = len(psi). Only the T column is
-        transformed here: its image overwrites row 1 of ``self.pcols``, so
-        the returned action is valid until the next call, as within one
-        Newton step.
+        transformed here; its image is stacked between the fixed columns'
+        images into a new array, so the returned action keeps no state that
+        a later call changes.
         """
-        K, psi, rows, pcols = self.K, self.psi, self.rows, self.pcols
+        K, psi, rows = self.K, self.psi, self.rows
         p = len(psi)
         cols = np.vstack([rows[0], t_col, psi[1:]])  # the Hbar column is the mass field
-        pcols[1] = self.apply_pinv(t_col)
+        pcols = np.insert(self.pcols, 1, self.apply_pinv(t_col), axis=0)
         schur = np.linalg.inv(np.block([
             [psi @ cols.T / K, np.zeros((p, p))],
             [rows @ pcols.T / K, -rows @ psi.T / K],

@@ -188,17 +188,22 @@ def _slab_jacobian(sp, model, mbar, p, hv, dt: float, eps: float, dm_coef=None):
     """The derivative of :func:`_slab_rows`' rows hjb and psi2's transport
     at one evaluation's midpoints mbar, p = grad ubar and values ``hv``:
 
-        d hjb = d adv + H_p . grad dub + c dmb,   c = H_m or ``dm_coef``,
+        d hjb = d adv + H_p . grad dub + g dmb,   g = H_m or ``dm_coef``,
         d transport = d trans - div(mbar H_pp grad dub + W_m dmb),
 
-    with W_m = H_p + mbar dm_dpH. Returns (rows, mbar H_pp, W_m), where
-    ``rows`` maps the stacked midpoints (dub, dmb) and time differences
-    (du1 - du0, dm1 - dm0), or None for no time terms, to the stacked
-    (d hjb, d transport) with one transform pair plus the divergence's.
+    with the model's ``second_derivatives`` (r, a, b, c): H_pp = a I + b r r^T
+    and W_m = H_p + mbar c r. Returns (rows, (mbar a, mbar b r, r, W_m)),
+    where ``rows`` maps the stacked midpoints (dub, dmb) and time
+    differences (du1 - du0, dm1 - dm0), or None for no time terms, to the
+    stacked (d hjb, d transport) with one transform pair plus the
+    divergence's. A b or c that is zero everywhere (the separable model's)
+    costs the action nothing: its mbar b r is None and W_m is H_p.
     """
     coef = hv.dmH if dm_coef is None else dm_coef
-    mHpp = mbar * model.hess_pp(sp, p, mbar)
-    Wm = hv.dpH + mbar * model.dm_dpH(sp, p, mbar)
+    r, a, b, c = model.second_derivatives(sp, p, mbar)
+    ma = mbar * a
+    mbr = mbar * b * r if np.any(b) else None
+    Wm = hv.dpH + mbar * c * r if np.any(c) else hv.dpH
 
     def rows(bars, diffs=None):
         out = np.zeros(bars.shape) if diffs is None else diffs / dt
@@ -211,11 +216,14 @@ def _slab_jacobian(sp, model, mbar, p, hv, dt: float, eps: float, dm_coef=None):
             G = spectral.gradient(sp, bars[0])
         out[0] += np.sum(hv.dpH * G, axis=0)
         out[0] += coef * bars[1]
-        flux = np.einsum("ij...,j...->i...", mHpp, G) + Wm * bars[1]
+        flux = ma * G
+        flux += Wm * bars[1]
+        if mbr is not None:
+            flux += mbr * np.einsum("i...,i...->...", r, G)
         out[1] -= spectral.divergence(sp, flux)
         return out
 
-    return rows, mHpp, Wm
+    return rows, (ma, mbr, r, Wm)
 
 
 def _nodes(slab: np.ndarray, first=0.0, last=0.0) -> np.ndarray:

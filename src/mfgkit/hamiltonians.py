@@ -16,6 +16,14 @@ Two model families are provided:
   model rejects gamma <= 1 at construction and no other module restates
   the rule.
 
+Both families depend on p only through r = p + Q (Q = 0 for the
+separable model), so their second derivatives are radial:
+H_pp = a I + b r r^T and dm H_p = c r. ``second_derivatives(grid, p, m)``
+returns (r, a, b, c), each coefficient shaped like m or a scalar; the
+separable model returns (p, 1, 0, 0). No model builds a (d, d, ...)
+array, and :func:`check_monotonicity` reads its eigenvalues from the
+coefficients.
+
 The congestion change of variables lives here and nowhere else:
 ``drift`` (Q against a field, with the component-count check), ``shift``
 (p + Q and its magnitude), ``flux`` (w = m^{1-alpha}|p+Q|^{gamma-2}(p+Q))
@@ -192,13 +200,9 @@ class SeparableHamiltonian:
     def legendre(self, grid: TorusGrid, q: np.ndarray, m: np.ndarray) -> np.ndarray:
         return 0.5 * np.sum(q * q, axis=0) + self.coupling.f(grid, m)
 
-    def hess_pp(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-        d = p.shape[0]
-        eye = np.eye(d).reshape((d, d) + (1,) * (p.ndim - 1))
-        return np.broadcast_to(eye, (d, d) + p.shape[1:]).copy()
-
-    def dm_dpH(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return np.zeros_like(p)
+    def second_derivatives(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
+        """(r, a, b, c) = (p, 1, 0, 0): H_pp = I and dm H_p = 0."""
+        return p, 1.0, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -299,21 +303,14 @@ class CongestionHamiltonian:
             + self.coupling.f(grid, m)
         )
 
-    def hess_pp(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def second_derivatives(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray):
+        """(r, a, b, c) with r = p + Q, a = |r|^{gamma-2} / m^alpha,
+        b = (gamma - 2) |r|^{gamma-4} / m^alpha and c = -alpha a / m."""
         r, rmag = self.shift(p)
-        g = self.gamma
-        d = self.dim
-        eye = np.eye(d).reshape((d, d) + (1,) * rmag.ndim)
-        rr = r[:, None, ...] * r[None, :, ...]
-        return (
-            self._pow(rmag, g - 2.0) * eye + (g - 2.0) * self._pow(rmag, g - 4.0) * rr
-        ) / m**self.alpha
-
-    def dm_dpH(self, grid: TorusGrid, p: np.ndarray, m: np.ndarray) -> np.ndarray:
-        r, rmag = self.shift(p)
-        return -self.alpha * self._pow(rmag, self.gamma - 2.0) * r / m ** (
-            self.alpha + 1.0
-        )
+        g, scale = self.gamma, m**self.alpha
+        a = self._pow(rmag, g - 2.0) / scale
+        b = (g - 2.0) * self._pow(rmag, g - 4.0) / scale
+        return r, a, b, -self.alpha * a / m
 
 
 @dataclass(frozen=True)
@@ -336,7 +333,13 @@ class MonotonicityReport:
 def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     """Report the monotonicity indicators above on 256 seeded samples:
     p standard normal, m uniform in [0.2, 2]. A model whose derivatives
-    overflow there (alpha = 437, say) raises :class:`ModelError`."""
+    overflow there (alpha = 437, say) raises :class:`ModelError`.
+
+    Both are read in closed form from the radial second derivatives: H_pp
+    has the eigenvalue a + b |r|^2 along r and, for d > 1, a on the
+    complement of r, where the block has 2a; on the span of r and the
+    m axis the block is [[2 (a + b |r|^2), c |r|], [c |r|, -(2/m) dmH]].
+    """
     S = 256
     rng = np.random.default_rng(0)
     d = grid.dim
@@ -344,26 +347,29 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     m = rng.uniform(0.2, 2.0, S)
 
     # The spatial offset s(x) is additive in f, so it drops out of every
-    # derivative sampled here; sampling (p, m) pairs alone suffices.
-    hpp = model.hess_pp(grid, p, m)  # (d, d, S)
-    dmdp = model.dm_dpH(grid, p, m)  # (d, S)
-    dmH = -model.coupling.polyval(m, deriv=1)
-    if isinstance(model, CongestionHamiltonian):
-        _, rmag = model.shift(p)
-        dmH = dmH - model.alpha * rmag**model.gamma / (model.gamma * m ** (model.alpha + 1.0))
-
-    block = np.zeros((S, d + 1, d + 1))
-    block[:, :d, :d] = 2.0 * np.moveaxis(hpp, -1, 0)
-    block[:, :d, d] = dmdp.T
-    block[:, d, :d] = dmdp.T
-    block[:, d, d] = -(2.0 / m) * dmH
-    if not np.all(np.isfinite(block)):
-        raise ModelError("the model's derivatives overflow at the sampled states")
-    eigs_block = np.linalg.eigvalsh(block)
-    eigs_pp = np.linalg.eigvalsh(np.moveaxis(hpp, -1, 0))
+    # derivative sampled here; sampling (p, m) pairs alone suffices. An
+    # overflow is caught by the finiteness check, not warned about.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r, a, b, c = model.second_derivatives(grid, p, m)
+        rmag = np.sqrt(np.sum(r * r, axis=0))
+        dmH = -model.coupling.polyval(m, deriv=1)
+        if isinstance(model, CongestionHamiltonian):
+            dmH = dmH - model.alpha * rmag**model.gamma / (model.gamma * m ** (model.alpha + 1.0))
+        along = a + b * rmag**2
+        x, y, z = 2.0 * along, c * rmag, -(2.0 / m) * dmH
+        if not all(np.all(np.isfinite(v)) for v in (a, x, y, z)):
+            raise ModelError("the model's derivatives overflow at the sampled states")
+        # The 2 x 2 block's roots are mid -+ rad. When mid > 0 the smaller is
+        # taken as det / larger, which does not cancel, and |x|, |y|, |z| are
+        # at most the larger root, so no product overflows.
+        mid, rad = 0.5 * (x + z), np.hypot(0.5 * (x - z), y)
+        big = mid + rad
+        small = np.where(mid > 0.0, x * (z / big) - y * (y / big), mid - rad)
+    if d > 1:
+        along, small = np.minimum(along, a), np.minimum(small, 2.0 * a)
     return MonotonicityReport(
-        min_eig_pp=float(eigs_pp.min()),
+        min_eig_pp=float(np.min(along)),
         max_dm_h=float(dmH.max()),
-        min_eig_block=float(eigs_block.min()),
+        min_eig_block=float(np.min(small)),
         n_samples=S,
     )

@@ -345,7 +345,8 @@ class _Stationary:
     mean(u) (the row has zero mean, so the mean of u fixes the gauge), and
     mean(m) - 1. Newton stops on their sup-norm, and each step's GMRES runs
     to its Eisenstat-Walker forcing term. The rows and the Jacobian read
-    only ``model.eval``, ``hess_pp`` and ``dm_dpH``, so a separable model
+    only ``model.eval`` and the radial coefficients (r, a, b, c) of
+    ``model.second_derivatives``, so a separable model
     with dH/dm < 0 solves as a congestion model does. An evaluation keeps
     grad u and ``model.eval`` for the Jacobian, and not the rest of its slab
     terms, which would sit beside the GMRES basis.
@@ -382,8 +383,8 @@ class _Stationary:
         The rows vary as :func:`_slab_jacobian`'s without time terms, less
         dHbar and plus mean(du). H_m < 0, so dm is eliminated pointwise; the
         Schur operator in du, -div(A grad du) with A = m H_pp - W_m H_p^T /
-        H_m, is inverted by the symbol of its mean coefficient, and dHbar is
-        taken from the mass row.
+        H_m = m a I + m b r r^T - W_m H_p^T / H_m, is inverted by the symbol
+        of its d x d mean, and dHbar is taken from the mass row.
         """
         grid, K = self.grid, self.K
         m, (p, hv) = self.fields(z)[1], ev.data
@@ -392,14 +393,16 @@ class _Stationary:
             raise SolverError(
                 f"the stationary polish needs dH/dm < 0, got max {float(Hm.max()):.3e}"
             )
-        rows, mHpp, Wm = _slab_jacobian(grid, self.model, m, p, hv, 1.0, 0.0)
-        A = mHpp - Wm[:, None] * Hp[None, :] / Hm
-        A_mean = A.reshape(grid.dim, grid.dim, -1).mean(axis=-1)
+        rows, (ma, mbr, r, Wm) = _slab_jacobian(grid, self.model, m, p, hv, 1.0, 0.0)
+        c, d = Wm / Hm, grid.dim
+        outer = np.einsum("ik,jk->ij", c.reshape(d, K), Hp.reshape(d, K))
+        if mbr is not None:
+            outer -= np.einsum("ik,jk->ij", mbr.reshape(d, K), r.reshape(d, K))
+        A_mean = np.mean(ma) * np.eye(d) - outer / K
         s = grid.grad_symbols.imag
         sym = np.einsum("i...,ij,j...->...", s, A_mean, s)
         sym.flat[0] = 1.0  # the k = 0 row is the gauge: mean(du) = rhs mean
         inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym != 0.0)
-        c = Wm / Hm
         inv_Hm_mean = float(np.mean(1.0 / Hm))
 
         def jvp(dz):

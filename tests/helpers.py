@@ -19,7 +19,9 @@ The per-component vector operators below, one ``np.fft.fftn``/``ifftn``
 call per component, are the bit-for-bit oracles of ``spectral``'s
 batched transforms. The finite-horizon time systems assembled densely
 and inverted with ``np.linalg.inv`` are the oracle of the block sweep in
-``mfgkit.dynamics``.
+``mfgkit.dynamics``. The dense (d+1)-square curvature blocks built
+from a model's radial coefficients, with ``np.linalg.eigvalsh``, are the
+oracle of ``check_monotonicity``'s closed form.
 """
 
 import itertools
@@ -63,6 +65,37 @@ def hamiltonian_values(Q, alpha, gamma, p, m, fvals):
     shifted = p + np.asarray(Q).reshape((-1,) + (1,) * (p.ndim - 1))
     mag = np.sqrt(np.sum(shifted**2, axis=0))
     return mag**gamma / (gamma * np.asarray(m) ** alpha) - fvals
+
+
+def dense_monotonicity(model, grid):
+    """Oracle of ``check_monotonicity`` on ``grid``: its 256 seeded
+    samples, the dense H_pp = a I + b r r^T and the block
+    [[2 H_pp, c r], [c r^T, -(2/m) dmH]] from the model's (r, a, b, c),
+    dmH = -alpha |r|^gamma / (gamma m^{alpha+1}) - f'(m) restated from the
+    definition (alpha = 0 for a separable model), and both smallest
+    eigenvalues by ``np.linalg.eigvalsh``. Returns (min_eig_pp, max_dm_h,
+    min_eig_block)."""
+    S, d = 256, grid.dim
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal((d, S))
+    m = rng.uniform(0.2, 2.0, S)
+    r, a, b, c = model.second_derivatives(grid, p, m)
+    a, b, c = (np.broadcast_to(v, (S,)) for v in (a, b, c))
+    hpp = a[:, None, None] * np.eye(d) + b[:, None, None] * (r.T[:, :, None] * r.T[:, None, :])
+    alpha, gamma = getattr(model, "alpha", 0.0), getattr(model, "gamma", 2.0)
+    rmag = np.sqrt(np.sum(r * r, axis=0))
+    dmH = -alpha * rmag**gamma / (gamma * m ** (alpha + 1.0)) - np.polynomial.polynomial.polyval(
+        m, np.polynomial.polynomial.polyder(model.coupling.poly)
+    )
+    block = np.zeros((S, d + 1, d + 1))
+    block[:, :d, :d] = 2.0 * hpp
+    block[:, :d, d] = block[:, d, :d] = (c * r).T
+    block[:, d, d] = -(2.0 / m) * dmH
+    return (
+        float(np.linalg.eigvalsh(hpp).min()),
+        float(dmH.max()),
+        float(np.linalg.eigvalsh(block).min()),
+    )
 
 
 def legendre_oracle(Q, alpha, gamma, q, m, fvals, span=20.0, n=81, rounds=5):

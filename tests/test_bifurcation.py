@@ -486,6 +486,21 @@ def test_preconditioner_equals_a_build_that_transforms_every_column(dim, n, n_t,
             assert np.array_equal(precond(r), oracle(r))
 
 
+def test_a_branch_preconditioner_keeps_no_state_between_calls(periodic_setup):
+    # The next linearize, at another iterate, builds its own T column image
+    # and leaves the action returned before it unchanged.
+    _, coupling = periodic_setup
+    system = bf._Branch(coupling, bf.periodic_grid(1, 16, 16))
+    system.target[1] = 0.01
+    rng = np.random.default_rng(14)
+    z0, z1 = (_random_branch_state(system, rng) for _ in range(2))
+    _, first = system.linearize(z0, system.evaluate(z0))
+    r = rng.standard_normal(z0.size)
+    before = first(r)
+    system.linearize(z1, system.evaluate(z1))
+    assert np.array_equal(first(r), before)
+
+
 def test_a_newton_iterate_evaluates_the_residual_once(monkeypatch, periodic_setup):
     st, coupling = periodic_setup
     calls = []

@@ -1022,10 +1022,15 @@ def test_input_checks_exit_typed_and_write_nothing(tmp_path, capsys, command, cf
     path = tmp_path / "cfg.json"
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out = tmp_path / "o"
-    assert run([command, path, "--output-dir", out]) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, path, "--output-dir", out]) == code
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+    # One typed line and no numpy warning, even where the inputs overflow.
+    assert [w.category for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert captured.err.count("\n") == 1
     try:
         config.load_config(path)
     except ConfigError:

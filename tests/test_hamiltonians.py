@@ -271,6 +271,70 @@ def test_monotonicity_report_flags_decreasing_coupling(g1):
     assert rep_bad.max_dm_h > 0.0
 
 
+# Both kinds, d = 1-3, gamma in {1.5, 2, 2.5, 4} (b = 0 at gamma = 2) and
+# alpha in {0, 0.5, 1.5} (c = 0 at alpha = 0).
+RADIAL_MODELS = [("separable", d, 2.0, 0.0) for d in (1, 2, 3)] + [
+    ("congestion", d, gamma, alpha)
+    for d in (1, 2, 3)
+    for gamma in (1.5, 2.0, 2.5, 4.0)
+    for alpha in (0.0, 0.5, 1.5)
+]
+
+
+def _radial_model(kind, d, gamma, alpha, poly=(0.0, 1.0)):
+    if kind == "separable":
+        return SeparableHamiltonian(Coupling(poly=poly))
+    Q = (0.7, -0.4, 0.3)[:d]
+    return CongestionHamiltonian(Q=Q, alpha=alpha, gamma=gamma, coupling=Coupling(poly=poly))
+
+
+@pytest.mark.parametrize("kind, d, gamma, alpha", RADIAL_MODELS)
+def test_second_derivatives_match_central_differences_of_dpH(kind, d, gamma, alpha):
+    # a I + b r r^T against the p-differences of dpH, column by column, and
+    # c r against its m-difference. Sample 0 sits at r = 0 where H is a
+    # polynomial near it (separable, gamma = 2 or 4); for gamma < 2 H_pp is
+    # unbounded there, and for gamma = 2.5 the differences of dpH converge
+    # to it only as h^(1/2).
+    model = _radial_model(kind, d, gamma, alpha)
+    S = 32
+    grid = TorusGrid((S,))  # the samples sit on the nodes; f has no x-term
+    rng = np.random.default_rng(12)
+    Q = np.array(getattr(model, "Q", (0.0,) * d))[:, None]
+    p = rng.standard_normal((d, S))
+    m = rng.uniform(0.5, 1.5, S)
+    if gamma in (2.0, 4.0):
+        p[:, :1] = -Q
+    r, a, b, c = model.second_derivatives(grid, p, m)
+    assert np.array_equal(r, p + Q)
+    if gamma == 2.0:
+        assert not np.any(b)
+    if alpha == 0.0:
+        assert not np.any(c)
+    for j in range(d):
+        e = np.zeros((d, 1))
+        e[j] = 1.0
+        col = helpers.fd_directional(lambda t: model.eval(grid, p + t * e, m).dpH)
+        exact = a * e + b * r * r[j]
+        assert np.max(np.abs(col - exact)) <= 1e-8 * max(1.0, np.max(np.abs(exact)))
+    dm = helpers.fd_directional(lambda t: model.eval(grid, p, m + t).dpH)
+    assert np.max(np.abs(dm - c * r)) <= 1e-8 * max(1.0, np.max(np.abs(c * r)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monotonicity_matches_the_dense_oracle(d):
+    # The closed-form eigenvalues against eigvalsh of the dense blocks, on
+    # 26 models per d: both kinds, a crowd-averse and a crowd-seeking
+    # coupling (negative blocks), every gamma and alpha above.
+    grid = TorusGrid((4,) * d)
+    for kind, _, gamma, alpha in (model for model in RADIAL_MODELS if model[1] == d):
+        for poly in ((0.0, 1.0), (0.0, -1.0)):
+            model = _radial_model(kind, d, gamma, alpha, poly)
+            rep = check_monotonicity(model, grid)
+            got = (rep.min_eig_pp, rep.max_dm_h, rep.min_eig_block)
+            for value, ref in zip(got, helpers.dense_monotonicity(model, grid)):
+                assert abs(value - ref) <= max(1e-12 * abs(ref), 1e-14), (kind, gamma, alpha)
+
+
 def test_separable_kinetic_part_is_quadratic(g1):
     # f = 0 isolates H0(p) = |p|^2 / 2 and its conjugate L0(q) = |q|^2 / 2.
     model = SeparableHamiltonian(Coupling(poly=(0.0,)))
@@ -279,9 +343,9 @@ def test_separable_kinetic_part_is_quadratic(g1):
     assert vals.H[0] == 12.5
     assert np.array_equal(vals.dpH, p)
     assert model.legendre(g1, p, m)[0] == 12.5
-    hess = model.hess_pp(g1, p, m)
-    assert hess.shape[:2] == (2, 2)
-    assert np.allclose(hess[:, :, 0], np.eye(2))
+    # H_pp = 1 I + 0 r r^T and dm H_p = 0 r, with r = p.
+    r, a, b, c = model.second_derivatives(g1, p, m)
+    assert r is p and (a, b, c) == (1, 0, 0)
 
 
 def test_coupling_spatial_is_built_once_per_grid_and_read_only(g1, g2):
