@@ -183,8 +183,8 @@ def cmd_solve_stationary(cfg, out_dir):
 def _separable_problem(cfg, needs: str):
     """The configured finite-horizon problem: (model, time grid, m0, uT,
     eps, solve), where solve(planner) runs the equilibrium or planner
-    solver with ``solver.tol`` and ``solver.max_newton``. A model that is
-    not separable raises ``ConfigError("<needs> model.kind = 'separable'")``."""
+    solver with ``solver.tol``. A model that is not separable raises
+    ``ConfigError("<needs> model.kind = 'separable'")``."""
     model = build_model(cfg)
     if not isinstance(model, SeparableHamiltonian):
         raise ConfigError(f"{needs} model.kind = 'separable'")
@@ -195,7 +195,7 @@ def _separable_problem(cfg, needs: str):
 
     def solve(planner: bool):
         solver = solve_mfc if planner else solve_mfg
-        return solver(model, st, m0, uT, eps=eps, tol=s["tol"], max_newton=s["max_newton"])
+        return solver(model, st, m0, uT, eps=eps, tol=s["tol"])
 
     return model, st, m0, uT, eps, solve
 

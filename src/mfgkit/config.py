@@ -22,7 +22,6 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
       "solver": {"tol": ...,          // > 0; Newton stops at rows <= tol
                                       // (sup-norm): finite-horizon solves and the
                                       // stationary polish
-                 "max_newton": ...,   // >= 1; Newton budget of dynamic solves
                  "formulation": ...}, // bb | stream2d | potential | auto
       "bifurcation": {"fprime1": ..., "cubic": ..., "f1": ...,
                       "amplitudes": [...],   // at least one; each > 0
@@ -33,9 +32,9 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
     }
 
 Integer keys (``seed``, ``grid.dim``, ``grid.n``, ``grid.n_t``,
-``solver.max_newton``, ``bifurcation.dim``, ``.n``, ``.n_t``,
-``.spectrum_points`` and a mode's ``k``) take integers or integral
-numbers such as 16.0; fractions and booleans are rejected.
+``bifurcation.dim``, ``.n``, ``.n_t``, ``.spectrum_points`` and a mode's
+``k``) take integers or integral numbers such as 16.0; fractions and
+booleans are rejected.
 
 ``eps`` (default 1.0) is the viscosity of the finite-horizon commands
 (``solve-mfg``, ``solve-mfc``, ``compare``, ``duality-crosscheck`` and a
@@ -228,7 +227,6 @@ _GRID = {
 }
 _SOLVER = {
     "tol": _Key(_number, 1e-9, **_POSITIVE),
-    "max_newton": _Key(_int, 40, **_at_least(1)),
     "formulation": _Key(_text, "auto", **_one_of(_FORMULATIONS)),
 }
 _BIFURCATION = {

@@ -41,8 +41,8 @@ solved state and builds psi2 from the slab terms of its evaluation;
 :class:`SolveResult` carries both values. Each Newton step's GMRES solve
 runs to an Eisenstat–Walker forcing term; the Newton stopping test is
 the sup-norm of the rows against ``tol``. A Newton solve whose line
-search stalls or whose step budget runs out, or a GMRES solve that
-misses its tolerance, raises :class:`SolverError`. The separable rows
+search stalls or whose ``NEWTON_STEPS`` budget runs out, or a GMRES
+solve that misses its tolerance, raises :class:`SolverError`. The separable rows
 hold at any density; the solved node densities are checked once against
 ``hamiltonians.M_FLOOR``, before the certificates, and a density below it
 raises :class:`PositivityError`. Data rows m0 and uT off the space
@@ -68,6 +68,9 @@ __all__ = ["SolveResult", "solve_mfg", "solve_mfc", "compare_equilibrium_vs_plan
 # Slack of the ordering psi2(equilibrium) <= psi2(planner) that
 # compare_equilibrium_vs_planner reports.
 ORDER_TOL = 1e-8
+# Newton budget of a finite-horizon solve, which takes 3-5 steps on the
+# benchmark's finite-horizon pool.
+NEWTON_STEPS = 40
 
 
 @dataclass
@@ -234,7 +237,6 @@ def _solve(
     eps: float,
     planner: bool,
     tol: float,
-    max_newton: int,
 ) -> SolveResult:
     _check_model(model)
     if grid.periodic_time:
@@ -250,7 +252,7 @@ def _solve(
     sys = _System(model, grid.space, grid.n_t, grid.dt, m0, uT, eps, planner)
 
     start = np.concatenate([np.tile(d.ravel(), sys.N) for d in (sys.uT, sys.m0)])
-    run = newton(sys, start, tol, max_newton)
+    run = newton(sys, start, tol, NEWTON_STEPS)
 
     u, m = sys.fields(run.z)
     low = m.reshape(sys.N + 1, -1).min(axis=1)
@@ -287,11 +289,10 @@ def solve_mfg(
     uT,
     eps: float = 1.0,
     tol: float = 1e-9,
-    max_newton: int = 40,
 ) -> SolveResult:
     """Solve the equilibrium system; derivative fields of psi1 (in m) and
     psi2 (in u) vanish at the returned state to solver tolerance."""
-    return _solve(model, grid, m0, uT, eps, False, tol, max_newton)
+    return _solve(model, grid, m0, uT, eps, False, tol)
 
 
 def solve_mfc(
@@ -301,11 +302,10 @@ def solve_mfc(
     uT,
     eps: float = 1.0,
     tol: float = 1e-9,
-    max_newton: int = 40,
 ) -> SolveResult:
     """Solve the planner first-order system (critical point of psi2); the
     value row carries the extra m df/dm term."""
-    return _solve(model, grid, m0, uT, eps, True, tol, max_newton)
+    return _solve(model, grid, m0, uT, eps, True, tol)
 
 
 def compare_equilibrium_vs_planner(mfg_state, mfc_state, model) -> dict:

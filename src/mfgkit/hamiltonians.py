@@ -38,7 +38,7 @@ floor the finite-horizon solver checks once on the solved densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -347,14 +347,14 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     m = rng.uniform(0.2, 2.0, S)
 
     # The spatial offset s(x) is additive in f, so it drops out of every
-    # derivative sampled here; sampling (p, m) pairs alone suffices. An
-    # overflow is caught by the finiteness check, not warned about.
+    # derivative sampled here: dmH is read from the model with s dropped, on
+    # a one-axis grid of the samples. An overflow is caught by the
+    # finiteness check, not warned about.
+    polynomial = replace(model, coupling=Coupling(model.coupling.poly))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         r, a, b, c = model.second_derivatives(grid, p, m)
         rmag = np.sqrt(np.sum(r * r, axis=0))
-        dmH = -model.coupling.polyval(m, deriv=1)
-        if isinstance(model, CongestionHamiltonian):
-            dmH = dmH - model.alpha * rmag**model.gamma / (model.gamma * m ** (model.alpha + 1.0))
+        dmH = polynomial.eval(TorusGrid((S,)), p, m).dmH
         along = a + b * rmag**2
         x, y, z = 2.0 * along, c * rmag, -(2.0 / m) * dmH
         if not all(np.all(np.isfinite(v)) for v in (a, x, y, z)):

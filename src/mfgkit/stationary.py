@@ -38,11 +38,12 @@ All three routes run on one engine, ``_descend``: projected
 Barzilai-Borwein with a monotone Armijo backtracking safeguard, so the
 recorded objective trace is strictly non-increasing. It owns the whole
 loop and the density block (unit-mass recentering, the m > M_FLOOR guard,
-the mean-zero gradient projection); a route supplies its start point,
-objective and the projector of its own block (Leray for w, identity for
-the stream and potential coordinates). A
-descent whose best projected-gradient norm has not improved for
-``STALL_WINDOW`` iterations, or whose line search fails, raises
+the mean-zero gradient projection) and starts the density uniform; a route
+supplies the fixed start of its own block (the constant flux Q, the zero
+stream function, the zero potential), its objective and the projector of
+that block (Leray for w, identity for the stream and potential
+coordinates). A descent whose best projected-gradient norm has not
+improved for ``STALL_WINDOW`` iterations, or whose line search fails, raises
 :class:`SolverError`; it is never accepted as converged. ``_descend``
 returns the objective's gradient at its last iterate, so no route
 evaluates its objective again: Hbar = -mean(dm) is read from it.
@@ -237,12 +238,12 @@ class StationaryResult:
     handoff_curl_inf: float | None = None
 
 
-def _descend(grid, m0, y0, objective, project_y, tol):
-    """Minimize ``objective`` over unit-mass m > ``M_FLOOR`` and a route block y.
+def _descend(grid, y0, objective, project_y, tol):
+    """Minimize ``objective`` over unit-mass m > ``M_FLOOR`` and a route block y,
+    from the uniform density and y0.
 
     ``objective(m, y)`` returns (value, dm, dy); ``project_y`` projects
     both iterates and gradients of y onto the route's constraint space.
-    ``m0 = None`` starts from the uniform density.
 
     The descent is projected BB (alternating BB1/BB2 steps) with a monotone
     Armijo backtracking search whose trials keep m > ``M_FLOOR``. Iterates are
@@ -278,8 +279,7 @@ def _descend(grid, m0, y0, objective, project_y, tol):
         gm, gy = unpack(g)
         return pack(gm - gm.mean(), project_y(gy))
 
-    m0 = np.ones(grid.shape) if m0 is None else np.asarray(m0, dtype=float)
-    x = recenter(pack(m0, y0))
+    x = recenter(pack(np.ones(grid.shape), y0))
     val, grad = value_and_grad(x)
     pg = project(grad)
     trace = [val]
@@ -444,12 +444,13 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     every route, all read on the polished state: the PDE residuals (the
     Hamilton-Jacobi equation, psi1_hat's value row, and the divergence of
     the flux transform of (m, u)), the duality gap of the primal value
-    (phi_bb or j, the only objective evaluation after the descent)
     against psi1_hat, and the crosscheck of Hbar against psi2_hat, which
     raises :class:`SolverError` above ``HBAR_CROSSCHECK_TOL``. The duality
-    gap is not independent of the rows: j = -psi1_hat at every state, so it
-    is 0.0 by construction on the potential route, and on the flux routes it
-    is -mean(u div w) / (1 - alpha), the Fokker-Planck row paired with u. On
+    gap is not independent of the rows. On the potential route j = -psi1_hat
+    at every state, so the primal value is read from psi1_hat and the gap is
+    0.0 by construction. On the flux routes the primal value is phi_bb, the
+    only objective evaluation after the descent, and the gap is
+    -mean(u div w) / (1 - alpha), the Fokker-Planck row paired with u. On
     a flux route the final flux must pass ``u_from_w`` at ``CURL_TOL``; a
     failed polish raises the polish's :class:`SolverError`, whose message
     names the hand-off flux's curl defect.
@@ -465,14 +466,14 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     polish = newton(system, start, tol, POLISH_STEPS, where)
     u, m, hbar = system.fields(polish.z)
     w = model.flux(polish.ev.data[0], m)
+    state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
+    psi1 = psi1_hat(state, model)
     if model.alpha > 1.0:
-        value = j_functional(grid, m, u, model).value
-        extras = {"j_value": value, **extras}
+        value = -psi1.value
     else:
         value = phi_bb(grid, m, w, model).value
         _, transform_report = u_from_w(model, grid, m, w, curl_tol=CURL_TOL)
         extras = {**{f"transform_{k}": v for k, v in transform_report.items()}, **extras}
-    state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
     hbar_psi2 = psi2_hat(state, model).value
     hbar_gap = abs(hbar - hbar_psi2)
     if hbar_gap > HBAR_CROSSCHECK_TOL:
@@ -480,8 +481,6 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
             f"ergodic constant crosscheck failed: multiplier {hbar:.10f} vs "
             f"psi2_hat {hbar_psi2:.10f} (gap {hbar_gap:.3e})"
         )
-    psi1 = psi1_hat(state, model)
-    div_w = float(np.max(np.abs(spectral.divergence(grid, w))))
     return StationaryResult(
         state=state,
         w=w,
@@ -493,12 +492,10 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
         duality_gap=value + psi1.value,
         hbar_crosscheck_gap=hbar_gap,
         residual_hjb_inf=float(np.max(np.abs(psi1.dm - hbar))),
-        residual_fp_inf=div_w,
+        residual_fp_inf=float(np.max(np.abs(spectral.divergence(grid, w)))),
         diagnostics={
             "mass_error": abs(float(np.mean(m)) - 1.0),
-            "div_w_inf": div_w,
             "min_m": float(m.min()),
-            "hbar_from_multiplier": hbar,
             "hbar_from_psi2_hat": hbar_psi2,
             "psi1_hat_value": psi1.value,
             **extras,
@@ -516,15 +513,13 @@ def _require_bb_model(model: CongestionHamiltonian):
 def solve_bb(
     model: CongestionHamiltonian,
     grid: TorusGrid,
-    m0: np.ndarray | None = None,
-    w0: np.ndarray | None = None,
     tol: float = 1e-9,
 ) -> StationaryResult:
     """Minimize phi_bb over unit-mass m > 0 and divergence-free w.
 
-    The descent starts from (m0, w0), by default the uniform density and
-    the constant flux Q, and stops at ``HANDOFF_TOL``; ``tol`` bounds the
-    polished PDE rows (see ``_certify``). The model needs alpha < 1.
+    The descent starts from the uniform density and the constant flux Q,
+    and stops at ``HANDOFF_TOL``; ``tol`` bounds the polished PDE rows (see
+    ``_certify``). The model needs alpha < 1.
     """
     _require_bb_model(model)
 
@@ -532,16 +527,10 @@ def solve_bb(
         rep = phi_bb(grid, m, w, model)
         return rep.value, rep.dm, rep.dw
 
-    if w0 is None:
-        w0 = np.zeros((grid.dim,) + grid.shape)
-        w0 = np.broadcast_to(model.drift(w0), w0.shape)
+    shape = (grid.dim,) + grid.shape
+    w0 = np.broadcast_to(model.drift(np.zeros(shape)), shape)
     m, w, dm, _, run = _descend(
-        grid,
-        m0,
-        np.array(w0, dtype=float),
-        objective,
-        lambda wv: spectral.project_div_free(grid, wv),
-        HANDOFF_TOL,
+        grid, w0, objective, lambda wv: spectral.project_div_free(grid, wv), HANDOFF_TOL
     )
     return _certify(model, grid, m, dm, run, tol, {}, w=w)
 
@@ -578,7 +567,7 @@ def solve_bb_2d_stream(
     # R starts where perp(R) = Q, read through the model's checked drift.
     q = model.drift(np.zeros(2))
     y0 = np.concatenate([np.zeros(K), np.array([q[1], -q[0]]) * r_scale])
-    m, y, dm, _, run = _descend(grid, None, y0, objective, lambda yv: yv, HANDOFF_TOL)
+    m, y, dm, _, run = _descend(grid, y0, objective, lambda yv: yv, HANDOFF_TOL)
     v, R = stream(y)
     w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))
     extras = {"stream_R": tuple(float(r) for r in R)}
@@ -609,5 +598,5 @@ def solve_potential_a_gt_1(
         return rep.value, rep.dm, _half_inverse_divgrad(grid, rep.du)
 
     phi0 = np.zeros(grid.shape)
-    m, phi, dm, _, run = _descend(grid, None, phi0, objective, lambda yv: yv, HANDOFF_TOL)
+    m, phi, dm, _, run = _descend(grid, phi0, objective, lambda yv: yv, HANDOFF_TOL)
     return _certify(model, grid, m, dm, run, tol, {}, u=_half_inverse_divgrad(grid, phi))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mfgkit.cli as cli
-from mfgkit import config, functionals, stationary
+from mfgkit import config, dynamics, functionals, stationary
 from mfgkit.errors import ConfigError
 
 
@@ -349,10 +349,11 @@ def test_solve_mfg_and_compare(tmp_path):
         assert payload[side]["residual_inf"] <= 1e-10
 
 
-def test_every_dynamic_command_honours_max_newton(tmp_path, capsys):
+def test_every_dynamic_command_keeps_the_newton_budget(tmp_path, capsys, monkeypatch):
     # One Newton step is too few at this tol: every command that solves
     # must fail alike.
-    cfg = write_cfg(tmp_path, "n1.json", dict(SEP_CFG, solver={"tol": 1e-10, "max_newton": 1}))
+    monkeypatch.setattr(dynamics, "NEWTON_STEPS", 1)
+    cfg = write_cfg(tmp_path, "n1.json", SEP_CFG)
     for command in ("solve-mfg", "solve-mfc", "compare", "crosscheck", "duality-crosscheck"):
         assert run([command, cfg, "--output-dir", tmp_path / command]) == 1, command
         assert "no convergence" in capsys.readouterr().err
@@ -597,7 +598,6 @@ MALFORMED = [
     ("report", SEP_CFG, "grid.dim", "x"),
     ("solve-mfg", SEP_CFG, "grid.n_t", "x"),
     ("solve-mfg", SEP_CFG, "grid.horizon", "x"),
-    ("solve-mfg", SEP_CFG, "solver.max_newton", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.fprime1", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.cubic", "x"),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.f1", "x"),
@@ -609,16 +609,12 @@ MALFORMED = [
     ("solve-stationary", CONG_CFG, "solver.tol", -1.0),
     ("solve-stationary", CONG_CFG, "solver.tol", float("nan")),
     ("crosscheck", CONG_CFG, "solver.tol", float("inf")),
-    ("solve-mfg", SEP_CFG, "solver.max_newton", -3),
-    ("duality-crosscheck", SEP_CFG, "solver.max_newton", 0),
     ("solve-mfg", SEP_CFG, "grid.horizon", float("inf")),
     # Integer keys take integral numbers only: no fraction, no boolean.
     ("solve-mfg", SEP_CFG, "grid.n", 16.5),
     ("solve-mfg", SEP_CFG, "grid.n", [16.5]),
     ("report", SEP_CFG, "grid.dim", True),
     ("solve-mfg", SEP_CFG, "grid.n_t", 8.5),
-    ("solve-mfg", SEP_CFG, "solver.max_newton", 3.7),
-    ("solve-mfg", SEP_CFG, "solver.max_newton", True),
     ("crosscheck", SEP_CFG, "seed", 2.5),
     ("crosscheck", SEP_CFG, "seed", False),
     ("bifurcate", {"bifurcation": BIF_CFG}, "bifurcation.dim", 1.5),
@@ -654,13 +650,13 @@ def test_malformed_config_scalar_exits_two(
 
 def test_integral_numbers_are_accepted_as_integers(tmp_path):
     cfg = _with(_with(SEP_CFG, "grid.n", 16.0), "grid.dim", 1.0)
-    cfg["solver"]["max_newton"] = 40.0
+    cfg["grid"]["n_t"] = 8.0
     cfg["seed"] = 7.0
     path = write_cfg(tmp_path, "ok.json", cfg)
     loaded = config.load_config(path)
     assert type(config._setting(loaded, "grid.n")) is int
     assert config._setting(loaded, "grid.n") == 16
-    assert config._setting(loaded, "solver.max_newton") == 40
+    assert config._setting(loaded, "grid.n_t") == 8
     assert config._setting(loaded, "seed") == 7
     out = tmp_path / "o"
     assert run(["report", path, "--output-dir", out]) == 0
@@ -974,6 +970,9 @@ INPUT_CHECKS = [
      "'grid.horizon' must be a finite number (got nan)"),
     ("solve-mfg", {"grid": _FH_GRID, "bifurcation": {"amplitudes": []}}, 2,
      "'bifurcation.amplitudes' must be a nonempty list of numbers"),
+    # The Newton budget is a constant, not a setting.
+    ("solve-mfg", {"grid": _FH_GRID, "solver": {"max_newton": 40}}, 2,
+     "unknown key 'max_newton'"),
     (
         "solve-stationary",
         {"model": {"kind": "congestion", "Q": [1.0]}, "grid": {"dim": 1, "n": 16},

@@ -55,6 +55,7 @@ TABLES = {
 }
 RETIRED = [
     ("solver", "max_iter", 50000),
+    ("solver", "max_newton", 40),
     ("solver", "w_reg", 1e-3),
     ("solver", "barrier_stages", [0.1]),
     (None, "task", "solve-stationary"),
@@ -93,7 +94,6 @@ VALID = {
     "grid.n_t": NODES,
     "grid.horizon": _floats(0.05, 2.0),
     "solver.tol": st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1]),
-    "solver.max_newton": st.integers(1, 40),
     "solver.formulation": st.sampled_from(config._FORMULATIONS),
     "bifurcation.fprime1": _mostly(_floats(-7.9 * PI2, -4.1 * PI2), _floats(-9 * PI2, -3 * PI2)),
     "bifurcation.cubic": _floats(-2.0, 2.0),
@@ -113,7 +113,6 @@ OUTSIDE = {
     "eps": [-0.5],
     "grid.horizon": [0.0, -1.0],
     "solver.tol": [0.0, -1e-9],
-    "solver.max_newton": [0, -3],
     "solver.formulation": ["newton"],
     "model.kind": ["crowd"],
     "bifurcation.amplitudes": [[], [0.0], [-1e-3, 1e-3]],

@@ -154,30 +154,25 @@ def test_compare_planner_convenience_payload(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "max_newton, exit_, steps_vs_budget",
+    "budget, exit_, steps_vs_budget",
     [
         (2, r"residual \S+ after (\d+) Newton iterations, the whole budget", operator.eq),
-        (40, r"the line search stalled at Newton step (\d+), residual \S+", operator.lt),
+        (None, r"the line search stalled at Newton step (\d+), residual \S+", operator.lt),
     ],
     ids=["budget", "stall"],
 )
-def test_unreachable_tolerance_raises(sep_model, max_newton, exit_, steps_vs_budget):
-    # tol 1e-15 lies below the residual's roundoff floor (~3e-13): 2 Newton
-    # steps run out first, while the default budget outlasts the line search,
-    # which stalls at that floor.
+def test_unreachable_tolerance_raises(sep_model, monkeypatch, budget, exit_, steps_vs_budget):
+    # tol 1e-15 lies below the residual's roundoff floor (~3e-13): a budget of
+    # 2 Newton steps runs out first, while the default budget outlasts the
+    # line search, which stalls at that floor.
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "NEWTON_STEPS", budget)
     g = TorusGrid((16,))
     m0, uT = perturbed_data(16)
     with pytest.raises(SolverError, match="no convergence: " + exit_) as info:
-        solve_mfg(
-            sep_model,
-            SpaceTimeGrid(g, 8, T),
-            m0,
-            uT,
-            tol=1e-15,
-            max_newton=max_newton,
-        )
+        solve_mfg(sep_model, SpaceTimeGrid(g, 8, T), m0, uT, tol=1e-15)
     steps = int(re.search(exit_, str(info.value)).group(1))
-    assert steps_vs_budget(steps, max_newton)
+    assert steps_vs_budget(steps, dynamics.NEWTON_STEPS)
 
 
 def test_model_guards(sep_model, congestion_1d_model):

@@ -112,10 +112,9 @@ def test_solve_bb_certificates(bb_solved):
     assert abs(res.duality_gap) <= 1e-6
     assert res.hbar_crosscheck_gap <= 1e-6
     assert res.residual_hjb_inf <= 1e-6
-    assert res.residual_fp_inf <= 1e-6
+    assert res.residual_fp_inf <= 1e-10
     assert res.diagnostics["min_m"] > 0.0
     assert res.diagnostics["mass_error"] <= 1e-12
-    assert res.diagnostics["div_w_inf"] <= 1e-10
     trace = np.array(res.phi_trace)
     assert np.all(np.diff(trace) <= 1e-12)
 
@@ -131,22 +130,6 @@ def test_solve_bb_residuals_are_pde_residuals(bb_solved):
     assert np.max(np.abs(spectral.divergence(g, w_rt))) == pytest.approx(
         res.residual_fp_inf, rel=1e-12, abs=1e-15
     )
-
-
-def test_solve_bb_warm_start_is_fixed_point(bb_solved):
-    # A warm start from a solution takes no descent iteration and no Newton
-    # step, and returns the same density. The flux hands over through its
-    # Poisson potential, which recovers u to roundoff only, and Hbar is read
-    # from the descent's gradient, which is the polished multiplier up to
-    # the HJB residual; so u, Hbar and the value agree to those levels.
-    res, model, g = bb_solved
-    res2 = solve_bb(model, g, m0=res.state.m, w0=res.w, tol=1e-10)
-    assert res2.iterations == 0
-    assert res2.newton_iterations == 0
-    assert np.array_equal(res2.state.m, res.state.m)
-    assert np.max(np.abs(res2.state.u - res.state.u)) <= 1e-12
-    assert abs(res2.state.Hbar - res.state.Hbar) <= res.residual_hjb_inf
-    assert res2.value == pytest.approx(res.value, rel=1e-14)
 
 
 def test_stream_route_matches_flux_route(bb2d_pair):
@@ -194,6 +177,7 @@ def test_potential_route_alpha_above_one():
     assert abs(res.duality_gap) <= 1e-10
     assert res.diagnostics["min_m"] > 0.0
     rep = j_functional(g, res.state.m, res.state.u, model)
+    # The value is read as -psi1_hat, which is j bit for bit at every state.
     # First-order structure of the saddle: the density gradient is flat
     # (its mean is the multiplier) and the value-function gradient vanishes.
     assert rep.value == res.value
@@ -259,7 +243,7 @@ def test_stalled_descent_raises_with_its_floor():
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
     t0 = time.perf_counter()
     with pytest.raises(SolverError, match="stalled at iteration .* floor"):
-        stationary._descend(g, None, np.array(w0), objective, project, 1e-9)
+        stationary._descend(g, w0, objective, project, 1e-9)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -272,7 +256,7 @@ def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model):
 
     w0 = np.broadcast_to(model.drift(np.zeros((1, 32))), (1, 32))
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
-    m, w, dm, dw, run = stationary._descend(g, None, np.array(w0), objective, project, 1e-7)
+    m, w, dm, dw, run = stationary._descend(g, w0, objective, project, 1e-7)
     _, dm_plain, dw_plain = objective(m, w)
     assert np.array_equal(dm, dm_plain) and np.array_equal(dw, dw_plain)
     assert run["grad_inf"] <= 1e-7
