@@ -648,6 +648,33 @@ def test_malformed_config_scalar_exits_two(
     assert f"'{key}' must be {rule}" in capsys.readouterr().err
 
 
+RETIRED_BUDGETS = [
+    ("solve-mfg", "x"),
+    ("solve-mfg", -3),
+    ("duality-crosscheck", 0),
+    ("solve-mfg", 3.7),
+    ("solve-mfg", True),
+]
+
+
+@pytest.mark.parametrize(
+    "command, value", RETIRED_BUDGETS, ids=[f"solver.max_newton={v!r}" for _, v in RETIRED_BUDGETS]
+)
+def test_retired_newton_budget_is_unknown_whatever_its_value(
+    tmp_path, capsys, solvers_forbidden, command, value
+):
+    # The budget is the constant dynamics.NEWTON_STEPS: a value that once
+    # failed the key's number check now fails as an unknown key, which is
+    # named before any value is read.
+    cfg = write_cfg(tmp_path, "bad.json", _with(SEP_CFG, "solver.max_newton", value))
+    out = tmp_path / "o"
+    assert run([command, cfg, "--output-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'max_newton' in 'solver'" in err
+    assert "must be" not in err
+    assert not out.exists()
+
+
 def test_integral_numbers_are_accepted_as_integers(tmp_path):
     cfg = _with(_with(SEP_CFG, "grid.n", 16.0), "grid.dim", 1.0)
     cfg["grid"]["n_t"] = 8.0
