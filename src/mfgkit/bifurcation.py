@@ -194,9 +194,9 @@ class PeriodicState:
             raise ModelError("periodic fields must match the cylinder grid")
         if not self.T > 0.0:
             raise ModelError(f"period must be positive, got {self.T}")
-        if abs(float(self.U.mean())) > 1e-8:
+        if not abs(float(self.U.mean())) <= 1e-8:
             raise ModelError("U must have zero space-time mean")
-        if float(self.M.min()) <= -1.0:
+        if not float(self.M.min()) > -1.0:
             raise PositivityError("1 + M must stay positive")
 
 

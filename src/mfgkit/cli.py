@@ -176,7 +176,6 @@ def cmd_solve_stationary(cfg, out_dir):
         "residual_fp_inf": res.residual_fp_inf,
         "m_min": float(res.state.m.min()),
         "m_max": float(res.state.m.max()),
-        "diagnostics": res.diagnostics,
     }
 
 

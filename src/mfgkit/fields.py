@@ -99,7 +99,7 @@ class DensityField(ScalarField):
     def __post_init__(self):
         super().__post_init__()
         arr = self.values
-        if arr.min() <= 0.0:
+        if not arr.min() > 0.0:
             raise PositivityError(
                 f"density has non-positive values (min = {arr.min():.3e})"
             )
@@ -109,7 +109,7 @@ class DensityField(ScalarField):
         else:
             masses = np.atleast_1d(spectral.integrate(space, arr))
         err = float(np.max(np.abs(masses - 1.0)))
-        if err > MASS_TOL:
+        if not err <= MASS_TOL:
             raise PositivityError(f"density mass deviates from 1 by {err:.3e}")
 
 

@@ -16,8 +16,11 @@ Exactness properties relied on elsewhere (and asserted in the tests):
 * ``integrate`` of a resolved trigonometric polynomial is exact.
 
 :func:`modewise` applies one k x k block per mode between real FFTs. The
-operators above keep complex FFTs: the bit-for-bit oracle tests below pin
-them, and real ones gave no speed gain at the benchmark's sizes.
+operators above keep complex FFTs because the bit-for-bit oracle tests
+below pin them. Real transforms done per axis (``rfft`` on the last axis,
+``fft`` on the others) gain on most of the benchmark's stacks and lose on
+the smallest; an earlier attempt measured no gain because it used
+``rfftn``, which loses to its own argument handling at these sizes.
 
 ``_fft``/``_ifft_real`` run ``np.fft.fft``/``ifft`` over the trailing
 axes, last axis first, which is the loop ``np.fft.fftn`` runs. The vector

@@ -70,7 +70,7 @@ returned residuals and duality gap are always physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,8 +107,6 @@ HBAR_CROSSCHECK_TOL = 1e-6
 # basin: with no descent at all the polish fails on stronger data, and BB's
 # linear tail below 1e-2 costs more than the Newton steps it saves.
 HANDOFF_TOL = 1e-2
-# Solenoidal residual of u_from_w above which a flux is not a gradient flux.
-CURL_TOL = 1e-6
 # Newton budget of the polish, which takes 3-5 steps from the hand-off on the
 # benchmark's stationary pool.
 POLISH_STEPS = 10
@@ -160,8 +158,9 @@ def u_from_w(
 
     The candidate gradient g = ``model.momentum(w, m)`` must be a
     spatial gradient for u to exist: its spatial mean (the drift
-    mismatch) is reported, and solenoidal content above ``curl_tol``
-    raises :class:`CurlError` rather than being projected away silently.
+    mismatch) is reported, and solenoidal content above ``curl_tol``, or a
+    non-finite residual at any ``curl_tol``, raises :class:`CurlError`
+    rather than being projected away silently.
     u is returned in the zero-mean gauge.
     """
     g = model.momentum(w, m)
@@ -176,7 +175,7 @@ def u_from_w(
         "drift_mean_mismatch_inf": float(np.max(np.abs(mean_mismatch))),
         "curl_residual_inf": curl_inf,
     }
-    if curl_inf > curl_tol:
+    if not curl_inf <= curl_tol:
         raise CurlError(
             f"flux is not gradient-consistent: solenoidal residual {curl_inf:.3e} "
             f"exceeds {curl_tol:.1e}"
@@ -210,16 +209,20 @@ def phi_stream(
 
 @dataclass
 class StationaryResult:
-    """Solution of a stationary congestion problem plus diagnostics.
+    """Solution of a stationary congestion problem and its certificates.
 
-    ``phi_trace``, ``grad_inf`` and ``iterations`` are the descent's (its
-    objective trace, final projected-gradient sup-norm and iteration
-    count). ``value`` is the primal value (phi_bb or j) at the returned
-    state, and ``duality_gap`` and ``hbar_crosscheck_gap`` are its two
-    certificates; the duality gap is a function of the polished rows (see
-    ``_certify``). ``newton_iterations`` and ``krylov_iterations`` (GMRES
-    iterations per Newton step) are the polish's, and ``handoff_curl_inf``
-    is the curl defect of the flux at the hand-off (flux routes only).
+    ``w`` is ``model.flux`` at the polished grad u, a gradient flux by
+    construction. ``phi_trace``, ``grad_inf`` and ``iterations`` are the
+    descent's (its objective trace, final projected-gradient sup-norm and
+    iteration count). ``value`` is the primal value (phi_bb or j) at the
+    returned state, and ``duality_gap`` and ``hbar_crosscheck_gap`` are its
+    two certificates; the duality gap is a function of the polished rows
+    (see ``_certify``). ``newton_iterations`` and ``krylov_iterations``
+    (GMRES iterations per Newton step) are the polish's, and
+    ``handoff_curl_inf`` is the curl defect of the flux at the hand-off
+    (flux routes only). Each number is reported once: the density's
+    minimum and mass are read from ``state.m``, and psi1_hat's value is
+    ``duality_gap - value``.
     """
 
     state: StationaryState
@@ -232,13 +235,12 @@ class StationaryResult:
     hbar_crosscheck_gap: float
     residual_hjb_inf: float
     residual_fp_inf: float
-    diagnostics: dict = field(default_factory=dict)
     newton_iterations: int = 0
     krylov_iterations: tuple[int, ...] = ()
     handoff_curl_inf: float | None = None
 
 
-def _descend(grid, y0, objective, project_y, tol):
+def _descend(grid, y0, objective, project_y):
     """Minimize ``objective`` over unit-mass m > ``M_FLOOR`` and a route block y,
     from the uniform density and y0.
 
@@ -251,7 +253,8 @@ def _descend(grid, y0, objective, project_y, tol):
     carry the node quadrature weight, so tolerances are mesh independent.
     A descent whose best projected-gradient sup-norm has not improved for
     ``STALL_WINDOW`` iterations, whose line search fails, or which does not
-    reach ``tol`` in ``DESCENT_STEPS`` iterations raises :class:`SolverError`.
+    reach ``HANDOFF_TOL`` in ``DESCENT_STEPS`` iterations raises
+    :class:`SolverError`.
 
     Returns m, y, the objective's gradient (dm, dy) there, and the
     phi_trace, grad_inf and iterations, keyed as in :class:`StationaryResult`.
@@ -288,7 +291,7 @@ def _descend(grid, y0, objective, project_y, tol):
     best, best_it = np.inf, 0
     for it in range(1, DESCENT_STEPS + 1):
         gnorm = float(np.max(np.abs(pg)))
-        if gnorm <= tol:
+        if gnorm <= HANDOFF_TOL:
             break
         if gnorm < best:
             best, best_it = gnorm, it
@@ -296,7 +299,7 @@ def _descend(grid, y0, objective, project_y, tol):
             raise SolverError(
                 f"descent stalled at iteration {it}: the projected gradient "
                 f"sup-norm has not improved on its floor {best:.3e} for "
-                f"{STALL_WINDOW} iterations (tol {tol:.1e})"
+                f"{STALL_WINDOW} iterations (tol {HANDOFF_TOL:.1e})"
             )
         if prev_x is not None:
             s = x - prev_x
@@ -430,13 +433,13 @@ class _Stationary:
         return jvp, precond
 
 
-def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
+def _certify(model, grid, m, dm, run, tol, *, u=None, w=None):
     """Polish a descent's hand-off on the PDE rows, then certify it.
 
     The hand-off is the density m, the objective's m-gradient dm
     there (Hbar = -mean(dm) is the multiplier of the mass constraint) and
     either the potential ``u`` or a flux ``w``. A flux route's u is the
-    Poisson potential of ``model.momentum(w, m)`` whatever its curl
+    Poisson potential of ``model.momentum(w, m)`` whatever its finite curl
     defect, which is reported as ``handoff_curl_inf``.
 
     Newton on :class:`_Stationary` runs from (u, m, Hbar) until the
@@ -450,10 +453,12 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     at every state, so the primal value is read from psi1_hat and the gap is
     0.0 by construction. On the flux routes the primal value is phi_bb, the
     only objective evaluation after the descent, and the gap is
-    -mean(u div w) / (1 - alpha), the Fokker-Planck row paired with u. On
-    a flux route the final flux must pass ``u_from_w`` at ``CURL_TOL``; a
-    failed polish raises the polish's :class:`SolverError`, whose message
-    names the hand-off flux's curl defect.
+    -mean(u div w) / (1 - alpha), the Fokker-Planck row paired with u. The
+    returned flux is ``model.flux`` at the polished grad u, whose
+    ``model.momentum`` is grad u in exact arithmetic, so it is not
+    transformed back. A failed polish raises the polish's
+    :class:`SolverError`, whose message names the hand-off flux's curl
+    defect.
     """
     handoff_curl = None
     where = " in the stationary polish"
@@ -468,12 +473,7 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
     w = model.flux(polish.ev.data[0], m)
     state = StationaryState(grid, m, u, eps=0.0, Hbar=hbar)
     psi1 = psi1_hat(state, model)
-    if model.alpha > 1.0:
-        value = -psi1.value
-    else:
-        value = phi_bb(grid, m, w, model).value
-        _, transform_report = u_from_w(model, grid, m, w, curl_tol=CURL_TOL)
-        extras = {**{f"transform_{k}": v for k, v in transform_report.items()}, **extras}
+    value = -psi1.value if model.alpha > 1.0 else phi_bb(grid, m, w, model).value
     hbar_psi2 = psi2_hat(state, model).value
     hbar_gap = abs(hbar - hbar_psi2)
     if hbar_gap > HBAR_CROSSCHECK_TOL:
@@ -493,13 +493,6 @@ def _certify(model, grid, m, dm, run, tol, extras, *, u=None, w=None):
         hbar_crosscheck_gap=hbar_gap,
         residual_hjb_inf=float(np.max(np.abs(psi1.dm - hbar))),
         residual_fp_inf=float(np.max(np.abs(spectral.divergence(grid, w)))),
-        diagnostics={
-            "mass_error": abs(float(np.mean(m)) - 1.0),
-            "min_m": float(m.min()),
-            "hbar_from_psi2_hat": hbar_psi2,
-            "psi1_hat_value": psi1.value,
-            **extras,
-        },
     )
 
 
@@ -530,9 +523,9 @@ def solve_bb(
     shape = (grid.dim,) + grid.shape
     w0 = np.broadcast_to(model.drift(np.zeros(shape)), shape)
     m, w, dm, _, run = _descend(
-        grid, w0, objective, lambda wv: spectral.project_div_free(grid, wv), HANDOFF_TOL
+        grid, w0, objective, lambda wv: spectral.project_div_free(grid, wv)
     )
-    return _certify(model, grid, m, dm, run, tol, {}, w=w)
+    return _certify(model, grid, m, dm, run, tol, w=w)
 
 
 def solve_bb_2d_stream(
@@ -567,11 +560,10 @@ def solve_bb_2d_stream(
     # R starts where perp(R) = Q, read through the model's checked drift.
     q = model.drift(np.zeros(2))
     y0 = np.concatenate([np.zeros(K), np.array([q[1], -q[0]]) * r_scale])
-    m, y, dm, _, run = _descend(grid, y0, objective, lambda yv: yv, HANDOFF_TOL)
+    m, y, dm, _, run = _descend(grid, y0, objective, lambda yv: yv)
     v, R = stream(y)
     w = perp(spectral.gradient(grid, v) + R.reshape(2, 1, 1))
-    extras = {"stream_R": tuple(float(r) for r in R)}
-    return _certify(model, grid, m, dm, run, tol, extras, w=w)
+    return _certify(model, grid, m, dm, run, tol, w=w)
 
 
 def solve_potential_a_gt_1(
@@ -598,5 +590,5 @@ def solve_potential_a_gt_1(
         return rep.value, rep.dm, _half_inverse_divgrad(grid, rep.du)
 
     phi0 = np.zeros(grid.shape)
-    m, phi, dm, _, run = _descend(grid, phi0, objective, lambda yv: yv, HANDOFF_TOL)
-    return _certify(model, grid, m, dm, run, tol, {}, u=_half_inverse_divgrad(grid, phi))
+    m, phi, dm, _, run = _descend(grid, phi0, objective, lambda yv: yv)
+    return _certify(model, grid, m, dm, run, tol, u=_half_inverse_divgrad(grid, phi))

@@ -115,6 +115,18 @@ def test_periodic_state_validation(periodic_setup):
         bf.PeriodicState(st, z, z, Hbar=0.0, T=-1.0)
 
 
+def test_periodic_state_rejects_nan(periodic_setup):
+    # NaN compares False with any bound, so both role checks fail on it.
+    st, _ = periodic_setup
+    z = np.zeros(st.field_shape)
+    nan = z.copy()
+    nan.flat[3] = np.nan
+    with pytest.raises(ModelError, match="zero space-time mean"):
+        bf.PeriodicState(st, nan, z, Hbar=0.0, T=TBAR)
+    with pytest.raises(PositivityError, match=r"1 \+ M must stay positive"):
+        bf.PeriodicState(st, z, nan, Hbar=0.0, T=TBAR)
+
+
 def test_mode_block_coefficients(periodic_setup):
     st, _ = periodic_setup
     blocks = bf._symbol_blocks(st, TBAR, FPRIME1)

@@ -14,6 +14,7 @@ import pytest
 import mfgkit.cli as cli
 from mfgkit import config, dynamics, functionals, stationary
 from mfgkit.errors import ConfigError
+from mfgkit.fields import load_field
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -165,7 +166,6 @@ def test_stream_instances_certify_through_the_polish(tmp_path, name):
     assert payload["residual_fp_inf"] <= 1e-9
     assert payload["hbar_crosscheck_gap"] <= 1e-9
     assert abs(payload["duality_gap"]) <= 1e-9
-    assert payload["diagnostics"]["transform_curl_residual_inf"] <= 1e-6
     assert payload["grad_inf"] <= stationary.HANDOFF_TOL
     assert payload["krylov_iterations"] >= payload["newton_iterations"] >= 0
     assert payload["handoff_curl_inf"] >= 0.0
@@ -232,8 +232,39 @@ def test_polish_certifies_at_a_tight_tol(tmp_path, cfg):
     payload = json.loads((out / "result.json").read_text())
     for key in ("residual_hjb_inf", "residual_fp_inf", "hbar_crosscheck_gap"):
         assert payload[key] <= 1e-11
-    assert payload["diagnostics"]["mass_error"] <= 1e-11
+    m = load_field(out / "m.field").values
+    assert abs(float(np.mean(m)) - 1.0) <= 1e-11
     assert payload["newton_iterations"] > 0
+
+
+# Every number of a stationary solve appears once in its payload: the
+# density's mass and minimum are read from m.field and m_min, psi1_hat's
+# value is duality_gap - value, and the returned flux is a gradient flux by
+# construction (see test_stationary's gradient-flux test).
+STATIONARY_KEYS = {
+    "route", "hbar", "value", "iterations", "grad_inf", "newton_iterations",
+    "krylov_iterations", "handoff_curl_inf", "duality_gap", "hbar_crosscheck_gap",
+    "residual_hjb_inf", "residual_fp_inf", "m_min", "m_max",
+}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        CONG_CFG,
+        STALLING_STREAM_CFGS["conftest-8x8"],
+        dict(CONG_CFG, model=dict(CONG_CFG["model"], alpha=1.5)),
+    ],
+    ids=["bb", "stream2d", "potential"],
+)
+def test_solve_stationary_payload_keys(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "s.json", dict(cfg, output_dir=str(out)))
+    assert run(["solve-stationary", path]) == 0
+    payload = json.loads((out / "result.json").read_text())
+    assert set(payload) == STATIONARY_KEYS
+    assert json.loads(capsys.readouterr().out) == payload
+    assert sorted(p.name for p in out.iterdir()) == ["m.field", "result.json", "u.field", "w.field"]
 
 
 def test_crosscheck_follows_the_configured_route(tmp_path):

@@ -214,6 +214,21 @@ def test_density_field_validation(g1):
         DensityField(g1, np.full(32, 2.0))
 
 
+def test_density_field_rejects_nan():
+    # NaN compares False with any bound, so the checks are written to fail on it.
+    with pytest.raises(PositivityError, match="min = nan"):
+        DensityField(TorusGrid((4,)), [1.0, np.nan, 1.0, 1.0])
+
+
+def test_load_field_revalidates_a_nan_density(tmp_path):
+    path = tmp_path / "m.field"
+    save_field(path, DensityField(TorusGrid((4,)), np.ones(4)))
+    header = path.read_text().splitlines()[:2]
+    path.write_text("\n".join(header + ["1", "nan", "1", "1"]) + "\n")
+    with pytest.raises(PositivityError, match="min = nan"):
+        load_field(path)
+
+
 def _conjugate_symmetric(rng, shape, k, complex_blocks):
     """Random blocks of shape (*shape, k, k) on every mode in FFT order with
     B(-k) = conj(B(k)), so that they stand for a real operator."""

@@ -78,6 +78,17 @@ def test_u_from_w_rejects_rotational_flux():
         u_from_w(model, g, np.ones((16, 16)), wrot)
 
 
+def test_u_from_w_rejects_a_nan_flux():
+    # A NaN residual fails every bound, the unbounded one included, instead
+    # of returning an all-NaN potential.
+    g = TorusGrid((16,))
+    w = np.ones((1, 16))
+    w[0, 5] = np.nan
+    for curl_tol in (1e-8, np.inf):
+        with pytest.raises(CurlError, match="solenoidal residual nan"):
+            u_from_w(plain_model(), g, np.ones(16), w, curl_tol=curl_tol)
+
+
 def test_perp_identities():
     rng = np.random.default_rng(3)
     s = rng.standard_normal((2, 8, 8))
@@ -113,8 +124,8 @@ def test_solve_bb_certificates(bb_solved):
     assert res.hbar_crosscheck_gap <= 1e-6
     assert res.residual_hjb_inf <= 1e-6
     assert res.residual_fp_inf <= 1e-10
-    assert res.diagnostics["min_m"] > 0.0
-    assert res.diagnostics["mass_error"] <= 1e-12
+    assert res.state.m.min() > 0.0
+    assert abs(float(np.mean(res.state.m)) - 1.0) <= 1e-12
     trace = np.array(res.phi_trace)
     assert np.all(np.diff(trace) <= 1e-12)
 
@@ -140,6 +151,23 @@ def test_stream_route_matches_flux_route(bb2d_pair):
     assert res_stream.grad_inf <= stationary.HANDOFF_TOL
     assert res_stream.residual_hjb_inf <= 1e-6
     assert abs(res_stream.duality_gap) <= 1e-6
+
+
+@pytest.mark.parametrize("case", ["bb-1d", "bb-2d", "stream-2d"])
+def test_returned_flux_is_the_gradient_flux_of_u(request, case):
+    # The returned flux is model.flux at the polished grad u, so the inverse
+    # transform gives back u up to its mean, with no curl and no drift
+    # mismatch beyond roundoff.
+    if case == "bb-1d":
+        res, model, g = request.getfixturevalue("bb_solved")
+    else:
+        res_bb, res_stream, model, g = request.getfixturevalue("bb2d_pair")
+        res = res_bb if case == "bb-2d" else res_stream
+    u, rep = u_from_w(model, g, res.state.m, res.w)
+    assert rep["curl_residual_inf"] <= 1e-12
+    assert rep["drift_mean_mismatch_inf"] <= 1e-12
+    du = u - res.state.u
+    assert np.max(np.abs(du - du.mean())) <= 1e-12
 
 
 def test_stream_route_guards(congestion_1d_model, congestion_2d_model):
@@ -175,7 +203,8 @@ def test_potential_route_alpha_above_one():
     assert res.residual_fp_inf <= 1e-10
     assert res.hbar_crosscheck_gap <= 1e-6
     assert abs(res.duality_gap) <= 1e-10
-    assert res.diagnostics["min_m"] > 0.0
+    assert res.state.m.min() > 0.0
+    assert abs(float(np.mean(res.state.m)) - 1.0) <= 1e-12
     rep = j_functional(g, res.state.m, res.state.u, model)
     # The value is read as -psi1_hat, which is j bit for bit at every state.
     # First-order structure of the saddle: the density gradient is flat
@@ -212,7 +241,7 @@ def test_transforms_reject_a_drift_of_the_wrong_length():
         u_from_w(plain_model(), g, m, w)
 
 
-def test_stalled_descent_raises_with_its_floor():
+def test_stalled_descent_raises_with_its_floor(monkeypatch):
     # A 1-D flux instance whose projected gradient floors above 1e-9: the
     # route certifies through the polish, and the descent alone, run to
     # 1e-9, stops with its floor instead of running to DESCENT_STEPS.
@@ -241,13 +270,14 @@ def test_stalled_descent_raises_with_its_floor():
 
     w0 = np.broadcast_to(model.drift(np.zeros((1, 64))), (1, 64))
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
+    monkeypatch.setattr(stationary, "HANDOFF_TOL", 1e-9)
     t0 = time.perf_counter()
     with pytest.raises(SolverError, match="stalled at iteration .* floor"):
-        stationary._descend(g, w0, objective, project, 1e-9)
+        stationary._descend(g, w0, objective, project)
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model):
+def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model, monkeypatch):
     model, g = congestion_1d_model, TorusGrid((32,))
 
     def objective(m, w):
@@ -256,7 +286,8 @@ def test_descent_returns_the_plain_gradient_at_its_iterate(congestion_1d_model):
 
     w0 = np.broadcast_to(model.drift(np.zeros((1, 32))), (1, 32))
     project = lambda wv: spectral.project_div_free(g, wv)  # noqa: E731
-    m, w, dm, dw, run = stationary._descend(g, w0, objective, project, 1e-7)
+    monkeypatch.setattr(stationary, "HANDOFF_TOL", 1e-7)
+    m, w, dm, dw, run = stationary._descend(g, w0, objective, project)
     _, dm_plain, dw_plain = objective(m, w)
     assert np.array_equal(dm, dm_plain) and np.array_equal(dw, dw_plain)
     assert run["grad_inf"] <= 1e-7
@@ -326,13 +357,13 @@ def test_every_route_enforces_the_hbar_crosscheck(
 def test_failed_flux_polish_names_the_handoff_curl(congestion_2d_model, monkeypatch, solver):
     # With no Newton budget the polish fails. The error is the polish's own
     # SolverError, not a CurlError, even from a hand-off whose curl defect is
-    # above CURL_TOL; its message carries that defect.
+    # above 1e-6; its message carries that defect.
     monkeypatch.setattr(stationary, "POLISH_STEPS", 0)
     with pytest.raises(SolverError, match="after 0 Newton iterations") as info:
         solver(congestion_2d_model, TorusGrid((8, 8)))
     assert not isinstance(info.value, CurlError)
     defect = re.search(r"polish from a hand-off flux of curl defect (\S+):", str(info.value))
-    assert float(defect.group(1)) > stationary.CURL_TOL
+    assert float(defect.group(1)) > 1e-6
 
 
 def test_stream_objective_makes_eight_transforms(congestion_2d_model, monkeypatch):
