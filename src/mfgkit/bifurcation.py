@@ -59,7 +59,20 @@ modes and, in d >= 2, aliased copies of the kernel fields. The system is
 made square by Keller bordering: one unfolding parameter lam per null
 direction but z1, added to (G1, G2). Discrete translation equivariance
 makes the unbordered system consistent on resolved grids, so lam -> 0
-at the solution, and max |lam| is reported. Each point is solved by
+at the solution, and max |lam| is reported. On a d-D grid the branch
+is the x1 roll: G commutes with translations along x2..xd (f does not
+depend on x and the kinetic part is |p|^2 / 2), z1 is invariant under
+them and the bordered system is regular, so its solution is constant
+along x2..xd and equal to the 1-D branch on the x1 profile (the
+fixed-point-subspace reduction of the equivariant Hopf theorem; Golubitsky,
+Stewart & Schaeffer 1988, ch. XVI-XVII). The branch is
+therefore always solved on the 1-D grid, where the bordering has 8 null
+directions and 7 unfolding parameters whatever n and n_t (so max |lam|,
+``solvability_inf``, is over those 7), and each point is embedded once
+on the caller's grid. Its residual is re-evaluated
+there, and :func:`kernel_at`, :func:`sigma_from_operator` and
+:func:`crossing_number` keep reading A(T), with its 4d-dimensional kernel,
+on the caller's grid. Each point is solved by
 :func:`mfgkit._newton_krylov.newton`, the damped Newton–Krylov loop
 shared with the finite-horizon solvers. Each step is a GMRES solve with
 the Jacobian applied at FFT cost, preconditioned by the bordered
@@ -84,7 +97,7 @@ among them) from one array, :func:`_kernel_rows`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -515,9 +528,12 @@ class _Branch:
     makes the system square and regular; T closes the z1 row.
     """
 
-    def __init__(self, coupling: Coupling, st: SpaceTimeGrid):
+    def __init__(self, coupling: Coupling, st: SpaceTimeGrid, shape: tuple | None = None):
         self.coupling = coupling
         self.st = st
+        # The grid an unresolved branch is reported on: ``st``'s, unless this
+        # system solves the x1 profile of a roll on the caller's d-D grid.
+        self.shape = st.field_shape if shape is None else shape
         self.K = K = st.n_t * st.space.num_nodes
         fprime1 = _fprime1(coupling)
         self.pinv, null = _frozen_inverse(st, fprime1)
@@ -566,7 +582,7 @@ class _Branch:
         if float(np.max(np.abs(ev.rows))) <= _BRANCH_TOL:
             raise SolverError(
                 f"the branch equations are not solvable to {_BRANCH_TOL:g} on grid "
-                f"{self.st.field_shape} at amplitude {self.target[1]:g}: the bordered system "
+                f"{self.shape} at amplitude {self.target[1]:g}: the bordered system "
                 f"is solved, but the unfolding parameters reach "
                 f"{np.max(np.abs(self.split(z)[4])):.3e} and the residual stays at "
                 f"{ev.norm:.3e}; the grid does not resolve the branch"
@@ -646,6 +662,16 @@ def _frozen_inverse(st: SpaceTimeGrid, fprime1: float):
 def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> BifurcationBranch:
     """Follow the nontrivial periodic branch at the given pin amplitudes.
 
+    On a grid of dimension d > 1 the branch is the x1 roll (module
+    docstring): it is solved on the 1-D grid of the same n1 and n_t, and each
+    point's (U, M) is embedded on ``st``, constant along x2..xd; T, Hbar and
+    the Newton and GMRES counts are the 1-D solve's. ``solvability_inf`` is
+    the 1-D bordering's max |lam| over its 7 unfolding parameters. The
+    certificates are read on ``st``: ``residual_inf`` is the larger of the
+    1-D stopping norm and the sup-norm of (G1, G2) at the embedded state,
+    and errors name ``st``'s shape. :func:`kernel_at`, :func:`crossing_number`
+    and :func:`map_to_original` take ``st`` and are unaffected.
+
     Amplitudes must be finite and positive, at least one, and are processed in the
     given order. The first point starts from a z1 at (Hbar, T) = (0, T_bar);
     each later one from the previous solution, with the part of (U, M) off
@@ -666,7 +692,9 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
             raise ModelError(f"amplitudes must be finite and positive, got {a}")
     fprime1 = _fprime1(coupling)
     Tbar = critical_period(fprime1)
-    system = _Branch(coupling, st)
+    line = st if st.space.dim == 1 else replace(st, space=TorusGrid(st.space.shape[:1]))
+    roll = line.field_shape + (1,) * (st.space.dim - 1)
+    system = _Branch(coupling, line, st.field_shape)
     K = system.K
     points: list[BranchPoint] = []
     z1 = system.psi[0]
@@ -689,16 +717,21 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
         run = newton(system, z, _BRANCH_TOL, _MAX_NEWTON, f" at amplitude {a:g}")
         z = run.z
         U, M, Hbar, T, lam = system.split(z)
-        state = PeriodicState(st, U - U.mean(), M, Hbar=float(Hbar), T=float(T))
+        U0, M0 = (np.broadcast_to(f.reshape(roll), st.field_shape) for f in (U - U.mean(), M))
+        state = PeriodicState(st, U0, M0, Hbar=float(Hbar), T=float(T))
+        residual = run.ev.norm
+        if line is not st:
+            G1, G2, _, _ = _residual(st, coupling, state.U, state.M, state.Hbar, state.T)
+            residual = max(residual, float(np.max(np.abs(G1))), float(np.max(np.abs(G2))))
         energy = float(np.mean(U * U) + np.mean(M * M))
         span = float(np.sum((system.kernel @ z[: 2 * K] / K) ** 2))
-        dtM = spectral.time_derivative_periodic(st, M)
+        dtM = spectral.time_derivative_periodic(line, M)
         ratio = float(np.sqrt(np.mean(dtM * dtM)) / max(np.sqrt(np.mean(M * M)), 1e-300))
         points.append(
             BranchPoint(
                 state=state,
                 amplitude=a,
-                residual_inf=run.ev.norm,
+                residual_inf=residual,
                 kernel_energy_fraction=span / energy if energy > 0 else 0.0,
                 dtM_over_M=ratio,
                 newton_iterations=len(run.krylov),

@@ -449,6 +449,54 @@ def test_2d_16_squared_branch_certifies_quickly(periodic_setup):
     assert elapsed < 10.0
 
 
+@pytest.mark.parametrize("dim, n, n_t", [(2, 8, 8), (3, 8, 16)])
+def test_a_roll_is_the_embedded_line_branch(dim, n, n_t, periodic_setup):
+    # On a d-D grid the branch is solved on its x1 profile: the period, Hbar,
+    # the unfolding parameters and the solver counts are the 1-D branch's bit
+    # for bit, and the fields are that branch's, constant along x2..xd.
+    _, coupling = periodic_setup
+    amplitudes = (0.002, 0.006, 0.01)
+    line = bf.continue_branch(coupling, bf.periodic_grid(1, n, n_t), amplitudes)
+    st = bf.periodic_grid(dim, n, n_t)
+    roll = bf.continue_branch(coupling, st, amplitudes)
+    for p, q in zip(line.points, roll.points):
+        assert q.state.grid == st
+        assert q.state.T == p.state.T
+        assert q.state.Hbar == p.state.Hbar
+        assert q.solvability_inf == p.solvability_inf
+        assert q.newton_iterations == p.newton_iterations
+        assert q.krylov_iterations == p.krylov_iterations
+        assert q.residual_inf >= p.residual_inf
+        for rolled, profile in ((q.state.U, p.state.U), (q.state.M, p.state.M)):
+            profile = profile.reshape(profile.shape + (1,) * (dim - 1))
+            assert np.array_equal(rolled, np.broadcast_to(profile, rolled.shape))
+        G1, G2, G3 = bf.eval_G(q.state, coupling)
+        assert max(np.max(np.abs(G1)), np.max(np.abs(G2)), abs(G3)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n, n_t", [(2, 32, 16), (3, 8, 16)])
+def test_roll_ladders_certify_to_a_third(dim, n, n_t):
+    # The 2-D ladder stalled at a = 0.2 (1.51e-12) when it was solved on the
+    # whole grid; its 1-D twin certifies.
+    coupling = bf.default_periodic_coupling(FPRIME1, cubic=1.0, f1=0.0)
+    start = time.perf_counter()
+    branch = bf.continue_branch(coupling, bf.periodic_grid(dim, n, n_t), _ladder(0.05, 0.3, 6))
+    elapsed = time.perf_counter() - start
+    assert [p.amplitude for p in branch.points] == [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+    for p in branch.points:
+        assert p.residual_inf <= 1e-12
+        assert p.solvability_inf <= 1e-12
+    assert elapsed < 10.0
+
+
+def test_unresolved_roll_names_the_callers_grid(periodic_setup):
+    # 3-D 8^3 x 8 solves its 1-D 8 x 8 profile, which the grid does not
+    # resolve at a = 0.05; the error names the grid the caller passed.
+    _, coupling = periodic_setup
+    with pytest.raises(SolverError, match=r"on grid \(8, 8, 8, 8\) at amplitude 0.05: .* does not resolve"):
+        bf.continue_branch(coupling, bf.periodic_grid(3, 8, 8), (0.05,))
+
+
 def test_unresolved_branch_raises_a_solvability_error(periodic_setup):
     # On n = 4 the products of first harmonics land on the Nyquist mode,
     # where the derivatives vanish: the bordered system is solved with

@@ -554,6 +554,18 @@ def test_bifurcate_3d_coarse_grid_exits_typed(tmp_path, capsys):
     assert "does not resolve the branch" in capsys.readouterr().err
 
 
+def test_bifurcate_3d_unresolved_roll_names_the_grid(tmp_path, capsys):
+    # The roll is solved on its 1-D 8 x 8 profile; the error names 8^3 x 8.
+    cfg = write_cfg(tmp_path, "u.json", {
+        "bifurcation": dict(BIF_CFG, dim=3, n=8, n_t=8, amplitudes=[0.05]),
+        "output_dir": str(tmp_path / "o"),
+    })
+    assert run(["bifurcate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "(8, 8, 8, 8)" in err
+    assert "does not resolve the branch" in err
+
+
 def test_output_dir_precedence(tmp_path, monkeypatch):
     env_dir = tmp_path / "from-env"
     monkeypatch.setenv("MFGKIT_OUTPUT_DIR", str(env_dir))
