@@ -682,7 +682,9 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
     ``_BRANCH_TOL`` in sup-norm. Raises :class:`~mfgkit.errors.SolverError`
     with the engine's "no convergence at amplitude a" if the line search
     stalls or ``_MAX_NEWTON`` steps do not converge, if a GMRES solve misses
-    its tolerance, or if the grid does not resolve the branch.
+    its tolerance, or if the grid does not resolve the branch; and, on a
+    d-D grid, naming ``st``'s shape when the embedded ``residual_inf``
+    exceeds ``_BRANCH_TOL``.
     """
     amplitudes = [float(a) for a in amplitudes]
     if not amplitudes:
@@ -723,6 +725,12 @@ def continue_branch(coupling: Coupling, st: SpaceTimeGrid, amplitudes) -> Bifurc
         if line is not st:
             G1, G2, _, _ = _residual(st, coupling, state.U, state.M, state.Hbar, state.T)
             residual = max(residual, float(np.max(np.abs(G1))), float(np.max(np.abs(G2))))
+            if residual > _BRANCH_TOL:
+                raise SolverError(
+                    f"the embedded branch residual is {residual:.3e} on grid "
+                    f"{st.field_shape} at amplitude {a:g}, above {_BRANCH_TOL:g}, "
+                    f"though its 1-D profile converged to {run.ev.norm:.3e}"
+                )
         energy = float(np.mean(U * U) + np.mean(M * M))
         span = float(np.sum((system.kernel @ z[: 2 * K] / K) ** 2))
         dtM = spectral.time_derivative_periodic(line, M)

@@ -416,7 +416,7 @@ def cmd_crosscheck(cfg, out_dir):
             raise ConfigError(
                 f"unknown check '{name}' for a {kind} model (valid: {', '.join(names)})"
             )
-    rng = np.random.default_rng(_setting(cfg, "seed"))
+    rng = spectral.Sampler(_setting(cfg, "seed"))
     return _verdict(run_checks(cfg, checks, rng))
 
 

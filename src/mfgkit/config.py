@@ -5,7 +5,9 @@ command needs it; unknown keys anywhere are rejected so typos fail loudly
 (:class:`~mfgkit.errors.ConfigError` names the offending key). The keys:
 
     {
-      "seed": ...,          // RNG seed for crosscheck probes, >= 0
+      "seed": ...,          // >= 0; seeds spectral.Sampler (the standard
+                            // library's Mersenne Twister), which draws the
+                            // crosscheck probes
       "output_dir": ...,    // a path string; see resolve_output_dir
       "eps": ...,           // viscosity, in [0, inf); see below
       "model": {

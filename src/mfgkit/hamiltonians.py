@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import ModelError, PositivityError
 from .grids import TorusGrid, read_only
+from .spectral import Sampler
 
 __all__ = [
     "M_FLOOR",
@@ -86,9 +87,42 @@ class SpatialTerm:
         return self.amp * fn(phase)
 
 
+def _horner(x, c):
+    """``polyval(x, c)`` of a 1-D coefficient array c, lowest degree first:
+    c[-1] + 0 x, then one multiply-add per lower coefficient."""
+    value = c[-1] + x * 0
+    for coef in c[-2::-1]:
+        value = coef + value * x
+    return value
+
+
+def _polyder(c, cnt: int):
+    """``polyder(c, cnt)``: (c[:1] * 0,) when cnt >= len(c), else cnt
+    passes of j c[j]."""
+    if cnt >= len(c):
+        return c[:1] * 0
+    for _ in range(cnt):
+        c = c[1:] * np.arange(1, len(c))
+    return c
+
+
+def _polyint(c):
+    """``polyint(c)``: (0, c[0], c[1] / 2, ...), or (0,) when c is one zero.
+    numpy's constant term, c[0] * 0 + (0 - P(0)), is +0.0 for finite c."""
+    if len(c) == 1 and c[0] == 0:
+        return np.zeros(1)
+    return np.concatenate([np.zeros(1), c / np.arange(1, len(c) + 1)])
+
+
 @dataclass(frozen=True)
 class Coupling:
-    """Local cost f(x, m) = sum_j poly[j] m^j + s(x), every poly[j] finite."""
+    """Local cost f(x, m) = sum_j poly[j] m^j + s(x), every poly[j] finite.
+
+    p, p', p'' and the antiderivative P are evaluated by Horner's rule on
+    coefficients built once here, every operation in ``numpy.polynomial``'s
+    order, so each bit, signed zeros included, is that of its ``polyval`` on
+    its ``polyder``/``polyint`` coefficients, without loading the module.
+    """
 
     poly: tuple[float, ...] = (0.0, 1.0)
     terms: tuple[SpatialTerm, ...] = ()
@@ -101,11 +135,10 @@ class Coupling:
         if not np.all(np.isfinite(self.poly)):
             raise ModelError(f"poly must be finite, got {self.poly}")
         # p, p', p'' and the antiderivative P = polyint(p), built once.
-        c = np.polynomial.polynomial
         p = np.array(self.poly)
-        object.__setattr__(self, "_derivs", (p, c.polyder(p), c.polyder(p, 2)))
-        object.__setattr__(self, "_antider", c.polyint(p))
-        object.__setattr__(self, "_antider_at_1", c.polyval(1.0, self._antider))
+        object.__setattr__(self, "_derivs", (p, _polyder(p, 1), _polyder(p, 2)))
+        object.__setattr__(self, "_antider", _polyint(p))
+        object.__setattr__(self, "_antider_at_1", _horner(1.0, self._antider))
         object.__setattr__(self, "_spatial", {})
 
     def spatial(self, grid: TorusGrid) -> np.ndarray:
@@ -120,15 +153,14 @@ class Coupling:
     def polyval(self, m, deriv: int = 0):
         """p(m), p'(m) or p''(m) for deriv 0, 1 or 2, shaped like m. Since s(x)
         drops out of every m-derivative, p' and p'' are f_m and f_mm."""
-        return np.polynomial.polynomial.polyval(m, self._derivs[deriv])
+        return _horner(m, self._derivs[deriv])
 
     def f(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         return self.polyval(m) + self.spatial(grid)
 
     def F(self, grid: TorusGrid, m: np.ndarray) -> np.ndarray:
         """Normalized antiderivative, F(x, m) = int_1^m f(x, z) dz."""
-        pv = np.polynomial.polynomial.polyval
-        return (pv(m, self._antider) - self._antider_at_1) + self.spatial(grid) * (m - 1.0)
+        return (_horner(m, self._antider) - self._antider_at_1) + self.spatial(grid) * (m - 1.0)
 
     def conjugate(self, grid: TorusGrid, w: np.ndarray) -> np.ndarray:
         """Fenchel conjugate F*(x, w) = sup_{z >= 0} (w z - F(x, z)).
@@ -331,9 +363,10 @@ class MonotonicityReport:
 
 
 def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
-    """Report the monotonicity indicators above on 256 seeded samples:
-    p standard normal, m uniform in [0.2, 2]. A model whose derivatives
-    overflow there (alpha = 437, say) raises :class:`ModelError`.
+    """Report the monotonicity indicators above on 256 samples drawn by
+    ``spectral.Sampler(0)``: p standard normal, then m uniform in [0.2, 2].
+    A model whose derivatives overflow there (alpha = 437, say) raises
+    :class:`ModelError`.
 
     Both are read in closed form from the radial second derivatives: H_pp
     has the eigenvalue a + b |r|^2 along r and, for d > 1, a on the
@@ -341,7 +374,7 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     m axis the block is [[2 (a + b |r|^2), c |r|], [c |r|, -(2/m) dmH]].
     """
     S = 256
-    rng = np.random.default_rng(0)
+    rng = Sampler(0)
     d = grid.dim
     p = rng.standard_normal((d, S))
     m = rng.uniform(0.2, 2.0, S)

@@ -38,11 +38,15 @@ three results, with the symbol products of :func:`gradient` and
 
 :func:`random_band_limited_stack` draws a stack of the fields that
 :func:`random_band_limited` draws one at a time, with the same bits: the
-normals in one call, in the same order, and one inverse transform.
+normals in one call, in the same order, and one inverse transform. Both
+take any ``rng`` with a ``standard_normal(shape)`` method; the library's
+own draws come from :class:`Sampler`, seeded by the standard library's
+Mersenne Twister, so no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -64,6 +68,7 @@ __all__ = [
     "integrate_space_time",
     "rfft_modes",
     "modewise",
+    "Sampler",
     "random_band_limited",
     "random_band_limited_stack",
 ]
@@ -248,19 +253,51 @@ def _band_index(grid: TorusGrid, kmax: int) -> tuple[np.ndarray, ...]:
     return tuple(read_only(np.argwhere(keep).T))
 
 
+class Sampler:
+    """Seeded draws from the standard library's ``random.Random(seed)``.
+
+    Each uniform is the top 53 bits of one little-endian 64-bit word of
+    ``randbytes``, scaled into [0, 1); each normal is the cosine branch of
+    Box-Muller on two consecutive uniforms. Every value thus consumes a fixed
+    number of words, so one draw of n values equals draws of a and n - a
+    values in turn. A seed draws the same uniforms on every platform; the
+    normals are then as portable as numpy's ``log`` and ``cos``.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+
+    def _unit(self, count: int) -> np.ndarray:
+        words = np.frombuffer(self._random.randbytes(8 * count), dtype="<u8")
+        return (words >> np.uint64(11)) * 2.0**-53
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Standard normals of the given shape, drawn in C order."""
+        u = self._unit(2 * int(np.prod(shape))).reshape(-1, 2)
+        # 1 - u lies in (0, 1], so the logarithm is finite.
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[:, 0]))
+        return (radius * np.cos(2.0 * np.pi * u[:, 1])).reshape(shape)
+
+    def uniform(self, low: float, high: float, size: int) -> np.ndarray:
+        """``size`` uniforms in [low, high)."""
+        return low + (high - low) * self._unit(size)
+
+
 def random_band_limited(
     grid: TorusGrid,
-    rng: np.random.Generator,
+    rng,
     kmax: int = 3,
     amplitude: float = 1.0,
 ) -> np.ndarray:
-    """Smooth random real mean-zero field built from modes with |k_i| <= kmax."""
+    """Smooth random real mean-zero field built from modes with |k_i| <= kmax,
+    from the normals of ``rng.standard_normal`` (a :class:`Sampler` or any
+    object with that method)."""
     return random_band_limited_stack(grid, rng, (), kmax, amplitude)
 
 
 def random_band_limited_stack(
     grid: TorusGrid,
-    rng: np.random.Generator,
+    rng,
     lead: tuple[int, ...],
     kmax: int = 3,
     amplitude=1.0,

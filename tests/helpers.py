@@ -68,15 +68,15 @@ def hamiltonian_values(Q, alpha, gamma, p, m, fvals):
 
 
 def dense_monotonicity(model, grid):
-    """Oracle of ``check_monotonicity`` on ``grid``: its 256 seeded
-    samples, the dense H_pp = a I + b r r^T and the block
+    """Oracle of ``check_monotonicity`` on ``grid``: its 256 samples from
+    ``spectral.Sampler(0)``, the dense H_pp = a I + b r r^T and the block
     [[2 H_pp, c r], [c r^T, -(2/m) dmH]] from the model's (r, a, b, c),
     dmH = -alpha |r|^gamma / (gamma m^{alpha+1}) - f'(m) restated from the
     definition (alpha = 0 for a separable model), and both smallest
     eigenvalues by ``np.linalg.eigvalsh``. Returns (min_eig_pp, max_dm_h,
     min_eig_block)."""
     S, d = 256, grid.dim
-    rng = np.random.default_rng(0)
+    rng = spectral.Sampler(0)
     p = rng.standard_normal((d, S))
     m = rng.uniform(0.2, 2.0, S)
     r, a, b, c = model.second_derivatives(grid, p, m)

@@ -489,6 +489,17 @@ def test_roll_ladders_certify_to_a_third(dim, n, n_t):
     assert elapsed < 10.0
 
 
+def test_roll_residual_above_the_branch_tolerance_raises(monkeypatch):
+    # The 1-D profile of the 2-D 32^2 x 16 ladder stops at or below 4.92e-13
+    # up to a = 0.2, where the embedded residual reads 6.61e-13: at a
+    # tolerance of 6e-13 the profile still converges but the roll does not
+    # certify, and the error names the caller's grid.
+    coupling = bf.default_periodic_coupling(FPRIME1, cubic=1.0, f1=0.0)
+    monkeypatch.setattr(bf, "_BRANCH_TOL", 6e-13)
+    with pytest.raises(SolverError, match=r"on grid \(16, 32, 32\) at amplitude 0.2, above 6e-13"):
+        bf.continue_branch(coupling, bf.periodic_grid(2, 32, 16), _ladder(0.05, 0.2, 4))
+
+
 def test_unresolved_roll_names_the_callers_grid(periodic_setup):
     # 3-D 8^3 x 8 solves its 1-D 8 x 8 profile, which the grid does not
     # resolve at a = 0.05; the error names the grid the caller passed.

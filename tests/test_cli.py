@@ -940,6 +940,34 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_commands_load_neither_numpy_random_nor_polynomial(tmp_path):
+    # numpy.random costs a process about 6 MB and numpy.polynomial about
+    # 0.8 MB; the library draws from spectral.Sampler and evaluates the
+    # coupling by Horner's rule instead. All nine commands, both crosscheck
+    # kinds among them, run in one fresh interpreter that loads neither.
+    cong = dict(CONG_CFG, grid={"dim": 1, "n": 16})
+    periodic = {"bifurcation": {"n": 8, "n_t": 8, "amplitudes": [0.001]}}
+    runs = [("report", cong), ("solve-stationary", cong), ("crosscheck", cong)]
+    runs += [(c, SEP_CFG) for c in ("solve-mfg", "solve-mfc", "compare", "crosscheck", "duality-crosscheck")]
+    runs += [("bifurcate", periodic), ("spectrum", periodic)]
+    argv = [
+        [command, write_cfg(tmp_path, f"{i}.json", cfg), "--output-dir", str(tmp_path / f"out{i}")]
+        for i, (command, cfg) in enumerate(runs)
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = (
+        "import json, sys; from mfgkit.cli import main; "
+        "codes = [main(a) for a in json.loads(sys.argv[1])]; "
+        "print(json.dumps([codes, [m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules]]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), []]
+
+
 _FH_GRID = {"dim": 1, "n": 16, "n_t": 8}
 INPUT_CHECKS = [
     ("report", "{not json", 2, "is not valid JSON"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mfgkit import (
     SpatialTerm,
     TorusGrid,
     check_monotonicity,
+    hamiltonians,
 )
 
 
@@ -247,6 +250,35 @@ def test_coupling_derivatives_broadcast_to_the_grid(g1):
     assert np.array_equal(coupling.polyval(m, deriv=1), pv.polyval(m, p1))
     assert np.array_equal(coupling.polyval(m, deriv=2), pv.polyval(m, pv.polyder(p1)))
     assert coupling.polyval(1.5, deriv=2) == pv.polyval(1.5, pv.polyder(p1))
+
+
+def _same_bytes(a, b):
+    return type(a) is type(b) and np.asarray(a).shape == np.asarray(b).shape and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    )
+
+
+def test_coupling_horner_has_the_bits_of_numpy_polynomial():
+    # numpy.polynomial is the oracle, sign bits included: the coefficients of
+    # p, p', p'' and the antiderivative P, the constant P(1), and the values
+    # of all four on scalar and array densities, signed zeros among both.
+    pv = np.polynomial.polynomial
+    values = (0.0, -0.0, -1.5, 0.3, 2.0)
+    polys = [c for n in range(1, 5) for c in itertools.product(values, repeat=n)]
+    polys += [c + (0.7, -0.0) for c in polys if len(c) == 4][::7]
+    polys += [(4.0,), (-4.0,), (-0.0, 1.0), (0.0, -0.0, -0.0)]
+    densities = (0.0, -0.0, 1.0, -0.7, 2.5, np.array([0.0, -0.0, 0.4, -1.3, 3.0]),
+                 np.linspace(-2.0, 2.0, 12).reshape(3, 4))
+    for poly in polys:
+        coupling = Coupling(poly=poly)
+        p = np.array(poly)
+        coeffs = (p, pv.polyder(p), pv.polyder(p, 2), pv.polyint(p))
+        assert all(_same_bytes(a, b) for a, b in zip((*coupling._derivs, coupling._antider), coeffs)), poly
+        assert _same_bytes(coupling._antider_at_1, pv.polyval(1.0, coeffs[3])), poly
+        for m in densities:
+            for deriv in range(3):
+                assert _same_bytes(coupling.polyval(m, deriv), pv.polyval(m, coeffs[deriv])), (poly, m)
+            assert _same_bytes(hamiltonians._horner(m, coupling._antider), pv.polyval(m, coeffs[3]))
 
 
 def test_conjugate_against_sup_oracle(g1):

@@ -165,6 +165,27 @@ def test_random_band_limited_is_banded_and_seeded(g1):
     assert abs(a.mean()) < 1e-14
 
 
+def test_sampler_draws_the_same_bytes_for_the_same_seed():
+    draws = []
+    for seed in (3, 3, 4):
+        rng = spectral.Sampler(seed)
+        draws.append(rng.standard_normal((4, 5)).tobytes() + rng.uniform(0.2, 2.0, 7).tobytes())
+    assert draws[0] == draws[1] != draws[2]
+    # Every value takes a fixed number of words, so draws chunk freely.
+    whole, parts = spectral.Sampler(9), spectral.Sampler(9)
+    joined = np.concatenate([parts.standard_normal(3), parts.standard_normal((2, 2))], axis=None)
+    assert np.array_equal(joined, whole.standard_normal(7))
+    assert np.array_equal(parts.uniform(0.0, 1.0, 5), whole.uniform(0.0, 1.0, 5))
+
+
+def test_sampler_moments_and_range():
+    rng = spectral.Sampler(0)
+    z = rng.standard_normal(40000)
+    assert abs(z.mean()) < 0.02 and abs(z.std() - 1.0) < 0.02
+    u = rng.uniform(0.2, 2.0, 40000)
+    assert 0.2 <= u.min() and u.max() < 2.0 and abs(u.mean() - 1.1) < 0.02
+
+
 def test_field_roundtrip(tmp_path, g2):
     rng = np.random.default_rng(8)
     scalar = ScalarField(g2, spectral.random_band_limited(g2, rng))
