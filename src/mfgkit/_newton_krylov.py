@@ -15,16 +15,24 @@ KRYLOV_RTOL. :func:`newton` returns a :class:`NewtonRun`.
 Each Newton step is solved by :func:`gmres`: left-preconditioned restarted
 GMRES (Saad & Schultz 1986) from x = 0, at most KRYLOV_CYCLES cycles of
 KRYLOV_RESTART inner iterations (or n, if smaller). The Arnoldi basis is
-built by modified Gram–Schmidt, and the Hessenberg matrix is reduced by
-Givens rotations as LAPACK ``dlartg`` computes them. The inner loop stops
-when the preconditioned residual estimate falls below an adaptive tolerance
-(SciPy gh-8400) or the Krylov space is exhausted. Each cycle ends with the
-true residual: the solve stops when ||rhs - A x|| <= rtol ||rhs|| (rtol is
-KRYLOV_RTOL unless the caller passes its own), and raises SolverError if
-that still fails after an exhausted Krylov space or the last cycle. The
-routine is a port of SciPy 1.17.1's ``sparse.linalg.gmres`` and returns
-the same bits for the same operators, without SciPy's ``LinearOperator``
-wrapping; SciPy's license notice stands beside it.
+the list of vectors the Arnoldi steps compute, built by modified
+Gram–Schmidt and stacked once per cycle for the update, so the working set
+follows the iterations run, not KRYLOV_RESTART. The solve owns every vector
+it stores: the start vector is scaled and the first subtraction made out of
+place, so an operator may return its input or reuse one output buffer. The
+Hessenberg matrix is reduced by Givens rotations as LAPACK ``dlartg``
+computes them. The inner loop stops when the preconditioned residual
+estimate falls below an adaptive tolerance (SciPy gh-8400) or the Krylov
+space is exhausted. Each cycle ends with the true residual: the solve
+stops when ||rhs - A x|| <= rtol ||rhs|| (rtol is KRYLOV_RTOL unless the
+caller passes its own), and raises SolverError if that still fails after
+an exhausted Krylov space or the last cycle. The routine is a port of SciPy 1.17.1's ``sparse.linalg.gmres``, without
+SciPy's ``LinearOperator`` wrapping; SciPy's license notice stands beside
+it. It returns SciPy's bits for every operator that returns a fresh array.
+The two differ only where SciPy's basis aliases an operator's output: on
+an operator that returns its input, SciPy's in-place Gram–Schmidt
+overwrites the basis row it was handed (on the identity it returns x near
+0 and info 5), and this port solves the system.
 
 A system that sets ``forcing`` has each Newton step solved only to a
 forcing term (Dembo, Eisenstat & Steihaug, SINUM 1982): step k's GMRES
@@ -148,7 +156,6 @@ def gmres(matvec, precond, rhs, where: str, rtol: float | None = None):
     n = rhs.size
     atol = rtol * float(b_norm)
     restart = min(KRYLOV_RESTART, n)
-    v = np.empty((restart + 1, n))
     h = np.zeros((restart, restart + 1))  # row j holds column j of the Hessenberg matrix
     rotations = [None] * restart
     x = np.zeros(n)
@@ -160,27 +167,30 @@ def gmres(matvec, precond, rhs, where: str, rtol: float | None = None):
     for cycle in range(KRYLOV_CYCLES):
         if cycle:
             z = precond(r)
-        v[0] = z
-        beta = np.linalg.norm(v[0])
-        v[0] *= 1 / beta
+        beta = np.linalg.norm(z)
+        v = [z * (1 / beta)]  # the Arnoldi basis, one vector per iteration run
         g = np.zeros(restart + 1)  # rotated right-hand side of the least-squares problem
         g[0] = beta
         breakdown = False
         for col in range(restart):
             w = precond(matvec(v[col]))
             h0 = np.linalg.norm(w)
-            for k in range(col + 1):
+            # The first subtraction is out of place, so the basis owns w even
+            # when an operator returns its input or reuses one output buffer.
+            h[col, 0] = hk = np.dot(v[0], w)
+            w = w - hk * v[0]
+            for k in range(1, col + 1):
                 hk = np.dot(v[k], w)
                 h[col, k] = hk
                 w -= hk * v[k]
             h1 = np.linalg.norm(w)
             h[col, col + 1] = h1
-            v[col + 1] = w
             if h1 <= _EPS * h0:  # the Krylov space is invariant: the exact solution is in it
                 h[col, col + 1] = 0
                 breakdown = True
             else:
-                v[col + 1] *= 1 / h1
+                w *= 1 / h1
+            v.append(w)
             for k in range(col):
                 c, s = rotations[k]
                 n0, n1 = h[col, k], h[col, k + 1]
@@ -203,7 +213,7 @@ def gmres(matvec, precond, rhs, where: str, rtol: float | None = None):
             if y[k] != 0:
                 y[k] /= h[k, k]
                 y[:k] -= y[k] * h[k, :k]
-        x += y @ v[: col + 1]
+        x += y @ np.array(v[: col + 1])
         r = rhs - matvec(x)
         r_norm = np.linalg.norm(r)
         if r_norm <= atol or breakdown:

@@ -1,4 +1,11 @@
-"""Bit-identity oracles for the in-repo GMRES against scipy.sparse.linalg.gmres."""
+"""Bit-identity oracles for the in-repo GMRES against scipy.sparse.linalg.gmres.
+
+The port returns SciPy's bits for every operator that returns a fresh
+array. The two differ only where SciPy's basis aliases an operator's
+output, as on an operator that returns its input.
+"""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +119,50 @@ def test_miss_raises_with_scipys_relative_residual():
     )
     with pytest.raises(SolverError, match=pattern):
         gmres(matvec, precond, rhs, "a test step")
+
+
+def test_identity_operators_that_return_their_input_solve_in_one_iteration():
+    # SciPy's in-place Gram-Schmidt zeroes the basis row these operators hand
+    # back, and it returns x near 0; the port owns its basis and solves, with
+    # SciPy's bits on the same operators returning copies.
+    rhs = np.arange(1.0, 6.0)
+    want, info, want_its = scipy_gmres(lambda x: x.copy(), lambda r: r.copy(), rhs)
+    got, its = gmres(lambda x: x, lambda r: r, rhs, "a test step")
+    assert info == 0 and its == want_its == 1
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - rhs)) <= 4 * np.finfo(float).eps * np.max(rhs)
+
+
+def test_a_preconditioner_reusing_one_output_buffer_gives_scipys_bits():
+    # Every call overwrites and returns the same buffer, so a basis that kept
+    # the preconditioner's output instead of its own vectors would change.
+    matvec, jacobi, rhs = dense_system(120, 1.0, 0)
+    buffer = np.empty_like(rhs)
+
+    def precond(x):
+        buffer[:] = jacobi(x)
+        return buffer
+
+    assert assert_same_solve(matvec, precond, rhs) > 1
+
+
+def test_working_set_follows_the_iterations_run():
+    # Three distinct eigenvalues exhaust the Krylov space in 3 iterations. The
+    # traced peak (the basis, its stacked copy for the update and the
+    # operators' temporaries) stays within 3 (its + 1) n-vectors, which a
+    # (KRYLOV_RESTART + 1) x n basis buffer alone would exceed.
+    n = 100_000
+    d = np.resize([1.0, 2.0, 3.0], n)
+    rhs = np.cos(np.arange(n))
+    tracemalloc.start()
+    try:
+        x, its = gmres(lambda x: d * x, lambda r: r.copy(), rhs, "a test step")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert its <= 3
+    assert np.linalg.norm(rhs - d * x) <= KRYLOV_RTOL * np.linalg.norm(rhs)
+    assert peak <= 3 * (its + 1) * n * 8 < (KRYLOV_RESTART + 1) * n * 8
 
 
 class _NanStart:
