@@ -34,11 +34,13 @@ space-time system from the data rows (u = uT and m = m0 on every slice).
 terms at an iterate. The Jacobian's preconditioner is the Jacobian at
 mean density, zero drift and mean coupling slope: one real 2N x 2N time
 system per spatial Fourier mode, block tridiagonal in time with constant
-2 x 2 blocks. Its inverse is built once per solve, at the start state,
-by a block LU sweep over the slabs (:func:`_time_inverse`), and applied
-by :func:`spectral.modewise`. The solve evaluates psi1 once at the
-solved state and builds psi2 from the slab terms of its evaluation;
-:class:`SolveResult` carries both values. Each Newton step's GMRES solve
+2 x 2 blocks. It is factored once per solve, at the start state, by a
+block LU sweep over the slabs, kept as O(N) coefficients per mode, and
+applied as two scalar recurrences over the slabs (:func:`_time_solve`)
+between the real FFTs of :func:`spectral.modewise_solve`; no inverse is
+formed. The solve evaluates psi1 once at the solved state and builds
+psi2 from the slab terms of its evaluation; :class:`SolveResult`
+carries both values. Each Newton step's GMRES solve
 runs to an Eisenstat–Walker forcing term; the Newton stopping test is
 the sup-norm of the rows against ``tol``. A Newton solve whose line
 search stalls or whose ``NEWTON_STEPS`` budget runs out, or a GMRES
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._newton_krylov import Evaluation, newton
-from .errors import GridError, ModelError, PositivityError
+from .errors import GridError, ModelError, PositivityError, SolverError
 from .grids import SpaceTimeGrid
 from . import functionals, spectral
 from .functionals import GameState, _slab_jacobian, _slab_rows, psi1, psi2
@@ -165,68 +167,102 @@ class _System:
         return jvp, self._precond
 
     def preconditioner(self, mbar: float, gpbar: float):
-        """Inverse of the Jacobian at constant density mbar, zero drift and
+        """Solve of the Jacobian at constant density mbar, zero drift and
         constant coupling slope gpbar. Per spatial mode (Laplacian symbol
         lam, div-grad symbol del) that is the real 2N x 2N midpoint system
             -(a_{j+1} - a_j)/dt - eps lam ab_j - gpbar bb_j = S_j,
              (b_{j+1} - b_j)/dt - eps lam bb_j - mbar del ab_j = P_j
         in (a_0..a_{N-1}, b_1..b_N), a_N = b_0 = 0, ab/bb slab midpoints,
-        inverted for all modes at once by :func:`_time_inverse` and applied
-        by :func:`spectral.modewise`."""
+        factored for all modes at once by :func:`_time_solve` and applied
+        by :func:`spectral.modewise_solve`; no inverse is formed."""
         sp, N = self.sp, self.N
-        inv = _time_inverse(sp, N, self.dt, self.eps, mbar, gpbar)
-        return lambda r: spectral.modewise(inv, r.reshape((2 * N,) + sp.shape)).ravel()
+        solve = _time_solve(sp, N, self.dt, self.eps, mbar, gpbar)
+        return lambda r: spectral.modewise_solve(solve, r.reshape((2, N) + sp.shape), sp.dim).ravel()
 
 
-def _time_inverse(sp, N: int, dt: float, eps: float, mbar: float, gpbar: float) -> np.ndarray:
-    """The inverses (*modes, 2N, 2N) of :meth:`_System.preconditioner`'s
-    time systems on the :func:`spectral.rfft_modes`, by a block LU sweep.
+def _time_solve(sp, N: int, dt: float, eps: float, mbar: float, gpbar: float):
+    """The solve of :meth:`_System.preconditioner`'s time systems on the
+    :func:`spectral.rfft_modes`, from their block LU factors: a function
+    that maps the rfft coefficients (2, N, *half) of the rows (S_j, P_j) to
+    those of the unknowns (a_j, b_{j+1}).
 
-    In y_j = (a_j, b_{j+1}) and row pairs (S_j, P_j) each system is block
-    tridiagonal with constant 2 x 2 blocks (Golub & Van Loan, Matrix
+    In y_j = (a_j, b_{j+1}) and row pairs f_j = (S_j, P_j) each system is
+    block tridiagonal with constant 2 x 2 blocks (Golub & Van Loan, Matrix
     Computations, 4.5),
         L y_{j-1} + D y_j + U y_{j+1},   L = [[0, -g/2], [0, -beta]],
         D = [[alpha, -g/2], [-q/2, alpha]],   U = [[-beta, 0], [-q/2, 0]],
     with alpha = 1/dt - eps lam/2, beta = 1/dt + eps lam/2, q = mbar del and
     g = gpbar. The pivots D'_0 = D and D'_j = D - L D'_{j-1}^-1 U differ
     from D only in their first column, alpha + g w_j/2 over beta w_j - q/2,
-    where w_j is row 1 of D'_{j-1}^-1 times U's first column (w_0 = 0). The
-    forward pass writes the unit lower block-triangular inverse of the L
-    factor into the output row by row; the back-substitution overwrites
-    each row with the inverse's. Only 2 x 2 blocks are inverted.
+    where w_j is row 1 of D'_{j-1}^-1 times U's first column (w_0 = 0).
 
-    For g >= 0 the sweep agrees with a refined dense inverse to 6e-15
-    relative in max-norm. It does not pivot, so for g < 0 a pivot can
-    pass near zero and cost digits: 1.4e-11 at g = -40 on 8^2 x 128.
+    With r0_j and r1_j the rows of D'_j^-1, -L D'_j^-1 is (g/2, beta)
+    times r1_j and U has one nonzero column. So the forward substitution
+    z_j = f_j + (g/2, beta) s_{j-1} carries one scalar per mode and slab,
+    s_j = r1_j . z_j, and so does the back substitution:
+        s_j = r1_j . f_j + p_j s_{j-1},
+        a_j = r0_j . f_j + k_j s_{j-1} + e_j a_{j+1},
+        b_{j+1} = s_j - w_{j+1} a_{j+1},
+    with p_j, k_j = r1_j . (g/2, beta), r0_j . (g/2, beta),
+    e_j = r0_j . (beta, q/2), and s_{-1} = a_N = 0; w_{j+1} is
+    -r1_j . (beta, q/2). The coefficients are (N, *half) arrays, and each application runs the two
+    recurrences over the slabs, every mode at once. A pivot whose
+    determinant is zero or not finite raises :class:`SolverError`, naming
+    its slab.
+
+    For g >= 0 the solve agrees with a refined dense inverse to 6e-15
+    relative in max-norm. It does not pivot, so for g < 0 a pivot can pass
+    near zero and cost digits: 9.8e-12 at g = -40 on 8^2 x 128.
     """
     lam = spectral.rfft_modes(sp.laplacian_symbol[..., None, None])[..., 0, 0]
     dg = spectral.rfft_modes(sp.divgrad_symbol[..., None, None])[..., 0, 0]
-    alpha = 1.0 / dt - 0.5 * eps * lam.ravel()
-    beta = 1.0 / dt + 0.5 * eps * lam.ravel()
-    hg, hq = 0.5 * gpbar, 0.5 * mbar * dg.ravel()
+    alpha = 1.0 / dt - 0.5 * eps * lam
+    beta = 1.0 / dt + 0.5 * eps * lam
+    hg, hq = 0.5 * gpbar, 0.5 * mbar * dg
     w = np.zeros((N,) + alpha.shape)
-    for j in range(1, N):
-        d00, d10 = alpha + hg * w[j - 1], beta * w[j - 1] - hq
-        w[j] = (beta * d10 - hq * d00) / (alpha * d00 + hg * d10)
-    d00, d10 = alpha + hg * w, beta * w - hq
-    det = alpha * d00 + hg * d10
-    back = np.empty((N, alpha.size, 2, 3))  # [D'_j^-1, -D'_j^-1 U[:, 0]]
-    back[..., 0, 0], back[..., 0, 1] = alpha / det, hg / det
-    back[..., 1, 0], back[..., 1, 1] = -d10 / det, d00 / det
-    back[..., 2] = beta[:, None] * back[..., 0] + hq[:, None] * back[..., 1]
-    # -L D'_j^-1 = (g/2, beta) times row 1 of D'_j^-1.
-    forward = np.stack([hg * back[..., 1, :2], beta[:, None] * back[..., 1, :2]], axis=-2)
-    out = np.zeros((alpha.size, 2 * N, 2 * N))
-    # X[:, s, j]: row s of y_j, against the columns of (S_0..S_{N-1}, P_0..P_{N-1}).
-    X = out.reshape(alpha.size, 2, N, 2 * N)
-    for j in range(N):
-        if j:
-            X[:, :, j] = forward[j - 1] @ X[:, :, j - 1]
-        X[:, 0, j, j] = X[:, 1, j, N + j] = 1.0
-    X[:, :, N - 1] = back[N - 1, ..., :2] @ X[:, :, N - 1]
-    for j in range(N - 2, -1, -1):
-        X[:, :, j] = back[j] @ X[:, [0, 1, 0], [j, j, j + 1]]
-    return out.reshape(lam.shape + (2 * N, 2 * N))
+    # A singular pivot propagates as inf or nan to the check below, which
+    # raises the typed error, so numpy need not warn about it.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(1, N):
+            d00, d10 = alpha + hg * w[j - 1], beta * w[j - 1] - hq
+            w[j] = (beta * d10 - hq * d00) / (alpha * d00 + hg * d10)
+        d00, d10 = alpha + hg * w, beta * w - hq
+        det = alpha * d00 + hg * d10
+    bad = (det == 0.0) | ~np.isfinite(det)
+    if bad.any():
+        j = int(np.argmax(bad.reshape(N, -1).any(axis=1)))
+        raise SolverError(
+            f"the preconditioner's time pivot at slab {j} of {N} is singular "
+            f"or not finite (mean coupling slope g' = {gpbar:.6g})"
+        )
+    r0, r1 = (alpha / det, hg / det), (-d10 / det, d00 / det)
+    k = hg * r0[0] + beta * r0[1]
+    # The loops' coefficients are complex (a real factor would be cast on
+    # every multiply), one list entry per slab in the order its loop runs.
+    p = list((hg * r1[0] + beta * r1[1]).astype(complex)[1:])
+    e = list((beta * r0[0] + hq * r0[1]).astype(complex)[-2::-1])
+
+    def solve(hat):
+        S, P = hat
+        out = np.empty_like(hat)
+        a, s = out  # s_j, overwritten by b_{j+1} at the end
+        np.multiply(r1[0], S, out=s)
+        s += r1[1] * P
+        prev = s[0]
+        for p_j, s_j in zip(p, s[1:]):
+            s_j += p_j * prev
+            prev = s_j
+        np.multiply(r0[0], S, out=a)
+        a += r0[1] * P
+        a[1:] += k[1:] * s[:-1]
+        prev = a[-1]
+        for e_j, a_j in zip(e, a[-2::-1]):
+            a_j += e_j * prev
+            prev = a_j
+        s[:-1] -= w[1:] * a[1:]
+        return out
+
+    return solve
 
 
 def _solve(

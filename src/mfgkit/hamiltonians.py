@@ -363,10 +363,11 @@ class MonotonicityReport:
 
 
 def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
-    """Report the monotonicity indicators above on 256 samples drawn by
-    ``spectral.Sampler(0)``: p standard normal, then m uniform in [0.2, 2].
-    A model whose derivatives overflow there (alpha = 437, say) raises
-    :class:`ModelError`.
+    """Report the monotonicity indicators above on 256 samples: p standard
+    normal, drawn by ``spectral.Sampler(0)``, and m at the ends 0.2 and 2
+    of its range, then uniform in [0.2, 2] from the same sampler. A model
+    whose derivatives overflow there (alpha = 437, say, at m = 0.2) raises
+    :class:`ModelError`, whatever the draw.
 
     Both are read in closed form from the radial second derivatives: H_pp
     has the eigenvalue a + b |r|^2 along r and, for d > 1, a on the
@@ -377,7 +378,7 @@ def check_monotonicity(model, grid: TorusGrid) -> MonotonicityReport:
     rng = Sampler(0)
     d = grid.dim
     p = rng.standard_normal((d, S))
-    m = rng.uniform(0.2, 2.0, S)
+    m = np.concatenate([(0.2, 2.0), rng.uniform(0.2, 2.0, S - 2)])
 
     # The spatial offset s(x) is additive in f, so it drops out of every
     # derivative sampled here: dmH is read from the model with s dropped, on

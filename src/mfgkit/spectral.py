@@ -15,7 +15,8 @@ Exactness properties relied on elsewhere (and asserted in the tests):
   component untouched;
 * ``integrate`` of a resolved trigonometric polynomial is exact.
 
-:func:`modewise` applies one k x k block per mode between real FFTs. The
+:func:`modewise` applies one k x k block per mode between real FFTs, and
+:func:`modewise_solve` any solve that acts on each mode alone. The
 operators above keep complex FFTs because the bit-for-bit oracle tests
 below pin them. Real transforms done per axis (``rfft`` on the last axis,
 ``fft`` on the others) gain on most of the benchmark's stacks and lose on
@@ -47,7 +48,7 @@ Mersenne Twister, so no command loads ``numpy.random``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "integrate_space_time",
     "rfft_modes",
     "modewise",
+    "modewise_solve",
     "Sampler",
     "random_band_limited",
     "random_band_limited_stack",
@@ -223,9 +225,25 @@ def modewise(blocks: np.ndarray, arr: np.ndarray) -> np.ndarray:
     imaginary parts in real arithmetic; complex blocks must satisfy
     B(-k) = conj(B(k)) to stand for a real operator.
     """
-    ndim = blocks.ndim - 2
+    return modewise_solve(partial(_block_product, blocks), arr, blocks.ndim - 2)
+
+
+def modewise_solve(solve, arr: np.ndarray, ndim: int) -> np.ndarray:
+    """irfftn(solve(rfftn(arr))) over the last ``ndim`` axes of ``arr``.
+
+    ``solve`` maps the coefficients (..., *half) on the :func:`rfft_modes`
+    of those axes to new ones of the same shape: a solve that acts on each
+    mode alone, as :func:`modewise`'s blocks do, but need not store them.
+    """
     axes = tuple(range(-ndim, 0))
-    hat = np.fft.rfftn(arr, axes=axes)  # (..., k, *half)
+    hat = np.fft.rfftn(arr, axes=axes)
+    return np.fft.irfftn(solve(hat), s=arr.shape[arr.ndim - ndim :], axes=axes)
+
+
+def _block_product(blocks: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """:func:`modewise`'s product of its blocks with the coefficients hat
+    (..., k, *half)."""
+    ndim = blocks.ndim - 2
     if np.iscomplexobj(blocks):
         # Row i is B_i0 h_0 + B_i1 h_1 + ..., summed in j order as np.sum of
         # the (k, k) broadcast product would, without building that product.
@@ -236,11 +254,10 @@ def modewise(blocks: np.ndarray, arr: np.ndarray) -> np.ndarray:
             out_i[...] = b_i[0] * hats[0]
             for b_ij, h_j in zip(b_i[1:], hats[1:]):
                 out_i += b_ij * h_j
-    else:
-        hat = np.moveaxis(hat, -ndim - 1, -1)  # (..., *half, k)
-        x = blocks @ np.stack([hat.real, hat.imag], axis=-1)
-        out = np.moveaxis(x[..., 0] + 1j * x[..., 1], -1, -ndim - 1)
-    return np.fft.irfftn(out, s=arr.shape[arr.ndim - ndim :], axes=axes)
+        return out
+    hat = np.moveaxis(hat, -ndim - 1, -1)  # (..., *half, k)
+    x = blocks @ np.stack([hat.real, hat.imag], axis=-1)
+    return np.moveaxis(x[..., 0] + 1j * x[..., 1], -1, -ndim - 1)
 
 
 @lru_cache(maxsize=16)

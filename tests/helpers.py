@@ -18,8 +18,8 @@ row-by-row sums and of the once-per-branch border columns.
 The per-component vector operators below, one ``np.fft.fftn``/``ifftn``
 call per component, are the bit-for-bit oracles of ``spectral``'s
 batched transforms. The finite-horizon time systems assembled densely
-and inverted with ``np.linalg.inv`` are the oracle of the block sweep in
-``mfgkit.dynamics``. The dense (d+1)-square curvature blocks built
+and inverted with ``np.linalg.inv`` are the oracle of the factored block
+LU solve in ``mfgkit.dynamics``. The dense (d+1)-square curvature blocks built
 from a model's radial coefficients, with ``np.linalg.eigvalsh``, are the
 oracle of ``check_monotonicity``'s closed form.
 """
@@ -68,8 +68,9 @@ def hamiltonian_values(Q, alpha, gamma, p, m, fvals):
 
 
 def dense_monotonicity(model, grid):
-    """Oracle of ``check_monotonicity`` on ``grid``: its 256 samples from
-    ``spectral.Sampler(0)``, the dense H_pp = a I + b r r^T and the block
+    """Oracle of ``check_monotonicity`` on ``grid``: its 256 samples, p from
+    ``spectral.Sampler(0)`` and m at 0.2 and 2 and then from the same
+    sampler, the dense H_pp = a I + b r r^T and the block
     [[2 H_pp, c r], [c r^T, -(2/m) dmH]] from the model's (r, a, b, c),
     dmH = -alpha |r|^gamma / (gamma m^{alpha+1}) - f'(m) restated from the
     definition (alpha = 0 for a separable model), and both smallest
@@ -78,7 +79,7 @@ def dense_monotonicity(model, grid):
     S, d = 256, grid.dim
     rng = spectral.Sampler(0)
     p = rng.standard_normal((d, S))
-    m = rng.uniform(0.2, 2.0, S)
+    m = np.concatenate([(0.2, 2.0), rng.uniform(0.2, 2.0, S - 2)])
     r, a, b, c = model.second_derivatives(grid, p, m)
     a, b, c = (np.broadcast_to(v, (S,)) for v in (a, b, c))
     hpp = a[:, None, None] * np.eye(d) + b[:, None, None] * (r.T[:, :, None] * r.T[:, None, :])
@@ -403,12 +404,14 @@ def dynamics_jacobian(system, z):
 
 
 def dense_time_inverse(sp, N, dt, eps, mbar, gpbar):
-    """Oracle of ``dynamics._time_inverse``: per spatial mode, the 2N x 2N
-    midpoint time system of ``_System.preconditioner`` assembled with
-    ``np.block`` and inverted with ``np.linalg.inv``, then refined once,
-    X + X (I - A X): on 16 x 128 the refinement moves the inverse by up to
-    2e-11 relative in max-norm, while the sweep sits within 6e-15 of the
-    refined inverse for g' >= 0. Equal modes share one inversion."""
+    """Oracle of ``dynamics._time_solve``, which stores no inverse: per
+    spatial mode, the 2N x 2N midpoint time system of
+    ``_System.preconditioner`` assembled with ``np.block`` and inverted with
+    ``np.linalg.inv``, then refined once, X + X (I - A X). On 16 x 128 the
+    refinement moves the inverse by up to 2e-11 relative in max-norm, while
+    the factored solve, applied to the 2N unit columns of every mode, sits
+    within 6e-15 of the refined inverse for g' >= 0. Equal modes share one
+    inversion."""
     lam = spectral.rfft_modes(sp.laplacian_symbol[..., None, None])[..., 0, 0]
     dg = spectral.rfft_modes(sp.divgrad_symbol[..., None, None])[..., 0, 0]
     symbols, where = np.unique(

@@ -4,6 +4,7 @@ import json
 import operator
 import re
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -413,20 +414,71 @@ def test_inexact_newton_certifies_with_fewer_krylov_iterations(shape, n_t, plann
 @pytest.mark.parametrize("N", [1, 2, 8, 32, 128])
 @pytest.mark.parametrize("shape", [(16,), (8, 8)], ids=["1d", "2d"])
 def test_time_inverse_matches_the_dense_oracle(shape, N):
-    # Horizon 0.25. For g' >= 0 the sweep agrees with the refined dense
-    # inverse to 6e-15. For g' = -40 (a non-monotone coupling) a pivot of
-    # the unpivoted sweep can pass near zero: on 8^2 x 128 at eps = 1e-2
-    # and mbar = 0.5 the sweep is off by 1.4e-11.
+    # The factored solve applied to the 2N unit columns of every mode is the
+    # inverse of each time system. It acts on each mode alone, so the
+    # columns go in one call, on 2N copies of the grid's symbols. Horizon
+    # 0.25. For g' >= 0 it agrees with the refined dense inverse to 6e-15.
+    # For g' = -40 (a non-monotone coupling) a pivot of the unpivoted sweep
+    # can pass near zero: on 8^2 x 128 at eps = 1e-2 and mbar = 0.5 it is
+    # off by 9.8e-12.
     sp = TorusGrid(shape)
+    copies = SimpleNamespace(
+        **{
+            name: np.broadcast_to(getattr(sp, name), (2 * N,) + shape)
+            for name in ("laplacian_symbol", "divgrad_symbol")
+        }
+    )
     dt = 0.25 / N
     for eps in (0.0, 1e-2, 1.0):
         for gpbar in (-40.0, 0.0, 1.0, 10.0):
             for mbar in (0.5, 1.0):
                 ref = helpers.dense_time_inverse(sp, N, dt, eps, mbar, gpbar)
-                got = dynamics._time_inverse(sp, N, dt, eps, mbar, gpbar)
-                assert got.shape == ref.shape
-                gap = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                half = ref.shape[:-2]
+                units = np.zeros((2 * N, 2 * N) + half, dtype=complex)
+                units[np.arange(2 * N), np.arange(2 * N)] = 1.0  # (row, column, *half)
+                solve = dynamics._time_solve(copies, N, dt, eps, mbar, gpbar)
+                cols = solve(units.reshape((2, N, 2 * N) + half)).reshape(units.shape)
+                got = np.moveaxis(cols, (0, 1), (-2, -1))
+                assert not np.any(got.imag)
+                gap = np.max(np.abs(got.real - ref)) / np.max(np.abs(ref))
                 assert gap <= (1e-12 if gpbar >= 0.0 else 1e-10), (eps, gpbar, mbar, gap)
+
+
+@pytest.mark.parametrize("shape, N", [((32,), 256), ((16, 16), 128)], ids=["1d", "2d"])
+def test_preconditioner_working_set_is_a_few_right_hand_sides(shape, N):
+    # Building the preconditioner and applying it once allocates O(N) per
+    # mode: the factors and the transforms of one right-hand side, not a
+    # (modes, 2N, 2N) inverse, which alone is 272 and 144 right-hand sides
+    # here.
+    system, _, rng = _system_case(shape, N, False)
+    r = rng.standard_normal(2 * N * system.K)
+    tracemalloc.start()
+    try:
+        x = system.preconditioner(1.0, 1.5)(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == r.shape and np.all(np.isfinite(x))
+    assert peak <= 12 * r.nbytes, peak / r.nbytes
+
+
+def test_singular_time_pivot_raises_solver_error():
+    # At eps = 0 and dt = 1/2 the first pivot of mode k = 1 has determinant
+    # 4 - (g'/2)(mbar del/2), exactly zero for one g' near 8 / (mbar del/2).
+    sp = TorusGrid((4,))
+    system = _System(SeparableHamiltonian(), sp, 2, 0.5, np.ones(4), np.zeros(4), 0.0, False)
+    hq = 0.5 * sp.divgrad_symbol[1]
+    gpbar = 8.0 / hq
+    for _ in range(100):
+        if (det := 4.0 + 0.5 * gpbar * -hq) == 0.0:
+            break
+        gpbar = np.nextafter(gpbar, -np.inf if det > 0.0 else np.inf)
+    assert det == 0.0
+    pattern = r"time pivot at slab 0 of 2 is singular or not finite \(mean coupling slope g' = -0.405285\)"
+    with pytest.raises(SolverError, match=pattern):
+        system.preconditioner(1.0, float(gpbar))
+    with pytest.raises(SolverError, match=r"at slab 0 of 2 .* g' = nan\)"):
+        system.preconditioner(1.0, float("nan"))
 
 
 def _counted(monkeypatch, module, name):

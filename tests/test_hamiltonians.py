@@ -303,6 +303,22 @@ def test_monotonicity_report_flags_decreasing_coupling(g1):
     assert rep_bad.max_dm_h > 0.0
 
 
+def test_monotonicity_overflow_does_not_depend_on_the_draw(monkeypatch, g1):
+    # At alpha = 437 only the block's -(2/m) dmH overflows, and only within
+    # about 2e-3 of m = 0.2. The ends of the m range are always sampled, so
+    # a sampler that keeps every drawn m in [1, 2) still finds the overflow.
+    class Away(hamiltonians.Sampler):
+        def uniform(self, low, high, size):
+            return super().uniform(1.0, high, size)
+
+    monkeypatch.setattr(hamiltonians, "Sampler", Away)
+    model = CongestionHamiltonian(Q=(0.0,), alpha=437.0, gamma=2.0)
+    with pytest.raises(ModelError, match="overflow at the sampled states"):
+        check_monotonicity(model, TorusGrid((4,)))
+    rep = check_monotonicity(CongestionHamiltonian(Q=(0.0,), alpha=0.5, gamma=2.0), g1)
+    assert rep.n_samples == 256
+
+
 # Both kinds, d = 1-3, gamma in {1.5, 2, 2.5, 4} (b = 0 at gamma = 2) and
 # alpha in {0, 0.5, 1.5} (c = 0 at alpha = 0).
 RADIAL_MODELS = [("separable", d, 2.0, 0.0) for d in (1, 2, 3)] + [
